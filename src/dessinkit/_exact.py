@@ -1,0 +1,141 @@
+"""Exact integer toolkit and input scanner shared by the dessinkit modules.
+
+Primality, exact roots and 2-adic valuations of integers, the compact form
+of very large values in messages and reports, and the character scanner
+behind the word and map grammars.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional
+
+from .errors import OutOfRange, ParseError, ResourceLimit
+
+#: The first 13 primes, used as Miller-Rabin bases.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: psi_13, the least strong pseudoprime to all of ``_MR_BASES`` (Sorenson and
+#: Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+#: Below it the bases decide primality; at or above it they prove only
+#: compositeness.
+_MR_PROVEN_BELOW = 3317044064679887385961981
+
+
+def v2(x: int) -> int:
+    """2-adic valuation of a nonzero integer."""
+    if x == 0:
+        raise ValueError("v2(0) is undefined")
+    return (x & -x).bit_length() - 1
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test with the first 13 prime bases.
+
+    A composite verdict is always returned.  A number at or above psi_13 that
+    passes every base raises :class:`ResourceLimit` instead of being guessed
+    prime.
+    """
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = v2(n - 1)
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_PROVEN_BELOW:
+        raise ResourceLimit(
+            f"primality of {brief(n, 256)} is undecided: the fixed Miller-Rabin "
+            f"bases are proven only below {_MR_PROVEN_BELOW}"
+        )
+    return True
+
+
+def check_odd_prime(p: int) -> None:
+    if p == 2 or not is_prime(p):
+        raise OutOfRange(f"p must be an odd prime, got {p}")
+
+
+def integer_root(x: int, k: int) -> Optional[int]:
+    """Exact kth root of a nonnegative integer, or None."""
+    if x < 0:
+        raise ValueError("negative radicand")
+    if x in (0, 1):
+        return x
+    if x.bit_length() <= k:  # a root r >= 2 needs x >= 2^k
+        return None
+    lo, hi = 1, 1 << (x.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**k < x:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo**k == x else None
+
+
+def brief(value, max_bits: int):
+    """``value`` itself, or a placeholder naming its bit sizes when it is an
+    integer or fraction with more than ``max_bits`` bits."""
+    if isinstance(value, Fraction):
+        num, den = value.numerator.bit_length(), value.denominator.bit_length()
+        if max(num, den) > max_bits:
+            return f"<rational with {num}-bit numerator and {den}-bit denominator>"
+    elif isinstance(value, int) and value.bit_length() > max_bits:
+        return f"<{value.bit_length()}-bit integer>"
+    return value
+
+
+class Scanner:
+    """Character scanner for the word and map grammars.
+
+    Whitespace may separate tokens, but not the digits of one integer.
+    ``where`` ends the scanner's own error messages (e.g. ``" in word"``).
+    """
+
+    def __init__(self, text: str, where: str = ""):
+        self.text = text
+        self.pos = 0
+        self.where = where
+
+    def peek(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else None
+
+    def take(self):
+        c = self.peek()
+        if c is not None:
+            self.pos += 1
+        return c
+
+    def expect(self, char: str):
+        c = self.take()
+        if c != char:
+            raise ParseError(
+                f"expected {char!r} at position {self.pos}{self.where}, got {c!r}"
+            )
+
+    def integer(self) -> int:
+        """An optionally negated run of contiguous decimal digits."""
+        sign = 1
+        if self.peek() == "-":
+            self.take()
+            sign = -1
+        self.peek()  # whitespace may follow the sign, but not split the digits
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == start:
+            raise ParseError(f"expected integer at position {self.pos}{self.where}")
+        return sign * int(self.text[start:self.pos])

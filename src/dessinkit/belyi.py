@@ -27,12 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
+from ._exact import Scanner, brief
 from .errors import (
     IrrationalCriticalPoints,
     NotCoprime,
     OutOfRange,
     ParseError,
-    ResourceLimit,
     SizeGuard,
 )
 
@@ -56,7 +56,6 @@ __all__ = [
     "verify_reduction",
     "ReductionReport",
     "chain_compose",
-    "verify_reduction",
     "parse_map",
     "parse_poly",
 ]
@@ -75,20 +74,6 @@ DEFAULT_EVAL_WORK_BITS = 2_000_000
 #: Default cap on m+n for explicit expansion into coefficients (expansion
 #: needs ~(m+n)^2 log(m+n) bits in total, far more than evaluation).
 DEFAULT_EXPANSION_CAP = 2000
-
-
-def _brief(value) -> str:
-    """Compact description of a possibly enormous integer or fraction."""
-    if isinstance(value, Fraction):
-        if max(value.numerator.bit_length(), value.denominator.bit_length()) <= 256:
-            return str(value)
-        return (
-            f"<rational with {value.numerator.bit_length()}-bit numerator and "
-            f"{value.denominator.bit_length()}-bit denominator>"
-        )
-    if isinstance(value, int) and value.bit_length() > 256:
-        return f"<{value.bit_length()}-bit integer>"
-    return str(value)
 
 
 class _Infinity:
@@ -513,133 +498,6 @@ def propagate_crit(profile: CritProfile, f) -> CritProfile:
 
 
 # ---------------------------------------------------------------------------
-# rational root extraction (rational-root theorem with multiplicity stripping)
-# ---------------------------------------------------------------------------
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic for n < 3.3 * 10^24; fixed bases keep results reproducible
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    c = 1
-    while True:
-        x = y = 2
-        d = 1
-        f = lambda t: (t * t + c) % n
-        while d == 1:
-            x = f(x)
-            y = f(f(y))
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-        c += 1
-
-
-def _factorize(n: int) -> dict:
-    """Prime factorization of a positive integer (deterministic)."""
-    factors: dict = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    p = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while p * p <= n and p < 100_000:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += wheel[i]
-        i = (i + 1) % 8
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.extend((d, m // d))
-    return factors
-
-
-def _divisors(n: int, cap: int = 200_000) -> list:
-    divs = [1]
-    for p, e in sorted(_factorize(n).items()):
-        grown = []
-        pk = 1
-        for _ in range(e + 1):
-            grown.extend(d * pk for d in divs)
-            pk *= p
-        divs = grown
-        if len(divs) > cap:
-            raise ResourceLimit(
-                f"too many divisor candidates ({len(divs)}) for rational roots"
-            )
-    return sorted(divs)
-
-
-def rational_roots(p: RatPoly) -> Tuple[dict, RatPoly]:
-    """All rational roots with multiplicities, plus the rootless cofactor.
-
-    Candidates come from the rational-root theorem applied to the primitive
-    integer form; each discovered root is stripped to full multiplicity
-    before moving on.
-    """
-    if p.is_zero:
-        raise ValueError("rational_roots of the zero polynomial")
-    roots: dict = {}
-    work = p
-    # strip the root at 0 first so the trailing coefficient is nonzero
-    k = 0
-    while work.degree >= 1 and work.coefficients[0] == 0:
-        work = work.divmod(X)[0]
-        k += 1
-    if k:
-        roots[Fraction(0)] = k
-    if work.degree < 1:
-        return roots, work.monic() if not work.is_zero else work
-    ints = work.primitive_integer_coeffs()
-    trailing, lead = abs(ints[0]), abs(ints[-1])
-    for q in _divisors(lead):
-        for pnum in _divisors(trailing):
-            if math.gcd(pnum, q) != 1:
-                continue
-            for cand in (Fraction(pnum, q), Fraction(-pnum, q)):
-                mult = 0
-                while work.degree >= 1 and work(cand) == 0:
-                    work = work.divmod(RatPoly((-cand, 1)))[0]
-                    mult += 1
-                if mult:
-                    roots[cand] = mult
-    return roots, work.monic() if work.degree >= 1 else RatPoly()
-
-
-# ---------------------------------------------------------------------------
 # Sturm sequences
 # ---------------------------------------------------------------------------
 
@@ -695,6 +553,66 @@ def certify_increasing(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
     if d.is_zero:
         return False
     return d(lo) > 0 and d(hi) > 0 and sturm_count(d, lo, hi) == 0
+
+
+# ---------------------------------------------------------------------------
+# rational root extraction (Sturm isolation on the lattice of candidates)
+# ---------------------------------------------------------------------------
+
+
+def rational_roots(p: RatPoly) -> Tuple[dict, RatPoly]:
+    """All rational roots with multiplicities, plus the rootless cofactor.
+
+    Every rational root of the squarefree part is k/a for an integer k, where
+    a is the leading coefficient of its primitive integer form, and lies
+    strictly inside the Cauchy bound.  Bisecting that range of k with the
+    Sturm chain until each interval holding a root holds a single candidate
+    k/a leaves one exact test per real root; each root found is stripped to
+    full multiplicity.  The cost is polynomial in the degree and in the
+    coefficient bits: nothing is factored.
+    """
+    if p.is_zero:
+        raise ValueError("rational_roots of the zero polynomial")
+    roots: dict = {}
+    work = p
+    # strip the root at 0 first so the trailing coefficient is nonzero
+    k = 0
+    while work.degree >= 1 and work.coefficients[0] == 0:
+        work = work.divmod(X)[0]
+        k += 1
+    if k:
+        roots[Fraction(0)] = k
+    if work.degree < 1:
+        return roots, work.monic() if not work.is_zero else work
+    squarefree = work.squarefree_part()
+    ints = squarefree.primitive_integer_coeffs()
+    lead = abs(ints[-1])
+    chain = _sturm_chain(squarefree)
+
+    def variations(num: int) -> int:
+        return _sign_variations(chain, Fraction(num, lead))
+
+    # every root lies in (-bound/lead, bound/lead) (Cauchy); keep intervals
+    # (lo/lead, hi/lead] whose Sturm count is positive
+    bound = lead + max(abs(c) for c in ints[:-1])
+    stack = [(-bound, variations(-bound), bound, variations(bound))]
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            v_mid = variations(mid)
+            stack += [(mid, v_mid, hi, v_hi), (lo, v_lo, mid, v_mid)]
+            continue
+        cand = Fraction(hi, lead)
+        mult = 0
+        while work.degree >= 1 and work(cand) == 0:
+            work = work.divmod(RatPoly((-cand, 1)))[0]
+            mult += 1
+        if mult:
+            roots[cand] = mult
+    return roots, work.monic() if work.degree >= 1 else RatPoly()
 
 
 # ---------------------------------------------------------------------------
@@ -794,8 +712,8 @@ class BmnStage:
         )
         if work_cap_bits is not None and estimate > work_cap_bits:
             raise SizeGuard(
-                f"exact evaluation of stage ({_brief(m)}, {_brief(n)}) at "
-                f"{_brief(v)} needs about {_brief(estimate)} bits, over the "
+                f"exact evaluation of stage ({brief(m, 256)}, {brief(n, 256)}) at "
+                f"{brief(v, 256)} needs about {brief(estimate, 256)} bits, over the "
                 f"work cap {work_cap_bits}"
             )
         p, q = v.numerator, v.denominator
@@ -829,7 +747,7 @@ class BmnStage:
         return sign
 
     def __str__(self) -> str:
-        return f"B[{_brief(self.m)},{_brief(self.n)}]"
+        return f"B[{brief(self.m, 256)},{brief(self.n, 256)}]"
 
 
 Stage = Union[RatMap, BmnStage]
@@ -952,8 +870,8 @@ def belyi_reduce(
         ratio = tracked[-2]
         if stage_cap is not None and ratio.denominator > stage_cap:
             raise SizeGuard(
-                f"next stage ratio {_brief(ratio)} needs m+n = "
-                f"{_brief(ratio.denominator)}, over the cap {stage_cap}"
+                f"next stage ratio {brief(ratio, 256)} needs m+n = "
+                f"{brief(ratio.denominator, 256)}, over the cap {stage_cap}"
             )
         params = pair_from_ratio(ratio)
         stage = BmnStage(params.m, params.n)
@@ -1053,28 +971,14 @@ def verify_reduction(
 # ---------------------------------------------------------------------------
 
 
-class _MapParser:
+class _MapParser(Scanner):
     """Recursive-descent parser for exact map expressions.
 
     Grammar: ``expr := term (('+'|'-') term)*``, ``term := factor (('*'|'/')
     factor)*``, ``factor := ('-')* primary ['^' int]``, ``primary := integer |
-    'X' | '(' expr ')'``.  Example: ``(X+27)^3 / (243*(X-9)^2)``.
+    'X' | '(' expr ')'``.  Example: ``(X+27)^3 / (243*(X-9)^2)``.  Whitespace
+    may separate tokens, but not the digits of one integer.
     """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def take(self):
-        c = self.peek()
-        if c is not None:
-            self.pos += 1
-        return c
 
     def parse(self) -> RatMap:
         value = self.expr()
@@ -1122,21 +1026,9 @@ class _MapParser:
             if self.take() != ")":
                 raise ParseError(f"missing ')' at position {self.pos}")
             return value
-        if c.isdigit():
+        if c.isdecimal():
             return RatMap(RatPoly((self.integer(),)))
         raise ParseError(f"unexpected {c!r} at position {self.pos} in expression")
-
-    def integer(self) -> int:
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        digits = ""
-        while self.peek() is not None and self.peek().isdigit():
-            digits += self.take()
-        if not digits:
-            raise ParseError(f"expected integer at position {self.pos}")
-        return sign * int(digits)
 
 
 def parse_map(text: str) -> RatMap:

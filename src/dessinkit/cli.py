@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import belyi, models, tower
+from ._exact import brief
 from .dessins import (
     Dessin,
     Separation,
@@ -56,18 +57,13 @@ def _parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
+#: big values are abbreviated past this many bits, which keeps every output
+#: printable below the interpreter's int-to-decimal limit
+_PRINT_BITS = 12_000
+
+
 def _fmt_rational(v) -> str:
-    if v is belyi.INFINITY:
-        return "inf"
-    if isinstance(v, Fraction) and max(
-        v.numerator.bit_length(), v.denominator.bit_length()
-    ) > 12_000:
-        # stays printable below the interpreter's int-to-decimal limit
-        return (
-            f"<rational with {v.numerator.bit_length()}-bit numerator and "
-            f"{v.denominator.bit_length()}-bit denominator>"
-        )
-    return str(v)
+    return "inf" if v is belyi.INFINITY else str(brief(v, _PRINT_BITS))
 
 
 def _fmt_cycle_type(lengths) -> str:
@@ -461,24 +457,19 @@ def _cmd_lemma_two_adic(args, out: _Output) -> int:
         poly, args.c, args.p, _parse_rational(args.q), _parse_rational(args.gamma)
     )
     report = models.two_adic_verify(inst)
-
-    def safe(value):
-        # m, n and friends can be huge; keep every field printable
-        if isinstance(value, int) and value.bit_length() > 12_000:
-            return f"<{value.bit_length()}-bit integer>"
-        return value
-
+    # m, n and friends can be huge; keep every field printable
+    a, b, m, n, e = (brief(getattr(report, k), _PRINT_BITS) for k in "abmne")
     out.line(f"alpha: {report.alpha}")
     out.line(f"nu: {report.nu}")
-    out.line(f"odd part: {safe(report.a)}/{safe(report.b)}")
-    out.line(f"(m, n): ({safe(report.m)}, {safe(report.n)})")
-    out.line(f"e: {safe(report.e) if report.e is not None else 'inconsistent'}")
+    out.line(f"odd part: {a}/{b}")
+    out.line(f"(m, n): ({m}, {n})")
+    out.line(f"e: {e if e is not None else 'inconsistent'}")
     bound = "=" if report.v2_s_is_exact else ">="
     out.line(f"v2(s) {bound} {report.v2_s}, required >= {report.required}")
     out.line(f"certified: {str(report.ok).lower()}")
     for key in ("alpha", "nu", "a", "b", "c0", "m", "n", "e",
                 "congruences_consistent", "v2_s", "v2_s_is_exact", "required"):
-        out.field(key, safe(getattr(report, key)))
+        out.field(key, brief(getattr(report, key), _PRINT_BITS))
     out.field("r", report.r)
     out.field("s", report.s)
     out.field("certified", report.ok)

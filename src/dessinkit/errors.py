@@ -32,7 +32,7 @@ class NotTransitive(DessinkitError, ValueError):
 
 
 class ResourceLimit(DessinkitError, RuntimeError):
-    """A configured cap (degree, transversal memory, order bound) was hit."""
+    """A configured cap (degree, memory, order) or a proven range was exceeded."""
 
 
 class Cancelled(DessinkitError, RuntimeError):

@@ -23,6 +23,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional, Tuple
 
+from ._exact import brief, check_odd_prime, v2
 from .belyi import RatPoly, pair_from_ratio
 from .dessins import Dessin, load_dessin
 from .errors import (
@@ -67,11 +68,6 @@ _WITNESS_VALUES = {
 def _check_gallery_index(k: int):
     if not 1 <= k <= GALLERY_SIZE:
         raise OutOfRange(f"gallery index {k} outside 1..{GALLERY_SIZE}")
-
-
-def _check_odd_prime(p: int):
-    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, int(p**0.5) + 1, 2)):
-        raise OutOfRange(f"p must be an odd prime, got {p}")
 
 
 def gallery_text(k: int) -> str:
@@ -169,7 +165,7 @@ def local_model_8p(p: int, k: int, variant: str = "plain") -> LocalModel:
     the conjugator is (A,C)(B,D) for the plain family and (B,D) for the
     complex-embedding variant, whose word action never commutes with y^2.
     """
-    _check_odd_prime(p)
+    check_odd_prime(p)
     if not 1 <= k <= 2 * p:
         raise OutOfRange(f"k = {k} outside 1..{2 * p}")
     if variant not in ("plain", "j"):
@@ -270,25 +266,6 @@ def build_mu_omega(d, m: int, n: int, r: int, s: int) -> Tuple[FreeWord, FreeWor
 # ---------------------------------------------------------------------------
 
 
-def _v2(x: int) -> int:
-    if x == 0:
-        raise ValueError("v2(0) is undefined")
-    return (x & -x).bit_length() - 1
-
-
-def _brief_fraction(v: Fraction) -> str:
-    if max(v.numerator.bit_length(), v.denominator.bit_length()) <= 256:
-        return str(v)
-    return (
-        f"<rational with {v.numerator.bit_length()}-bit numerator and "
-        f"{v.denominator.bit_length()}-bit denominator>"
-    )
-
-
-def _v2_fraction(x: Fraction) -> int:
-    return _v2(x.numerator) - _v2(x.denominator)
-
-
 @dataclass(frozen=True)
 class DeltaTildeReport:
     partial_sums: tuple
@@ -347,7 +324,7 @@ class TwoAdicInstance:
             raise OutOfRange("beta1 numerator must have integer coefficients")
         if c <= 0:
             raise OutOfRange(f"c must be a positive integer, got {c}")
-        _check_odd_prime(p)
+        check_odd_prime(p)
         q = Fraction(q)
         gamma = Fraction(gamma)
         if q <= 0 or gamma <= 0:
@@ -361,9 +338,9 @@ class TwoAdicInstance:
         self.q = q
         self.gamma = gamma
         self.c0 = c0
-        self.nu = _v2(c0) + _v2(c - c0)
+        self.nu = v2(c0) + v2(c - c0)
         self.point = gamma ** (2 * p) * q * q  # gamma^(2p) q^2
-        self.alpha = _v2_fraction(self.point)
+        self.alpha = v2(self.point.numerator) - v2(self.point.denominator)
         odd = self.point / Fraction(2) ** self.alpha
         self.a = odd.numerator
         self.b = odd.denominator
@@ -421,7 +398,7 @@ def two_adic_verify(inst: TwoAdicInstance) -> TwoAdicReport:
     ratio = inst.beta1(inst.point)
     if not 0 < ratio < 1:
         raise OutOfRange(
-            f"beta1(gamma^(2p) q^2) = {_brief_fraction(ratio)} outside (0, 1)"
+            f"beta1(gamma^(2p) q^2) = {brief(ratio, 256)} outside (0, 1)"
         )
     params = pair_from_ratio(ratio)
     m, n = params.m, params.n
@@ -446,15 +423,15 @@ def two_adic_verify(inst: TwoAdicInstance) -> TwoAdicReport:
     # instance is: (D - N)/2^v2gcd = 2^dd * D' - 2^dn * N' with D', N' the odd
     # parts, each computable by modular exponentiation.
     total = m + n
-    v2_n_full = total * _v2(total) + m * _v2(inst.c0) + n * _v2(inst.c - inst.c0)
-    v2_d_full = m * _v2(m) + n * _v2(n) + total * _v2(inst.c)
+    v2_n_full = total * v2(total) + m * v2(inst.c0) + n * v2(inst.c - inst.c0)
+    v2_d_full = m * v2(m) + n * v2(n) + total * v2(inst.c)
     v2_gcd = min(v2_n_full, v2_d_full)
     required = inst.alpha - inst.nu
     window = required + 1
     mod = 1 << window
 
     def odd_pow(base: int, exp: int) -> int:
-        return pow(base >> _v2(base), exp, mod)
+        return pow(base >> v2(base), exp, mod)
 
     n_odd = odd_pow(total, total) * odd_pow(inst.c0, m) % mod
     n_odd = n_odd * odd_pow(inst.c - inst.c0, n) % mod
@@ -467,7 +444,7 @@ def two_adic_verify(inst: TwoAdicInstance) -> TwoAdicReport:
         v2_s = window  # certified lower bound, already > required
         exact = False
     else:
-        v2_s = _v2(diff)  # exact: any higher valuation would vanish mod 2^window
+        v2_s = v2(diff)  # exact: any higher valuation would vanish mod 2^window
         exact = True
 
     r_val = s_val = None

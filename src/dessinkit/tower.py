@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
+from ._exact import check_odd_prime, integer_root
 from .errors import (
     DegenerateTriple,
     DessinkitError,
@@ -42,51 +43,16 @@ __all__ = [
 ]
 
 
-def _integer_root(x: int, k: int) -> Optional[int]:
-    """Exact kth root of a nonnegative integer, or None."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x in (0, 1):
-        return x
-    lo, hi = 1, 1 << (x.bit_length() // k + 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**k < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**k == x else None
-
-
-def _is_pth_power(q: Fraction, p: int) -> bool:
-    # q > 0 in lowest terms is a pth power iff numerator and denominator are
-    return (
-        _integer_root(q.numerator, p) is not None
-        and _integer_root(q.denominator, p) is not None
-    )
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class TowerField:
     """The field Q(zeta_p, q^(1/p)) for odd prime p and non-pth-power q > 0."""
 
     def __init__(self, p: int, q):
         q = Fraction(q)
-        if p < 3 or p % 2 == 0 or not _is_prime(p):
-            raise OutOfRange(f"p must be an odd prime, got {p}")
+        check_odd_prime(p)
         if q <= 0:
             raise OutOfRange(f"q must be positive, got {q}")
-        if _is_pth_power(q, p):
+        # q > 0 in lowest terms is a pth power iff numerator and denominator are
+        if all(integer_root(v, p) is not None for v in (q.numerator, q.denominator)):
             raise OutOfRange(f"q = {q} is a {p}th power of a rational")
         self.p = p
         self.q = q

@@ -12,14 +12,16 @@ Word grammar (also the CLI wire syntax)::
     factor := atom [ '^' int ]
     atom   := 'x' | 'y' | '(' word ')' | '[' word ',' word ']'
 
-Whitespace is ignored, ``int`` may be negative, and the commutator bracket
-expands as ``[a, b] = a b a^-1 b^-1``.
+Whitespace may separate tokens, but not the digits of one integer; ``int``
+may be negative, and the commutator bracket expands as
+``[a, b] = a b a^-1 b^-1``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Tuple
 
+from ._exact import Scanner
 from .errors import DegreeMismatch, ParseError
 from .perms import Permutation, compose_right
 
@@ -112,28 +114,9 @@ def _reduce(syllables: Iterable[Syllable]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class _Parser:
+class _Parser(Scanner):
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def take(self):
-        c = self.peek()
-        if c is not None:
-            self.pos += 1
-        return c
-
-    def expect(self, char: str):
-        c = self.take()
-        if c != char:
-            raise ParseError(
-                f"expected {char!r} at position {self.pos} in word, got {c!r}"
-            )
+        super().__init__(text, " in word")
 
     def parse_word(self, stop=()) -> FreeWord:
         word = FreeWord()
@@ -160,20 +143,8 @@ class _Parser:
             raise ParseError(f"unexpected {c!r} at position {self.pos} in word")
         if self.peek() == "^":
             self.take()
-            atom = atom ** self.parse_int()
+            atom = atom ** self.integer()
         return atom
-
-    def parse_int(self) -> int:
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        digits = ""
-        while self.peek() is not None and self.peek().isdigit():
-            digits += self.take()
-        if not digits:
-            raise ParseError(f"expected integer at position {self.pos} in word")
-        return sign * int(digits)
 
 
 def parse_word(text: str) -> FreeWord:

@@ -3,6 +3,7 @@ Sturm counting against a Descartes-bisection oracle, and the reduction chain."""
 
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -116,6 +117,13 @@ class TestPolyParsing:
         for bad in ("X +", "(X", "2**3", "X^", "1/0", "Y"):
             with pytest.raises((ParseError, ZeroDivisionError)):
                 parse_map(bad)
+
+    def test_digits_of_one_integer_are_contiguous(self):
+        assert parse_poly(" X - 12 ") == X - RatPoly((12,))
+        with pytest.raises(ParseError, match="trailing input at position 6"):
+            parse_poly("X - 1 2")
+        with pytest.raises(ParseError):
+            parse_map("X^1 2")
 
     def test_non_polynomial_rejected(self):
         with pytest.raises(ParseError):
@@ -299,6 +307,69 @@ class TestSturm:
                 hi,
             )
             checked += 1
+
+
+def _divisor_roots(p: RatPoly):
+    """Rational-root theorem oracle: every +-u/v with u dividing the trailing
+    and v the leading coefficient, found by enumerating all integers up to
+    each, and stripped to full multiplicity."""
+    roots, work = {}, p
+    while work.degree >= 1 and work.coefficients[0] == 0:
+        roots[F(0)] = roots.get(F(0), 0) + 1
+        work = work.divmod(X)[0]
+    if work.degree >= 1:
+        ints = work.primitive_integer_coeffs()
+        trailing, lead = abs(ints[0]), abs(ints[-1])
+        for u in range(1, trailing + 1):
+            for v in range(1, lead + 1):
+                if trailing % u or lead % v:
+                    continue
+                for cand in {F(u, v), F(-u, v)}:
+                    while work.degree >= 1 and work(cand) == 0:
+                        roots[cand] = roots.get(cand, 0) + 1
+                        work = work.divmod(RatPoly((-cand, 1)))[0]
+    return roots, work
+
+
+class TestRationalRoots:
+    def test_seeded_linear_factors_times_irreducible_quadratic(self):
+        rng = random.Random(1983)
+        quadratics = [RatPoly((2, 0, 1)), RatPoly((-2, 0, 1)),
+                      RatPoly((5, -5, 1)), RatPoly((F(1, 3), 1, 1))]
+        for _ in range(40):
+            expected = {}
+            for _ in range(rng.randint(1, 5)):
+                root = F(rng.randint(-40, 40), rng.randint(1, 30))
+                expected[root] = expected.get(root, 0) + rng.randint(1, 3)
+            quadratic = rng.choice(quadratics)
+            p = quadratic * F(rng.randint(1, 9), rng.choice((-7, -1, 1, 4)))
+            for root, mult in expected.items():
+                p = p * RatPoly((-root, 1)) ** mult
+            roots, cofactor = rational_roots(p)
+            assert roots == expected and cofactor == quadratic, p
+
+    def test_against_divisor_enumeration(self):
+        rng = random.Random(85)
+        for _ in range(300):
+            p = RatPoly([F(rng.randint(-12, 12)) for _ in range(rng.randint(2, 6))])
+            if p.degree < 1:
+                continue
+            roots, cofactor = rational_roots(p)
+            oracle_roots, oracle_work = _divisor_roots(p)
+            assert roots == oracle_roots, p
+            if oracle_work.degree >= 1:
+                assert cofactor == oracle_work.monic(), p
+            else:
+                assert cofactor.degree < 1, p
+
+    def test_semiprime_coefficients_need_no_factoring(self):
+        c = (2**61 - 1) * (2**59 - 55)  # a 120-bit semiprime
+        start = time.perf_counter()
+        roots, cofactor = rational_roots(RatPoly((0, c, 1)))
+        assert roots == {F(0): 1, F(-c): 1} and cofactor.degree < 1
+        roots, cofactor = rational_roots(RatPoly((-1, c - 1, c)) * RatPoly((3, 0, 1)))
+        assert roots == {F(-1): 1, F(1, c): 1} and cofactor == RatPoly((3, 0, 1))
+        assert time.perf_counter() - start < 5
 
 
 class TestCertifyIncreasing:

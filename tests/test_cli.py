@@ -107,6 +107,11 @@ class TestWordCommands:
         code, _, err = invoke(capsys, "word", "eval", "gallery:1", "--word", "z")
         assert code == 2
 
+    def test_split_exponent_rejected(self, capsys):
+        code, out, err = invoke(capsys, "word", "eval", "gallery:1", "--word", "x^1 2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: unexpected '2'")
+
 
 class TestGalleryCommands:
     def test_list(self, capsys):
@@ -154,6 +159,12 @@ class TestModelCommands:
         code, _, err = invoke(capsys, "model", "sec31", "--k", "9")
         assert code == 2
 
+    def test_huge_p_is_an_input_error(self, capsys):
+        code, _, err = invoke(capsys, "model", "sec32", "--p", str(10**400 + 1), "--k", "1")
+        assert code == 2
+        assert err.startswith("error: p must be an odd prime")
+        assert "Traceback" not in err
+
 
 class TestBelyiCommands:
     def test_bmn(self, capsys):
@@ -200,6 +211,13 @@ class TestBelyiCommands:
             "belyi", "increasing", "--poly", "4*X-4*X^2", "--lo", "0", "--hi", "3/4",
         )
         assert code == 1
+
+    def test_split_integer_rejected(self, capsys):
+        code, out, err = invoke(
+            capsys, "belyi", "sturm", "--poly", "X - 1 2", "--lo", "0", "--hi", "20"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: trailing input")
 
     def test_float_rejected(self, capsys):
         code, _, err = invoke(

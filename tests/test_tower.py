@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from dessinkit.errors import (
     FieldMismatch,
     NotAUnit,
     OutOfRange,
+    ResourceLimit,
 )
 from dessinkit.tower import (
     CurveTriple,
@@ -49,6 +51,16 @@ class TestFieldConstruction:
         for p in (1, 2, 4, 9):
             with pytest.raises(OutOfRange):
                 TowerField(p, 2)
+
+    def test_large_composite_p_rejected_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange):
+            TowerField(1000000007 * 998244353, 2)
+        assert time.perf_counter() - start < 1
+
+    def test_unprovable_prime_p_is_a_resource_limit(self):
+        with pytest.raises(ResourceLimit):
+            TowerField(2**127 - 1, 2)
 
     def test_rejects_nonpositive_q(self):
         with pytest.raises(OutOfRange):

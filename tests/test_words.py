@@ -55,6 +55,13 @@ class TestParsing:
             with pytest.raises(ParseError):
                 parse_word(bad)
 
+    def test_digits_of_one_exponent_are_contiguous(self):
+        assert parse_word("x^ 12") == parse_word("x^12")
+        with pytest.raises(ParseError, match="unexpected '2' at position 5 in word"):
+            parse_word("x^1 2")
+        with pytest.raises(ParseError, match="expected integer at position 2 in word"):
+            parse_word("x^²")  # a digit character that is not a decimal digit
+
     def test_empty_word(self):
         w = parse_word("")
         assert w.is_empty and str(w) == "1"
