@@ -138,4 +138,10 @@ class Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"expected integer at position {self.pos}{self.where}")
-        return sign * int(self.text[start:self.pos])
+        try:
+            return sign * int(self.text[start:self.pos])
+        except ValueError:  # the interpreter's limit on decimal digits
+            raise ParseError(
+                f"integer of {self.pos - start} digits at position {start}"
+                f"{self.where} is too long"
+            ) from None

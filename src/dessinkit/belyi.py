@@ -583,7 +583,7 @@ def rational_roots(p: RatPoly) -> Tuple[dict, RatPoly]:
     if k:
         roots[Fraction(0)] = k
     if work.degree < 1:
-        return roots, work.monic() if not work.is_zero else work
+        return roots, work.monic()
     squarefree = work.squarefree_part()
     ints = squarefree.primitive_integer_coeffs()
     lead = abs(ints[-1])
@@ -612,7 +612,7 @@ def rational_roots(p: RatPoly) -> Tuple[dict, RatPoly]:
             mult += 1
         if mult:
             roots[cand] = mult
-    return roots, work.monic() if work.degree >= 1 else RatPoly()
+    return roots, work.monic()
 
 
 # ---------------------------------------------------------------------------

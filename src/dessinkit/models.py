@@ -30,6 +30,7 @@ from .errors import (
     BadShape,
     HypothesisFailed,
     OutOfRange,
+    ResourceLimit,
 )
 from .perms import Permutation, compose_right, parse_cycles
 from .words import FreeWord, commutator_word, parse_word
@@ -54,6 +55,10 @@ __all__ = [
 ]
 
 GALLERY_SIZE = 6
+
+#: The largest edge count 8p of an 8p-edge model, the default permutation
+#: degree cap of ``perms.GroupCaps``.
+MAX_8P_DEGREE = 100_000
 
 _WITNESS_VALUES = {
     1: "()",
@@ -166,6 +171,8 @@ def local_model_8p(p: int, k: int, variant: str = "plain") -> LocalModel:
     complex-embedding variant, whose word action never commutes with y^2.
     """
     check_odd_prime(p)
+    if 8 * p > MAX_8P_DEGREE:
+        raise ResourceLimit(f"8p = {8 * p} edges is above the cap {MAX_8P_DEGREE}")
     if not 1 <= k <= 2 * p:
         raise OutOfRange(f"k = {k} outside 1..{2 * p}")
     if variant not in ("plain", "j"):

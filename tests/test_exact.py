@@ -3,12 +3,16 @@ pseudoprime bounds, exact roots, 2-adic valuations, the compact form of big
 values and the contiguous-digit integer scan."""
 
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from dessinkit._exact import Scanner, brief, integer_root, is_prime, v2
+from dessinkit.belyi import parse_poly
+from dessinkit.cli import run_cli
 from dessinkit.errors import ParseError, ResourceLimit
+from dessinkit.words import parse_word
 
 # least strong pseudoprimes to the first 12 and 13 prime bases (Sorenson and
 # Webster, Math. Comp. 2017)
@@ -78,6 +82,21 @@ class TestScanner:
     def test_missing_integer(self):
         with pytest.raises(ParseError, match="expected integer at position 3 in w"):
             Scanner("-  x", " in w").integer()
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter converts decimal strings of any length",
+    )
+    def test_integer_over_the_digit_limit(self, capsys):
+        n = sys.get_int_max_str_digits() + 1
+        digits = "1" * n
+        with pytest.raises(ParseError, match=f"{n} digits at position 2 in word"):
+            parse_word("x^" + digits)
+        with pytest.raises(ParseError, match=f"{n} digits at position 4"):
+            parse_poly("X - " + digits)
+        argv = ["belyi", "sturm", "--poly", "X - " + digits, "--lo", "0", "--hi", "1"]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: integer of {n} digits")
 
     def test_expect(self):
         s = Scanner("( ]", " in w")

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from dessinkit import models
 from dessinkit.belyi import RatPoly, parse_poly
+from dessinkit.cli import run_cli
 from dessinkit.errors import BadShape, HypothesisFailed, OutOfRange
 from dessinkit.models import (
     GALLERY_SIZE,
@@ -135,6 +137,15 @@ class TestLocalModel8p:
             local_model_8p(3, 7)
         with pytest.raises(OutOfRange):
             local_model_8p(3, 1, "weird")
+
+    def test_degree_cap(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"a permutation of degree {n} was allocated")
+
+        monkeypatch.setattr(models, "_full_cycle", refuse)
+        code = run_cli(["model", "sec32", "--p", "1000000007", "--k", "1"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: 8p = 8000000056 edges")
 
 
 class TestWordBuilders:

@@ -7,6 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from dessinkit import tower
+from dessinkit._exact import is_prime
+from dessinkit.cli import run_cli
 from dessinkit.errors import (
     DegenerateTriple,
     FieldMismatch,
@@ -15,7 +18,9 @@ from dessinkit.errors import (
     ResourceLimit,
 )
 from dessinkit.tower import (
+    MAX_P,
     CurveTriple,
+    DistinctnessReport,
     TowerField,
     conjugate_triples_distinct,
     galois_apply,
@@ -32,6 +37,28 @@ def random_element(field, rng, height=9):
                 coords[(i, j)] = F(rng.randint(-height, height),
                                    rng.randint(1, height))
     return field.element(coords)
+
+
+def distinct_by_loop(field, gamma):
+    """Reference for conjugate_triples_distinct: the j-invariant of every
+    conjugate triple computed from the triple, and every pair compared."""
+    zero = field.zero()
+    b0 = field.one() - field.zeta()
+    c0 = field.root() * F(gamma)
+    labels = galois_elements(field)
+    invariants = [
+        j_invariant_of_triple(CurveTriple(
+            zero, galois_apply(field, i, u, b0), galois_apply(field, i, u, c0)
+        ))
+        for i, u in labels
+    ]
+    collisions = tuple(
+        (labels[x], labels[y])
+        for x in range(len(labels))
+        for y in range(x + 1, len(labels))
+        if invariants[x] == invariants[y]
+    )
+    return not collisions, DistinctnessReport(len(labels), collisions)
 
 
 class TestFieldConstruction:
@@ -61,6 +88,14 @@ class TestFieldConstruction:
     def test_unprovable_prime_p_is_a_resource_limit(self):
         with pytest.raises(ResourceLimit):
             TowerField(2**127 - 1, 2)
+
+    def test_size_cap(self):
+        assert TowerField(MAX_P, 2).dimension == MAX_P * (MAX_P - 1)
+        above = next(n for n in itertools.count(MAX_P + 1) if is_prime(n))
+        for p in (above, 1009):
+            with pytest.raises(ResourceLimit):
+                TowerField(p, 2)
+        assert run_cli(["tower", "distinct", "--p", "1009", "--q", "2"]) == 3
 
     def test_rejects_nonpositive_q(self):
         with pytest.raises(OutOfRange):
@@ -112,6 +147,14 @@ class TestArithmetic:
             if not a.is_zero:
                 assert a * a.inverse() == one
                 inverted += 1
+
+    @pytest.mark.parametrize("p,q,count", [(7, F(2, 3), 5), (11, 2, 3)])
+    def test_inverse_large_p(self, p, q, count):
+        K = TowerField(p, q)
+        rng = random.Random(p)
+        for _ in range(count):
+            a = random_element(K, rng)
+            assert a * a.inverse() == K.one()
 
     def test_power_negative(self):
         K = TowerField(3, 2)
@@ -245,6 +288,23 @@ class TestConjugateDistinctness:
     def test_rational_gamma(self):
         ok, report = conjugate_triples_distinct(TowerField(3, 2), F(2, 17))
         assert ok and report.count == 6
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_matches_per_conjugate_loop(self, p, monkeypatch):
+        calls = []
+        jinv = tower.j_invariant_of_triple
+        monkeypatch.setattr(
+            tower, "j_invariant_of_triple", lambda tr: calls.append(tr) or jinv(tr)
+        )
+        rng = random.Random(40 + p)
+        for _ in range(4):
+            q = F(rng.choice((2, 5, 7, 11)), rng.choice((1, 3)))
+            gamma = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            field = TowerField(p, q)
+            del calls[:]
+            report = conjugate_triples_distinct(field, gamma)
+            assert len(calls) == 1
+            assert report == distinct_by_loop(field, gamma)
 
     def test_gamma_zero_rejected(self):
         with pytest.raises(OutOfRange):
