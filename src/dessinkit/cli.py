@@ -1,9 +1,15 @@
 """Command-line front end.
 
-Every subcommand is a thin adapter over the library: parse arguments, call
-one module operation, format the result.  Output is deterministic (the same
-invocation always produces byte-identical output) and purely exact: rationals
-print as num/den, never as floats.
+Every subcommand is a thin adapter over the library: it calls one module
+operation and returns its exit code and one result, an ordered list of
+``(key, value[, text])`` entries, so each fact is stated once.  One renderer
+prints the result after the command has returned: with ``--json`` as one
+object of the values, otherwise as text.  An entry without ``text`` prints as
+``key with spaces: value`` (booleans as true/false), an entry whose text is
+None is JSON-only, and a text may hold several lines.  The parser is built
+from one table of commands.  Output is deterministic (the same invocation
+always produces byte-identical output) and purely exact: rationals print as
+num/den, never as floats.
 
 Exit codes: 0 success or boolean true; 1 a boolean query answered false;
 2 input error; 3 resource limit.  The env var ``DESSINKIT_CAPS`` (e.g.
@@ -14,6 +20,7 @@ Exit codes: 0 success or boolean true; 1 a boolean query answered false;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -79,33 +86,11 @@ def _fmt_cycle_type(lengths) -> str:
 def _load_source(source: str) -> Dessin:
     if source.startswith("gallery:"):
         index = source.split(":", 1)[1]
-        if not index.isdigit():
+        if not index.isdecimal():
             raise ParseError(f"bad gallery index in {source!r}")
         return models.gallery_dessin(int(index))
     with open(source, "r", encoding="utf-8") as fh:
         return load_dessin(fh.read())
-
-
-class _Output:
-    """Collects either text lines or one JSON object per invocation."""
-
-    def __init__(self, as_json: bool):
-        self.as_json = as_json
-        self.lines = []
-        self.data = {}
-
-    def line(self, text: str):
-        self.lines.append(text)
-
-    def field(self, key: str, value):
-        self.data[key] = value
-
-    def emit(self):
-        if self.as_json:
-            print(json.dumps(self.data, indent=2, sort_keys=False))
-        else:
-            for line in self.lines:
-                print(line)
 
 
 def _caps_from_env() -> dict:
@@ -113,7 +98,7 @@ def _caps_from_env() -> dict:
     raw = os.environ.get("DESSINKIT_CAPS", "")
     for item in filter(None, (part.strip() for part in raw.split(","))):
         key, eq, value = item.partition("=")
-        if not eq or key.strip() not in caps or not value.strip().isdigit():
+        if not eq or key.strip() not in caps or not value.strip().isdecimal():
             raise ParseError(f"bad DESSINKIT_CAPS entry {item!r}")
         caps[key.strip()] = int(value.strip())
     return caps
@@ -121,9 +106,9 @@ def _caps_from_env() -> dict:
 
 def _resolve_caps(args) -> dict:
     caps = _caps_from_env()
-    if getattr(args, "cap_group_order", None) is not None:
+    if args.cap_group_order is not None:
         caps["group-order"] = args.cap_group_order
-    if getattr(args, "cap_stage_size", None) is not None:
+    if args.cap_stage_size is not None:
         caps["stage-size"] = args.cap_stage_size
     return caps
 
@@ -133,67 +118,70 @@ def _guard_group_order(dessin: Dessin, cap) -> None:
         raise ResourceLimit(f"cartographic group order exceeds cap {cap}")
 
 
+def _fmt_text(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def _exit_for(ok: bool) -> int:
+    return EXIT_OK if ok else EXIT_FALSE
+
+
+def _finite_values(profile) -> list:
+    return [_fmt_rational(v) for v in profile.sorted_finite()]
+
+
+def _render(result: list, as_json: bool) -> None:
+    """Print a command's result as one JSON object or as its text lines."""
+    if as_json:
+        print(json.dumps({entry[0]: entry[1] for entry in result}, indent=2))
+        return
+    for key, value, *text in result:
+        if not text:
+            print(f"{key.replace('_', ' ')}: {_fmt_text(value)}")
+        elif text[0] is not None:
+            print(text[0])
+
+
 # ---------------------------------------------------------------------------
-# dessin subcommands
+# subcommands: each returns (exit code, result)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_dessin_info(args, out: _Output) -> int:
+def _cmd_dessin_info(args):
     d = _load_source(args.source)
     caps = _resolve_caps(args)
     _guard_group_order(d, caps["group-order"])
-    passport = passport_of(d)
+    passport = dataclasses.asdict(passport_of(d))
     genus = genus_of(d)
     reg = regular_descriptor(d)
-    out.line(f"degree: {d.degree}")
-    out.line(
-        "passport: "
-        f"[{_fmt_cycle_type(passport.black)} | {_fmt_cycle_type(passport.white)}"
-        f" | {_fmt_cycle_type(passport.faces)}]"
-    )
-    out.line(f"genus: {genus}")
-    out.line(f"group order: {reg.group_order}")
-    out.line(
-        f"regular closure: orders ({reg.ord_x}, {reg.ord_y}, {reg.ord_xy}), "
-        f"euler characteristic {reg.euler_characteristic}, genus {reg.genus}"
-    )
-    out.field("degree", d.degree)
-    out.field(
-        "passport",
-        {
-            "black": list(passport.black),
-            "white": list(passport.white),
-            "faces": list(passport.faces),
-        },
-    )
-    out.field("genus", genus)
-    out.field("group_order", reg.group_order)
-    out.field(
-        "regular",
-        {
-            "orders": [reg.ord_x, reg.ord_y, reg.ord_xy],
-            "euler_characteristic": reg.euler_characteristic,
-            "genus": reg.genus,
-        },
-    )
-    return EXIT_OK
+    orders = (reg.ord_x, reg.ord_y, reg.ord_xy)
+    chi = reg.euler_characteristic
+    return EXIT_OK, [
+        ("degree", d.degree),
+        ("passport", passport,
+         f"passport: [{' | '.join(map(_fmt_cycle_type, passport.values()))}]"),
+        ("genus", genus),
+        ("group_order", reg.group_order),
+        ("regular",
+         {"orders": list(orders), "euler_characteristic": chi, "genus": reg.genus},
+         f"regular closure: orders {orders}, "
+         f"euler characteristic {chi}, genus {reg.genus}"),
+    ]
 
 
-def _cmd_dessin_iso(args, out: _Output) -> int:
+def _cmd_dessin_iso(args):
     d1 = _load_source(args.first)
     d2 = _load_source(args.second)
     witness = dessins_isomorphic(d1, d2)
     if witness is None:
-        out.line("not isomorphic")
-        out.field("isomorphic", False)
-        return EXIT_FALSE
-    out.line(f"isomorphic via {witness}")
-    out.field("isomorphic", True)
-    out.field("witness", str(witness))
-    return EXIT_OK
+        return EXIT_FALSE, [("isomorphic", False, "not isomorphic")]
+    return EXIT_OK, [
+        ("isomorphic", True, f"isomorphic via {witness}"),
+        ("witness", str(witness), None),
+    ]
 
 
-def _cmd_dessin_reg_iso(args, out: _Output) -> int:
+def _cmd_dessin_reg_iso(args):
     d1 = _load_source(args.first)
     d2 = _load_source(args.second)
     caps = _resolve_caps(args)
@@ -201,301 +189,310 @@ def _cmd_dessin_reg_iso(args, out: _Output) -> int:
     _guard_group_order(d2, caps["group-order"])
     n1 = d1.cartographic_group.order()
     n2 = d2.cartographic_group.order()
-    result = regular_closures_isomorphic(d1, d2)
-    out.field("isomorphic_closures", result)
-    if result:
-        out.line("regular closures isomorphic")
-        return EXIT_OK
+    if regular_closures_isomorphic(d1, d2):
+        return EXIT_OK, [("isomorphic_closures", True, "regular closures isomorphic")]
     reason = (
         "component orders differ"
         if n1 != n2
         else "diagonal order exceeds component order"
     )
-    out.line(f"regular closures not isomorphic: {reason}")
-    out.field("reason", reason)
-    return EXIT_FALSE
+    return EXIT_FALSE, [
+        ("isomorphic_closures", False, f"regular closures not isomorphic: {reason}"),
+        ("reason", reason, None),
+    ]
 
 
-def _cmd_dessin_witness(args, out: _Output) -> int:
+def _cmd_dessin_witness(args):
     d1 = _load_source(args.first)
     d2 = _load_source(args.second)
     w = parse_word(args.word)
     v = parse_word(args.with_word) if args.with_word else None
     verdict = distinguish_by_witness(d1, d2, w, v)
-    out.field("separation", verdict.separation.value)
+    separation = verdict.separation.value
     if verdict.separation is Separation.KERNEL:
-        out.line("separates by kernel membership")
-    elif verdict.separation is Separation.COMMUTATION:
-        out.line(f"separates by commutation with {verdict.commutator_with}")
-        out.field("commutator_with", str(verdict.commutator_with))
-    else:
-        out.line("no separation")
-        return EXIT_FALSE
-    return EXIT_OK
+        return EXIT_OK, [("separation", separation, "separates by kernel membership")]
+    if verdict.separation is Separation.COMMUTATION:
+        return EXIT_OK, [
+            ("separation", separation,
+             f"separates by commutation with {verdict.commutator_with}"),
+            ("commutator_with", str(verdict.commutator_with), None),
+        ]
+    return EXIT_FALSE, [("separation", separation, "no separation")]
 
 
-# ---------------------------------------------------------------------------
-# word subcommands
-# ---------------------------------------------------------------------------
-
-
-def _cmd_word_eval(args, out: _Output) -> int:
+def _cmd_word_eval(args):
     d = _load_source(args.source)
     w = parse_word(args.word)
     value = d.evaluate(w)
-    out.line(str(value))
-    out.field("word", str(w))
-    out.field("value", str(value))
-    out.field("is_identity", value.is_identity)
-    return EXIT_OK
+    return EXIT_OK, [
+        ("word", str(w), None),
+        ("value", str(value), str(value)),
+        ("is_identity", value.is_identity, None),
+    ]
 
 
-def _cmd_word_commutes(args, out: _Output) -> int:
+def _cmd_word_commutes(args):
     d = _load_source(args.source)
     w = parse_word(args.word)
     v = parse_word(args.with_word)
     a, b = d.evaluate(w), d.evaluate(v)
     commutes = a * b == b * a
-    out.line(f"commutes: {str(commutes).lower()}")
-    out.field("commutes", commutes)
-    if not commutes:
-        return EXIT_FALSE
-    return EXIT_OK
+    return _exit_for(commutes), [("commutes", commutes)]
 
 
-# ---------------------------------------------------------------------------
-# gallery subcommands
-# ---------------------------------------------------------------------------
-
-
-def _cmd_gallery_list(args, out: _Output) -> int:
+def _cmd_gallery_list(args):
     entries = []
     for k in range(1, models.GALLERY_SIZE + 1):
         d = models.gallery_dessin(k)
         value = d.evaluate(models.witness_word())
-        out.line(f"gallery:{k} degree {d.degree} witness {value}")
         entries.append({"name": f"gallery:{k}", "degree": d.degree,
                         "witness_value": str(value)})
-    out.field("gallery", entries)
-    return EXIT_OK
+    text = "\n".join(f"{e['name']} degree {e['degree']} witness {e['witness_value']}"
+                     for e in entries)
+    return EXIT_OK, [("gallery", entries, text)]
 
 
-def _cmd_gallery_export(args, out: _Output) -> int:
-    if args.k is not None:
+def _cmd_gallery_export(args):
+    if args.k is not None and not args.out_path:
         text = models.gallery_text(args.k)
-        if args.out_path:
-            with open(args.out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            out.line(f"wrote {args.out_path}")
-            out.field("written", [args.out_path])
-        elif out.as_json:
-            out.field("name", f"gallery:{args.k}")
-            out.field("content", text)
-        else:
-            sys.stdout.write(text)  # byte-exact export
-        return EXIT_OK
-    if not args.out_path:
+        # the text output is the file itself, which ends in its own newline
+        return EXIT_OK, [
+            ("name", f"gallery:{args.k}", None),
+            ("content", text, text.removesuffix("\n")),
+        ]
+    if args.k is not None:
+        targets = [(args.k, args.out_path)]
+    elif args.out_path:
+        os.makedirs(args.out_path, exist_ok=True)
+        targets = [(k, os.path.join(args.out_path, f"gallery{k}.txt"))
+                   for k in range(1, models.GALLERY_SIZE + 1)]
+    else:
         raise ParseError("export of the whole gallery needs --out DIR")
-    os.makedirs(args.out_path, exist_ok=True)
-    written = []
-    for k in range(1, models.GALLERY_SIZE + 1):
-        path = os.path.join(args.out_path, f"gallery{k}.txt")
+    for k, path in targets:
+        text = models.gallery_text(k)
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(models.gallery_text(k))
-        written.append(path)
-        out.line(f"wrote {path}")
-    out.field("written", written)
-    return EXIT_OK
+            fh.write(text)
+    written = [path for _, path in targets]
+    return EXIT_OK, [("written", written, "\n".join(f"wrote {p}" for p in written))]
 
 
-# ---------------------------------------------------------------------------
-# model subcommands
-# ---------------------------------------------------------------------------
-
-
-def _model_report(model: models.LocalModel, trace: bool, out: _Output) -> int:
+def _model_report(model: models.LocalModel, trace: bool):
     commutes = models.commutes_with_y2(model)
-    out.line(f"points: {model.point_count}")
-    out.line(f"omega: {model.omega}")
-    out.line(f"commutes with y^2: {str(commutes).lower()}")
-    out.field("points", model.point_count)
-    out.field("omega", str(model.omega))
-    out.field("commutes_with_y2", commutes)
+    result = [
+        ("points", model.point_count),
+        ("omega", str(model.omega)),
+        ("commutes_with_y2", commutes, f"commutes with y^2: {_fmt_text(commutes)}"),
+    ]
     if trace:
         start, via_omega, via_y2 = model.trace()
-        out.line(f"trace: {start}^(omega y^2) = {via_omega}")
-        out.line(f"trace: {start}^(y^2 omega) = {via_y2}")
-        out.field(
+        result.append((
             "trace",
             {"start": start, "omega_then_y2": via_omega, "y2_then_omega": via_y2},
-        )
-    return EXIT_OK
+            f"trace: {start}^(omega y^2) = {via_omega}\n"
+            f"trace: {start}^(y^2 omega) = {via_y2}",
+        ))
+    return EXIT_OK, result
 
 
-def _cmd_model_24(args, out: _Output) -> int:
-    return _model_report(models.local_model_24(args.k), args.trace, out)
+def _cmd_model_24(args):
+    return _model_report(models.local_model_24(args.k), args.trace)
 
 
-def _cmd_model_8p(args, out: _Output) -> int:
-    variant = "j" if args.variant == "j" else "plain"
-    model = models.local_model_8p(args.p, args.k, variant)
-    return _model_report(model, args.trace, out)
+def _cmd_model_8p(args):
+    model = models.local_model_8p(args.p, args.k, args.variant)
+    return _model_report(model, args.trace)
 
 
-# ---------------------------------------------------------------------------
-# belyi subcommands
-# ---------------------------------------------------------------------------
-
-
-def _cmd_belyi_bmn(args, out: _Output) -> int:
+def _cmd_belyi_bmn(args):
     params = belyi.BmnParams(args.m, args.n)
     poly = belyi.bmn(params)
     profile = belyi.finite_critical_values(poly)
-    out.line(str(poly))
-    out.line(f"critical values: {profile}")
-    out.field("polynomial", str(poly))
-    out.field("critical_values", [_fmt_rational(v) for v in profile.sorted_finite()])
-    out.field("ramified_at_infinity", profile.includes_infinity)
-    return EXIT_OK
+    return EXIT_OK, [
+        ("polynomial", str(poly), str(poly)),
+        ("critical_values", _finite_values(profile), f"critical values: {profile}"),
+        ("ramified_at_infinity", profile.includes_infinity, None),
+    ]
 
 
-def _cmd_belyi_crit(args, out: _Output) -> int:
+def _cmd_belyi_crit(args):
     f = belyi.parse_map(args.map)
     profile = belyi.finite_critical_values(f)
-    out.line(f"finite critical values: {profile}")
-    out.field("finite_critical_values",
-              [_fmt_rational(v) for v in profile.sorted_finite()])
-    out.field("includes_infinity", profile.includes_infinity)
-    return EXIT_OK
+    return EXIT_OK, [
+        ("finite_critical_values", _finite_values(profile),
+         f"finite critical values: {profile}"),
+        ("includes_infinity", profile.includes_infinity, None),
+    ]
 
 
-def _cmd_belyi_reduce(args, out: _Output) -> int:
+def _cmd_belyi_reduce(args):
     points = [_parse_rational(p) for p in args.points.split(",") if p.strip()]
     caps = _resolve_caps(args)
     chain = belyi.belyi_reduce(points, stage_cap=caps["stage-size"])
     report = belyi.verify_reduction(chain, points)
-    stage_strs = [str(s) for s in chain.stages]
-    for idx, stage in enumerate(stage_strs, 1):
-        out.line(f"stage {idx}: {stage}")
-    out.line(f"critical profile: {chain.current_profile}")
-    value = ("certified in (0, 1)" if report.value_at_zero is None
+    stages = [str(s) for s in chain.stages]
+    profile = chain.current_profile
+    value = (None if report.value_at_zero is None
              else _fmt_rational(report.value_at_zero))
-    out.line(f"value at 0: {value}")
-    out.line(f"verified: {str(report.ok).lower()}")
-    out.field("stages", stage_strs)
-    out.field("critical_profile", {
-        "finite": [_fmt_rational(v) for v in chain.current_profile.sorted_finite()],
-        "includes_infinity": chain.current_profile.includes_infinity,
-    })
-    out.field("value_at_zero",
-              None if report.value_at_zero is None
-              else _fmt_rational(report.value_at_zero))
-    out.field("verified", report.ok)
-    return EXIT_OK if report.ok else EXIT_FALSE
+    return _exit_for(report.ok), [
+        ("stages", stages,
+         "\n".join(f"stage {idx}: {stage}" for idx, stage in enumerate(stages, 1))),
+        ("critical_profile",
+         {"finite": _finite_values(profile),
+          "includes_infinity": profile.includes_infinity},
+         f"critical profile: {profile}"),
+        ("value_at_zero", value,
+         f"value at 0: {'certified in (0, 1)' if value is None else value}"),
+        ("verified", report.ok),
+    ]
 
 
-def _cmd_belyi_sturm(args, out: _Output) -> int:
+def _cmd_belyi_sturm(args):
     poly = belyi.parse_poly(args.poly)
     count = belyi.sturm_count(poly, _parse_rational(args.lo), _parse_rational(args.hi))
-    out.line(f"roots in ({args.lo}, {args.hi}]: {count}")
-    out.field("count", count)
-    return EXIT_OK
+    return EXIT_OK, [("count", count, f"roots in ({args.lo}, {args.hi}]: {count}")]
 
 
-def _cmd_belyi_increasing(args, out: _Output) -> int:
+def _cmd_belyi_increasing(args):
     poly = belyi.parse_poly(args.poly)
     ok = belyi.certify_increasing(
         poly, _parse_rational(args.lo), _parse_rational(args.hi)
     )
-    out.line(f"strictly increasing on [{args.lo}, {args.hi}]: {str(ok).lower()}")
-    out.field("increasing", ok)
-    if not ok:
-        return EXIT_FALSE
-    return EXIT_OK
+    return _exit_for(ok), [
+        ("increasing", ok,
+         f"strictly increasing on [{args.lo}, {args.hi}]: {_fmt_text(ok)}"),
+    ]
 
 
-# ---------------------------------------------------------------------------
-# tower subcommands
-# ---------------------------------------------------------------------------
-
-
-def _cmd_tower_jinv(args, out: _Output) -> int:
+def _cmd_tower_jinv(args):
     field = tower.TowerField(args.p, _parse_rational(args.q))
     gamma = _parse_rational(args.gamma)
     triple = tower.CurveTriple(
         field.zero(), field.one() - field.zeta(), field.root() * gamma
     )
     j = tower.j_invariant_of_triple(triple)
-    out.line(f"j = {j}")
-    out.field("j", str(j))
-    return EXIT_OK
+    return EXIT_OK, [("j", str(j), f"j = {j}")]
 
 
-def _cmd_tower_distinct(args, out: _Output) -> int:
+def _cmd_tower_distinct(args):
     field = tower.TowerField(args.p, _parse_rational(args.q))
     ok, report = tower.conjugate_triples_distinct(field, _parse_rational(args.gamma))
-    out.line(f"conjugates: {report.count}")
-    out.line(f"pairwise distinct: {str(ok).lower()}")
-    out.field("conjugates", report.count)
-    out.field("distinct", ok)
+    result = [
+        ("conjugates", report.count),
+        ("distinct", ok, f"pairwise distinct: {_fmt_text(ok)}"),
+    ]
     if not ok:
-        for first, second in report.collisions:
-            out.line(f"collision: {first} vs {second}")
-        out.field("collisions", [list(map(list, c)) for c in report.collisions])
-        return EXIT_FALSE
-    return EXIT_OK
+        collisions = report.collisions
+        result.append(("collisions", [list(map(list, c)) for c in collisions],
+                       "\n".join(f"collision: {a} vs {b}" for a, b in collisions)))
+    return _exit_for(ok), result
 
 
-# ---------------------------------------------------------------------------
-# lemma subcommands
-# ---------------------------------------------------------------------------
-
-
-def _cmd_lemma_two_adic(args, out: _Output) -> int:
+def _cmd_lemma_two_adic(args):
     poly = belyi.parse_poly(args.poly)
     inst = models.TwoAdicInstance(
         poly, args.c, args.p, _parse_rational(args.q), _parse_rational(args.gamma)
     )
     report = models.two_adic_verify(inst)
     # m, n and friends can be huge; keep every field printable
-    a, b, m, n, e = (brief(getattr(report, k), _PRINT_BITS) for k in "abmne")
-    out.line(f"alpha: {report.alpha}")
-    out.line(f"nu: {report.nu}")
-    out.line(f"odd part: {a}/{b}")
-    out.line(f"(m, n): ({m}, {n})")
-    out.line(f"e: {e if e is not None else 'inconsistent'}")
-    bound = "=" if report.v2_s_is_exact else ">="
-    out.line(f"v2(s) {bound} {report.v2_s}, required >= {report.required}")
-    out.line(f"certified: {str(report.ok).lower()}")
-    for key in ("alpha", "nu", "a", "b", "c0", "m", "n", "e",
-                "congruences_consistent", "v2_s", "v2_s_is_exact", "required"):
-        out.field(key, brief(getattr(report, key), _PRINT_BITS))
-    out.field("r", report.r)
-    out.field("s", report.s)
-    out.field("certified", report.ok)
-    if not report.ok:
-        return EXIT_FALSE
-    return EXIT_OK
+    alpha, nu, a, b, c0, m, n, e, consistent, v2_s, exact, required = (
+        brief(getattr(report, key), _PRINT_BITS)
+        for key in ("alpha", "nu", "a", "b", "c0", "m", "n", "e",
+                    "congruences_consistent", "v2_s", "v2_s_is_exact", "required")
+    )
+    bound = "=" if exact else ">="
+    return _exit_for(report.ok), [
+        ("alpha", alpha),
+        ("nu", nu),
+        ("a", a, f"odd part: {a}/{b}"),
+        ("b", b, None),
+        ("c0", c0, None),
+        ("m", m, f"(m, n): ({m}, {n})"),
+        ("n", n, None),
+        ("e", e, f"e: {e if e is not None else 'inconsistent'}"),
+        ("congruences_consistent", consistent, None),
+        ("v2_s", v2_s, f"v2(s) {bound} {v2_s}, required >= {required}"),
+        ("v2_s_is_exact", exact, None),
+        ("required", required, None),
+        ("r", report.r, None),
+        ("s", report.s, None),
+        ("certified", report.ok),
+    ]
 
 
-def _cmd_lemma_delta_tilde(args, out: _Output) -> int:
+def _cmd_lemma_delta_tilde(args):
     blocks = [int(v) for v in args.d.split(",") if v.strip()]
     report = models.delta_tilde_check(blocks, args.c0, args.c, args.alpha_minus_nu)
-    out.line(f"partial sums: {' '.join(map(str, report.partial_sums))}")
-    out.line(f"total: {report.total}")
-    out.line(f"all nonzero mod {report.modulus}: {str(report.ok).lower()}")
-    out.field("partial_sums", list(report.partial_sums))
-    out.field("total", report.total)
-    out.field("modulus", report.modulus)
-    out.field("ok", report.ok)
-    if not report.ok:
-        return EXIT_FALSE
-    return EXIT_OK
+    return _exit_for(report.ok), [
+        ("partial_sums", list(report.partial_sums),
+         f"partial sums: {' '.join(map(str, report.partial_sums))}"),
+        ("total", report.total),
+        ("modulus", report.modulus, None),
+        ("ok", report.ok, f"all nonzero mod {report.modulus}: {_fmt_text(report.ok)}"),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # parser wiring
 # ---------------------------------------------------------------------------
+
+_GROUPS = {
+    "dessin": "dessin invariants and comparisons",
+    "word": "free-group words and evaluation",
+    "gallery": "the embedded degree-36 gallery",
+    "model": "local action models",
+    "belyi": "exact polynomial calculus",
+    "tower": "cyclotomic-Kummer tower fields",
+    "lemma": "2-adic certificates",
+}
+
+_REQUIRED = {"required": True}
+_INT = {"type": int, "required": True}
+_FLAG = {"action": "store_true"}
+_PAIR = [("first", {}), ("second", {})]
+_INTERVAL = [("--poly", _REQUIRED), ("--lo", _REQUIRED), ("--hi", _REQUIRED)]
+_TOWER = [("--p", _INT), ("--q", _REQUIRED), ("--gamma", {"default": "1"})]
+
+#: (group, command, handler, help, arguments); an argument is a name and the
+#: keywords of its ``add_argument`` call
+_COMMANDS = [
+    ("dessin", "info", _cmd_dessin_info, None,
+     [("source", {"help": "dessin file path or gallery:k"})]),
+    ("dessin", "iso", _cmd_dessin_iso, None, _PAIR),
+    ("dessin", "reg-iso", _cmd_dessin_reg_iso, None, _PAIR),
+    ("dessin", "witness", _cmd_dessin_witness, None, _PAIR + [
+        ("--word", _REQUIRED),
+        ("--with", {"dest": "with_word",
+                    "help": "comparison word for the commutation test (default y^2)"}),
+    ]),
+    ("word", "eval", _cmd_word_eval, None, [("source", {}), ("--word", _REQUIRED)]),
+    ("word", "commutes", _cmd_word_commutes, None,
+     [("source", {}), ("--word", _REQUIRED),
+      ("--with", {"dest": "with_word", "default": "y^2"})]),
+    ("gallery", "list", _cmd_gallery_list, None, []),
+    ("gallery", "export", _cmd_gallery_export, None,
+     [("--k", {"type": int}), ("--out", {"dest": "out_path"})]),
+    ("model", "sec31", _cmd_model_24, "24-edge model, conjugates k = 1..6",
+     [("--k", _INT), ("--trace", _FLAG)]),
+    ("model", "sec32", _cmd_model_8p, "8p-edge model, conjugates k = 1..2p",
+     [("--p", _INT), ("--k", _INT),
+      ("--variant", {"choices": ["plain", "j"], "default": "plain"}),
+      ("--trace", _FLAG)]),
+    ("belyi", "bmn", _cmd_belyi_bmn, None, [("--m", _INT), ("--n", _INT)]),
+    ("belyi", "crit", _cmd_belyi_crit, None, [("--map", _REQUIRED)]),
+    ("belyi", "reduce", _cmd_belyi_reduce, None,
+     [("--points",
+       dict(_REQUIRED, help="comma-separated nonzero rationals, e.g. 1,2/3,-27"))]),
+    ("belyi", "sturm", _cmd_belyi_sturm, None, _INTERVAL),
+    ("belyi", "increasing", _cmd_belyi_increasing, None, _INTERVAL),
+    ("tower", "jinv", _cmd_tower_jinv, None, _TOWER),
+    ("tower", "distinct", _cmd_tower_distinct, None, _TOWER),
+    ("lemma", "two-adic", _cmd_lemma_two_adic, None,
+     [("--poly", dict(_REQUIRED, help="integer-coefficient numerator")), ("--c", _INT),
+      ("--p", _INT), ("--q", _REQUIRED), ("--gamma", _REQUIRED)]),
+    ("lemma", "delta-tilde", _cmd_lemma_delta_tilde, None,
+     [("--d", dict(_REQUIRED, help="comma-separated block degrees")), ("--c0", _INT),
+      ("--c", _INT), ("--alpha-minus-nu", _INT)]),
+]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -511,117 +508,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact computations with dessins d'enfants",
     )
     top = parser.add_subparsers(dest="group", required=True)
-
-    dessin = top.add_parser("dessin", help="dessin invariants and comparisons")
-    sub = dessin.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("info", parents=[common])
-    p.add_argument("source", help="dessin file path or gallery:k")
-    p.set_defaults(func=_cmd_dessin_info)
-    p = sub.add_parser("iso", parents=[common])
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=_cmd_dessin_iso)
-    p = sub.add_parser("reg-iso", parents=[common])
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=_cmd_dessin_reg_iso)
-    p = sub.add_parser("witness", parents=[common])
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--word", required=True)
-    p.add_argument("--with", dest="with_word", default=None,
-                   help="comparison word for the commutation test (default y^2)")
-    p.set_defaults(func=_cmd_dessin_witness)
-
-    word = top.add_parser("word", help="free-group words and evaluation")
-    sub = word.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("eval", parents=[common])
-    p.add_argument("source")
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_word_eval)
-    p = sub.add_parser("commutes", parents=[common])
-    p.add_argument("source")
-    p.add_argument("--word", required=True)
-    p.add_argument("--with", dest="with_word", default="y^2")
-    p.set_defaults(func=_cmd_word_commutes)
-
-    gallery = top.add_parser("gallery", help="the embedded degree-36 gallery")
-    sub = gallery.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("list", parents=[common])
-    p.set_defaults(func=_cmd_gallery_list)
-    p = sub.add_parser("export", parents=[common])
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--out", dest="out_path", default=None)
-    p.set_defaults(func=_cmd_gallery_export)
-
-    model = top.add_parser("model", help="local action models")
-    sub = model.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("sec31", parents=[common],
-                       help="24-edge model, conjugates k = 1..6")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=_cmd_model_24)
-    p = sub.add_parser("sec32", parents=[common],
-                       help="8p-edge model, conjugates k = 1..2p")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--variant", choices=["plain", "j"], default="plain")
-    p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=_cmd_model_8p)
-
-    bel = top.add_parser("belyi", help="exact polynomial calculus")
-    sub = bel.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("bmn", parents=[common])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_belyi_bmn)
-    p = sub.add_parser("crit", parents=[common])
-    p.add_argument("--map", required=True)
-    p.set_defaults(func=_cmd_belyi_crit)
-    p = sub.add_parser("reduce", parents=[common])
-    p.add_argument("--points", required=True,
-                   help="comma-separated nonzero rationals, e.g. 1,2/3,-27")
-    p.set_defaults(func=_cmd_belyi_reduce)
-    p = sub.add_parser("sturm", parents=[common])
-    p.add_argument("--poly", required=True)
-    p.add_argument("--lo", required=True)
-    p.add_argument("--hi", required=True)
-    p.set_defaults(func=_cmd_belyi_sturm)
-    p = sub.add_parser("increasing", parents=[common])
-    p.add_argument("--poly", required=True)
-    p.add_argument("--lo", required=True)
-    p.add_argument("--hi", required=True)
-    p.set_defaults(func=_cmd_belyi_increasing)
-
-    tw = top.add_parser("tower", help="cyclotomic-Kummer tower fields")
-    sub = tw.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("jinv", parents=[common])
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--gamma", default="1")
-    p.set_defaults(func=_cmd_tower_jinv)
-    p = sub.add_parser("distinct", parents=[common])
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--gamma", default="1")
-    p.set_defaults(func=_cmd_tower_distinct)
-
-    lemma = top.add_parser("lemma", help="2-adic certificates")
-    sub = lemma.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("two-adic", parents=[common])
-    p.add_argument("--poly", required=True, help="integer-coefficient numerator")
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--gamma", required=True)
-    p.set_defaults(func=_cmd_lemma_two_adic)
-    p = sub.add_parser("delta-tilde", parents=[common])
-    p.add_argument("--d", required=True, help="comma-separated block degrees")
-    p.add_argument("--c0", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--alpha-minus-nu", type=int, required=True)
-    p.set_defaults(func=_cmd_lemma_delta_tilde)
-
+    groups = {}
+    for name, text in _GROUPS.items():
+        group_parser = top.add_parser(name, help=text)
+        groups[name] = group_parser.add_subparsers(dest="command", required=True)
+    for group, command, handler, text, arguments in _COMMANDS:
+        # a help keyword, even None, would list the command in its group's help
+        extra = {"help": text} if text else {}
+        p = groups[group].add_parser(command, parents=[common], **extra)
+        for name, options in arguments:
+            p.add_argument(name, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -631,16 +528,15 @@ def run_cli(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
-    out = _Output(getattr(args, "json", False))
     try:
-        code = args.func(args, out)
+        code, result = args.func(args)
     except (ResourceLimit, SizeGuard, Cancelled) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (DessinkitError, ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    out.emit()
+    _render(result, args.json)
     return code
 
 

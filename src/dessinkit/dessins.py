@@ -23,6 +23,7 @@ from .errors import (
     NonIntegralCharacteristic,
     NotTransitive,
     ParseError,
+    ResourceLimit,
 )
 from .perms import (
     CancelToken,
@@ -139,7 +140,9 @@ def load_dessin(text: str, caps: GroupCaps = DEFAULT_CAPS) -> Dessin:
         sigma0 = (1,13,14,7,25,26)(2,15,16)
         sigma1 = (1,2,3)(4,5)
 
-    The three keys must appear in that order.
+    The three keys must appear in that order.  A degree above
+    ``caps.max_degree`` raises :class:`ResourceLimit` before any cycle is
+    parsed.
     """
     lines = []
     for raw in text.replace("\r\n", "\n").split("\n"):
@@ -151,9 +154,11 @@ def load_dessin(text: str, caps: GroupCaps = DEFAULT_CAPS) -> Dessin:
             f"expected 3 content lines (degree, sigma0, sigma1), got {len(lines)}"
         )
     m = lines[0].split()
-    if len(m) != 2 or m[0] != "degree" or not m[1].isdigit():
+    if len(m) != 2 or m[0] != "degree" or not m[1].isdecimal():
         raise ParseError(f"bad degree line: {lines[0]!r}")
     degree = int(m[1])
+    if degree > caps.max_degree:
+        raise ResourceLimit(f"degree {degree} exceeds cap {caps.max_degree}")
     perms = []
     for key, line in zip(("sigma0", "sigma1"), lines[1:]):
         name, eq, rest = line.partition("=")
@@ -248,10 +253,12 @@ def dessins_isomorphic(d1: Dessin, d2: Dessin) -> Optional[Permutation]:
 
     Returns pi with pi^-1 * sigma0(d1) * pi == sigma0(d2) and likewise for
     sigma1 (right-action products), when one exists.  Edge 1 of d1 is pinned
-    and every candidate image in d2 is tried; the rest of the bijection is
+    and every candidate image in d2 is tried; the rest of the mapping is
     forced along the generators by transitivity.  The search checks both
     generators at every edge it reaches, which is every edge of d1, so a
-    mapping that completes as a bijection is a witness.
+    mapping that completes is equivariant.  Its image is then closed under
+    both generators of d2, and d2 is transitive, so it is onto: every
+    completed mapping is a bijection and a witness.
     """
     if d1.degree != d2.degree:
         return None
@@ -274,7 +281,7 @@ def dessins_isomorphic(d1: Dessin, d2: Dessin) -> Optional[Permutation]:
                 elif mapping[e2] != f2:
                     ok = False
                     break
-        if ok and len(set(mapping)) == n:
+        if ok:
             return Permutation._from_zero_based(tuple(mapping))
     return None
 

@@ -16,7 +16,6 @@ Conventions
 from __future__ import annotations
 
 import re
-import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -417,22 +416,25 @@ class PermGroup:
         levels = [_Level(first)]
         levels[0].gens = gens
         state = _BuildState(self, order_limit, cancel)
-        # completion recursion nests at most once per chain level; long bases
-        # (hundreds of points) would brush the default interpreter limit
-        floor = 4 * self._degree + 100
-        old_limit = sys.getrecursionlimit()
-        if old_limit < floor:
-            sys.setrecursionlimit(floor)
-        try:
-            self._complete(levels, 0, state)
-        finally:
-            if old_limit < floor:
-                sys.setrecursionlimit(old_limit)
+        # an explicit stack of completions, one per chain level at most, so a
+        # long base (hundreds of points) needs no deep interpreter recursion
+        stack = [self._complete(levels, 0, state)]
+        while stack:
+            deeper = next(stack[-1], None)
+            if deeper is None:
+                stack.pop()
+            else:
+                stack.append(self._complete(levels, deeper, state))
         return levels
 
     def _complete(self, levels: list, i: int, state: "_BuildState"):
         """Re-establish the BSGS invariant at level i, assuming deeper levels
-        are already complete."""
+        are already complete.
+
+        A generator: it yields each deeper level whose completion it needs
+        before it can go on, deepest first; the caller completes that level
+        and then resumes it.
+        """
         level = levels[i]
         self._rebuild_orbit(level, state, levels)
         inv_cache = state.inv_cache
@@ -457,8 +459,7 @@ class PermGroup:
                 for l in range(i + 1, j + 1):
                     levels[l].gens.append(residue)
                 inv_cache[residue] = _inv(residue)
-                for l in range(j, i, -1):
-                    self._complete(levels, l, state)
+                yield from range(j, i, -1)
 
     def _rebuild_orbit(self, level: "_Level", state: "_BuildState", levels: list):
         ident = self._identity

@@ -2,11 +2,15 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+from dessinkit import dessins
 from dessinkit.cli import run_cli
-from dessinkit.models import gallery_text
+from dessinkit.models import gallery_text, local_model_24
+
+GOLDEN_TOUR = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "tour.json"
 
 
 def invoke(capsys, *argv):
@@ -281,6 +285,33 @@ class TestLemmaCommands:
         assert code == 1
 
 
+class TestLoadGuards:
+    def test_degree_cap_checked_before_parsing(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("cycles parsed before the degree cap was checked")
+
+        monkeypatch.setattr(dessins, "parse_cycles", refuse)
+        path = tmp_path / "huge.dessin"
+        path.write_text("degree 10000000000\nsigma0 = ()\nsigma1 = ()\n")
+        assert invoke(capsys, "dessin", "info", str(path)) == (
+            3, "", "error: degree 10000000000 exceeds cap 100000\n"
+        )
+
+    def test_non_decimal_digits_are_parse_errors(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "square.dessin"
+        path.write_text("degree \u00b2\nsigma0 = ()\nsigma1 = ()\n", encoding="utf-8")
+        assert invoke(capsys, "dessin", "info", str(path)) == (
+            2, "", "error: bad degree line: 'degree \u00b2'\n"
+        )
+        assert invoke(capsys, "dessin", "info", "gallery:\u00b2") == (
+            2, "", "error: bad gallery index in 'gallery:\u00b2'\n"
+        )
+        monkeypatch.setenv("DESSINKIT_CAPS", "group-order=\u00b2")
+        assert invoke(capsys, "dessin", "info", "gallery:1") == (
+            2, "", "error: bad DESSINKIT_CAPS entry 'group-order=\u00b2'\n"
+        )
+
+
 class TestCapsEnv:
     def test_env_var_caps(self, capsys, monkeypatch):
         monkeypatch.setenv("DESSINKIT_CAPS", "group-order=1000")
@@ -328,3 +359,126 @@ class TestDeterminism:
             import re
 
             assert not re.search(r"\d\.\d", out)
+
+
+def _golden_cases():
+    with open(GOLDEN_TOUR, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+class TestGoldenTour:
+    """The README tour, replayed in process against its recorded output."""
+
+    @pytest.mark.parametrize(
+        "case", _golden_cases(), ids=lambda case: " ".join(case["argv"])
+    )
+    def test_replay(self, capsys, monkeypatch, tmp_path, case):
+        monkeypatch.chdir(tmp_path)
+        assert invoke(capsys, *case["argv"]) == (
+            case["exit"], case["stdout"], case["stderr"]
+        )
+
+
+def _as_json(data) -> str:
+    return json.dumps(data, indent=2) + "\n"
+
+
+_SEC32_OMEGA = (
+    "(1,30)(2,29)(3,4)(5,34)(6,33)(7,8)(9,10)(11,12)(13,14)(15,16)(17,18)"
+    "(19,20)(21,22)(23,24)(25,26)(27,28)(31,32)(35,36)(37,38)(39,40)(41,42)"
+    "(43,44)(45,46)(47,48)(49,50)(51,52)(53,54)(55,56)"
+)
+_REDUCE_5_VALUE = (
+    "4722366482869645213696/"
+    "10555134955777783414078330085995832946127396083370199442517"
+)
+
+# Branches the tour does not reach: argv, exit code, text output, JSON output.
+PINNED = [
+    (
+        ["dessin", "iso", "gallery:3", "gallery:3"], 0,
+        "isomorphic via ()\n",
+        {"isomorphic": True, "witness": "()"},
+    ),
+    (
+        ["dessin", "reg-iso", "gallery:5", "gallery:5"], 0,
+        "regular closures isomorphic\n",
+        {"isomorphic_closures": True},
+    ),
+    (
+        ["dessin", "reg-iso", "gallery:1", "one.dessin"], 1,
+        "regular closures not isomorphic: component orders differ\n",
+        {"isomorphic_closures": False, "reason": "component orders differ"},
+    ),
+    (
+        ["dessin", "witness", "gallery:2", "gallery:2", "--word", "[x^-1 y^2 x, x y]"], 1,
+        "no separation\n",
+        {"separation": "none"},
+    ),
+    (
+        ["dessin", "witness", "m1.dessin", "m2.dessin", "--word", "x", "--with", "y^2"], 0,
+        "separates by commutation with y^2\n",
+        {"separation": "commutation", "commutator_with": "y^2"},
+    ),
+    (
+        ["gallery", "export", "--k", "3", "--out", "g3.txt"], 0,
+        "wrote g3.txt\n",
+        {"written": ["g3.txt"]},
+    ),
+    (
+        ["model", "sec32", "--p", "7", "--k", "3", "--trace"], 0,
+        f"points: 56\nomega: {_SEC32_OMEGA}\ncommutes with y^2: false\n"
+        "trace: 1^(omega y^2) = 32\ntrace: 1^(y^2 omega) = 4\n",
+        {
+            "points": 56,
+            "omega": _SEC32_OMEGA,
+            "commutes_with_y2": False,
+            "trace": {"start": 1, "omega_then_y2": 32, "y2_then_omega": 4},
+        },
+    ),
+    (
+        ["belyi", "reduce", "--points", "5"], 0,
+        "stage 1: 1/36*X^2 + 1/18*X + 1/36\nstage 2: B[37,35]\n"
+        f"critical profile: {{0, 1, inf}}\nvalue at 0: {_REDUCE_5_VALUE}\n"
+        "verified: true\n",
+        {
+            "stages": ["1/36*X^2 + 1/18*X + 1/36", "B[37,35]"],
+            "critical_profile": {"finite": ["0", "1"], "includes_infinity": True},
+            "value_at_zero": _REDUCE_5_VALUE,
+            "verified": True,
+        },
+    ),
+    (
+        ["lemma", "delta-tilde", "--d", "1,1,1", "--c0", "1", "--c", "2",
+         "--alpha-minus-nu", "1"], 1,
+        "partial sums: 1 2 4 5\ntotal: 6\nall nonzero mod 2: false\n",
+        {"partial_sums": [1, 2, 4, 5], "total": 6, "modulus": 2, "ok": False},
+    ),
+]
+
+
+class TestPinnedBranches:
+    """Exact text and JSON output of the branches outside the tour."""
+
+    @pytest.fixture
+    def workdir(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "one.dessin").write_text("degree 1\nsigma0 = ()\nsigma1 = ()\n")
+        for k in (1, 2):
+            model = local_model_24(k)
+            (tmp_path / f"m{k}.dessin").write_text(
+                f"degree {model.y.degree}\nsigma0 = {model.omega}\nsigma1 = {model.y}\n"
+            )
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv, code, text, data", PINNED, ids=[" ".join(pin[0]) for pin in PINNED]
+    )
+    def test_text_and_json(self, capsys, workdir, argv, code, text, data):
+        assert invoke(capsys, *argv) == (code, text, "")
+        assert invoke(capsys, *argv, "--json") == (code, _as_json(data), "")
+
+    def test_export_to_file_writes_exact_bytes(self, capsys, workdir):
+        invoke(capsys, "gallery", "export", "--k", "3", "--out", "g3.txt")
+        with open(workdir / "g3.txt", encoding="utf-8", newline="") as fh:
+            assert fh.read() == gallery_text(3)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dessinkit import dessins
 from dessinkit.dessins import (
     Dessin,
     Separation,
@@ -17,9 +18,9 @@ from dessinkit.dessins import (
     regular_descriptor,
     witness_verdict,
 )
-from dessinkit.errors import NotTransitive, ParseError
+from dessinkit.errors import NotTransitive, ParseError, ResourceLimit
 from dessinkit.models import gallery_dessin, witness_word
-from dessinkit.perms import Permutation, parse_cycles
+from dessinkit.perms import GroupCaps, Permutation, parse_cycles
 from dessinkit.words import parse_word
 
 
@@ -74,6 +75,20 @@ class TestFileFormat:
         text = "degree 4\nsigma0 = (1,2)\nsigma1 = (3,4)\n"
         with pytest.raises(NotTransitive):
             load_dessin(text)
+
+    def test_degree_cap_checked_before_parsing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cycles parsed before the degree cap was checked")
+
+        monkeypatch.setattr(dessins, "parse_cycles", refuse)
+        with pytest.raises(ResourceLimit, match="degree 10000000000 exceeds cap 100000"):
+            load_dessin("degree 10000000000\nsigma0 = ()\nsigma1 = ()\n")
+        with pytest.raises(ResourceLimit, match="degree 3 exceeds cap 2"):
+            load_dessin(ONE_EDGE.replace("1", "3"), caps=GroupCaps(max_degree=2))
+
+    def test_non_decimal_degree(self):
+        with pytest.raises(ParseError, match="bad degree line"):
+            load_dessin("degree \u00b2\nsigma0 = ()\nsigma1 = ()\n")
 
     def test_comments_and_crlf(self):
         text = "# a comment\r\ndegree 2\r\nsigma0 = (1,2)\r\n# mid\r\nsigma1 = ()\r\n"

@@ -1,6 +1,7 @@
 """Permutation and group-order tests, with a brute-force closure oracle."""
 
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -249,6 +250,21 @@ class TestPermGroup:
             PermGroup(
                 [Permutation.identity(100)], caps=GroupCaps(max_degree=50)
             )
+
+    def test_long_chain_leaves_recursion_limit_alone(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("the recursion limit is process-wide state")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        cycle = Permutation(list(range(2, 241)) + [1])
+        assert PermGroup([cycle]).order() == 240
+        swaps = []
+        for k in range(20):
+            images = list(range(1, 241))
+            images[6 * k], images[6 * k + 1] = images[6 * k + 1], images[6 * k]
+            swaps.append(Permutation(images))
+        group = PermGroup(swaps)
+        assert group.order() == 2**20 and len(group.base()) == 20
 
     def test_transversal_cap(self):
         gens = [parse_cycles(SIGMA0_36, 36), parse_cycles(SIGMA1_36, 36)]
