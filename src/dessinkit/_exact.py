@@ -1,8 +1,9 @@
 """Exact integer toolkit and input scanner shared by the dessinkit modules.
 
-Primality, exact roots and 2-adic valuations of integers, the compact form
-of very large values in messages and reports, and the character scanner
-behind the word and map grammars.
+Primality, exact roots and 2-adic valuations of integers, binary powering in
+any associative product, the compact form of very large values in messages
+and reports, the one reading of decimal integers from outside input, and the
+character scanner behind the word and map grammars.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: Below it the bases decide primality; at or above it they prove only
 #: compositeness.
 _MR_PROVEN_BELOW = 3317044064679887385961981
+
+#: Values with more bits are abbreviated in output (and two-adic reports do
+#: not materialise r and s), which keeps every output printable below the
+#: interpreter's int-to-decimal limit.
+PRINT_BITS = 12_000
 
 
 def v2(x: int) -> int:
@@ -84,6 +90,23 @@ def integer_root(x: int, k: int) -> Optional[int]:
     return lo if lo**k == x else None
 
 
+def power(base, exponent: int, one, mul):
+    """``base`` to a nonnegative ``exponent`` under the associative product
+    ``mul``, by square and multiply: about 2 log2(exponent) products.
+
+    ``one`` is the identity of the product; negative exponents are the
+    caller's rule.
+    """
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = mul(result, base)
+        exponent >>= 1
+        if exponent:
+            base = mul(base, base)
+    return result
+
+
 def brief(value, max_bits: int):
     """``value`` itself, or a placeholder naming its bit sizes when it is an
     integer or fraction with more than ``max_bits`` bits."""
@@ -94,6 +117,26 @@ def brief(value, max_bits: int):
     elif isinstance(value, int) and value.bit_length() > max_bits:
         return f"<{value.bit_length()}-bit integer>"
     return value
+
+
+def decimal(text: str, where: str) -> int:
+    """The integer written by ``text``: an optional sign and a run of decimal
+    digits, nothing else.
+
+    The integers of dessin files, of ``DESSINKIT_CAPS``, of gallery indices,
+    of block lists and of the word and map grammars are read here, so more
+    digits than the interpreter converts is a :class:`ParseError` too.
+    ``where`` ends the error messages (e.g. ``" in --d"``).
+    """
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not digits.isdecimal():
+        raise ParseError(f"expected an integer{where}, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # the interpreter's limit on decimal digits
+        raise ParseError(
+            f"integer of {len(digits)} digits{where} is too long"
+        ) from None
 
 
 class Scanner:
@@ -138,10 +181,5 @@ class Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"expected integer at position {self.pos}{self.where}")
-        try:
-            return sign * int(self.text[start:self.pos])
-        except ValueError:  # the interpreter's limit on decimal digits
-            raise ParseError(
-                f"integer of {self.pos - start} digits at position {start}"
-                f"{self.where} is too long"
-            ) from None
+        where = f" at position {start}{self.where}"
+        return sign * decimal(self.text[start:self.pos], where)

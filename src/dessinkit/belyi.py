@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from ._exact import Scanner, brief
+from ._exact import Scanner, brief, power
 from .errors import (
     IrrationalCriticalPoints,
     NotCoprime,
@@ -72,7 +73,8 @@ DEFAULT_STAGE_CAP = 10**6
 DEFAULT_EVAL_WORK_BITS = 2_000_000
 
 #: Default cap on m+n for explicit expansion into coefficients (expansion
-#: needs ~(m+n)^2 log(m+n) bits in total, far more than evaluation).
+#: needs ~(m+n)^2 log(m+n) bits in total, far more than evaluation), and the
+#: cap on the degree of a parsed map.
 DEFAULT_EXPANSION_CAP = 2000
 
 
@@ -175,16 +177,7 @@ class RatPoly:
     def __pow__(self, exponent: int) -> "RatPoly":
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        result = RatPoly((1,))
-        square = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * square
-            e >>= 1
-            if e:
-                square = square * square
-        return result
+        return power(self, exponent, ONE_POLY, operator.mul)
 
     def derivative(self) -> "RatPoly":
         return RatPoly(tuple(i * c for i, c in enumerate(self._coeffs) if i))
@@ -666,27 +659,13 @@ def bmn(params: BmnParams, expansion_cap: Optional[int] = DEFAULT_EXPANSION_CAP)
     return RatMap(RatPoly(coeffs))
 
 
-@dataclass(frozen=True)
-class BmnStage:
+class BmnStage(BmnParams):
     """Symbolic chain stage for the two-parameter family.
 
     ``m`` and ``n`` may be huge integers: the stage is never expanded, and
     evaluation at 0, 1 and the peak m/(m+n) costs nothing.  Generic exact
     evaluation is allowed only under a work cap.
     """
-
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise OutOfRange("stage exponents must be positive")
-        if math.gcd(self.m, self.n) != 1:
-            raise NotCoprime(f"stage exponents ({self.m}, {self.n}) not coprime")
-
-    @property
-    def peak(self) -> Fraction:
-        return Fraction(self.m, self.m + self.n)
 
     def finite_critical_values(self) -> CritProfile:
         return CritProfile.of((0, 1), includes_infinity=True)
@@ -928,9 +907,7 @@ def verify_reduction(
         chain.eval_extended(p, work_cap_bits=work_cap_bits) == 0 for p in pts
     )
 
-    profile = CritProfile.empty()
-    for stage in chain.stages:
-        profile = propagate_crit(profile, stage)
+    profile = BelyiChain(chain.stages).current_profile
     crit_ok = profile.finite_values <= {Fraction(0), Fraction(1)}
 
     value: Optional[Fraction] = Fraction(0)
@@ -977,8 +954,17 @@ class _MapParser(Scanner):
     Grammar: ``expr := term (('+'|'-') term)*``, ``term := factor (('*'|'/')
     factor)*``, ``factor := ('-')* primary ['^' int]``, ``primary := integer |
     'X' | '(' expr ')'``.  Example: ``(X+27)^3 / (243*(X-9)^2)``.  Whitespace
-    may separate tokens, but not the digits of one integer.
+    may separate tokens, but not the digits of one integer.  No map on the way
+    may have degree above ``DEFAULT_EXPANSION_CAP`` (:class:`SizeGuard`); a
+    power is checked before it is expanded.
     """
+
+    def check_degree(self, degree: int) -> None:
+        if degree > DEFAULT_EXPANSION_CAP:
+            raise SizeGuard(
+                f"map of degree {brief(degree, 256)} before position {self.pos} "
+                f"in expression is over the degree cap {DEFAULT_EXPANSION_CAP}"
+            )
 
     def parse(self) -> RatMap:
         value = self.expr()
@@ -992,6 +978,7 @@ class _MapParser(Scanner):
             op = self.take()
             rhs = self.term()
             value = value + rhs if op == "+" else value - rhs
+            self.check_degree(value.mapping_degree)
         return value
 
     def term(self) -> RatMap:
@@ -1000,6 +987,7 @@ class _MapParser(Scanner):
             op = self.take()
             rhs = self.factor()
             value = value * rhs if op == "*" else value / rhs
+            self.check_degree(value.mapping_degree)
         return value
 
     def factor(self) -> RatMap:
@@ -1010,7 +998,9 @@ class _MapParser(Scanner):
         value = self.primary()
         if self.peek() == "^":
             self.take()
-            value = value ** self.integer()
+            exponent = self.integer()
+            self.check_degree(value.mapping_degree * abs(exponent))
+            value = value ** exponent
         return -value if negate else value
 
     def primary(self) -> RatMap:
@@ -1032,7 +1022,10 @@ class _MapParser(Scanner):
 
 
 def parse_map(text: str) -> RatMap:
-    """Parse an exact rational-map expression, e.g. ``(X+27)^3/(243*(X-9)^2)``."""
+    """Parse an exact rational-map expression, e.g. ``(X+27)^3/(243*(X-9)^2)``.
+
+    A map of degree above ``DEFAULT_EXPANSION_CAP`` raises :class:`SizeGuard`.
+    """
     return _MapParser(text).parse()
 
 

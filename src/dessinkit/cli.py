@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import belyi, models, tower
-from ._exact import brief
+from ._exact import PRINT_BITS, brief, decimal
 from .dessins import (
     Dessin,
     Separation,
@@ -42,6 +42,7 @@ from .dessins import (
 from .errors import (
     Cancelled,
     DessinkitError,
+    OutOfRange,
     ParseError,
     ResourceLimit,
     SizeGuard,
@@ -64,13 +65,8 @@ def _parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
-#: big values are abbreviated past this many bits, which keeps every output
-#: printable below the interpreter's int-to-decimal limit
-_PRINT_BITS = 12_000
-
-
 def _fmt_rational(v) -> str:
-    return "inf" if v is belyi.INFINITY else str(brief(v, _PRINT_BITS))
+    return "inf" if v is belyi.INFINITY else str(brief(v, PRINT_BITS))
 
 
 def _fmt_cycle_type(lengths) -> str:
@@ -88,7 +84,7 @@ def _load_source(source: str) -> Dessin:
         index = source.split(":", 1)[1]
         if not index.isdecimal():
             raise ParseError(f"bad gallery index in {source!r}")
-        return models.gallery_dessin(int(index))
+        return models.gallery_dessin(decimal(index, " in the gallery index"))
     with open(source, "r", encoding="utf-8") as fh:
         return load_dessin(fh.read())
 
@@ -100,7 +96,7 @@ def _caps_from_env() -> dict:
         key, eq, value = item.partition("=")
         if not eq or key.strip() not in caps or not value.strip().isdecimal():
             raise ParseError(f"bad DESSINKIT_CAPS entry {item!r}")
-        caps[key.strip()] = int(value.strip())
+        caps[key.strip()] = decimal(value.strip(), " in DESSINKIT_CAPS")
     return caps
 
 
@@ -111,6 +107,13 @@ def _resolve_caps(args) -> dict:
     if args.cap_stage_size is not None:
         caps["stage-size"] = args.cap_stage_size
     return caps
+
+
+def _check_cap_flags(args) -> None:
+    for flag, value in (("--cap-group-order", args.cap_group_order),
+                        ("--cap-stage-size", args.cap_stage_size)):
+        if value is not None and value < 0:
+            raise OutOfRange(f"{flag} must be nonnegative, got {value}")
 
 
 def _guard_group_order(dessin: Dessin, cap) -> None:
@@ -395,7 +398,7 @@ def _cmd_lemma_two_adic(args):
     report = models.two_adic_verify(inst)
     # m, n and friends can be huge; keep every field printable
     alpha, nu, a, b, c0, m, n, e, consistent, v2_s, exact, required = (
-        brief(getattr(report, key), _PRINT_BITS)
+        brief(getattr(report, key), PRINT_BITS)
         for key in ("alpha", "nu", "a", "b", "c0", "m", "n", "e",
                     "congruences_consistent", "v2_s", "v2_s_is_exact", "required")
     )
@@ -420,7 +423,8 @@ def _cmd_lemma_two_adic(args):
 
 
 def _cmd_lemma_delta_tilde(args):
-    blocks = [int(v) for v in args.d.split(",") if v.strip()]
+    blocks = [decimal(v.strip(), " in --d")
+              for v in args.d.split(",") if v.strip()]
     report = models.delta_tilde_check(blocks, args.c0, args.c, args.alpha_minus_nu)
     return _exit_for(report.ok), [
         ("partial_sums", list(report.partial_sums),
@@ -529,6 +533,7 @@ def run_cli(argv) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
+        _check_cap_flags(args)
         code, result = args.func(args)
     except (ResourceLimit, SizeGuard, Cancelled) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._exact import decimal
 from .errors import (
     NonIntegralCharacteristic,
     NotTransitive,
@@ -156,7 +157,7 @@ def load_dessin(text: str, caps: GroupCaps = DEFAULT_CAPS) -> Dessin:
     m = lines[0].split()
     if len(m) != 2 or m[0] != "degree" or not m[1].isdecimal():
         raise ParseError(f"bad degree line: {lines[0]!r}")
-    degree = int(m[1])
+    degree = decimal(m[1], " on the degree line")
     if degree > caps.max_degree:
         raise ResourceLimit(f"degree {degree} exceeds cap {caps.max_degree}")
     perms = []

@@ -18,12 +18,13 @@ Four independent pieces live here:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Optional, Tuple
 
-from ._exact import brief, check_odd_prime, v2
+from ._exact import PRINT_BITS, brief, check_odd_prime, v2
 from .belyi import RatPoly, pair_from_ratio
 from .dessins import Dessin, load_dessin
 from .errors import (
@@ -32,7 +33,7 @@ from .errors import (
     OutOfRange,
     ResourceLimit,
 )
-from .perms import Permutation, compose_right, parse_cycles
+from .perms import DEFAULT_CAPS, Permutation, compose_right, parse_cycles
 from .words import FreeWord, commutator_word, parse_word
 
 __all__ = [
@@ -58,7 +59,7 @@ GALLERY_SIZE = 6
 
 #: The largest edge count 8p of an 8p-edge model, the default permutation
 #: degree cap of ``perms.GroupCaps``.
-MAX_8P_DEGREE = 100_000
+MAX_8P_DEGREE = DEFAULT_CAPS.max_degree
 
 _WITNESS_VALUES = {
     1: "()",
@@ -214,6 +215,11 @@ def _check_blocks(d) -> list:
     return [int(v) for v in blocks]
 
 
+def _palindrome(t: int) -> list:
+    """Block indices of a palindrome of t blocks: 1 ... t-1, t, t-1 ... 1."""
+    return list(range(1, t)) + list(range(t, 0, -1))
+
+
 def build_mu0(d) -> FreeWord:
     """Palindromic path word x^d1 y^d2 ... y^d(t-1) x^(2 dt) y^d(t-1) ... x^d1.
 
@@ -222,13 +228,10 @@ def build_mu0(d) -> FreeWord:
     """
     blocks = _check_blocks(d)
     t = len(blocks)
-    syllables = []
-    for i in range(1, t):
-        syllables.append(("x" if i % 2 else "y", blocks[i - 1]))
-    syllables.append(("x", 2 * blocks[t - 1]))
-    for i in range(t - 1, 0, -1):
-        syllables.append(("x" if i % 2 else "y", blocks[i - 1]))
-    return FreeWord(syllables)
+    return FreeWord(
+        ("x" if i % 2 else "y", blocks[i - 1] * (2 if i == t else 1))
+        for i in _palindrome(t)
+    )
 
 
 def build_mu_omega(d, m: int, n: int, r: int, s: int) -> Tuple[FreeWord, FreeWord]:
@@ -246,22 +249,11 @@ def build_mu_omega(d, m: int, n: int, r: int, s: int) -> Tuple[FreeWord, FreeWor
         raise BadShape("need at least three blocks (t >= 3)")
     if min(m, n, r, s) < 1:
         raise BadShape("m, n, r, s must be positive")
-
-    def coeff(i: int) -> int:  # 1-based block index
-        factor = m if i % 2 else n
-        return factor * r * blocks[i - 1]
-
-    order = list(range(1, t)) + [t] + list(range(t - 1, 0, -1))
     syllables = []
-    for pos, i in enumerate(order):
-        e = coeff(i)
-        if i == t:
-            e *= 2
-        if pos == len(order) - 1:
-            syllables.append(("x", e))  # bare suffix, no y x^s y tail
-        else:
-            syllables.extend((("x", e), ("y", 1), ("x", s), ("y", 1)))
-    mu = FreeWord(syllables)
+    for i in _palindrome(t):
+        e = (m if i % 2 else n) * r * blocks[i - 1] * (2 if i == t else 1)
+        syllables += [("x", e), ("y", 1), ("x", s), ("y", 1)]
+    mu = FreeWord(syllables[:-3])  # a bare suffix, without the y x^s y tail
     x2s = FreeWord((("x", 2 * s),))
     y = FreeWord((("y", 1),))
     omega = mu * y * mu.inverse() * x2s * y.inverse() * mu
@@ -295,21 +287,12 @@ def delta_tilde_check(d, c0: int, c: int, alpha_minus_nu: int) -> DeltaTildeRepo
         raise OutOfRange(f"need 0 < c0 < c, got c0={c0}, c={c}")
     if alpha_minus_nu < 1:
         raise OutOfRange("alpha - nu must be positive")
-    weights = [c0 if i % 2 else c - c0 for i in range(1, t + 1)]
-    terms = []
-    for j in range(1, 2 * t):
-        i = j if j <= t else 2 * t - j
-        term = weights[i - 1] * blocks[i - 1]
-        if j == t:
-            term *= 2
-        terms.append(term)
+    terms = [
+        (c0 if i % 2 else c - c0) * blocks[i - 1] * (2 if i == t else 1)
+        for i in _palindrome(t)
+    ]
     modulus = 1 << alpha_minus_nu
-    partials = []
-    acc = 0
-    for term in terms[:-1]:
-        acc += term
-        partials.append(acc)
-    total = acc + terms[-1]
+    *partials, total = itertools.accumulate(terms)
     ok = all(v % modulus for v in partials) and total % modulus != 0
     return DeltaTildeReport(
         partial_sums=tuple(partials), total=total, modulus=modulus, ok=ok
@@ -378,12 +361,6 @@ class TwoAdicReport:
     @property
     def ok(self) -> bool:
         return self.congruences_consistent and self.v2_s >= self.required
-
-
-#: bit budget above which r and s are reported as None instead of exactly;
-#: kept under the interpreter's int-to-decimal conversion limit so reports
-#: always print
-_RS_MATERIALIZE_BITS = 12_000
 
 
 def two_adic_verify(inst: TwoAdicInstance) -> TwoAdicReport:
@@ -458,7 +435,7 @@ def two_adic_verify(inst: TwoAdicInstance) -> TwoAdicReport:
     estimate = total * (
         total.bit_length() + inst.c.bit_length() + inst.c0.bit_length()
     )
-    if estimate <= _RS_MATERIALIZE_BITS:
+    if estimate <= PRINT_BITS:  # else r and s are reported as None
         value = Fraction(
             total**total * inst.c0**m * (inst.c - inst.c0) ** n,
             m**m * n**n * inst.c**total,

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
+from ._exact import decimal, power
 from .errors import (
     Cancelled,
     DegreeMismatch,
@@ -83,6 +84,18 @@ class GroupCaps:
 DEFAULT_CAPS = GroupCaps()
 
 _CYCLE_TOKEN = re.compile(r"\(([^()]*)\)")
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    # apply a first, then b (0-based image tuples)
+    return tuple(b[i] for i in a)
+
+
+def _inv(a: tuple) -> tuple:
+    out = [0] * len(a)
+    for i, v in enumerate(a):
+        out[v] = i
+    return tuple(out)
 
 
 class Permutation:
@@ -147,22 +160,13 @@ class Permutation:
     def __pow__(self, exponent: int) -> "Permutation":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = tuple(range(len(self._images)))
-        square = self._images
-        e = exponent
-        while e:
-            if e & 1:
-                result = tuple(square[i] for i in result)
-            e >>= 1
-            if e:
-                square = tuple(square[i] for i in square)
-        return Permutation._from_zero_based(result)
+        identity = tuple(range(len(self._images)))
+        return Permutation._from_zero_based(
+            power(self._images, exponent, identity, _mul)
+        )
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self._images)
-        for i, v in enumerate(self._images):
-            inv[v] = i
-        return Permutation._from_zero_based(tuple(inv))
+        return Permutation._from_zero_based(_inv(self._images))
 
     @property
     def is_identity(self) -> bool:
@@ -233,7 +237,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             token = token.strip()
             if not re.fullmatch(r"\d+", token):
                 raise ParseError(f"bad point {token!r} in cycle notation")
-            points.append(int(token))
+            points.append(decimal(token, " in cycle notation"))
         for pt in points:
             if not 1 <= pt <= degree:
                 raise PointOutOfRange(f"point {pt} outside 1..{degree}")
@@ -249,8 +253,7 @@ def compose_right(a: Permutation, b: Permutation) -> Permutation:
     """Right-action product: apply ``a`` first, then ``b``."""
     if a.degree != b.degree:
         raise DegreeMismatch(f"degrees {a.degree} and {b.degree} differ")
-    bi = b._images
-    return Permutation._from_zero_based(tuple(bi[i] for i in a._images))
+    return Permutation._from_zero_based(_mul(a._images, b._images))
 
 
 def order_and_cycle_type(a: Permutation):
@@ -261,18 +264,6 @@ def order_and_cycle_type(a: Permutation):
 # ---------------------------------------------------------------------------
 # BSGS machinery
 # ---------------------------------------------------------------------------
-
-
-def _mul(a: tuple, b: tuple) -> tuple:
-    # apply a first, then b (0-based image tuples)
-    return tuple(b[i] for i in a)
-
-
-def _inv(a: tuple) -> tuple:
-    out = [0] * len(a)
-    for i, v in enumerate(a):
-        out[v] = i
-    return tuple(out)
 
 
 class _Level:

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from ._exact import check_odd_prime, integer_root
+from ._exact import check_odd_prime, integer_root, power
 from .errors import (
     DegenerateTriple,
     DessinkitError,
@@ -205,16 +206,7 @@ class TowerElement:
     def __pow__(self, exponent: int) -> "TowerElement":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = self.field.one()
-        square = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * square
-            e >>= 1
-            if e:
-                square = square * square
-        return result
+        return power(self, exponent, self.field.one(), operator.mul)
 
     def inverse(self) -> "TowerElement":
         """Multiplicative inverse: the other conjugates over the norm.

@@ -133,6 +133,24 @@ class TestPolyParsing:
         f = parse_map("(X^2-1)/(X-1)")
         assert f.is_polynomial and f.numerator == X + RatPoly((1,))
 
+    def test_degree_cap_checked_before_a_power_is_expanded(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("power expanded before the degree cap was checked")
+
+        monkeypatch.setattr(RatPoly, "__pow__", refuse)
+        for text in ("(X+1)^2001", "(X*X-X)^-1001", "(X+1)^" + "9" * 200, "1 + X^3000"):
+            with pytest.raises(SizeGuard, match="over the degree cap 2000"):
+                parse_map(text)
+
+    def test_degree_cap_on_products_and_sums(self):
+        with pytest.raises(SizeGuard, match="map of degree 3000 before position 13"):
+            parse_map("X^1500*X^1500")
+        with pytest.raises(SizeGuard, match="map of degree 2500"):
+            parse_map("X^1500 + 1/X^1000")
+        # cancellation keeps a map under the cap, and a constant has degree 0
+        assert parse_map("X^1500*X^500/X^1000").mapping_degree == 1000
+        assert parse_map("2^5000 * X^2000").mapping_degree == 2000
+
 
 class TestEvalExtended:
     def test_beta1_values(self):
@@ -233,6 +251,16 @@ class TestBmnFamily:
     def test_positivity_required(self):
         with pytest.raises(OutOfRange):
             BmnParams(0, 1)
+
+    def test_stage_checks_its_exponents_as_the_pair_does(self):
+        with pytest.raises(OutOfRange, match=r"exponents must be positive, got \(0, 1\)"):
+            BmnStage(0, 1)
+        with pytest.raises(NotCoprime, match=r"\(2, 4\) are not coprime"):
+            BmnStage(2, 4)
+        stage = BmnStage(3, 2)
+        assert stage.peak == BmnParams(3, 2).peak == F(3, 5)
+        assert stage != BmnParams(3, 2) and stage == BmnStage(3, 2)
+        assert str(stage) == "B[3,2]" and repr(stage) == "BmnStage(m=3, n=2)"
 
     def test_expansion_cap(self):
         with pytest.raises(SizeGuard):

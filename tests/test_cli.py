@@ -2,12 +2,14 @@
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
-from dessinkit import dessins
+from dessinkit import dessins, load_dessin, parse_cycles
 from dessinkit.cli import run_cli
+from dessinkit.errors import ParseError
 from dessinkit.models import gallery_text, local_model_24
 
 GOLDEN_TOUR = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "tour.json"
@@ -330,6 +332,90 @@ class TestCapsEnv:
         monkeypatch.setenv("DESSINKIT_CAPS", "bogus=12")
         code, _, err = invoke(capsys, "dessin", "info", "gallery:1")
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--cap-group-order", "--cap-stage-size"])
+    def test_negative_cap_flags_are_input_errors(self, capsys, flag):
+        for argv in (("dessin", "info", "gallery:1"),
+                     ("belyi", "reduce", "--points", "1,2/3")):
+            assert invoke(capsys, *argv, flag, "-5") == (
+                2, "", f"error: {flag} must be nonnegative, got -5\n"
+            )
+
+    def test_zero_caps_stay_valid(self, capsys):
+        code, _, err = invoke(
+            capsys, "dessin", "info", "gallery:1", "--cap-group-order", "0"
+        )
+        assert (code, err) == (3, "error: cartographic group order exceeds cap 0\n")
+        code, _, err = invoke(
+            capsys, "belyi", "reduce", "--points", "1,2/3", "--cap-stage-size", "0"
+        )
+        assert code == 3 and err.endswith("over the cap 0\n")
+
+
+DELTA_TILDE = ("lemma", "delta-tilde", "--c0", "1", "--c", "4", "--alpha-minus-nu", "4")
+
+
+class TestOutsideIntegers:
+    """Every integer read from outside input ends in a ParseError (exit 2)."""
+
+    def test_block_degrees_are_signed_decimal_runs(self, capsys):
+        assert invoke(capsys, *DELTA_TILDE, "--d", "1,x") == (
+            2, "", "error: expected an integer in --d, got 'x'\n"
+        )
+        assert invoke(capsys, *DELTA_TILDE, "--d", "1,-1,1") == (
+            2, "", "error: block degrees must be positive\n"
+        )
+        code, out, _ = invoke(capsys, *DELTA_TILDE, "--d", "+1, 1 ,1")
+        assert code == 0 and out.startswith("partial sums: 1 4 6 9\n")
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter converts decimal strings of any length",
+    )
+    def test_over_the_digit_limit(self, capsys, monkeypatch, tmp_path):
+        n = sys.get_int_max_str_digits() + 1
+        big = "7" * n
+
+        def too_long(where):
+            return 2, "", f"error: integer of {n} digits {where} is too long\n"
+
+        assert invoke(capsys, *DELTA_TILDE, "--d", f"1,{big},1") == too_long("in --d")
+        assert invoke(capsys, "dessin", "info", f"gallery:{big}") == (
+            too_long("in the gallery index")
+        )
+        degree_line = tmp_path / "degree.dessin"
+        degree_line.write_text(f"degree {big}\nsigma0 = ()\nsigma1 = ()\n")
+        assert invoke(capsys, "dessin", "info", str(degree_line)) == (
+            too_long("on the degree line")
+        )
+        point = tmp_path / "point.dessin"
+        point.write_text(f"degree 3\nsigma0 = (1,{big})\nsigma1 = ()\n")
+        assert invoke(capsys, "dessin", "info", str(point)) == (
+            too_long("in cycle notation")
+        )
+        monkeypatch.setenv("DESSINKIT_CAPS", f"group-order={big}")
+        assert invoke(capsys, "dessin", "info", "gallery:1") == (
+            too_long("in DESSINKIT_CAPS")
+        )
+        # the same rule through the library
+        with pytest.raises(ParseError, match=f"{n} digits on the degree line"):
+            load_dessin(degree_line.read_text())
+        with pytest.raises(ParseError, match=f"{n} digits in cycle notation"):
+            parse_cycles(f"(1,{big})", 3)
+
+
+class TestSizeGuards:
+    def test_word_over_the_syllable_cap(self, capsys):
+        code, out, err = invoke(
+            capsys, "word", "eval", "gallery:1", "--word", "(x y)^1000000000"
+        )
+        assert (code, out) == (3, "") and "syllables is over the cap" in err
+
+    def test_map_over_the_degree_cap(self, capsys):
+        assert invoke(capsys, "belyi", "crit", "--map", "(X+1)^2001") == (
+            3, "", "error: map of degree 2001 before position 10 in expression "
+            "is over the degree cap 2000\n"
+        )
 
 
 class TestDeterminism:

@@ -1,18 +1,30 @@
 """The shared exact toolkit: primality against trial division and the proven
-pseudoprime bounds, exact roots, 2-adic valuations, the compact form of big
-values and the contiguous-digit integer scan."""
+pseudoprime bounds, exact roots, 2-adic valuations, binary powering against
+repeated multiplication, the compact form of big values, the reading of
+outside integers and the contiguous-digit integer scan."""
 
+import functools
 import math
+import operator
+import random
 import sys
 from fractions import Fraction as F
 
 import pytest
 
-from dessinkit._exact import Scanner, brief, integer_root, is_prime, v2
-from dessinkit.belyi import parse_poly
+from dessinkit._exact import Scanner, brief, decimal, integer_root, is_prime, power, v2
+from dessinkit.belyi import RatPoly, parse_poly
 from dessinkit.cli import run_cli
 from dessinkit.errors import ParseError, ResourceLimit
-from dessinkit.words import parse_word
+from dessinkit.perms import Permutation
+from dessinkit.tower import TowerField
+from dessinkit.words import FreeWord, parse_word
+
+#: skips a case that needs the interpreter's limit on decimal digits
+needs_digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts decimal strings of any length",
+)
 
 # least strong pseudoprimes to the first 12 and 13 prime bases (Sorenson and
 # Webster, Math. Comp. 2017)
@@ -73,6 +85,84 @@ class TestIntegerToolkit:
         assert brief(None, 12) is None and brief(True, 12) is True
 
 
+def _repeated(base, exponent, one):
+    return functools.reduce(operator.mul, [base] * exponent, one)
+
+
+class TestPower:
+    EXPONENTS = (0, 1, 2, 7, 64)
+
+    def test_permutation_equals_repeated_product(self):
+        rng = random.Random(5)
+        images = list(range(1, 10))
+        rng.shuffle(images)
+        p = Permutation(images)
+        for e in self.EXPONENTS:
+            assert p ** e == _repeated(p, e, Permutation.identity(9)), e
+            assert p ** -e == _repeated(p.inverse(), e, Permutation.identity(9)), e
+
+    def test_permutation_exponent_reduces_modulo_the_order(self):
+        p = Permutation.from_cycles("(1,2,3,4,5)(6,7,8)(9,10)", 10)
+        k = (1 << 40) + 3
+        for r in (0, 1, 7, 29):
+            assert p ** (k * p.order() + r) == p ** r
+            assert p ** -(k * p.order() + r) == (p ** r).inverse()
+
+    def test_free_word_equals_repeated_product(self):
+        w = parse_word("x y^-2 x^3 y")
+        for e in self.EXPONENTS:
+            assert w ** e == _repeated(w, e, FreeWord()), e
+            assert w ** -e == _repeated(w.inverse(), e, FreeWord()), e
+
+    def test_polynomial_equals_repeated_product(self):
+        f = RatPoly((1, -2, F(1, 3)))
+        for e in self.EXPONENTS:
+            assert f ** e == _repeated(f, e, RatPoly((1,))), e
+        with pytest.raises(ValueError):
+            f ** -1
+
+    def test_tower_element_equals_repeated_product(self):
+        field = TowerField(3, F(2))
+        a = field.zeta() + field.root() * F(1, 2) - 1
+        for e in self.EXPONENTS:
+            assert a ** e == _repeated(a, e, field.one()), e
+        assert a ** -2 * a ** 2 == field.one()
+
+    def test_product_count(self):
+        # (bits - 1) squarings and one product per set bit: the counts the
+        # per-layer benchmark metrics report
+        calls = []
+
+        def mul(a, b):
+            calls.append(1)
+            return a * b
+
+        for e in (0, 1, 2, 7, 64, 1000):
+            calls.clear()
+            assert power(3, e, 1, mul) == 3**e
+            assert len(calls) == max(e.bit_length() - 1, 0) + bin(e).count("1")
+
+
+class TestDecimal:
+    def test_optionally_signed_digit_runs(self):
+        assert decimal("0012", "") == 12
+        assert decimal("-7", "") == -7 and decimal("+3", "") == 3
+        assert decimal("\u0661\u0662", "") == 12  # any Unicode decimal digits
+
+    @pytest.mark.parametrize(
+        "text", ["", "-", "1x", "--1", " 1", "1_000", "\u00b2", "0x1f"]
+    )
+    def test_anything_else_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match=f"expected an integer in t, got {text!r}"):
+            decimal(text, " in t")
+
+    @needs_digit_limit
+    def test_over_the_digit_limit(self):
+        n = sys.get_int_max_str_digits() + 1
+        with pytest.raises(ParseError, match=f"integer of {n} digits in t is too long"):
+            decimal("-" + "7" * n, " in t")
+
+
 class TestScanner:
     def test_integer_digits_are_contiguous(self):
         s = Scanner(" - 12 3", " in test")
@@ -83,10 +173,7 @@ class TestScanner:
         with pytest.raises(ParseError, match="expected integer at position 3 in w"):
             Scanner("-  x", " in w").integer()
 
-    @pytest.mark.skipif(
-        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-        reason="this interpreter converts decimal strings of any length",
-    )
+    @needs_digit_limit
     def test_integer_over_the_digit_limit(self, capsys):
         n = sys.get_int_max_str_digits() + 1
         digits = "1" * n

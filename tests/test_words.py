@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dessinkit.errors import DegreeMismatch, ParseError
+from dessinkit import words
+from dessinkit.errors import DegreeMismatch, ParseError, ResourceLimit
 from dessinkit.perms import Permutation, compose_right
 from dessinkit.words import FreeWord, commutator_word, evaluate_word, parse_word
 
@@ -65,6 +66,26 @@ class TestParsing:
     def test_empty_word(self):
         w = parse_word("")
         assert w.is_empty and str(w) == "1"
+
+    def test_syllable_cap_is_checked_as_a_power_grows(self, monkeypatch):
+        reduce = words._reduce
+
+        def bounded(syllables):
+            syllables = tuple(syllables)
+            assert len(syllables) <= 2 * words.MAX_SYLLABLES, "word grew unchecked"
+            return reduce(syllables)
+
+        monkeypatch.setattr(words, "_reduce", bounded)
+        cap = words.MAX_SYLLABLES
+        with pytest.raises(ResourceLimit, match=f"syllables is over the cap {cap}"):
+            parse_word("(x y)^1000000000")
+        with pytest.raises(ResourceLimit):
+            parse_word(f"[x, y]^{cap // 4 + 1}")
+        assert len(parse_word(f"(x y)^{cap // 2}").syllables) == cap
+
+    def test_powers_of_one_generator_stay_one_syllable(self):
+        big = 10**100
+        assert parse_word(f"x^{big} y^-{big}").syllables == (("x", big), ("y", -big))
 
 
 class TestCommutator:
