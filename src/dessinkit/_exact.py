@@ -109,12 +109,20 @@ def power(base, exponent: int, one, mul):
 
 def brief(value, max_bits: int):
     """``value`` itself, or a placeholder naming its bit sizes when it is an
-    integer or fraction with more than ``max_bits`` bits."""
-    if isinstance(value, Fraction):
-        num, den = value.numerator.bit_length(), value.denominator.bit_length()
-        if max(num, den) > max_bits:
-            return f"<rational with {num}-bit numerator and {den}-bit denominator>"
-    elif isinstance(value, int) and value.bit_length() > max_bits:
+    integer or fraction with more than ``max_bits`` bits.
+
+    A pair ``(numerator, denominator)`` in lowest terms reads as the fraction
+    it stands for.
+    """
+    if isinstance(value, (Fraction, tuple)):
+        pair = isinstance(value, tuple)
+        num, den = value if pair else (value.numerator, value.denominator)
+        num_bits, den_bits = num.bit_length(), den.bit_length()
+        if max(num_bits, den_bits) > max_bits:
+            return (f"<rational with {num_bits}-bit numerator and "
+                    f"{den_bits}-bit denominator>")
+        return Fraction(num, den) if pair else value
+    if isinstance(value, int) and value.bit_length() > max_bits:
         return f"<{value.bit_length()}-bit integer>"
     return value
 

@@ -585,8 +585,9 @@ def rational_roots(p: RatPoly) -> Tuple[dict, RatPoly]:
     def variations(num: int) -> int:
         return _sign_variations(chain, Fraction(num, lead))
 
-    # every root lies in (-bound/lead, bound/lead) (Cauchy); keep intervals
-    # (lo/lead, hi/lead] whose Sturm count is positive
+    # every root lies in (-bound/lead, bound/lead) (Cauchy); only intervals
+    # (lo/lead, hi/lead] whose Sturm count is positive are kept, so the stack
+    # never holds more intervals than there are real roots
     bound = lead + max(abs(c) for c in ints[:-1])
     stack = [(-bound, variations(-bound), bound, variations(bound))]
     while stack:
@@ -596,7 +597,9 @@ def rational_roots(p: RatPoly) -> Tuple[dict, RatPoly]:
         if hi - lo > 1:
             mid = (lo + hi) // 2
             v_mid = variations(mid)
-            stack += [(mid, v_mid, hi, v_hi), (lo, v_lo, mid, v_mid)]
+            # the lower half is popped first, so roots come out ascending
+            stack += [half for half in ((mid, v_mid, hi, v_hi), (lo, v_lo, mid, v_mid))
+                      if half[1] != half[3]]
             continue
         cand = Fraction(hi, lead)
         mult = 0
@@ -659,12 +662,81 @@ def bmn(params: BmnParams, expansion_cap: Optional[int] = DEFAULT_EXPANSION_CAP)
     return RatMap(RatPoly(coeffs))
 
 
+def _strip(a: int, g: int) -> Tuple[int, int]:
+    """``(j, a // g**j)`` for the largest j with g**j dividing a (g > 1).
+
+    g, g^2, g^4, ... are divided out while they divide, and the rest of j is
+    read off in binary, so a high power costs O(log j) divisions.
+    """
+    squares = []
+    while a % g == 0:
+        a //= g
+        squares.append(g)
+        g *= g
+    j = (1 << len(squares)) - 1
+    for i in reversed(range(len(squares))):
+        if a % squares[i] == 0:
+            a //= squares[i]
+            j += 1 << i
+    return j, a
+
+
+def _coprime_base(factors: Iterable[Tuple[int, int]]) -> dict:
+    """Pairwise coprime elements > 1, each with its summed exponent, whose
+    product of powers equals that of the ``(value, exponent)`` factors
+    (values positive).
+
+    Naive refinement, enough for a handful of values (Bernstein, "Factoring
+    into coprimes in essentially linear time", J. Algorithms 2005, treats the
+    general case): a value sharing g > 1 with an element is split, together
+    with that element, into g and the two cofactors left after stripping
+    every power of g.  Every value stays a product of powers of the
+    elements.
+    """
+    base: dict = {}
+    pending = [(a, e) for a, e in factors if a > 1]
+    while pending:
+        a, ea = pending.pop()
+        for b in base:
+            g = math.gcd(a, b)
+            if g > 1:
+                eb = base.pop(b)  # the loop ends here, so popping is safe
+                j, a = _strip(a, g)
+                k, b = _strip(b, g)
+                pending += [(x, e) for x, e in ((g, j * ea + k * eb), (a, ea), (b, eb))
+                            if x > 1]
+                break
+        else:
+            base[a] = ea
+    return base
+
+
+def _stage_pair(m: int, n: int, p: int, q: int) -> Tuple[int, int]:
+    """The (m, n) stage's value at p/q (q > 0, p neither 0 nor q) as a pair
+    (numerator, denominator > 0) in lowest terms, even when p/q is not.
+
+    The value is N/D with N = T^T p^m (q-p)^n, D = m^m n^n q^T and T = m+n.
+    Its exponents are summed on the coprime base of T, |p|, |q-p|, m, n and
+    q, so the two sides multiplied out are already coprime: no gcd of N and
+    D is taken.
+    """
+    total = m + n
+    base = _coprime_base([(total, total), (abs(p), m), (abs(q - p), n),
+                          (m, -m), (n, -n), (q, -total)])
+    num = math.prod(b**e for b, e in base.items() if e > 0)
+    den = math.prod(b**-e for b, e in base.items() if e < 0)
+    if (p < 0 and m % 2 == 1) != (p > q and n % 2 == 1):
+        num = -num
+    return num, den
+
+
 class BmnStage(BmnParams):
     """Symbolic chain stage for the two-parameter family.
 
     ``m`` and ``n`` may be huge integers: the stage is never expanded, and
     evaluation at 0, 1 and the peak m/(m+n) costs nothing.  Generic exact
-    evaluation is allowed only under a work cap.
+    evaluation is allowed only under a work cap; it cancels the value's
+    factors on a coprime base and never takes the gcd of the full products.
     """
 
     def finite_critical_values(self) -> CritProfile:
@@ -678,28 +750,27 @@ class BmnStage(BmnParams):
         if v is INFINITY:
             return INFINITY
         v = Fraction(v)
-        if v == 0 or v == 1:
-            return Fraction(0)
-        if v == self.peak:
-            return Fraction(1)
+        return Fraction(*self._eval_pair((v.numerator, v.denominator), work_cap_bits))
+
+    def _eval_pair(
+        self, v: Tuple[int, int], work_cap_bits: Optional[int]
+    ) -> Tuple[int, int]:
+        """The value at a pair (p, q) in lowest terms, q > 0, as such a pair."""
+        p, q = v
+        if p == 0 or p == q:
+            return 0, 1
         m, n = self.m, self.n
         total = m + n
-        estimate = total * (
-            total.bit_length()
-            + v.numerator.bit_length()
-            + v.denominator.bit_length()
-        )
+        if (p, q) == (m, total):
+            return 1, 1
+        estimate = total * (total.bit_length() + p.bit_length() + q.bit_length())
         if work_cap_bits is not None and estimate > work_cap_bits:
             raise SizeGuard(
                 f"exact evaluation of stage ({brief(m, 256)}, {brief(n, 256)}) at "
                 f"{brief(v, 256)} needs about {brief(estimate, 256)} bits, over the "
                 f"work cap {work_cap_bits}"
             )
-        p, q = v.numerator, v.denominator
-        return Fraction(
-            total**total * p**m * (q - p) ** n,
-            m**m * n**n * q**total,
-        )
+        return _stage_pair(m, n, p, q)
 
     def derivative_sign_at(self, v: Fraction) -> int:
         """Exact sign of the derivative, without any big arithmetic.
@@ -842,27 +913,25 @@ def belyi_reduce(
     at_zero = first.eval_extended(Fraction(0))
     assert mapped[-1] == 1 and 0 < at_zero < mapped[0]
     aux = (at_zero + mapped[0]) / 2
-    tracked = [aux] + mapped
+    # tracked values are pairs (numerator, denominator) in lowest terms, so
+    # no stage builds a Fraction of its megabit value
+    tracked = [(t.numerator, t.denominator) for t in [aux] + mapped]
 
     stages: List[Stage] = [first]
     while len(tracked) > 1:
-        ratio = tracked[-2]
-        if stage_cap is not None and ratio.denominator > stage_cap:
+        num, den = tracked[-2]
+        if stage_cap is not None and den > stage_cap:
             raise SizeGuard(
-                f"next stage ratio {brief(ratio, 256)} needs m+n = "
-                f"{brief(ratio.denominator, 256)}, over the cap {stage_cap}"
+                f"next stage ratio {brief(tracked[-2], 256)} needs m+n = "
+                f"{brief(den, 256)}, over the cap {stage_cap}"
             )
-        params = pair_from_ratio(ratio)
-        stage = BmnStage(params.m, params.n)
+        stage = BmnStage(num, den - num)  # the ratio num/den lies in (0, 1)
         # the largest tracked value (always 1) maps to 0 and drops out; the
         # others stay strictly increasing because the stage is increasing
         # below its peak
-        tracked = [
-            stage.eval_extended(t, work_cap_bits=work_cap_bits)
-            for t in tracked[:-1]
-        ]
+        tracked = [stage._eval_pair(t, work_cap_bits) for t in tracked[:-1]]
         stages.append(stage)
-    assert tracked == [Fraction(1)]
+    assert tracked == [(1, 1)]
     return BelyiChain(stages)
 
 

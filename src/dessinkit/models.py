@@ -25,7 +25,7 @@ from importlib import resources
 from typing import Optional, Tuple
 
 from ._exact import PRINT_BITS, brief, check_odd_prime, v2
-from .belyi import RatPoly, pair_from_ratio
+from .belyi import RatPoly, _stage_pair, pair_from_ratio
 from .dessins import Dessin, load_dessin
 from .errors import (
     BadShape,
@@ -436,12 +436,8 @@ def two_adic_verify(inst: TwoAdicInstance) -> TwoAdicReport:
         total.bit_length() + inst.c.bit_length() + inst.c0.bit_length()
     )
     if estimate <= PRINT_BITS:  # else r and s are reported as None
-        value = Fraction(
-            total**total * inst.c0**m * (inst.c - inst.c0) ** n,
-            m**m * n**n * inst.c**total,
-        )
-        r_val = value.numerator
-        s_val = value.denominator - value.numerator
+        r_val, den = _stage_pair(m, n, inst.c0, inst.c)
+        s_val = den - r_val
 
     return TwoAdicReport(
         alpha=inst.alpha,

@@ -1,12 +1,17 @@
 """Exact polynomial calculus tests: the Belyi family, critical profiles,
 Sturm counting against a Descartes-bisection oracle, and the reduction chain."""
 
+import hashlib
+import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dessinkit.belyi import (
     INFINITY,
@@ -30,7 +35,7 @@ from dessinkit.belyi import (
     sturm_count,
     verify_reduction,
 )
-from dessinkit.belyi import X
+from dessinkit.belyi import X, _coprime_base, _stage_pair
 from dessinkit.errors import (
     IrrationalCriticalPoints,
     NotCoprime,
@@ -400,6 +405,21 @@ class TestRationalRoots:
         assert time.perf_counter() - start < 5
 
 
+    def test_bisection_memory_does_not_grow_with_coefficient_bits(self):
+        # the root -2^(N-1) sits at the bottom of a Cauchy range of N-bit
+        # integers; only intervals holding a root may stay on the stack
+        for bits in (1000, 4000):
+            wronskian = parse_map(f"2^{bits}*X+X^2").wronskian()
+            tracemalloc.start()
+            try:
+                roots, cofactor = rational_roots(wronskian)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert roots == {F(-(2 ** (bits - 1))): 1} and cofactor == RatPoly((1,))
+            assert peak < 64 * 1024, (bits, peak)
+
+
 class TestCertifyIncreasing:
     def test_quadratic(self):
         b = bmn(BmnParams(1, 1)).numerator
@@ -522,3 +542,131 @@ class TestChains:
         assert stage.derivative_sign_at(F(1, 2)) == 1
         assert stage.derivative_sign_at(stage.peak) == 0
         assert stage.derivative_sign_at(F(9, 10)) == -1
+
+
+# ---------------------------------------------------------------------------
+# oracle: the (m, n) stage value by the direct Fraction formula
+# ---------------------------------------------------------------------------
+
+
+def _direct_stage_value(m, n, p, q):
+    total = m + n
+    return F(total**total * p**m * (q - p) ** n, m**m * n**n * q**total)
+
+
+_SMOOTH = st.builds(math.prod, st.lists(st.sampled_from((2, 3, 5, 6, 10, 12, 15, 36)),
+                                        max_size=8))
+
+
+class TestStagePair:
+    def test_against_direct_formula(self):
+        rng = random.Random(2005)
+        regimes = set()
+        for _ in range(400):
+            m, n = rng.randint(1, 40), rng.randint(1, 40)
+            if math.gcd(m, n) != 1:
+                continue
+            # p and q share primes with m, n, m+n and each other, and p/q is
+            # often not in lowest terms
+            shared = rng.choice((1, 2, 6, 30, m, n, m + n))
+            q = shared ** rng.randint(0, 3) * rng.randint(1, 30)
+            p = rng.choice((1, -1)) * shared ** rng.randint(0, 3) * rng.randint(1, 60)
+            if p == q:
+                continue
+            value = _direct_stage_value(m, n, p, q)
+            assert _stage_pair(m, n, p, q) == (value.numerator, value.denominator), (
+                m, n, p, q)
+            regimes.add((p < 0, p > q))
+        # v < 0, 0 < v < 1 and v > 1 all occurred
+        assert regimes == {(True, False), (False, False), (False, True)}
+
+    def test_stage_evaluation_is_the_pair(self):
+        stage = BmnStage(7, 4)
+        for v in (F(-3, 2), F(1, 3), F(5, 11), F(9, 4)):
+            assert stage.eval_extended(v) == _direct_stage_value(
+                7, 4, v.numerator, v.denominator)
+
+    def test_high_powers_are_stripped_at_once(self):
+        base = _coprime_base([(2**100_000 * 3, 1), (6, -1), (9, 2)])
+        assert base == {2: 99_999, 3: 4}
+
+    @given(st.lists(st.tuples(st.one_of(_SMOOTH, st.integers(1, 10**6)),
+                              st.integers(-40, 40)), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_coprime_base_property(self, factors):
+        base = _coprime_base(factors)
+        assert all(b > 1 for b in base)
+        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
+        for value, _ in factors:  # every input is a product of their powers
+            for b in base:
+                while value % b == 0:
+                    value //= b
+            assert value == 1
+        assert math.prod(F(v) ** e for v, e in factors) == math.prod(
+            F(b) ** e for b, e in base.items())
+
+    def test_work_cap_message_reads_the_point_briefly(self):
+        stage = BmnStage(2, 3)
+        with pytest.raises(SizeGuard) as exc:
+            stage.eval_extended(F(1, 3**400), work_cap_bits=20)
+        assert str(exc.value) == (
+            "exact evaluation of stage (2, 3) at <rational with 1-bit numerator "
+            "and 634-bit denominator> needs about 3190 bits, over the work cap 20")
+        with pytest.raises(SizeGuard) as exc:
+            stage.eval_extended(F(-7, 9), work_cap_bits=20)
+        assert str(exc.value) == (
+            "exact evaluation of stage (2, 3) at -7/9 needs about 50 bits, over the "
+            "work cap 20")
+
+
+# Outcomes recorded before stage values were cancelled on a coprime base, for
+# inputs of the reduce workload's catalogue (perfbench/reduce_pool.json):
+# (points, chain, value at 0) for a verified reduction, where a value with
+# more than 256 bits is (numerator bits, denominator bits, sha256 of
+# "num/den" in hex), and (points, None, exact message) for a SizeGuard.
+PINNED_REDUCTIONS = [
+    (["-13/11"], "B[5,4] . 1936/1521*X^2 + 88/117*X + 1/9", "16/3125"),
+    (["19/20"], "B[1921,1121] . 400/1521*X^2 + 800/1521*X + 400/1521",
+     (19647, 20954, "00bfa3e57d540ead4f31242dbb072f8fdc12fbef7fb6edbf90aa5a6bccaa435e")),
+    (["-2/5", "1/2"], "B[148955,28192] . B[1,3] . 25/9*X^2 + 5/9*X + 1/36", None),
+    (["1", "2"], "B[371293,284067] . B[4,5] . 1/9*X^2 + 2/9*X + 1/9", None),
+    (["-9/13", "10/17", "11/13"], None,
+     "exact evaluation of stage (452929, 358872) at 405/2809 needs about 33283841 "
+     "bits, over the work cap 2000000"),
+    (["-11", "20/17", "13/9"], None,
+     "exact evaluation of stage (22801, 65408) at 53129/314721 needs about 4586868 "
+     "bits, over the work cap 2000000"),
+    (["-17/12", "-16/13", "-3/10"], None,
+     "next stage ratio 3250809/4380649 needs m+n = 4380649, over the cap 1000000"),
+    (["2/19", "1", "5/3"], None,
+     "next stage ratio 719548862611668387253598520887693421952201640625/"
+     "357334617794433607688082344039363064508867208544256 needs m+n = "
+     "357334617794433607688082344039363064508867208544256, over the cap 1000000"),
+    (["-5/9", "-3/10", "-1/10"], None,
+     "next stage ratio <rational with 354584-bit numerator and 380061-bit "
+     "denominator> needs m+n = <380061-bit integer>, over the cap 1000000"),
+    (["-20/13", "13/8"], None,
+     "next stage ratio <rational with 476249-bit numerator and 480109-bit "
+     "denominator> needs m+n = <480109-bit integer>, over the cap 1000000"),
+]
+
+
+@pytest.mark.parametrize("points, chain_text, outcome", PINNED_REDUCTIONS)
+def test_pinned_reduction_outcomes(points, chain_text, outcome):
+    points = [F(p) for p in points]
+    if chain_text is None:
+        with pytest.raises(SizeGuard) as exc:
+            belyi_reduce(points)
+        assert str(exc.value) == outcome
+        return
+    chain = belyi_reduce(points)
+    assert str(chain) == chain_text
+    report = verify_reduction(chain, points)
+    assert report.ok
+    value = report.value_at_zero
+    if isinstance(outcome, tuple):
+        digest = hashlib.sha256(f"{value.numerator:x}/{value.denominator:x}".encode())
+        assert (value.numerator.bit_length(), value.denominator.bit_length(),
+                digest.hexdigest()) == outcome
+    else:
+        assert value == (None if outcome is None else F(outcome))

@@ -84,6 +84,11 @@ class TestIntegerToolkit:
         assert brief(F(3, 4), 256) == F(3, 4)
         assert brief(None, 12) is None and brief(True, 12) is True
 
+    def test_brief_reads_a_pair_as_its_fraction(self):
+        for num, den in ((3, 4), (-5, 1), (0, 1), (1, 2**300), (-(3**200), 7)):
+            assert brief((num, den), 256) == brief(F(num, den), 256)
+        assert str(brief((-5, 1), 256)) == "-5"
+
 
 def _repeated(base, exponent, one):
     return functools.reduce(operator.mul, [base] * exponent, one)
