@@ -1,7 +1,7 @@
 """Exact rational polynomial and rational-map calculus for Belyi chains.
 
-Everything is a `fractions.Fraction`; there is no floating point anywhere.
-The module provides:
+Values are `fractions.Fraction`s, and the root layer works on integer
+polynomials; there is no floating point anywhere.  The module provides:
 
 * :class:`RatPoly` / :class:`RatMap` arithmetic with gcd-reduced maps,
 * extended evaluation on the projective line (:data:`INFINITY` as the pole
@@ -13,7 +13,9 @@ The module provides:
   symbolic chain stage (:class:`BmnStage`) that is never expanded — its
   coefficients explode like (m+n)^(m+n) while evaluation at the special
   points 0, 1, m/(m+n) is free,
-* Sturm-sequence root counting and strict-monotonicity certificates,
+* rational roots by p-adic lifting, and Sturm-sequence root counting and
+  strict-monotonicity certificates, from one primitive remainder sequence
+  over the integers,
 * :func:`belyi_reduce`, which sends a finite set of nonzero rationals to 0 by
   a composition chain whose finite critical values stay inside {0, 1}, with
   an independent postcondition verifier (:func:`verify_reduction`).
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from ._exact import Scanner, brief, power
+from ._exact import PRINT_BITS, Scanner, brief, is_prime, power
 from .errors import (
     IrrationalCriticalPoints,
     NotCoprime,
@@ -209,25 +211,26 @@ class RatPoly:
         return RatPoly(tuple(c / lead for c in self._coeffs))
 
     def gcd(self, other: "RatPoly") -> "RatPoly":
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.divmod(b)[1]
-        return a.monic() if not a.is_zero else a
+        """Monic greatest common divisor: the last term of the integer
+        remainder sequence."""
+        a, b = (self, other) if self.degree >= other.degree else (other, self)
+        if b.is_zero:
+            return a.monic()
+        return _monic(_prs(a.primitive_integer_coeffs(),
+                           b.primitive_integer_coeffs())[-1])
 
     def squarefree_part(self) -> "RatPoly":
         if self.degree < 1:
             return self.monic()
-        return self.divmod(self.gcd(self.derivative()))[0].monic()
+        return _monic(_squarefree_chain(self.primitive_integer_coeffs())[0])
 
     def primitive_integer_coeffs(self) -> tuple:
         """Integer coefficients after clearing denominators and content."""
         if self.is_zero:
             return ()
         denom_lcm = math.lcm(*(c.denominator for c in self._coeffs))
-        ints = [int(c * denom_lcm) for c in self._coeffs]
-        content = math.gcd(*(abs(v) for v in ints))
-        return tuple(v // content for v in ints)
+        return tuple(_primitive([c.numerator * (denom_lcm // c.denominator)
+                                 for c in self._coeffs]))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -418,7 +421,7 @@ class CritProfile:
         return sorted(self.finite_values)
 
     def __str__(self) -> str:
-        items = [str(v) for v in self.sorted_finite()]
+        items = [str(brief(v, PRINT_BITS)) for v in self.sorted_finite()]
         if self.includes_infinity:
             items.append("inf")
         return "{" + ", ".join(items) + "}"
@@ -491,27 +494,107 @@ def propagate_crit(profile: CritProfile, f) -> CritProfile:
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences
+# integer polynomials: one remainder sequence for gcds, squarefree parts and
+# Sturm chains (coefficient lists, low degree first)
 # ---------------------------------------------------------------------------
 
 
-def _sturm_chain(p: RatPoly) -> list:
-    chain = [p, p.derivative()]
-    while chain[-1].degree > 0:
-        rem = chain[-2].divmod(chain[-1])[1]
-        if rem.is_zero:
-            chain.pop()  # should not happen for a squarefree start
+def _primitive(c: list) -> list:
+    """A nonzero integer polynomial over its content, signs kept."""
+    g = math.gcd(*c)
+    return c if g == 1 else [v // g for v in c]
+
+
+def _monic(c: Sequence[int]) -> RatPoly:
+    lead = c[-1]
+    return RatPoly(Fraction(v, lead) for v in c)
+
+
+def _derivative(c: Sequence[int]) -> list:
+    return [i * v for i, v in enumerate(c)][1:]
+
+
+def _prem(a: Sequence[int], b: Sequence[int]) -> list:
+    """A positive multiple of the remainder of a by b (deg a >= deg b).
+
+    Each step scales by |lc(b)| over its gcd with the top coefficient, as
+    the pseudo-remainder scales by |lc(b)|^(deg a - deg b + 1), so the sign
+    of the remainder over Q is kept.
+    """
+    r = list(a)
+    n, lead = len(b) - 1, b[-1]
+    while len(r) > n:
+        top = r.pop()
+        g = math.gcd(top, lead)
+        scale, t = abs(lead) // g, (top if lead > 0 else -top) // g
+        shift = len(r) - n
+        if scale != 1:
+            r = [scale * v for v in r]
+        for i in range(n):
+            r[shift + i] -= t * b[i]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _prs(a: Sequence[int], b: Sequence[int]) -> list:
+    """Primitive remainder sequence a, b, -rem, ... (deg a >= deg b, b
+    nonzero) down to a constant or to the last nonzero term.
+
+    Every term is a positive multiple of the matching term of the Euclidean
+    sequence over Q, so the last term is gcd(a, b), and for b = a' the
+    sequence is the Sturm chain of a.
+    """
+    seq = [a, b]
+    while len(seq[-1]) > 1:
+        r = _prem(seq[-2], seq[-1])
+        if not r:
             break
-        chain.append(-rem)
+        seq.append(_primitive([-v for v in r]))
+    return seq
+
+
+def _quotient(a: Sequence[int], b: Sequence[int]) -> Optional[list]:
+    """a / b over Z, or None when b does not divide a there."""
+    a = list(a)
+    n, lead = len(b) - 1, b[-1]
+    q = [0] * (len(a) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c, r = divmod(a[k + n], lead)
+        if r:
+            return None
+        q[k] = c
+        for i in range(n):
+            a[k + i] -= c * b[i]
+    return None if any(a[:n]) else q
+
+
+def _squarefree_chain(f: Sequence[int]) -> list:
+    """Sturm chain of the squarefree part of a primitive integer polynomial
+    of degree >= 1: the remainder sequence of f and f', every term divided
+    exactly by the last one, g = gcd(f, f').  The first term is f / g.
+
+    Dividing by g(t) changes no sign variation where g(t) != 0, and at a
+    root of f the quotients still vary like a Sturm chain of f / g.
+    """
+    chain = _prs(f, _primitive(_derivative(f)))
+    g = chain[-1]
+    if len(g) > 1:
+        chain = [_quotient(q, g) for q in chain]
     return chain
 
 
-def _sign_variations(chain: Sequence[RatPoly], t: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q(t)
-        if v:
-            signs.append(v > 0)
+def _sign_at(q: Sequence[int], u: int, v: int) -> int:
+    """Sign of q(u/v) for v > 0, read from the integer v^deg q(u/v)."""
+    acc, vp = q[-1], 1
+    for c in reversed(q[:-1]):
+        vp *= v
+        acc = acc * u + c * vp
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain: Sequence[Sequence[int]], t: Fraction) -> int:
+    signs = [s for s in (_sign_at(q, t.numerator, t.denominator) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -527,11 +610,10 @@ def sturm_count(p: RatPoly, lo: Fraction, hi: Fraction) -> int:
         raise OutOfRange(f"empty interval ({lo}, {hi}]")
     if p.is_zero:
         raise ValueError("sturm_count of the zero polynomial")
-    ps = p.squarefree_part()
-    if ps.degree < 1:
+    if p.degree < 1:
         return 0
-    chain = _sturm_chain(ps)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    chain = _squarefree_chain(p.primitive_integer_coeffs())
+    return _variations(chain, lo) - _variations(chain, hi)
 
 
 def certify_increasing(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
@@ -549,66 +631,96 @@ def certify_increasing(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# rational root extraction (Sturm isolation on the lattice of candidates)
+# rational root extraction (p-adic lifting)
 # ---------------------------------------------------------------------------
+
+
+def _eval_mod(f: Sequence[int], r: int, m: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * r + c) % m
+    return acc
+
+
+def _squarefree_mod(f: Sequence[int], p: int) -> bool:
+    """Whether f mod p is squarefree, for a prime p > deg f not dividing
+    lc(f): Euclid's gcd of f and f' over GF(p) is a constant."""
+    a = [c % p for c in f]
+    b = [c % p for c in _derivative(f)]
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            t, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - t * c) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _squarefree_roots(f: Sequence[int]) -> list:
+    """Rational roots, ascending, of a squarefree primitive integer
+    polynomial f of degree d >= 1 (Loos 1983).
+
+    Every rational root is k/a, a = lc(f), with |k| < B = |a| + max|f_i|
+    (Cauchy).  Modulo the least prime p > d that does not divide a and
+    leaves f mod p squarefree, every root is simple, so Newton lifts it to a
+    unique root r mod p^e, p^e > 2B; the symmetric residue of a*r is then
+    the only candidate k, tested by exact integer evaluation.
+    """
+    a = f[-1]
+    bound = abs(a) + max(abs(c) for c in f[:-1])
+    p = len(f)
+    while not (is_prime(p) and a % p and _squarefree_mod(f, p)):
+        p += 1
+    lifted = [r for r in range(p) if not _eval_mod(f, r, p)]
+    deriv = _derivative(f)
+    modulus, e = p, 1
+    while modulus <= 2 * bound and lifted:
+        modulus, e = modulus * modulus, 2 * e
+        lifted = [(r - _eval_mod(f, r, modulus)
+                   * pow(_eval_mod(deriv, r, modulus), -1, modulus)) % modulus
+                  for r in lifted]
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("rational_roots: degree %d, prime %d, lifted to p^%d",
+                     len(f) - 1, p, e)
+    roots = []
+    for r in lifted:
+        k = a * r % modulus
+        if 2 * k > modulus:
+            k -= modulus
+        if abs(k) < bound:
+            root = Fraction(k, a)
+            if not _sign_at(f, root.numerator, root.denominator):
+                roots.append(root)
+    return sorted(roots)
 
 
 def rational_roots(p: RatPoly) -> Tuple[dict, RatPoly]:
     """All rational roots with multiplicities, plus the rootless cofactor.
 
-    Every rational root of the squarefree part is k/a for an integer k, where
-    a is the leading coefficient of its primitive integer form, and lies
-    strictly inside the Cauchy bound.  Bisecting that range of k with the
-    Sturm chain until each interval holding a root holds a single candidate
-    k/a leaves one exact test per real root; each root found is stripped to
-    full multiplicity.  The cost is polynomial in the degree and in the
-    coefficient bits: nothing is factored.
+    The roots of the squarefree part come from p-adic lifting
+    (:func:`_squarefree_roots`); each one, ascending after 0, is stripped to
+    full multiplicity by exact integer division.  The cost is polynomial in
+    the degree and in the coefficient bits: nothing is factored.
     """
     if p.is_zero:
         raise ValueError("rational_roots of the zero polynomial")
     roots: dict = {}
-    work = p
+    work = p.primitive_integer_coeffs()
     # strip the root at 0 first so the trailing coefficient is nonzero
-    k = 0
-    while work.degree >= 1 and work.coefficients[0] == 0:
-        work = work.divmod(X)[0]
-        k += 1
+    k = next(i for i, c in enumerate(work) if c)
     if k:
         roots[Fraction(0)] = k
-    if work.degree < 1:
-        return roots, work.monic()
-    squarefree = work.squarefree_part()
-    ints = squarefree.primitive_integer_coeffs()
-    lead = abs(ints[-1])
-    chain = _sturm_chain(squarefree)
-
-    def variations(num: int) -> int:
-        return _sign_variations(chain, Fraction(num, lead))
-
-    # every root lies in (-bound/lead, bound/lead) (Cauchy); only intervals
-    # (lo/lead, hi/lead] whose Sturm count is positive are kept, so the stack
-    # never holds more intervals than there are real roots
-    bound = lead + max(abs(c) for c in ints[:-1])
-    stack = [(-bound, variations(-bound), bound, variations(bound))]
-    while stack:
-        lo, v_lo, hi, v_hi = stack.pop()
-        if v_lo == v_hi:
-            continue
-        if hi - lo > 1:
-            mid = (lo + hi) // 2
-            v_mid = variations(mid)
-            # the lower half is popped first, so roots come out ascending
-            stack += [half for half in ((mid, v_mid, hi, v_hi), (lo, v_lo, mid, v_mid))
-                      if half[1] != half[3]]
-            continue
-        cand = Fraction(hi, lead)
-        mult = 0
-        while work.degree >= 1 and work(cand) == 0:
-            work = work.divmod(RatPoly((-cand, 1)))[0]
-            mult += 1
-        if mult:
-            roots[cand] = mult
-    return roots, work.monic()
+        work = work[k:]
+    if len(work) > 1:
+        for root in _squarefree_roots(_squarefree_chain(work)[0]):
+            linear, mult = (-root.numerator, root.denominator), 0
+            while (quotient := _quotient(work, linear)) is not None:
+                work, mult = quotient, mult + 1
+            roots[root] = mult
+    return roots, _monic(work)
 
 
 # ---------------------------------------------------------------------------

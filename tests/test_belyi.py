@@ -3,6 +3,7 @@ Sturm counting against a Descartes-bisection oracle, and the reduction chain."""
 
 import hashlib
 import itertools
+import logging
 import math
 import random
 import time
@@ -89,9 +90,23 @@ def _roots_in_01_open(p: RatPoly) -> int:
     return count
 
 
+def _euclid_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
+    """Monic gcd by Euclid's algorithm over the rationals, so the oracles do
+    not share the library's integer remainder sequence."""
+    while not b.is_zero:
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+def _euclid_squarefree(p: RatPoly) -> RatPoly:
+    if p.degree < 1:
+        return p.monic()
+    return p.divmod(_euclid_gcd(p, p.derivative()))[0].monic()
+
+
 def oracle_count(p: RatPoly, lo: F, hi: F) -> int:
     """Distinct real roots of p in (lo, hi], by VCA on the squarefree part."""
-    ps = p.squarefree_part()
+    ps = _euclid_squarefree(p)
     if ps.degree < 1:
         return 0
     # affine change mapping (0,1) onto (lo, hi)
@@ -341,6 +356,37 @@ class TestSturm:
             )
             checked += 1
 
+    def test_repeated_roots_with_endpoints_on_roots(self):
+        rng = random.Random(1971)
+        checked = 0
+        while checked < 60:
+            roots = [F(rng.randint(-12, 12), rng.randint(1, 4))
+                     for _ in range(rng.randint(1, 4))]
+            p = RatPoly((rng.randint(1, 5), rng.randint(-3, 3), 1))
+            for r in roots:
+                p = p * RatPoly((-r, 1)) ** rng.randint(1, 3)
+            lo, hi = sorted(rng.sample(roots + [F(-13), F(13)], 2))
+            if lo == hi:
+                continue
+            assert sturm_count(p, lo, hi) == oracle_count(p, lo, hi), (p, lo, hi)
+            checked += 1
+
+
+class TestIntegerRemainderSequence:
+    def test_gcd_and_squarefree_part_match_euclid(self):
+        rng = random.Random(1967)
+
+        def poly(terms, den):
+            return RatPoly([F(rng.randint(-6, 6), rng.randint(1, den)) for _ in range(terms)])
+
+        for _ in range(200):
+            common = poly(rng.randint(1, 3), 3)
+            a = common * poly(rng.randint(1, 4), 1)
+            b = common * poly(rng.randint(1, 4), 2)
+            assert a.gcd(b) == _euclid_gcd(a, b) == b.gcd(a), (a, b)
+            for p in (a, a * a * b):
+                assert p.squarefree_part() == _euclid_squarefree(p), p
+
 
 def _divisor_roots(p: RatPoly):
     """Rational-root theorem oracle: every +-u/v with u dividing the trailing
@@ -418,6 +464,62 @@ class TestRationalRoots:
                 tracemalloc.stop()
             assert roots == {F(-(2 ** (bits - 1))): 1} and cofactor == RatPoly((1,))
             assert peak < 64 * 1024, (bits, peak)
+
+
+    def test_numerator_next_to_the_cauchy_bound(self):
+        # (X - k)(X^2 + 1) has leading coefficient 1 and Cauchy bound
+        # B = 1 + |k|, so the root's numerator is -(B - 1) or B - 1
+        for k in (2, -2, 10**30 + 7, -(10**30 + 7), 2**521 - 1):
+            roots, cofactor = rational_roots(RatPoly((-k, 1)) * RatPoly((1, 0, 1)))
+            assert roots == {F(k): 1} and cofactor == RatPoly((1, 0, 1)), k
+            # (3X - k)(X^2 + 1): a = 3, B = 3 + |k|
+            roots, cofactor = rational_roots(RatPoly((-k, 3)) * RatPoly((1, 0, 1)))
+            assert roots == {F(k, 3): 1} and cofactor == RatPoly((1, 0, 1)), k
+
+    def test_bad_primes_above_the_degree_are_skipped(self, caplog):
+        # the squarefree part (3X - 1)(5X - 53)(X^2 + 2) has degree 4 and
+        # leading coefficient 15: 5 divides 15, and modulo 7 and 11 the roots
+        # 1/3 and 53/5 meet (53 = 4 mod 7 = 9 mod 11), so the prime is 13
+        p = RatPoly((-1, 3)) ** 2 * RatPoly((-53, 5)) * RatPoly((2, 0, 1))
+        with caplog.at_level(logging.DEBUG, logger="dessinkit.belyi"):
+            roots, cofactor = rational_roots(p)
+        assert "degree 4, prime 13, lifted to p^" in caplog.text
+        assert roots == {F(1, 3): 2, F(53, 5): 1} and cofactor == RatPoly((2, 0, 1))
+        oracle_roots, oracle_work = _divisor_roots(p)
+        assert roots == oracle_roots and cofactor == oracle_work.monic()
+
+    def test_zero_first_then_ascending(self):
+        p = X**2 * RatPoly((-3, 1)) * RatPoly((5, 1)) ** 2 * RatPoly((-1, 2)) * 7
+        roots, cofactor = rational_roots(p)
+        assert list(roots.items()) == [(F(0), 2), (F(-5), 2), (F(1, 2), 1), (F(3), 1)]
+        assert cofactor == RatPoly((1,))
+
+    def test_split_polynomials_have_cofactor_one(self):
+        for p in (X**3, RatPoly((6, -5, 1)) * F(-2, 3), RatPoly((-1, 1)) ** 4 * X):
+            roots, cofactor = rational_roots(p)
+            assert cofactor == RatPoly((1,)) and sum(roots.values()) == p.degree, p
+
+    def test_degree_42_finishes_in_bounded_time(self):
+        # 40 linear factors over 38 distinct roots, times X^2 + 2
+        rng = random.Random(42)
+        distinct = set()
+        while len(distinct) < 38:
+            distinct.add(F(rng.randint(-60, 60), rng.randint(1, 12)))
+        distinct = sorted(distinct)
+        quadratic = RatPoly((2, 0, 1))
+        p = quadratic
+        for r in distinct + distinct[:2]:
+            p = p * RatPoly((-r, 1))
+        assert p.degree == 42
+        start = time.perf_counter()
+        roots, cofactor = rational_roots(p)
+        middle = time.perf_counter()
+        count = sturm_count(p, F(-3), F(5, 2))
+        end = time.perf_counter()
+        assert roots == {r: 2 if r in distinct[:2] else 1 for r in distinct}
+        assert cofactor == quadratic
+        assert count == sum(1 for r in distinct if F(-3) < r <= F(5, 2))
+        assert middle - start < 2 and end - middle < 2, (middle - start, end - middle)
 
 
 class TestCertifyIncreasing:

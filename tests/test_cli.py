@@ -187,6 +187,19 @@ class TestBelyiCommands:
         )
         assert code == 0 and "{0, 1, inf}" in out
 
+    @pytest.mark.parametrize("bits", [8000, 1000000])
+    def test_crit_prints_big_values_briefly(self, capsys, bits):
+        # the one finite critical value is -2^(2 bits - 2)
+        placeholder = f"<rational with {2 * bits - 1}-bit numerator and 1-bit denominator>"
+        expr = f"2^{bits}*X+X^2"
+        code, out, err = invoke(capsys, "belyi", "crit", "--map", expr)
+        assert (code, err) == (0, "")
+        assert out == f"finite critical values: {{{placeholder}, inf}}\n"
+        code, out, err = invoke(capsys, "belyi", "crit", "--map", expr, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"finite_critical_values": [placeholder],
+                                   "includes_infinity": True}
+
     def test_reduce(self, capsys):
         code, out, _ = invoke(capsys, "belyi", "reduce", "--points", "1")
         assert code == 0
