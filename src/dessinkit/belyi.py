@@ -659,6 +659,20 @@ def _squarefree_mod(f: Sequence[int], p: int) -> bool:
     return len(a) == 1
 
 
+def _least_exponent_above(p: int, bound: int) -> int:
+    """The least E with p^E > bound, for p > 1: the greatest j with
+    p^j <= bound is read off in binary from p, p^2, p^4, ..."""
+    squares = [p]
+    while squares[-1] <= bound:
+        squares.append(squares[-1] * squares[-1])
+    j, acc = 0, 1
+    for i in reversed(range(len(squares) - 1)):
+        if acc * squares[i] <= bound:
+            acc *= squares[i]
+            j += 1 << i
+    return j + 1
+
+
 def _squarefree_roots(f: Sequence[int]) -> list:
     """Rational roots, ascending, of a squarefree primitive integer
     polynomial f of degree d >= 1 (Loos 1983).
@@ -666,8 +680,9 @@ def _squarefree_roots(f: Sequence[int]) -> list:
     Every rational root is k/a, a = lc(f), with |k| < B = |a| + max|f_i|
     (Cauchy).  Modulo the least prime p > d that does not divide a and
     leaves f mod p squarefree, every root is simple, so Newton lifts it to a
-    unique root r mod p^e, p^e > 2B; the symmetric residue of a*r is then
-    the only candidate k, tested by exact integer evaluation.
+    unique root r mod p^E, E the least exponent with p^E > 2B; the symmetric
+    residue of a*r is then the only candidate k, tested by exact integer
+    evaluation.
     """
     a = f[-1]
     bound = abs(a) + max(abs(c) for c in f[:-1])
@@ -676,9 +691,16 @@ def _squarefree_roots(f: Sequence[int]) -> list:
         p += 1
     lifted = [r for r in range(p) if not _eval_mod(f, r, p)]
     deriv = _derivative(f)
+    # a Newton step from p^e reaches p^(2e), so the precisions halve (upward)
+    # from the least E with p^E > 2B down to 1, and the last step stops at E
+    precisions = [_least_exponent_above(p, 2 * bound)]
+    while precisions[-1] > 1:
+        precisions.append((precisions[-1] + 1) // 2)
+    precisions.pop()  # the roots mod p are known
     modulus, e = p, 1
-    while modulus <= 2 * bound and lifted:
-        modulus, e = modulus * modulus, 2 * e
+    while precisions and lifted:
+        e = precisions.pop()
+        modulus = p**e
         lifted = [(r - _eval_mod(f, r, modulus)
                    * pow(_eval_mod(deriv, r, modulus), -1, modulus)) % modulus
                   for r in lifted]

@@ -158,17 +158,19 @@ def _cmd_dessin_info(args):
     genus = genus_of(d)
     reg = regular_descriptor(d)
     orders = (reg.ord_x, reg.ord_y, reg.ord_xy)
-    chi = reg.euler_characteristic
+    # a giant's order n!/2 or n! passes PRINT_BITS from degree about 1350
+    order, chi, reg_genus = (brief(v, PRINT_BITS) for v in (
+        reg.group_order, reg.euler_characteristic, reg.genus))
     return EXIT_OK, [
         ("degree", d.degree),
         ("passport", passport,
          f"passport: [{' | '.join(map(_fmt_cycle_type, passport.values()))}]"),
         ("genus", genus),
-        ("group_order", reg.group_order),
+        ("group_order", order),
         ("regular",
-         {"orders": list(orders), "euler_characteristic": chi, "genus": reg.genus},
+         {"orders": list(orders), "euler_characteristic": chi, "genus": reg_genus},
          f"regular closure: orders {orders}, "
-         f"euler characteristic {chi}, genus {reg.genus}"),
+         f"euler characteristic {chi}, genus {reg_genus}"),
     ]
 
 

@@ -36,7 +36,7 @@ from dessinkit.belyi import (
     sturm_count,
     verify_reduction,
 )
-from dessinkit.belyi import X, _coprime_base, _stage_pair
+from dessinkit.belyi import X, _coprime_base, _least_exponent_above, _stage_pair
 from dessinkit.errors import (
     IrrationalCriticalPoints,
     NotCoprime,
@@ -487,6 +487,20 @@ class TestRationalRoots:
         assert roots == {F(1, 3): 2, F(53, 5): 1} and cofactor == RatPoly((2, 0, 1))
         oracle_roots, oracle_work = _divisor_roots(p)
         assert roots == oracle_roots and cofactor == oracle_work.monic()
+
+    def test_lift_stops_at_the_least_sufficient_precision(self, caplog):
+        # X + 2^64 has B = 1 + 2^64 and is lifted modulo p = 2: the least E
+        # with 2^E > 2B is 66, where doubling the precision would reach 128
+        with caplog.at_level(logging.DEBUG, logger="dessinkit.belyi"):
+            roots, cofactor = rational_roots(RatPoly((2**64, 1)))
+        assert roots == {F(-(2**64)): 1} and cofactor == RatPoly((1,))
+        assert "degree 1, prime 2, lifted to p^66" in caplog.text
+
+    def test_least_exponent_above(self):
+        for p in (2, 3, 5, 13, 97):
+            for bound in list(range(1, 200)) + [p**k + d for k in range(1, 40) for d in (-1, 0, 1)]:
+                e = _least_exponent_above(p, bound)
+                assert p**e > bound >= p ** (e - 1), (p, bound)
 
     def test_zero_first_then_ascending(self):
         p = X**2 * RatPoly((-3, 1)) * RatPoly((5, 1)) ** 2 * RatPoly((-1, 2)) * 7

@@ -1,13 +1,17 @@
 """CLI behavior: exit codes, deterministic output, structured mode."""
 
 import json
+import math
 import os
+import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from dessinkit import dessins, load_dessin, parse_cycles
+from dessinkit import PermGroup, Permutation, dessins, load_dessin, parse_cycles
+from dessinkit._exact import PRINT_BITS
 from dessinkit.cli import run_cli
 from dessinkit.errors import ParseError
 from dessinkit.models import gallery_text, local_model_24
@@ -88,6 +92,35 @@ class TestDessinCommands:
             capsys, "dessin", "info", "gallery:1", "--cap-group-order", "1000"
         )
         assert code == 3 and "error:" in err
+
+    @pytest.mark.parametrize("n", [1000, 1500])
+    def test_info_on_a_large_giant(self, capsys, tmp_path, n):
+        # a random transitive pair generates A_n or S_n; its chain would pass
+        # the transversal cap, the Jordan certificate takes milliseconds
+        rng = random.Random(n)
+        while True:
+            pair = []
+            for _ in range(2):
+                images = list(range(1, n + 1))
+                rng.shuffle(images)
+                pair.append(Permutation(images))
+            if PermGroup(pair).is_transitive():
+                break
+        path = tmp_path / "giant.dessin"
+        path.write_text(f"degree {n}\nsigma0 = {pair[0]}\nsigma1 = {pair[1]}\n")
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "dessin", "info", str(path), "--json")
+        assert time.perf_counter() - start < 10
+        assert (code, err) == (0, "")
+        odd = any(sum(len(c) - 1 for c in p.cycles()) % 2 for p in pair)
+        order = math.factorial(n) // (1 if odd else 2)
+        printed = json.loads(out)["group_order"]
+        if order.bit_length() <= PRINT_BITS:
+            assert printed == order
+        else:  # past the interpreter's int-to-decimal limit
+            assert printed == f"<{order.bit_length()}-bit integer>"
+            code, out, err = invoke(capsys, "dessin", "info", str(path))
+            assert (code, err) == (0, "") and f"group order: {printed}\n" in out
 
 
 class TestWordCommands:

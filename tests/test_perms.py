@@ -1,7 +1,9 @@
 """Permutation and group-order tests, with a brute-force closure oracle."""
 
+import math
 import random
 import sys
+import time
 from itertools import product
 
 import pytest
@@ -16,6 +18,7 @@ from dessinkit.errors import (
     RepeatedPoint,
     ResourceLimit,
 )
+from dessinkit import perms
 from dessinkit.perms import (
     CancelToken,
     GroupCaps,
@@ -42,8 +45,8 @@ def random_perm(rng, n):
     return Permutation(images)
 
 
-def brute_force_order(gens):
-    """Exhaustive closure; usable up to a few thousand elements."""
+def brute_force_closure(gens):
+    """Every element of the generated group; usable up to S_8."""
     ident = Permutation.identity(gens[0].degree)
     elements = {ident}
     frontier = [ident]
@@ -56,7 +59,22 @@ def brute_force_order(gens):
                     elements.add(b)
                     nxt.append(b)
         frontier = nxt
-    return len(elements)
+    return elements
+
+
+def brute_force_order(gens):
+    return len(brute_force_closure(gens))
+
+
+def transitive_pair(rng, n):
+    while True:
+        pair = [random_perm(rng, n) for _ in range(2)]
+        if PermGroup(pair).is_transitive():
+            return pair
+
+
+def is_odd(p):
+    return sum(len(c) - 1 for c in p.cycles()) % 2 == 1
 
 
 class TestParsing:
@@ -137,6 +155,19 @@ class TestComposition:
         assert (a * b) * c == a * (b * c)
         assert a * a.inverse() == Permutation.identity(n)
         assert (a * b).inverse() == b.inverse() * a.inverse()
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_degrees_zero_and_one(self, degree):
+        # itemgetter gives a bare item for one index and refuses none, so the
+        # compose kernel must still return tuples at these degrees
+        e = parse_cycles("", degree)
+        assert e.images == tuple(range(1, degree + 1))
+        for p in (compose_right(e, e), e * e, e.inverse(), e**0, e**7, e**-3):
+            assert p == e and type(p.images) is tuple and p.is_identity
+        group = PermGroup([e])
+        assert group.order() == 1 and group.is_member(e)
+        assert group.base() == [] and group.strong_generators() == []
+        assert group.order_exceeds(0) and not group.order_exceeds(1)
 
     def test_pow_matches_iteration(self):
         rng = random.Random(3)
@@ -296,3 +327,155 @@ class TestPermGroup:
         reference = PermGroup(gens)  # fresh chain, same group
         for s in g.strong_generators():
             assert reference.is_member(s)
+
+
+def projective_line(q, fn):
+    """The permutation x -> fn(x) of the projective line over a field with
+    q elements 0..q-1; point k+1 is k and point q+1 is infinity (None)."""
+    images = []
+    for x in list(range(q)) + [None]:
+        y = fn(x)
+        images.append(q + 1 if y is None else y + 1)
+    return Permutation(images)
+
+
+def psl_or_pgl(q, scalar):
+    """x -> x+1, x -> scalar*x and x -> -1/x over GF(q), q prime: PSL(2, q)
+    for a square scalar, PGL(2, q) otherwise."""
+    return [
+        projective_line(q, lambda x: None if x is None else (x + 1) % q),
+        projective_line(q, lambda x: None if x is None else scalar * x % q),
+        projective_line(
+            q, lambda x: 0 if x is None else None if x == 0 else -pow(x, -1, q) % q
+        ),
+    ]
+
+
+def gf8_mul(a, b):
+    # GF(8) = GF(2)[w]/(w^3 + w + 1), elements as 3-bit integers
+    r = 0
+    for i in range(3):
+        if b >> i & 1:
+            r ^= a << i
+    for i in (4, 3):
+        if r >> i & 1:
+            r ^= 0b1011 << (i - 3)
+    return r
+
+
+def psl_2_8():
+    """PSL(2, 8) on the 9 points of its projective line: x -> x+1, x -> w*x
+    and x -> 1/x."""
+    def inverse(x):
+        if x is None:
+            return 0
+        if x == 0:
+            return None
+        return next(y for y in range(1, 8) if gf8_mul(x, y) == 1)
+
+    return [
+        projective_line(8, lambda x: None if x is None else x ^ 1),
+        projective_line(8, lambda x: None if x is None else gf8_mul(2, x)),
+        projective_line(8, inverse),
+    ]
+
+
+M11 = ["(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)"]
+M12 = M11 + ["(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)"]
+
+
+class TestJordanCertificate:
+    """The certified path (order n!/2 or n!, parity membership) against
+    independent oracles: exhaustive closure, a forced stabilizer chain and
+    known orders of primitive groups that are not giants."""
+
+    def test_exhaustive_closure_at_degree_8(self):
+        rng = random.Random(8)
+        outcomes = []
+        for _ in range(10):
+            gens = [random_perm(rng, 8) for _ in range(2)]
+            group = PermGroup(gens)
+            elements = brute_force_closure(gens)
+            assert group.order() == len(elements)
+            for _ in range(30):
+                p = random_perm(rng, 8)
+                assert group.is_member(p) == (p in elements)
+            outcomes.append(group._giant)
+        # both giants and the chain fallback were exercised
+        assert {True, False, None} <= set(outcomes)
+
+    def test_certified_orders_match_a_forced_chain(self, monkeypatch):
+        rng = random.Random(40)
+        cases = []
+        for n in range(8, 41, 2):
+            gens = transitive_pair(rng, n)
+            group = PermGroup(gens)
+            probes = [random_perm(rng, n) for _ in range(10)]
+            cases.append((gens, group.order(), [group.is_member(p) for p in probes],
+                          probes, group._giant))
+        assert sum(case[-1] is not None for case in cases) >= 15
+        monkeypatch.setattr(perms, "_JORDAN_TRIES", 0)
+        for gens, order, member, probes, _ in cases:
+            chain = PermGroup(gens)
+            assert chain.order() == order and chain._giant is None
+            assert [chain.is_member(p) for p in probes] == member
+
+    @pytest.mark.parametrize("name, gens, order", [
+        ("PGL(2,7)", psl_or_pgl(7, 3), 336),
+        ("PSL(2,8)", psl_2_8(), 504),
+        ("PSL(2,11)", psl_or_pgl(11, 4), 660),
+        ("M11", [parse_cycles(c, 11) for c in M11], 7920),
+        ("M12", [parse_cycles(c, 12) for c in M12], 95040),
+    ])
+    def test_primitive_groups_that_are_not_giants(self, name, gens, order):
+        # PSL(2,8) holds 7-cycles on 9 points: a prime cycle of length n - 2
+        # must not certify a giant
+        group = PermGroup(gens)
+        assert group.is_transitive()
+        assert group._giant is None
+        assert group.order() == order, name
+        if order < 10_000:
+            assert brute_force_order(gens) == order, name
+
+    def test_intransitive_group_with_a_long_prime_cycle(self):
+        group = PermGroup([parse_cycles("(1,2,3,4,5)", 8), parse_cycles("(6,7,8)", 8)])
+        assert group._giant is None and group.order() == 15
+
+    def test_gallery_group_is_left_to_the_chain(self):
+        from dessinkit.dessins import genus_of, regular_descriptor
+        from dessinkit.models import gallery_dessin
+
+        d = gallery_dessin(1)
+        reg = regular_descriptor(d)
+        assert d.cartographic_group._giant is None
+        assert reg.group_order == 42467328 and reg.genus == 14155777
+        assert reg.euler_characteristic == -28311552 and genus_of(d) == 1
+
+    def test_chain_of_a_certified_giant(self):
+        rng = random.Random(12)
+        gens = transitive_pair(rng, 12)
+        group = PermGroup(gens)
+        assert group._giant is not None
+        order = group.order()
+        fresh = PermGroup(gens)
+        assert group.base() == fresh.base()
+        assert group.strong_generators() == fresh.strong_generators()
+        assert math.prod(len(level.orbit) for level in group._ensure_bsgs()) == order
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_large_giants_in_milliseconds(self, n):
+        # the chain of a degree-1000 giant would pass the transversal cap
+        rng = random.Random(n)
+        gens = transitive_pair(rng, n)
+        symmetric = any(is_odd(g) for g in gens)
+        token = CancelToken()
+        token.cancel()
+        start = time.perf_counter()
+        group = PermGroup(gens)
+        order = group.order(cancel=token)  # a certified giant polls no token
+        assert group.order_exceeds(order - 1) and not group.order_exceeds(order)
+        probes = [random_perm(rng, n) for _ in range(10)]
+        member = [group.is_member(p) for p in probes]
+        assert time.perf_counter() - start < 2
+        assert order == math.factorial(n) // (1 if symmetric else 2)
+        assert member == [symmetric or not is_odd(p) for p in probes]
