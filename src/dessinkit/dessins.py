@@ -56,13 +56,15 @@ __all__ = [
 
 
 class Dessin:
-    """Degree n plus the two edge rotations; transitivity is enforced."""
+    """Degree n >= 1 plus the two edge rotations; transitivity is enforced."""
 
     __slots__ = ("_sigma0", "_sigma1", "_group")
 
     def __init__(self, sigma0: Permutation, sigma1: Permutation,
                  caps: GroupCaps = DEFAULT_CAPS):
         group = PermGroup([sigma0, sigma1], caps=caps)
+        if group.degree == 0:
+            raise ParseError("a dessin needs at least one edge, got degree 0")
         if not group.is_transitive():
             raise NotTransitive(
                 "the pair does not define a connected dessin "

@@ -8,9 +8,13 @@ Conventions
   ``compose_right(a, b)`` or ``a * b`` (apply ``a`` first).
 * Canonical cycle printing sorts cycles by least element, starts each cycle at
   its least element, omits fixed points, and prints the identity as ``()``.
-* The BSGS is fully deterministic: base points are the smallest moved points,
-  orbits are explored breadth-first in insertion order, so group orders and
-  sift results are bit-reproducible across runs.
+* The BSGS is built by the incremental, deterministic Schreier-Sims
+  algorithm (Seress, *Permutation Group Algorithms*, CUP 2003, sec. 4.2): a
+  new base point is the smallest point its strong generator moves; when a
+  level gains a strong generator its orbit is extended breadth-first, keeping
+  every transversal entry it had, and only the Schreier pairs (orbit point,
+  generator) not sifted before are sifted.  Group orders and sift results are
+  bit-reproducible across runs.
 * A_n and S_n are recognised without a chain, by a Jordan certificate taken
   from a fixed sequence of products of the generators (``PermGroup._giant``).
 """
@@ -19,7 +23,6 @@ from __future__ import annotations
 
 import re
 import threading
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, lcm
@@ -306,13 +309,18 @@ def order_and_cycle_type(a: Permutation):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "orbit")
+    __slots__ = ("point", "gens", "orbit", "closed", "sifted")
 
-    def __init__(self, point: int):
+    def __init__(self, point: int, identity: tuple):
         self.point = point
         self.gens: list = []
-        # orbit maps point -> (u, u_inv) with base^u == point
-        self.orbit: dict = {}
+        # orbit maps point -> (u, u_inv) with base^u == point; an entry, once
+        # made, is never replaced
+        self.orbit: dict = {point: (identity, identity)}
+        # the orbit is closed under gens[:closed]
+        self.closed = 0
+        # sifted[pt] == k: the Schreier pairs (pt, gens[:k]) have been sifted
+        self.sifted: dict = {}
 
 
 class _OrderExceeded(Exception):
@@ -323,7 +331,11 @@ class PermGroup:
     """Group generated by permutations, with exact order and membership.
 
     The stabilizer chain is built once, lazily, under a lock; afterwards all
-    queries are read-only and safe for concurrent use.
+    queries are read-only and safe for concurrent use.  Each level of the
+    chain keeps its orbit with a transversal entry (u, u^-1) per point, the
+    number of generators that orbit is closed under, and for each point the
+    number of its Schreier pairs already sifted, so that a level that gains a
+    strong generator does only the new work.
     """
 
     def __init__(
@@ -406,8 +418,9 @@ class PermGroup:
         return residue == self._identity
 
     def is_transitive(self) -> bool:
-        """True iff the orbit of point 1 is the whole domain."""
-        return len(self.orbit(1)) == self._degree
+        """True iff the orbit of point 1 is the whole domain; a group on the
+        empty domain has no orbit and is not transitive."""
+        return self._degree > 0 and len(self.orbit(1)) == self._degree
 
     def orbit(self, point: int) -> set:
         """Orbit of a 1-based point under the generators."""
@@ -484,6 +497,8 @@ class PermGroup:
             return levels
 
     def _build(self, order_limit=None, cancel=None) -> list:
+        if cancel is not None:
+            cancel.check()  # a small chain may sift fewer pairs than one poll
         gens = []
         seen = set()
         for g in self._gens:
@@ -494,7 +509,7 @@ class PermGroup:
         if not gens:
             return []
         first = min(next(i for i, v in enumerate(g) if v != i) for g in gens)
-        levels = [_Level(first)]
+        levels = [_Level(first, self._identity)]
         levels[0].gens = gens
         state = _BuildState(self, order_limit, cancel)
         # an explicit stack of completions, one per chain level at most, so a
@@ -512,55 +527,67 @@ class PermGroup:
         """Re-establish the BSGS invariant at level i, assuming deeper levels
         are already complete.
 
+        Only the work that is new since level i was last completed is done:
+        the orbit is extended under the generators added since, and only the
+        Schreier pairs (point, generator) not yet sifted are sifted.  An old
+        pair still sifts to the identity, because its transversal entries are
+        kept, and the deeper levels it sifted through only gained orbit
+        points and new levels below, never changed an entry.
+
         A generator: it yields each deeper level whose completion it needs
         before it can go on, deepest first; the caller completes that level
-        and then resumes it.
+        and then resumes it.  Level i's generators and orbit do not change
+        meanwhile, since new strong generators go to deeper levels only.
         """
         level = levels[i]
-        self._rebuild_orbit(level, state, levels)
-        inv_cache = state.inv_cache
-        orbit_pts = list(level.orbit)
-        for pt in orbit_pts:
-            u = level.orbit[pt][0]
-            for g in level.gens:
+        self._extend_orbit(level, state, levels)
+        orbit, gens, sifted = level.orbit, level.gens, level.sifted
+        for pt, (u, _) in list(orbit.items()):
+            for k in range(sifted.get(pt, 0), len(gens)):
+                sifted[pt] = k + 1
                 state.tick()
-                img = g[pt]
+                g = gens[k]
                 ug = _mul(u, g)
-                if ug == levels[i].orbit[img][0]:
+                target = orbit[g[pt]]
+                if ug == target[0]:
                     continue  # tree edge: Schreier generator is trivial
-                sg = _mul(ug, level.orbit[img][1])
-                residue, j = self._strip(levels, sg, i + 1)
+                residue, j = self._strip(levels, _mul(ug, target[1]), i + 1)
                 if residue == self._identity:
                     continue
                 if j == len(levels):
                     new_pt = next(
-                        k for k, v in enumerate(residue) if v != k
+                        p for p, v in enumerate(residue) if v != p
                     )
-                    levels.append(_Level(new_pt))
+                    levels.append(_Level(new_pt, self._identity))
                 for l in range(i + 1, j + 1):
                     levels[l].gens.append(residue)
-                inv_cache[residue] = _inv(residue)
                 yield from range(j, i, -1)
 
-    def _rebuild_orbit(self, level: "_Level", state: "_BuildState", levels: list):
-        ident = self._identity
-        orbit = {level.point: (ident, ident)}
-        queue = deque([level.point])
+    def _extend_orbit(self, level: "_Level", state: "_BuildState", levels: list):
+        """Close the orbit under the generators added since the last call,
+        breadth-first: the old points under the new generators, then each
+        new point under all of them.  Old entries stay as they are."""
+        gens = level.gens
+        old_gens = level.closed
+        if old_gens == len(gens):
+            return
+        orbit = level.orbit
         inv_cache = state.inv_cache
-        while queue:
-            a = queue.popleft()
+        points = list(orbit)
+        n_old = len(points)
+        for idx, a in enumerate(points):  # points grows as the orbit does
             u, u_inv = orbit[a]
-            for g in level.gens:
+            for g in gens[old_gens:] if idx < n_old else gens:
                 b = g[a]
                 if b not in orbit:
                     gi = inv_cache.get(g)
                     if gi is None:
-                        gi = _inv(g)
-                        inv_cache[g] = gi
+                        gi = inv_cache[g] = _inv(g)
                     orbit[b] = (_mul(u, g), _mul(gi, u_inv))
-                    queue.append(b)
-        level.orbit = orbit
-        state.note_orbit_change(levels)
+                    points.append(b)
+        level.closed = len(gens)
+        if len(points) > n_old:
+            state.note_orbit_change(levels)
 
     def _strip(self, levels: list, g: tuple, start: int):
         """Sift g through levels[start:]; return (residue, drop-out level)."""
@@ -602,7 +629,7 @@ class _BuildState:
         if self.order_limit is not None:
             product = 1
             for lvl in levels:
-                product *= max(1, len(lvl.orbit))
+                product *= len(lvl.orbit)
             if product > self.order_limit:
                 raise _OrderExceeded()
 

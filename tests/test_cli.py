@@ -359,6 +359,14 @@ class TestLoadGuards:
             2, "", "error: bad DESSINKIT_CAPS entry 'group-order=\u00b2'\n"
         )
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_degree_zero_is_refused(self, capsys, tmp_path, json_flag):
+        path = tmp_path / "empty.dessin"
+        path.write_text("degree 0\nsigma0 = ()\nsigma1 = ()\n")
+        assert invoke(capsys, "dessin", "info", str(path), *json_flag) == (
+            2, "", "error: a dessin needs at least one edge, got degree 0\n"
+        )
+
 
 class TestCapsEnv:
     def test_env_var_caps(self, capsys, monkeypatch):
