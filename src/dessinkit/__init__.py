@@ -8,7 +8,6 @@ rationals throughout, no floating point.
 
 from .errors import (
     BadShape,
-    Cancelled,
     DegenerateTriple,
     DegreeMismatch,
     DessinkitError,
@@ -27,7 +26,6 @@ from .errors import (
     SizeGuard,
 )
 from .perms import (
-    CancelToken,
     GroupCaps,
     PermGroup,
     Permutation,

@@ -869,8 +869,8 @@ class BmnStage(BmnParams):
 
     ``m`` and ``n`` may be huge integers: the stage is never expanded, and
     evaluation at 0, 1 and the peak m/(m+n) costs nothing.  Generic exact
-    evaluation is allowed only under a work cap; it cancels the value's
-    factors on a coprime base and never takes the gcd of the full products.
+    evaluation is allowed only under a work cap; it divides out the value's
+    common factors on a coprime base and never takes the gcd of the full products.
     """
 
     def finite_critical_values(self) -> CritProfile:

@@ -40,7 +40,6 @@ from .dessins import (
     regular_descriptor,
 )
 from .errors import (
-    Cancelled,
     DessinkitError,
     OutOfRange,
     ParseError,
@@ -60,9 +59,21 @@ def _parse_rational(text: str) -> Fraction:
     if any(ch in cleaned for ch in ".eE"):
         raise ParseError(f"rationals must be exact num/den, got {text!r}")
     try:
-        return Fraction(cleaned)
+        value = Fraction(cleaned)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
+    for part in cleaned.split("/"):  # Fraction also takes 1_0
+        decimal(part, f" in rational {text!r}")
+    return value
+
+
+def _parse_integer(text: str) -> int:
+    """``type`` of the integer flags: a signed run of decimal digits."""
+    return decimal(text.strip(), "")
+
+
+# argparse names the type in its refusal: "invalid int value: 'x'"
+_parse_integer.__name__ = "int"
 
 
 def _fmt_rational(v) -> str:
@@ -452,7 +463,7 @@ _GROUPS = {
 }
 
 _REQUIRED = {"required": True}
-_INT = {"type": int, "required": True}
+_INT = {"type": _parse_integer, "required": True}
 _FLAG = {"action": "store_true"}
 _PAIR = [("first", {}), ("second", {})]
 _INTERVAL = [("--poly", _REQUIRED), ("--lo", _REQUIRED), ("--hi", _REQUIRED)]
@@ -476,7 +487,7 @@ _COMMANDS = [
       ("--with", {"dest": "with_word", "default": "y^2"})]),
     ("gallery", "list", _cmd_gallery_list, None, []),
     ("gallery", "export", _cmd_gallery_export, None,
-     [("--k", {"type": int}), ("--out", {"dest": "out_path"})]),
+     [("--k", {"type": _parse_integer}), ("--out", {"dest": "out_path"})]),
     ("model", "sec31", _cmd_model_24, "24-edge model, conjugates k = 1..6",
      [("--k", _INT), ("--trace", _FLAG)]),
     ("model", "sec32", _cmd_model_8p, "8p-edge model, conjugates k = 1..2p",
@@ -504,9 +515,9 @@ _COMMANDS = [
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="structured output")
-    common.add_argument("--cap-group-order", type=int, default=None,
+    common.add_argument("--cap-group-order", type=_parse_integer, default=None,
                         help="refuse cartographic groups larger than this")
-    common.add_argument("--cap-stage-size", type=int, default=None,
+    common.add_argument("--cap-stage-size", type=_parse_integer, default=None,
                         help="cap on m+n for one reduction stage")
 
     parser = argparse.ArgumentParser(
@@ -537,7 +548,7 @@ def run_cli(argv) -> int:
     try:
         _check_cap_flags(args)
         code, result = args.func(args)
-    except (ResourceLimit, SizeGuard, Cancelled) as exc:
+    except (ResourceLimit, SizeGuard) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (DessinkitError, ValueError, OSError, ZeroDivisionError) as exc:

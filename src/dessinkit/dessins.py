@@ -27,7 +27,6 @@ from .errors import (
     ResourceLimit,
 )
 from .perms import (
-    CancelToken,
     DEFAULT_CAPS,
     GroupCaps,
     PermGroup,
@@ -220,13 +219,13 @@ def genus_of(d: Dessin) -> int:
     return genus
 
 
-def regular_descriptor(d: Dessin, cancel: Optional[CancelToken] = None) -> RegularDescriptor:
+def regular_descriptor(d: Dessin) -> RegularDescriptor:
     """Order and surface data of the regular closure.
 
     chi = |G| * (1/ord sigma0 + 1/ord sigma1 + 1/ord sigma0*sigma1 - 1),
     computed in exact rational arithmetic and checked to be an even integer.
     """
-    order = d.cartographic_group.order(cancel=cancel)
+    order = d.cartographic_group.order()
     ox = d.sigma0.order()
     oy = d.sigma1.order()
     oxy = face_permutation(d).order()
@@ -298,7 +297,6 @@ def regular_closures_isomorphic(
     d1: Dessin,
     d2: Dessin,
     caps: GroupCaps = DEFAULT_CAPS,
-    cancel: Optional[CancelToken] = None,
 ) -> bool:
     """Whether sigma0 -> sigma0', sigma1 -> sigma1' extends to a group
     isomorphism of the cartographic groups.
@@ -309,8 +307,8 @@ def regular_closures_isomorphic(
     on n1+n2 points, so the closure (of order possibly in the tens of
     millions) is never constructed.
     """
-    n1 = d1.cartographic_group.order(cancel=cancel)
-    n2 = d2.cartographic_group.order(cancel=cancel)
+    n1 = d1.cartographic_group.order()
+    n2 = d2.cartographic_group.order()
     if n1 != n2:
         return False
     diag = PermGroup(
@@ -320,7 +318,7 @@ def regular_closures_isomorphic(
         ],
         caps=caps,
     )
-    return not diag.order_exceeds(n1, cancel=cancel)
+    return not diag.order_exceeds(n1)
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,6 @@ class ResourceLimit(DessinkitError, RuntimeError):
     """A configured cap (degree, memory, order) or a proven range was exceeded."""
 
 
-class Cancelled(DessinkitError, RuntimeError):
-    """A long-running computation observed its cancellation token."""
-
-
 class NotCoprime(DessinkitError, ValueError):
     """Parameters that must be coprime are not."""
 

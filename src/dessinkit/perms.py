@@ -9,11 +9,13 @@ Conventions
 * Canonical cycle printing sorts cycles by least element, starts each cycle at
   its least element, omits fixed points, and prints the identity as ``()``.
 * The BSGS is built by the incremental, deterministic Schreier-Sims
-  algorithm (Seress, *Permutation Group Algorithms*, CUP 2003, sec. 4.2): a
-  new base point is the smallest point its strong generator moves; when a
-  level gains a strong generator its orbit is extended breadth-first, keeping
-  every transversal entry it had, and only the Schreier pairs (orbit point,
-  generator) not sifted before are sifted.  Group orders and sift results are
+  algorithm (Seress, *Permutation Group Algorithms*, CUP 2003, sec. 4.2), as
+  one loop that goes down a level when a new strong generator appears and up
+  a level when a level is complete.  A new base point is the smallest point
+  its strong generator moves.  When a level gains a strong generator its
+  orbit is extended breadth-first, keeping every transversal entry it had,
+  and the Schreier pairs (orbit point, generator) it meets are queued on the
+  level; each pair is sifted once.  Group orders and sift results are
   bit-reproducible across runs.
 * A_n and S_n are recognised without a chain, by a Jordan certificate taken
   from a fixed sequence of products of the generators (``PermGroup._giant``).
@@ -23,15 +25,15 @@ from __future__ import annotations
 
 import re
 import threading
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from ._exact import decimal, is_prime, power
 from .errors import (
-    Cancelled,
     DegreeMismatch,
     ParseError,
     PointOutOfRange,
@@ -43,7 +45,6 @@ __all__ = [
     "Permutation",
     "PermGroup",
     "GroupCaps",
-    "CancelToken",
     "parse_cycles",
     "compose_right",
     "order_and_cycle_type",
@@ -51,28 +52,6 @@ __all__ = [
     "is_member",
     "is_transitive",
 ]
-
-
-class CancelToken:
-    """Cooperative cancellation flag for long-running group computations.
-
-    The computation polls :meth:`check` periodically and raises
-    :class:`~dessinkit.errors.Cancelled` once :meth:`cancel` has been called.
-    """
-
-    def __init__(self):
-        self._event = threading.Event()
-
-    def cancel(self):
-        self._event.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.is_set()
-
-    def check(self):
-        if self._event.is_set():
-            raise Cancelled("computation cancelled by caller")
 
 
 @dataclass(frozen=True)
@@ -309,7 +288,7 @@ def order_and_cycle_type(a: Permutation):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "orbit", "closed", "sifted")
+    __slots__ = ("point", "gens", "orbit", "closed", "pending")
 
     def __init__(self, point: int, identity: tuple):
         self.point = point
@@ -319,8 +298,9 @@ class _Level:
         self.orbit: dict = {point: (identity, identity)}
         # the orbit is closed under gens[:closed]
         self.closed = 0
-        # sifted[pt] == k: the Schreier pairs (pt, gens[:k]) have been sifted
-        self.sifted: dict = {}
+        # Schreier pairs (orbit point, generator) not sifted yet, first in
+        # first out
+        self.pending: deque = deque()
 
 
 class _OrderExceeded(Exception):
@@ -333,9 +313,9 @@ class PermGroup:
     The stabilizer chain is built once, lazily, under a lock; afterwards all
     queries are read-only and safe for concurrent use.  Each level of the
     chain keeps its orbit with a transversal entry (u, u^-1) per point, the
-    number of generators that orbit is closed under, and for each point the
-    number of its Schreier pairs already sifted, so that a level that gains a
-    strong generator does only the new work.
+    number of generators that orbit is closed under, and a queue of the
+    Schreier pairs it has not sifted yet, so that a level that gains a strong
+    generator does only the new work.
     """
 
     def __init__(
@@ -371,24 +351,19 @@ class PermGroup:
 
     # -- public queries ------------------------------------------------------
 
-    def order(self, cancel: Optional[CancelToken] = None) -> int:
+    def order(self) -> int:
         """Exact group order.
 
         A group that the Jordan certificate (:meth:`_giant`) shows to contain
-        A_n gets n!/2 or n! without a stabilizer chain; ``cancel`` is not
-        polled then, so even an already-cancelled token gets the order.
-        Every other group builds its chain, polling ``cancel`` as it goes.
+        A_n gets n!/2 or n! without a stabilizer chain; every other group
+        builds its chain.
         """
         symmetric = self._giant
         if symmetric is not None:
             return factorial(self._degree) // (1 if symmetric else 2)
-        levels = self._ensure_bsgs(cancel=cancel)
-        n = 1
-        for lvl in levels:
-            n *= len(lvl.orbit)
-        return n
+        return prod(len(lvl.orbit) for lvl in self._ensure_bsgs())
 
-    def order_exceeds(self, bound: int, cancel: Optional[CancelToken] = None) -> bool:
+    def order_exceeds(self, bound: int) -> bool:
         """True iff the group order is > ``bound``.
 
         A certified giant compares n!/2 or n! with ``bound``.  Otherwise this
@@ -397,15 +372,15 @@ class PermGroup:
         """
         if self._levels is None and self._giant is None:
             try:
-                self._ensure_bsgs(order_limit=bound, cancel=cancel)
+                self._ensure_bsgs(order_limit=bound)
             except _OrderExceeded:
                 return True
-        return self.order(cancel=cancel) > bound
+        return self.order() > bound
 
     def __contains__(self, p: Permutation) -> bool:
         return self.is_member(p)
 
-    def is_member(self, p: Permutation, cancel: Optional[CancelToken] = None) -> bool:
+    def is_member(self, p: Permutation) -> bool:
         """Membership: by parity in a certified A_n or S_n, otherwise by
         sifting through the strong generator table."""
         if p.degree != self._degree:
@@ -413,8 +388,7 @@ class PermGroup:
         symmetric = self._giant
         if symmetric is not None:
             return symmetric or not _is_odd(p)
-        levels = self._ensure_bsgs(cancel=cancel)
-        residue, _ = self._strip(levels, p._images, 0)
+        residue, _ = self._strip(self._ensure_bsgs(), p._images, 0)
         return residue == self._identity
 
     def is_transitive(self) -> bool:
@@ -486,108 +460,105 @@ class PermGroup:
                 return any(_is_odd(s) for s in self._gens)
         return None
 
-    def _ensure_bsgs(self, order_limit=None, cancel=None) -> list:
+    def _ensure_bsgs(self, order_limit=None) -> list:
         if self._levels is not None:
             return self._levels
         with self._lock:
             if self._levels is not None:
                 return self._levels
-            levels = self._build(order_limit=order_limit, cancel=cancel)
+            levels = self._build(order_limit)
             self._levels = levels
             return levels
 
-    def _build(self, order_limit=None, cancel=None) -> list:
-        if cancel is not None:
-            cancel.check()  # a small chain may sift fewer pairs than one poll
-        gens = []
-        seen = set()
-        for g in self._gens:
-            t = g._images
-            if t != self._identity and t not in seen:
-                seen.add(t)
-                gens.append(t)
+    def _build(self, order_limit) -> list:
+        """The deterministic incremental Schreier-Sims algorithm, as one loop
+        over a level index i (Holt, Eick and O'Brien, *Handbook of
+        Computational Group Theory*, CRC 2005, sec. 4.4.2).
+
+        Every level after i is complete.  Level i first extends its orbit
+        under the generators it gained, which queues the new Schreier pairs,
+        then sifts its queued pairs one at a time through the deeper levels.
+        A nontrivial residue that drops out at level j becomes a strong
+        generator of levels i+1..j, and the loop goes down to level j; a
+        level with no pair left is complete, and the loop goes up to i - 1.
+        A pair sifted once needs no second sift: its transversal entries are
+        kept, and the deeper levels it went through have since only gained
+        orbit points and new levels below, never changed an entry.
+        """
+        identity = self._identity
+        unique = dict.fromkeys(g._images for g in self._gens)
+        gens = [t for t in unique if t != identity]
         if not gens:
             return []
-        first = min(next(i for i, v in enumerate(g) if v != i) for g in gens)
-        levels = [_Level(first, self._identity)]
+        first = min(next(p for p, v in enumerate(g) if v != p) for g in gens)
+        levels = [_Level(first, identity)]
         levels[0].gens = gens
-        state = _BuildState(self, order_limit, cancel)
-        # an explicit stack of completions, one per chain level at most, so a
-        # long base (hundreds of points) needs no deep interpreter recursion
-        stack = [self._complete(levels, 0, state)]
-        while stack:
-            deeper = next(stack[-1], None)
-            if deeper is None:
-                stack.pop()
-            else:
-                stack.append(self._complete(levels, deeper, state))
+        inverses: dict = {}
+        i = 0
+        while i >= 0:
+            level = levels[i]
+            if self._extend_orbit(level, inverses):
+                self._check_size(levels, order_limit)
+            if not level.pending:
+                i -= 1
+                continue
+            pt, g = level.pending.popleft()
+            ug = _mul(level.orbit[pt][0], g)
+            target = level.orbit[g[pt]]
+            if ug == target[0]:
+                continue  # tree edge: Schreier generator is trivial
+            residue, j = self._strip(levels, _mul(ug, target[1]), i + 1)
+            if residue == identity:
+                continue
+            if j == len(levels):
+                new_pt = next(p for p, v in enumerate(residue) if v != p)
+                levels.append(_Level(new_pt, identity))
+            for l in range(i + 1, j + 1):
+                levels[l].gens.append(residue)
+            i = j
         return levels
 
-    def _complete(self, levels: list, i: int, state: "_BuildState"):
-        """Re-establish the BSGS invariant at level i, assuming deeper levels
-        are already complete.
-
-        Only the work that is new since level i was last completed is done:
-        the orbit is extended under the generators added since, and only the
-        Schreier pairs (point, generator) not yet sifted are sifted.  An old
-        pair still sifts to the identity, because its transversal entries are
-        kept, and the deeper levels it sifted through only gained orbit
-        points and new levels below, never changed an entry.
-
-        A generator: it yields each deeper level whose completion it needs
-        before it can go on, deepest first; the caller completes that level
-        and then resumes it.  Level i's generators and orbit do not change
-        meanwhile, since new strong generators go to deeper levels only.
-        """
-        level = levels[i]
-        self._extend_orbit(level, state, levels)
-        orbit, gens, sifted = level.orbit, level.gens, level.sifted
-        for pt, (u, _) in list(orbit.items()):
-            for k in range(sifted.get(pt, 0), len(gens)):
-                sifted[pt] = k + 1
-                state.tick()
-                g = gens[k]
-                ug = _mul(u, g)
-                target = orbit[g[pt]]
-                if ug == target[0]:
-                    continue  # tree edge: Schreier generator is trivial
-                residue, j = self._strip(levels, _mul(ug, target[1]), i + 1)
-                if residue == self._identity:
-                    continue
-                if j == len(levels):
-                    new_pt = next(
-                        p for p, v in enumerate(residue) if v != p
-                    )
-                    levels.append(_Level(new_pt, self._identity))
-                for l in range(i + 1, j + 1):
-                    levels[l].gens.append(residue)
-                yield from range(j, i, -1)
-
-    def _extend_orbit(self, level: "_Level", state: "_BuildState", levels: list):
+    @staticmethod
+    def _extend_orbit(level: "_Level", inverses: dict) -> bool:
         """Close the orbit under the generators added since the last call,
         breadth-first: the old points under the new generators, then each
-        new point under all of them.  Old entries stay as they are."""
+        new point under all of them.  Old entries stay as they are.  Every
+        pair (point, generator) visited is queued on ``level.pending`` in
+        that order.  Return whether the orbit grew."""
         gens = level.gens
         old_gens = level.closed
         if old_gens == len(gens):
-            return
-        orbit = level.orbit
-        inv_cache = state.inv_cache
+            return False
+        orbit, pending = level.orbit, level.pending
         points = list(orbit)
         n_old = len(points)
         for idx, a in enumerate(points):  # points grows as the orbit does
             u, u_inv = orbit[a]
             for g in gens[old_gens:] if idx < n_old else gens:
+                pending.append((a, g))
                 b = g[a]
                 if b not in orbit:
-                    gi = inv_cache.get(g)
+                    gi = inverses.get(g)
                     if gi is None:
-                        gi = inv_cache[g] = _inv(g)
+                        gi = inverses[g] = _inv(g)
                     orbit[b] = (_mul(u, g), _mul(gi, u_inv))
                     points.append(b)
         level.closed = len(gens)
-        if len(points) > n_old:
-            state.note_orbit_change(levels)
+        return len(points) > n_old
+
+    def _check_size(self, levels: list, order_limit):
+        """Enforce the transversal cap, and raise :class:`_OrderExceeded`
+        once the orbit sizes prove that the order exceeds ``order_limit``."""
+        stored = sum(len(lvl.orbit) for lvl in levels)
+        approx_bytes = 2 * stored * self._degree * 8
+        cap = self._caps.max_transversal_bytes
+        if approx_bytes > cap:
+            raise ResourceLimit(
+                f"transversal storage ~{approx_bytes} bytes exceeds cap {cap}"
+            )
+        if order_limit is not None:
+            if prod(len(lvl.orbit) for lvl in levels) > order_limit:
+                raise _OrderExceeded()
 
     def _strip(self, levels: list, g: tuple, start: int):
         """Sift g through levels[start:]; return (residue, drop-out level)."""
@@ -603,40 +574,9 @@ class PermGroup:
         return g, len(levels)
 
 
-class _BuildState:
-    """Bookkeeping shared across one BSGS construction run."""
-
-    def __init__(self, group: PermGroup, order_limit, cancel):
-        self.group = group
-        self.order_limit = order_limit
-        self.cancel = cancel
-        self.inv_cache: dict = {}
-        self._ticks = 0
-
-    def tick(self):
-        self._ticks += 1
-        if self.cancel is not None and (self._ticks & 0x3FF) == 0:
-            self.cancel.check()
-
-    def note_orbit_change(self, levels: list):
-        stored = sum(len(lvl.orbit) for lvl in levels)
-        approx_bytes = 2 * stored * self.group._degree * 8
-        if approx_bytes > self.group._caps.max_transversal_bytes:
-            raise ResourceLimit(
-                f"transversal storage ~{approx_bytes} bytes exceeds cap "
-                f"{self.group._caps.max_transversal_bytes}"
-            )
-        if self.order_limit is not None:
-            product = 1
-            for lvl in levels:
-                product *= len(lvl.orbit)
-            if product > self.order_limit:
-                raise _OrderExceeded()
-
-
-def group_order(g: PermGroup, cancel: Optional[CancelToken] = None) -> int:
+def group_order(g: PermGroup) -> int:
     """Exact order of the generated group; deterministic across runs."""
-    return g.order(cancel=cancel)
+    return g.order()
 
 
 def is_member(g: PermGroup, a: Permutation) -> bool:

@@ -422,6 +422,46 @@ class TestOutsideIntegers:
         code, out, _ = invoke(capsys, *DELTA_TILDE, "--d", "+1, 1 ,1")
         assert code == 0 and out.startswith("partial sums: 1 4 6 9\n")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("belyi", "bmn", "--m", "1_0", "--n", "3"), "--m"),
+        (("belyi", "bmn", "--m", "10", "--n", "3_0"), "--n"),
+        (("model", "sec32", "--p", "1_3", "--k", "1"), "--p"),
+        (("model", "sec31", "--k", "0_1"), "--k"),
+        (("gallery", "export", "--k", "0_1"), "--k"),
+        (("lemma", "two-adic", "--poly", "X+1", "--c", "3_2", "--p", "3",
+          "--q", "4", "--gamma", "1"), "--c"),
+        (("lemma", "delta-tilde", "--d", "1,1,1", "--c0", "1_0", "--c", "40",
+          "--alpha-minus-nu", "4"), "--c0"),
+        (DELTA_TILDE[:-1] + ("4_0", "--d", "1,1,1"), "--alpha-minus-nu"),
+        (("dessin", "info", "gallery:1", "--cap-group-order", "1_0"), "--cap-group-order"),
+        (("belyi", "bmn", "--m", "2", "--n", "3", "--cap-stage-size", "1_0"),
+         "--cap-stage-size"),
+    ])
+    def test_integer_flags_are_decimal_runs(self, capsys, argv, flag):
+        code, out, err = invoke(capsys, *argv)
+        value = argv[argv.index(flag) + 1]
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {flag}: invalid int value: '{value}'\n")
+
+    def test_rationals_are_decimal_runs(self, capsys):
+        assert invoke(
+            capsys, "belyi", "sturm", "--poly", "X^2-2", "--lo", "1_0", "--hi", "2_0"
+        ) == (2, "", "error: expected an integer in rational '1_0', got '1_0'\n")
+        assert invoke(capsys, "belyi", "reduce", "--points", "1,1/2_7") == (
+            2, "", "error: expected an integer in rational '1/2_7', got '2_7'\n"
+        )
+        assert invoke(capsys, "tower", "jinv", "--p", "3", "--q", "7_0/3") == (
+            2, "", "error: expected an integer in rational '7_0/3', got '7_0'\n"
+        )
+        # signs, surrounding blanks and refusals are as before
+        code, out, _ = invoke(
+            capsys, "belyi", "sturm", "--poly", "X^2-2", "--lo", " -3/2 ", "--hi", "+2"
+        )
+        assert (code, out) == (0, "roots in ( -3/2 , +2]: 2\n")
+        assert invoke(capsys, "belyi", "reduce", "--points", "1/-2") == (
+            2, "", "error: bad rational '1/-2': Invalid literal for Fraction: '1/-2'\n"
+        )
+
     @pytest.mark.skipif(
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
         reason="this interpreter converts decimal strings of any length",

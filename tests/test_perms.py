@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import threading
 import time
 from itertools import product
 
@@ -11,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dessinkit.errors import (
-    Cancelled,
     DegreeMismatch,
     ParseError,
     PointOutOfRange,
@@ -20,7 +20,6 @@ from dessinkit.errors import (
 )
 from dessinkit import perms
 from dessinkit.perms import (
-    CancelToken,
     GroupCaps,
     PermGroup,
     Permutation,
@@ -309,22 +308,6 @@ class TestPermGroup:
         with pytest.raises(ResourceLimit):
             g.order()
 
-    def test_cancellation(self):
-        token = CancelToken()
-        token.cancel()
-        gens = [parse_cycles(SIGMA0_36, 36), parse_cycles(SIGMA1_36, 36)]
-        with pytest.raises(Cancelled):
-            PermGroup(gens).order(cancel=token)
-
-    def test_cancelled_before_a_small_chain_starts(self):
-        # the chain of S_3 sifts far fewer pairs than one periodic poll
-        token = CancelToken()
-        token.cancel()
-        group = PermGroup([parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)])
-        with pytest.raises(Cancelled):
-            group.order(cancel=token)
-        assert group.order() == 6
-
     def test_witness_image_is_member(self):
         # the gallery witness evaluates to the identity in the first action,
         # so membership must hold trivially
@@ -483,11 +466,9 @@ class TestJordanCertificate:
         rng = random.Random(n)
         gens = transitive_pair(rng, n)
         symmetric = any(is_odd(g) for g in gens)
-        token = CancelToken()
-        token.cancel()
         start = time.perf_counter()
         group = PermGroup(gens)
-        order = group.order(cancel=token)  # a certified giant polls no token
+        order = group.order()
         assert group.order_exceeds(order - 1) and not group.order_exceeds(order)
         probes = [random_perm(rng, n) for _ in range(10)]
         member = [group.is_member(p) for p in probes]
@@ -515,14 +496,15 @@ def wreath_product(k, m):
 def assert_chain_is_complete(group):
     """The finished chain against its definition: every transversal entry
     maps the base point to its key, every level's generators fix the earlier
-    base points, every Schreier pair is recorded as sifted, and every
+    base points, no Schreier pair is left pending and the orbit is closed
+    under every generator, and every
     Schreier generator sifts to the identity through the deeper levels."""
     levels = group._ensure_bsgs()
     ident = tuple(range(group.degree))
     for i, level in enumerate(levels):
         for g in level.gens:
             assert all(g[above.point] == above.point for above in levels[:i])
-        assert level.sifted == {pt: len(level.gens) for pt in level.orbit}
+        assert not level.pending and level.closed == len(level.gens)
         for pt, (u, u_inv) in level.orbit.items():
             assert u[level.point] == pt and perms._mul(u, u_inv) == ident
             for g in level.gens:
@@ -591,3 +573,60 @@ class TestIncrementalChain:
         monkeypatch.setattr(PermGroup, "_strip", counting)
         assert PermGroup([d.sigma0, d.sigma1]).order() == 42467328
         assert 0 < len(calls) < 900
+
+    @pytest.mark.parametrize("index, base, sifts", [
+        (1, [1, 13, 16, 14, 22, 18, 21, 17, 2, 15, 19, 6, 20, 24, 23, 5, 3, 4], 363),
+        (2, [1, 14, 13, 3, 21, 17, 16, 20, 6, 15, 19, 2, 22, 18, 23, 24, 5, 4], 361),
+        (3, [1, 14, 13, 4, 17, 15, 16, 18, 6, 21, 19, 20, 22, 2, 3, 23, 5, 24], 361),
+        (4, [1, 14, 13, 5, 17, 21, 16, 20, 6, 15, 19, 3, 4, 18, 22, 2, 23, 24], 361),
+        (5, [1, 14, 13, 6, 15, 19, 18, 16, 22, 20, 23, 4, 5, 17, 21, 2, 24, 3], 373),
+        (6, [1, 14, 13, 16, 17, 15, 20, 21, 6, 19, 23, 22, 18, 5, 24, 2, 4, 3], 361),
+    ])
+    def test_gallery_chain_is_pinned(self, monkeypatch, index, base, sifts):
+        # chains are bit-reproducible: the same base points in the same order
+        # and the same number of sifts on every host and every run
+        from dessinkit.models import gallery_dessin
+
+        d = gallery_dessin(index)
+        calls = []
+        strip = PermGroup._strip
+
+        def counting(self, *args):
+            calls.append(None)
+            return strip(self, *args)
+
+        monkeypatch.setattr(PermGroup, "_strip", counting)
+        group = PermGroup([d.sigma0, d.sigma1])
+        assert group.order() == 42467328
+        assert group.base() == base
+        assert len(calls) == sifts
+
+    def test_concurrent_queries_build_one_chain(self, monkeypatch):
+        from dessinkit.models import gallery_dessin
+
+        d = gallery_dessin(1)
+        builds = []
+        build = PermGroup._build
+
+        def counting(self, *args, **kwargs):
+            builds.append(None)
+            time.sleep(0.05)  # hold the build open while the others arrive
+            return build(self, *args, **kwargs)
+
+        monkeypatch.setattr(PermGroup, "_build", counting)
+        group = PermGroup([d.sigma0, d.sigma1])
+        barrier = threading.Barrier(4)
+        orders = []
+
+        def query():
+            barrier.wait(timeout=30)
+            orders.append(group.order())
+
+        threads = [threading.Thread(target=query) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert orders == [42467328] * 4
+        assert len(builds) == 1
