@@ -26,7 +26,6 @@ from .errors import (
     SizeGuard,
 )
 from .perms import (
-    GroupCaps,
     PermGroup,
     Permutation,
     compose_right,

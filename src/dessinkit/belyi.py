@@ -68,13 +68,13 @@ logger = logging.getLogger(__name__)
 #: Default cap on m+n for one chain stage (the offending ratio is reported).
 DEFAULT_STAGE_CAP = 10**6
 
-#: Default cap, in result bits, for one exact stage evaluation.  Evaluating
+#: Cap, in result bits, for one exact stage evaluation.  Evaluating
 #: the two-parameter polynomial at a generic rational costs about
 #: (m+n) * (log2(m+n) + height of the point) bits; past this cap the library
 #: fails loudly instead of stalling on multi-megabyte integers.
 DEFAULT_EVAL_WORK_BITS = 2_000_000
 
-#: Default cap on m+n for explicit expansion into coefficients (expansion
+#: Cap on m+n for explicit expansion into coefficients (expansion
 #: needs ~(m+n)^2 log(m+n) bits in total, far more than evaluation), and the
 #: cap on the degree of a parsed map.
 DEFAULT_EXPANSION_CAP = 2000
@@ -777,17 +777,17 @@ def pair_from_ratio(v: Fraction) -> BmnParams:
     return BmnParams(v.numerator, v.denominator - v.numerator)
 
 
-def bmn(params: BmnParams, expansion_cap: Optional[int] = DEFAULT_EXPANSION_CAP) -> RatMap:
+def bmn(params: BmnParams) -> RatMap:
     """Expanded coefficients of (m+n)^(m+n)/(m^m n^n) X^m (1-X)^n.
 
-    Refuses (with :class:`SizeGuard`) to expand past ``expansion_cap`` since
-    the leading constant alone has ~(m+n) log2(m+n) bits; use
-    :class:`BmnStage` for large parameters.
+    Refuses (with :class:`SizeGuard`) to expand past m+n =
+    ``DEFAULT_EXPANSION_CAP`` since the leading constant alone has
+    ~(m+n) log2(m+n) bits; use :class:`BmnStage` for large parameters.
     """
     m, n = params.m, params.n
-    if expansion_cap is not None and m + n > expansion_cap:
+    if m + n > DEFAULT_EXPANSION_CAP:
         raise SizeGuard(
-            f"expansion of the ({m}, {n}) stage exceeds cap {expansion_cap}"
+            f"expansion of the ({m}, {n}) stage exceeds cap {DEFAULT_EXPANSION_CAP}"
         )
     scale = Fraction((m + n) ** (m + n), m**m * n**n)
     coeffs = [Fraction(0)] * (m + n + 1)
@@ -876,20 +876,18 @@ class BmnStage(BmnParams):
     def finite_critical_values(self) -> CritProfile:
         return CritProfile.of((0, 1), includes_infinity=True)
 
-    def eval_extended(
-        self,
-        v: ExtendedRational,
-        work_cap_bits: Optional[int] = DEFAULT_EVAL_WORK_BITS,
-    ) -> ExtendedRational:
+    def eval_extended(self, v: ExtendedRational) -> ExtendedRational:
         if v is INFINITY:
             return INFINITY
         v = Fraction(v)
-        return Fraction(*self._eval_pair((v.numerator, v.denominator), work_cap_bits))
+        return Fraction(*self._eval_pair((v.numerator, v.denominator)))
 
-    def _eval_pair(
-        self, v: Tuple[int, int], work_cap_bits: Optional[int]
-    ) -> Tuple[int, int]:
-        """The value at a pair (p, q) in lowest terms, q > 0, as such a pair."""
+    def _eval_pair(self, v: Tuple[int, int]) -> Tuple[int, int]:
+        """The value at a pair (p, q) in lowest terms, q > 0, as such a pair.
+
+        Raises :class:`SizeGuard` when the estimated size of the result is
+        over ``DEFAULT_EVAL_WORK_BITS``.
+        """
         p, q = v
         if p == 0 or p == q:
             return 0, 1
@@ -898,11 +896,11 @@ class BmnStage(BmnParams):
         if (p, q) == (m, total):
             return 1, 1
         estimate = total * (total.bit_length() + p.bit_length() + q.bit_length())
-        if work_cap_bits is not None and estimate > work_cap_bits:
+        if estimate > DEFAULT_EVAL_WORK_BITS:
             raise SizeGuard(
                 f"exact evaluation of stage ({brief(m, 256)}, {brief(n, 256)}) at "
                 f"{brief(v, 256)} needs about {brief(estimate, 256)} bits, over the "
-                f"work cap {work_cap_bits}"
+                f"work cap {DEFAULT_EVAL_WORK_BITS}"
             )
         return _stage_pair(m, n, p, q)
 
@@ -973,16 +971,9 @@ class BelyiChain:
     def current_profile(self) -> CritProfile:
         return self._current_profile
 
-    def eval_extended(
-        self,
-        v: ExtendedRational,
-        work_cap_bits: Optional[int] = DEFAULT_EVAL_WORK_BITS,
-    ) -> ExtendedRational:
+    def eval_extended(self, v: ExtendedRational) -> ExtendedRational:
         for stage in self._stages:
-            if isinstance(stage, BmnStage):
-                v = stage.eval_extended(v, work_cap_bits=work_cap_bits)
-            else:
-                v = stage.eval_extended(v)
+            v = stage.eval_extended(v)
         return v
 
     def __len__(self) -> int:
@@ -1003,9 +994,7 @@ def chain_compose(chain: BelyiChain, f: Stage) -> BelyiChain:
 
 
 def belyi_reduce(
-    points: Iterable,
-    stage_cap: Optional[int] = DEFAULT_STAGE_CAP,
-    work_cap_bits: Optional[int] = DEFAULT_EVAL_WORK_BITS,
+    points: Iterable, stage_cap: Optional[int] = DEFAULT_STAGE_CAP
 ) -> BelyiChain:
     """Build a chain P with P(points) = {0}, finite critical values in {0, 1},
     0 < P(0) < 1 and P'(0) > 0.
@@ -1020,7 +1009,7 @@ def belyi_reduce(
 
     Raises :class:`SizeGuard` when a stage ratio would exceed ``stage_cap``
     (the offending ratio is reported) or a required exact evaluation would
-    exceed ``work_cap_bits``.
+    exceed ``DEFAULT_EVAL_WORK_BITS``.
     """
     raw = list(points)
     pts = sorted({Fraction(p) for p in raw})
@@ -1063,7 +1052,7 @@ def belyi_reduce(
         # the largest tracked value (always 1) maps to 0 and drops out; the
         # others stay strictly increasing because the stage is increasing
         # below its peak
-        tracked = [stage._eval_pair(t, work_cap_bits) for t in tracked[:-1]]
+        tracked = [stage._eval_pair(t) for t in tracked[:-1]]
         stages.append(stage)
     assert tracked == [(1, 1)]
     return BelyiChain(stages)
@@ -1089,26 +1078,22 @@ class ReductionReport:
         )
 
 
-def verify_reduction(
-    chain: BelyiChain,
-    points: Iterable,
-    work_cap_bits: Optional[int] = DEFAULT_EVAL_WORK_BITS,
-) -> ReductionReport:
+def verify_reduction(chain: BelyiChain, points: Iterable) -> ReductionReport:
     """Independently check the four postconditions of :func:`belyi_reduce`.
 
     Works only from the chain's stage list and input points, never from the
-    construction path.  Exact evaluation is used throughout with one
-    exception: when the *final* stage's exact output would blow the work cap,
+    construction path.  Each stage in turn gives the derivative sign and the
+    value on the orbit of 0, by exact evaluation throughout with one
+    exception: when the *final* stage's exact output would blow the work cap
+    ``DEFAULT_EVAL_WORK_BITS`` (only a :class:`BmnStage` has one),
     0 < P(0) < 1 is certified by strict monotonicity (input strictly between
     0 and the stage peak) instead of by value; ``value_at_zero`` is then None.
-    A mid-chain blow-up raises :class:`SizeGuard` — verification never passes
-    silently.
+    A mid-chain blow-up raises :class:`SizeGuard` and a pole on the orbit of
+    0 raises :class:`OutOfRange` — verification never passes silently.
     """
     pts = sorted({Fraction(p) for p in points})
 
-    to_zero = all(
-        chain.eval_extended(p, work_cap_bits=work_cap_bits) == 0 for p in pts
-    )
+    to_zero = all(chain.eval_extended(p) == 0 for p in pts)
 
     profile = BelyiChain(chain.stages).current_profile
     crit_ok = profile.finite_values <= {Fraction(0), Fraction(1)}
@@ -1117,24 +1102,15 @@ def verify_reduction(
     in_unit = True
     derivative_positive = True
     for idx, stage in enumerate(chain.stages):
-        last = idx == len(chain.stages) - 1
-        if isinstance(stage, BmnStage):
-            sign = stage.derivative_sign_at(value)
-            if sign <= 0:
-                derivative_positive = False
-            try:
-                value = stage.eval_extended(value, work_cap_bits=work_cap_bits)
-            except SizeGuard:
-                if last and 0 < value < stage.peak:
-                    value = None  # certified: strictly increasing into (0, 1)
-                    break
-                raise
-        else:
-            if stage.derivative_sign_at(value) <= 0:
-                derivative_positive = False
+        if stage.derivative_sign_at(value) <= 0:
+            derivative_positive = False
+        try:
             value = stage.eval_extended(value)
-            if value is INFINITY:
-                raise OutOfRange("chain has a pole on the traced orbit of 0")
+        except SizeGuard:
+            if idx == len(chain.stages) - 1 and 0 < value < stage.peak:
+                value = None  # certified: strictly increasing into (0, 1)
+                break
+            raise
     if value is not None:
         in_unit = 0 < value < 1
     return ReductionReport(

@@ -364,18 +364,22 @@ def _cmd_belyi_reduce(args):
 
 def _cmd_belyi_sturm(args):
     poly = belyi.parse_poly(args.poly)
-    count = belyi.sturm_count(poly, _parse_rational(args.lo), _parse_rational(args.hi))
-    return EXIT_OK, [("count", count, f"roots in ({args.lo}, {args.hi}]: {count}")]
+    lo, hi = _parse_rational(args.lo), _parse_rational(args.hi)
+    count = belyi.sturm_count(poly, lo, hi)
+    return EXIT_OK, [
+        ("count", count,
+         f"roots in ({_fmt_rational(lo)}, {_fmt_rational(hi)}]: {count}"),
+    ]
 
 
 def _cmd_belyi_increasing(args):
     poly = belyi.parse_poly(args.poly)
-    ok = belyi.certify_increasing(
-        poly, _parse_rational(args.lo), _parse_rational(args.hi)
-    )
+    lo, hi = _parse_rational(args.lo), _parse_rational(args.hi)
+    ok = belyi.certify_increasing(poly, lo, hi)
     return _exit_for(ok), [
         ("increasing", ok,
-         f"strictly increasing on [{args.lo}, {args.hi}]: {_fmt_text(ok)}"),
+         f"strictly increasing on [{_fmt_rational(lo)}, {_fmt_rational(hi)}]: "
+         f"{_fmt_text(ok)}"),
     ]
 
 

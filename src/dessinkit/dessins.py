@@ -26,9 +26,8 @@ from .errors import (
     ParseError,
     ResourceLimit,
 )
+from . import perms
 from .perms import (
-    DEFAULT_CAPS,
-    GroupCaps,
     PermGroup,
     Permutation,
     compose_right,
@@ -59,9 +58,8 @@ class Dessin:
 
     __slots__ = ("_sigma0", "_sigma1", "_group")
 
-    def __init__(self, sigma0: Permutation, sigma1: Permutation,
-                 caps: GroupCaps = DEFAULT_CAPS):
-        group = PermGroup([sigma0, sigma1], caps=caps)
+    def __init__(self, sigma0: Permutation, sigma1: Permutation):
+        group = PermGroup([sigma0, sigma1])
         if group.degree == 0:
             raise ParseError("a dessin needs at least one edge, got degree 0")
         if not group.is_transitive():
@@ -133,7 +131,7 @@ class RegularDescriptor:
 # ---------------------------------------------------------------------------
 
 
-def load_dessin(text: str, caps: GroupCaps = DEFAULT_CAPS) -> Dessin:
+def load_dessin(text: str) -> Dessin:
     """Parse the dessin text format.
 
     Format (``#`` comments and blank lines allowed, LF or CRLF)::
@@ -143,7 +141,7 @@ def load_dessin(text: str, caps: GroupCaps = DEFAULT_CAPS) -> Dessin:
         sigma1 = (1,2,3)(4,5)
 
     The three keys must appear in that order.  A degree above
-    ``caps.max_degree`` raises :class:`ResourceLimit` before any cycle is
+    ``perms.MAX_DEGREE`` raises :class:`ResourceLimit` before any cycle is
     parsed.
     """
     lines = []
@@ -159,15 +157,15 @@ def load_dessin(text: str, caps: GroupCaps = DEFAULT_CAPS) -> Dessin:
     if len(m) != 2 or m[0] != "degree" or not m[1].isdecimal():
         raise ParseError(f"bad degree line: {lines[0]!r}")
     degree = decimal(m[1], " on the degree line")
-    if degree > caps.max_degree:
-        raise ResourceLimit(f"degree {degree} exceeds cap {caps.max_degree}")
-    perms = []
+    if degree > perms.MAX_DEGREE:
+        raise ResourceLimit(f"degree {degree} exceeds cap {perms.MAX_DEGREE}")
+    sigmas = []
     for key, line in zip(("sigma0", "sigma1"), lines[1:]):
         name, eq, rest = line.partition("=")
         if name.strip() != key or not eq:
             raise ParseError(f"expected '{key} = ...', got {line!r}")
-        perms.append(parse_cycles(rest.strip(), degree))
-    return Dessin(perms[0], perms[1], caps=caps)
+        sigmas.append(parse_cycles(rest.strip(), degree))
+    return Dessin(sigmas[0], sigmas[1])
 
 
 def dump_dessin(d: Dessin, comment: Optional[str] = None) -> str:
@@ -293,11 +291,7 @@ def _direct_sum(a: Permutation, b: Permutation) -> Permutation:
     return Permutation(list(a.images) + [v + shift for v in b.images])
 
 
-def regular_closures_isomorphic(
-    d1: Dessin,
-    d2: Dessin,
-    caps: GroupCaps = DEFAULT_CAPS,
-) -> bool:
+def regular_closures_isomorphic(d1: Dessin, d2: Dessin) -> bool:
     """Whether sigma0 -> sigma0', sigma1 -> sigma1' extends to a group
     isomorphism of the cartographic groups.
 
@@ -312,11 +306,7 @@ def regular_closures_isomorphic(
     if n1 != n2:
         return False
     diag = PermGroup(
-        [
-            _direct_sum(d1.sigma0, d2.sigma0),
-            _direct_sum(d1.sigma1, d2.sigma1),
-        ],
-        caps=caps,
+        [_direct_sum(d1.sigma0, d2.sigma0), _direct_sum(d1.sigma1, d2.sigma1)]
     )
     return not diag.order_exceeds(n1)
 

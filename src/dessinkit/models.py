@@ -19,7 +19,7 @@ Four independent pieces live here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from typing import Optional, Tuple
@@ -33,7 +33,7 @@ from .errors import (
     OutOfRange,
     ResourceLimit,
 )
-from .perms import DEFAULT_CAPS, Permutation, compose_right, parse_cycles
+from .perms import MAX_DEGREE, Permutation, compose_right, parse_cycles
 from .words import FreeWord, commutator_word, parse_word
 
 __all__ = [
@@ -57,9 +57,9 @@ __all__ = [
 
 GALLERY_SIZE = 6
 
-#: The largest edge count 8p of an 8p-edge model, the default permutation
-#: degree cap of ``perms.GroupCaps``.
-MAX_8P_DEGREE = DEFAULT_CAPS.max_degree
+#: The largest edge count 8p of an 8p-edge model: the permutation degree cap
+#: ``perms.MAX_DEGREE``.
+MAX_8P_DEGREE = MAX_DEGREE
 
 _WITNESS_VALUES = {
     1: "()",
@@ -154,14 +154,9 @@ def local_model_24(k: int) -> LocalModel:
 
     T_k = (1,13)(2k, 2k+12); the induced word action is T_k * S * T_k with
     S = (1,2)(3,4)...(23,24), and it commutes with y^2 exactly when k = 1.
+    This is the plain 8p-edge model at p = 3.
     """
-    if not 1 <= k <= 6:
-        raise OutOfRange(f"k = {k} outside 1..6")
-    y = _full_cycle(24)
-    s = _pair_product(24)
-    t = parse_cycles(f"(1,13)({2 * k},{2 * k + 12})", 24)
-    omega = compose_right(compose_right(t, s), t)
-    return LocalModel(point_count=24, y=y, t=t, omega=omega, s=s, k=k)
+    return replace(local_model_8p(3, k), p=None, variant=None)
 
 
 def local_model_8p(p: int, k: int, variant: str = "plain") -> LocalModel:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import re
 import threading
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, lcm, prod
 from operator import itemgetter
@@ -44,7 +43,6 @@ from .errors import (
 __all__ = [
     "Permutation",
     "PermGroup",
-    "GroupCaps",
     "parse_cycles",
     "compose_right",
     "order_and_cycle_type",
@@ -54,20 +52,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GroupCaps:
-    """Resource caps for BSGS construction.
+#: Largest permutation domain a group accepts; larger degrees are refused
+#: outright.
+MAX_DEGREE = 100_000
 
-    ``max_degree`` refuses absurdly large permutation domains outright and
-    ``max_transversal_bytes`` bounds the memory the stabilizer-chain
-    transversals may occupy (estimated as stored points times 8 bytes).
-    """
-
-    max_degree: int = 100_000
-    max_transversal_bytes: int = 1 << 30
-
-
-DEFAULT_CAPS = GroupCaps()
+#: Bound on the memory the stabilizer-chain transversals may occupy
+#: (estimated as stored points times 8 bytes).
+MAX_TRANSVERSAL_BYTES = 1 << 30
 
 #: How many products of the generators the Jordan certificate inspects before
 #: it leaves the group to the stabilizer chain.  Of 2760 seeded random
@@ -318,11 +309,7 @@ class PermGroup:
     generator does only the new work.
     """
 
-    def __init__(
-        self,
-        generators: Iterable[Permutation],
-        caps: GroupCaps = DEFAULT_CAPS,
-    ):
+    def __init__(self, generators: Iterable[Permutation]):
         gens = list(generators)
         if not gens:
             raise ValueError("at least one generator is required")
@@ -330,13 +317,10 @@ class PermGroup:
         for g in gens:
             if g.degree != degree:
                 raise DegreeMismatch("generators have mixed degrees")
-        if degree > caps.max_degree:
-            raise ResourceLimit(
-                f"degree {degree} exceeds cap {caps.max_degree}"
-            )
+        if degree > MAX_DEGREE:
+            raise ResourceLimit(f"degree {degree} exceeds cap {MAX_DEGREE}")
         self._degree = degree
         self._gens = tuple(gens)
-        self._caps = caps
         self._lock = threading.Lock()
         self._levels: Optional[list] = None
         self._identity = tuple(range(degree))
@@ -551,10 +535,10 @@ class PermGroup:
         once the orbit sizes prove that the order exceeds ``order_limit``."""
         stored = sum(len(lvl.orbit) for lvl in levels)
         approx_bytes = 2 * stored * self._degree * 8
-        cap = self._caps.max_transversal_bytes
-        if approx_bytes > cap:
+        if approx_bytes > MAX_TRANSVERSAL_BYTES:
             raise ResourceLimit(
-                f"transversal storage ~{approx_bytes} bytes exceeds cap {cap}"
+                f"transversal storage ~{approx_bytes} bytes exceeds cap "
+                f"{MAX_TRANSVERSAL_BYTES}"
             )
         if order_limit is not None:
             if prod(len(lvl.orbit) for lvl in levels) > order_limit:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dessinkit import belyi
 from dessinkit.belyi import (
     INFINITY,
     BelyiChain,
@@ -36,7 +37,13 @@ from dessinkit.belyi import (
     sturm_count,
     verify_reduction,
 )
-from dessinkit.belyi import X, _coprime_base, _least_exponent_above, _stage_pair
+from dessinkit.belyi import (
+    ONE_POLY,
+    X,
+    _coprime_base,
+    _least_exponent_above,
+    _stage_pair,
+)
 from dessinkit.errors import (
     IrrationalCriticalPoints,
     NotCoprime,
@@ -284,7 +291,7 @@ class TestBmnFamily:
 
     def test_expansion_cap(self):
         with pytest.raises(SizeGuard):
-            bmn(BmnParams(2001, 2), expansion_cap=2000)
+            bmn(BmnParams(1999, 2))
 
     def test_full_suite_up_to_20(self):
         for total in range(2, 21):
@@ -614,6 +621,37 @@ class TestBelyiReduce:
         assert successes > 0
 
 
+class TestVerifyReduction:
+    """Each exit of the loop that walks the orbit of 0 through the stages."""
+
+    QUARTER = RatMap(RatPoly((F(1, 4), F(1, 2))))  # (2X + 1)/4
+
+    def test_pole_on_the_orbit_of_zero(self):
+        chain = BelyiChain([RatMap(ONE_POLY, X)])
+        with pytest.raises(OutOfRange, match="derivative sign requested at pole 0"):
+            verify_reduction(chain, [])
+
+    def test_decreasing_stage(self):
+        chain = BelyiChain([RatMap(RatPoly((F(1, 4), F(-1, 2))))])  # (1 - 2X)/4
+        report = verify_reduction(chain, [])
+        assert not report.derivative_positive_at_zero and not report.ok
+        assert report.value_at_zero == F(1, 4)
+
+    def test_work_cap_mid_chain_raises(self, monkeypatch):
+        monkeypatch.setattr(belyi, "DEFAULT_EVAL_WORK_BITS", 20)
+        chain = BelyiChain([self.QUARTER, BmnStage(2, 3), BmnStage(2, 3)])
+        with pytest.raises(SizeGuard) as exc:
+            verify_reduction(chain, [])
+        assert str(exc.value) == (
+            "exact evaluation of stage (2, 3) at 1/4 needs about 35 bits, over the "
+            "work cap 20")
+
+    def test_work_cap_at_the_last_stage_certifies_by_interval(self, monkeypatch):
+        monkeypatch.setattr(belyi, "DEFAULT_EVAL_WORK_BITS", 20)
+        report = verify_reduction(BelyiChain([self.QUARTER, BmnStage(2, 3)]), [])
+        assert report.ok and report.value_at_zero is None
+
+
 class TestChains:
     def test_compose_updates_profile(self):
         chain = BelyiChain([], input_profile=CritProfile.of([4]))
@@ -721,15 +759,16 @@ class TestStagePair:
         assert math.prod(F(v) ** e for v, e in factors) == math.prod(
             F(b) ** e for b, e in base.items())
 
-    def test_work_cap_message_reads_the_point_briefly(self):
+    def test_work_cap_message_reads_the_point_briefly(self, monkeypatch):
+        monkeypatch.setattr(belyi, "DEFAULT_EVAL_WORK_BITS", 20)
         stage = BmnStage(2, 3)
         with pytest.raises(SizeGuard) as exc:
-            stage.eval_extended(F(1, 3**400), work_cap_bits=20)
+            stage.eval_extended(F(1, 3**400))
         assert str(exc.value) == (
             "exact evaluation of stage (2, 3) at <rational with 1-bit numerator "
             "and 634-bit denominator> needs about 3190 bits, over the work cap 20")
         with pytest.raises(SizeGuard) as exc:
-            stage.eval_extended(F(-7, 9), work_cap_bits=20)
+            stage.eval_extended(F(-7, 9))
         assert str(exc.value) == (
             "exact evaluation of stage (2, 3) at -7/9 needs about 50 bits, over the "
             "work cap 20")

@@ -457,7 +457,7 @@ class TestOutsideIntegers:
         code, out, _ = invoke(
             capsys, "belyi", "sturm", "--poly", "X^2-2", "--lo", " -3/2 ", "--hi", "+2"
         )
-        assert (code, out) == (0, "roots in ( -3/2 , +2]: 2\n")
+        assert (code, out) == (0, "roots in (-3/2, 2]: 2\n")
         assert invoke(capsys, "belyi", "reduce", "--points", "1/-2") == (
             2, "", "error: bad rational '1/-2': Invalid literal for Fraction: '1/-2'\n"
         )

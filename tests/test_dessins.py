@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dessinkit import dessins
+from dessinkit import dessins, perms
 from dessinkit.dessins import (
     Dessin,
     Separation,
@@ -20,7 +20,7 @@ from dessinkit.dessins import (
 )
 from dessinkit.errors import NotTransitive, ParseError, ResourceLimit
 from dessinkit.models import gallery_dessin, witness_word
-from dessinkit.perms import GroupCaps, Permutation, parse_cycles
+from dessinkit.perms import Permutation, parse_cycles
 from dessinkit.words import parse_word
 
 
@@ -83,8 +83,9 @@ class TestFileFormat:
         monkeypatch.setattr(dessins, "parse_cycles", refuse)
         with pytest.raises(ResourceLimit, match="degree 10000000000 exceeds cap 100000"):
             load_dessin("degree 10000000000\nsigma0 = ()\nsigma1 = ()\n")
+        monkeypatch.setattr(perms, "MAX_DEGREE", 2)
         with pytest.raises(ResourceLimit, match="degree 3 exceeds cap 2"):
-            load_dessin(ONE_EDGE.replace("1", "3"), caps=GroupCaps(max_degree=2))
+            load_dessin(ONE_EDGE.replace("1", "3"))
 
     def test_non_decimal_degree(self):
         with pytest.raises(ParseError, match="bad degree line"):

@@ -20,7 +20,6 @@ from dessinkit.errors import (
 )
 from dessinkit import perms
 from dessinkit.perms import (
-    GroupCaps,
     PermGroup,
     Permutation,
     compose_right,
@@ -281,11 +280,10 @@ class TestPermGroup:
         assert g.order_exceeds(100)
         assert not g.order_exceeds(120)
 
-    def test_degree_cap(self):
+    def test_degree_cap(self, monkeypatch):
+        monkeypatch.setattr(perms, "MAX_DEGREE", 50)
         with pytest.raises(ResourceLimit):
-            PermGroup(
-                [Permutation.identity(100)], caps=GroupCaps(max_degree=50)
-            )
+            PermGroup([Permutation.identity(100)])
 
     def test_long_chain_leaves_recursion_limit_alone(self, monkeypatch):
         def refuse(limit):
@@ -302,9 +300,10 @@ class TestPermGroup:
         group = PermGroup(swaps)
         assert group.order() == 2**20 and len(group.base()) == 20
 
-    def test_transversal_cap(self):
+    def test_transversal_cap(self, monkeypatch):
+        monkeypatch.setattr(perms, "MAX_TRANSVERSAL_BYTES", 100)
         gens = [parse_cycles(SIGMA0_36, 36), parse_cycles(SIGMA1_36, 36)]
-        g = PermGroup(gens, caps=GroupCaps(max_transversal_bytes=100))
+        g = PermGroup(gens)
         with pytest.raises(ResourceLimit):
             g.order()
 
