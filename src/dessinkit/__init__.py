@@ -29,10 +29,6 @@ from .perms import (
     PermGroup,
     Permutation,
     compose_right,
-    group_order,
-    is_member,
-    is_transitive,
-    order_and_cycle_type,
     parse_cycles,
 )
 from .words import FreeWord, commutator_word, evaluate_word, parse_word

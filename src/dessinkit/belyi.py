@@ -617,9 +617,13 @@ def sturm_count(p: RatPoly, lo: Fraction, hi: Fraction) -> int:
 
 
 def certify_increasing(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
-    """Certificate that f' > 0 on all of [lo, hi].
+    """Whether f is strictly increasing on [lo, hi]: f' is not zero and
+    f' >= 0 there.
 
-    True iff f' has no root in (lo, hi] and is positive at both endpoints.
+    f' changes sign exactly at its roots of odd multiplicity: the roots of
+    the a_i, i odd, in Yun's squarefree decomposition f' = c a_1 a_2^2 ...
+    With none in the open (lo, hi), the sign of f' at one of deg f' + 1
+    equally spaced interior points, one of which is not a root, decides.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
@@ -627,7 +631,19 @@ def certify_increasing(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
     d = f.derivative()
     if d.is_zero:
         return False
-    return d(lo) > 0 and d(hi) > 0 and sturm_count(d, lo, hi) == 0
+    g = d.gcd(d.derivative())
+    b, c, odd = d.divmod(g)[0], d.derivative().divmod(g)[0], True
+    while b.degree >= 1:
+        e = c - b.derivative()
+        a = b.gcd(e)
+        if odd and sturm_count(a, lo, hi) > (a(hi) == 0):
+            return False
+        b, c, odd = b.divmod(a)[0], e.divmod(a)[0], not odd
+    ints = d.primitive_integer_coeffs()
+    step = (hi - lo) / (d.degree + 2)
+    points = (lo + k * step for k in range(1, d.degree + 2))
+    signs = (_sign_at(ints, t.numerator, t.denominator) for t in points)
+    return next(s for s in signs if s) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -697,12 +713,18 @@ def _squarefree_roots(f: Sequence[int]) -> list:
     while precisions[-1] > 1:
         precisions.append((precisions[-1] + 1) // 2)
     precisions.pop()  # the roots mod p are known
+    # f and f' modulo each p^e (none without a root mod p), each reduced
+    # from the next larger p^e's residues
+    residues, f_mod, d_mod = [], f, deriv
+    for e in precisions if lifted else ():
+        m = p**e
+        f_mod, d_mod = [c % m for c in f_mod], [c % m for c in d_mod]
+        residues.append((e, m, f_mod, d_mod))
     modulus, e = p, 1
-    while precisions and lifted:
-        e = precisions.pop()
-        modulus = p**e
-        lifted = [(r - _eval_mod(f, r, modulus)
-                   * pow(_eval_mod(deriv, r, modulus), -1, modulus)) % modulus
+    while residues:
+        e, modulus, f_mod, d_mod = residues.pop()
+        lifted = [(r - _eval_mod(f_mod, r, modulus)
+                   * pow(_eval_mod(d_mod, r, modulus), -1, modulus)) % modulus
                   for r in lifted]
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("rational_roots: degree %d, prime %d, lifted to p^%d",

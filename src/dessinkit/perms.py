@@ -17,6 +17,9 @@ Conventions
   and the Schreier pairs (orbit point, generator) it meets are queued on the
   level; each pair is sifted once.  Group orders and sift results are
   bit-reproducible across runs.
+* The loop's state, its levels and level index, stays on the group:
+  ``order_exceeds`` stops the loop once the product of the orbit sizes
+  passes its bound, and every later query continues the chain from there.
 * A_n and S_n are recognised without a chain, by a Jordan certificate taken
   from a fixed sequence of products of the generators (``PermGroup._giant``).
 """
@@ -45,10 +48,6 @@ __all__ = [
     "PermGroup",
     "parse_cycles",
     "compose_right",
-    "order_and_cycle_type",
-    "group_order",
-    "is_member",
-    "is_transitive",
 ]
 
 
@@ -138,10 +137,6 @@ class Permutation:
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
         return cls._from_zero_based(tuple(range(degree)))
-
-    @classmethod
-    def from_cycles(cls, text: str, degree: int) -> "Permutation":
-        return parse_cycles(text, degree)
 
     # -- basic protocol ------------------------------------------------------
 
@@ -268,11 +263,6 @@ def compose_right(a: Permutation, b: Permutation) -> Permutation:
     return Permutation._from_zero_based(_mul(a._images, b._images))
 
 
-def order_and_cycle_type(a: Permutation):
-    """Order (lcm of cycle lengths) and descending cycle type of ``a``."""
-    return a.order(), a.cycle_type()
-
-
 # ---------------------------------------------------------------------------
 # BSGS machinery
 # ---------------------------------------------------------------------------
@@ -281,9 +271,9 @@ def order_and_cycle_type(a: Permutation):
 class _Level:
     __slots__ = ("point", "gens", "orbit", "closed", "pending")
 
-    def __init__(self, point: int, identity: tuple):
+    def __init__(self, point: int, identity: tuple, gens: Sequence = ()):
         self.point = point
-        self.gens: list = []
+        self.gens = list(gens)
         # orbit maps point -> (u, u_inv) with base^u == point; an entry, once
         # made, is never replaced
         self.orbit: dict = {point: (identity, identity)}
@@ -294,17 +284,20 @@ class _Level:
         self.pending: deque = deque()
 
 
-class _OrderExceeded(Exception):
-    pass
+def _orbit_product(levels: list) -> int:
+    """The order of a complete chain, and a lower bound for a partial one."""
+    return prod(len(lvl.orbit) for lvl in levels)
 
 
 class PermGroup:
     """Group generated by permutations, with exact order and membership.
 
-    The stabilizer chain is built once, lazily, under a lock; afterwards all
-    queries are read-only and safe for concurrent use.  Each level of the
-    chain keeps its orbit with a transversal entry (u, u^-1) per point, the
-    number of generators that orbit is closed under, and a queue of the
+    The stabilizer chain is built lazily, under a lock, by a loop whose
+    state (the levels, and the level index, -1 once complete) stays on the
+    group, so a query continues a build that :meth:`order_exceeds` stopped;
+    once it is complete, queries are read-only and safe for concurrent use.
+    Each level keeps its orbit with a transversal entry (u, u^-1) per point,
+    the number of generators that orbit is closed under, and a queue of the
     Schreier pairs it has not sifted yet, so that a level that gains a strong
     generator does only the new work.
     """
@@ -322,7 +315,8 @@ class PermGroup:
         self._degree = degree
         self._gens = tuple(gens)
         self._lock = threading.Lock()
-        self._levels: Optional[list] = None
+        self._levels: Optional[list] = None  # made by the first chain query
+        self._level = 0
         self._identity = tuple(range(degree))
 
     @property
@@ -345,21 +339,19 @@ class PermGroup:
         symmetric = self._giant
         if symmetric is not None:
             return factorial(self._degree) // (1 if symmetric else 2)
-        return prod(len(lvl.orbit) for lvl in self._ensure_bsgs())
+        return _orbit_product(self._ensure_bsgs())
 
     def order_exceeds(self, bound: int) -> bool:
         """True iff the group order is > ``bound``.
 
-        A certified giant compares n!/2 or n! with ``bound``.  Otherwise this
-        may finish early, without completing the stabilizer chain, as soon as
-        the partial orbit-size product proves the bound is exceeded.
+        A certified giant compares n!/2 or n! with ``bound``.  Otherwise the
+        stabilizer chain is built only until the product of its orbit sizes,
+        which never exceeds the order, passes ``bound`` or the chain is
+        complete; a later query continues the build from there.
         """
-        if self._levels is None and self._giant is None:
-            try:
-                self._ensure_bsgs(order_limit=bound)
-            except _OrderExceeded:
-                return True
-        return self.order() > bound
+        if self._giant is not None:
+            return self.order() > bound
+        return _orbit_product(self._ensure_bsgs(bound)) > bound
 
     def __contains__(self, p: Permutation) -> bool:
         return self.is_member(p)
@@ -444,17 +436,16 @@ class PermGroup:
                 return any(_is_odd(s) for s in self._gens)
         return None
 
-    def _ensure_bsgs(self, order_limit=None) -> list:
-        if self._levels is not None:
+    def _ensure_bsgs(self, bound=None) -> list:
+        """The chain's levels: complete, or past ``bound`` when one is given."""
+        if self._level < 0:
             return self._levels
         with self._lock:
-            if self._levels is not None:
-                return self._levels
-            levels = self._build(order_limit)
-            self._levels = levels
-            return levels
+            if self._level >= 0:
+                self._build(bound)
+            return self._levels
 
-    def _build(self, order_limit) -> list:
+    def _build(self, bound) -> None:
         """The deterministic incremental Schreier-Sims algorithm, as one loop
         over a level index i (Holt, Eick and O'Brien, *Handbook of
         Computational Group Theory*, CRC 2005, sec. 4.4.2).
@@ -468,21 +459,27 @@ class PermGroup:
         A pair sifted once needs no second sift: its transversal entries are
         kept, and the deeper levels it went through have since only gained
         orbit points and new levels below, never changed an entry.
+
+        The loop resumes from the group's levels and index and stores them
+        back when the chain is complete or the orbit-size product exceeds
+        ``bound``; an exception leaves no levels, so the next query restarts.
         """
         identity = self._identity
-        unique = dict.fromkeys(g._images for g in self._gens)
-        gens = [t for t in unique if t != identity]
-        if not gens:
-            return []
-        first = min(next(p for p, v in enumerate(g) if v != p) for g in gens)
-        levels = [_Level(first, identity)]
-        levels[0].gens = gens
+        levels, i = self._levels, self._level
+        self._levels = None
+        if levels is None:
+            unique = dict.fromkeys(g._images for g in self._gens)
+            gens = [t for t in unique if t != identity]
+            moved = [next(p for p, v in enumerate(g) if v != p) for g in gens]
+            levels = [_Level(min(moved), identity, gens)] if gens else []
+            i = len(levels) - 1
         inverses: dict = {}
-        i = 0
-        while i >= 0:
+        size = _orbit_product(levels)
+        while i >= 0 and (bound is None or size <= bound):
             level = levels[i]
             if self._extend_orbit(level, inverses):
-                self._check_size(levels, order_limit)
+                self._check_size(levels)
+                size = _orbit_product(levels)
             if not level.pending:
                 i -= 1
                 continue
@@ -500,7 +497,7 @@ class PermGroup:
             for l in range(i + 1, j + 1):
                 levels[l].gens.append(residue)
             i = j
-        return levels
+        self._levels, self._level = levels, i
 
     @staticmethod
     def _extend_orbit(level: "_Level", inverses: dict) -> bool:
@@ -530,9 +527,8 @@ class PermGroup:
         level.closed = len(gens)
         return len(points) > n_old
 
-    def _check_size(self, levels: list, order_limit):
-        """Enforce the transversal cap, and raise :class:`_OrderExceeded`
-        once the orbit sizes prove that the order exceeds ``order_limit``."""
+    def _check_size(self, levels: list):
+        """Enforce the transversal cap."""
         stored = sum(len(lvl.orbit) for lvl in levels)
         approx_bytes = 2 * stored * self._degree * 8
         if approx_bytes > MAX_TRANSVERSAL_BYTES:
@@ -540,9 +536,6 @@ class PermGroup:
                 f"transversal storage ~{approx_bytes} bytes exceeds cap "
                 f"{MAX_TRANSVERSAL_BYTES}"
             )
-        if order_limit is not None:
-            if prod(len(lvl.orbit) for lvl in levels) > order_limit:
-                raise _OrderExceeded()
 
     def _strip(self, levels: list, g: tuple, start: int):
         """Sift g through levels[start:]; return (residue, drop-out level)."""
@@ -556,16 +549,3 @@ class PermGroup:
                 return g, idx
             g = _mul(g, entry[1])
         return g, len(levels)
-
-
-def group_order(g: PermGroup) -> int:
-    """Exact order of the generated group; deterministic across runs."""
-    return g.order()
-
-
-def is_member(g: PermGroup, a: Permutation) -> bool:
-    return g.is_member(a)
-
-
-def is_transitive(g: PermGroup) -> bool:
-    return g.is_transitive()

@@ -555,6 +555,46 @@ class TestCertifyIncreasing:
     def test_constant(self):
         assert not certify_increasing(RatPoly((5,)), F(0), F(1))
 
+    @pytest.mark.parametrize("poly, lo, hi, increasing", [
+        ("X^3", -2, 2, True),  # f' = 0 at an interior point only
+        ("-X^3", -2, 2, False),
+        ("X^3-3*X", -2, 2, False),
+        ("(X-1)^3", 0, 1, True),  # f' = 0 at an endpoint
+        ("4*X-4*X^2", 0, F(1, 2), True),
+        ("X^5-X^4", -1, F(1, 2), False),  # f' = X^3 (5X - 4) changes sign at 0
+        ("X^1999", -2, 2, True),  # a root of multiplicity 1998
+        ("X^1000*(X-1)^2", 0, F(1, 2), True),  # f' = X^999 (X - 1) (1002X - 1000)
+        ("X^1000*(X-1)^2", -1, F(1, 2), False),
+    ])
+    def test_roots_of_the_derivative(self, poly, lo, hi, increasing):
+        assert certify_increasing(parse_poly(poly), F(lo), F(hi)) is increasing
+
+    def test_against_factored_derivatives(self):
+        # f' = c * prod (X - r)^m, times X^2 + s or not: f is strictly
+        # increasing on [lo, hi] iff f' > 0 between consecutive roots there,
+        # read off the factors at the midpoints
+        rng = random.Random(619)
+        for _ in range(600):
+            factors = [(F(rng.randint(-6, 6), rng.randint(1, 3)), rng.randint(1, 4))
+                       for _ in range(rng.randint(0, 3))]
+            c = F(rng.choice((-3, -1, 1, 2)))
+            s = F(rng.randint(1, 5), rng.randint(1, 3)) if rng.random() < 0.5 else None
+            deriv = RatPoly((c,))
+            for r, m in factors:
+                deriv = deriv * RatPoly((-r, 1)) ** m
+            if s is not None:
+                deriv = deriv * RatPoly((s, 0, 1))
+            f = RatPoly([0] + [a / (i + 1) for i, a in enumerate(deriv.coefficients)])
+            lo = F(rng.randint(-8, 6), rng.randint(1, 2))
+            hi = lo + F(rng.randint(1, 12), rng.randint(1, 2))
+            cuts = sorted({lo, hi} | {r for r, _ in factors if lo < r < hi})
+
+            def positive(t):
+                return c * math.prod((t - r) ** m for r, m in factors) > 0
+
+            expected = all(positive((a + b) / 2) for a, b in zip(cuts, cuts[1:]))
+            assert certify_increasing(f, lo, hi) is expected, (factors, c, s, lo, hi)
+
 
 class TestBelyiReduce:
     def test_single_point(self):

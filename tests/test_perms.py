@@ -23,7 +23,6 @@ from dessinkit.perms import (
     PermGroup,
     Permutation,
     compose_right,
-    order_and_cycle_type,
     parse_cycles,
 )
 
@@ -181,20 +180,21 @@ class TestComposition:
 class TestOrderAndCycleType:
     def test_gallery_x(self):
         p = parse_cycles(SIGMA0_36, 36)
-        assert order_and_cycle_type(p) == (6, [6] + [3] * 10)
+        assert (p.order(), p.cycle_type()) == (6, [6] + [3] * 10)
 
     def test_gallery_y(self):
         p = parse_cycles(SIGMA1_36, 36)
-        assert order_and_cycle_type(p) == (12, [12] + [2] * 12)
+        assert (p.order(), p.cycle_type()) == (12, [12] + [2] * 12)
 
     def test_identity(self):
-        assert order_and_cycle_type(Permutation.identity(5)) == (1, [1] * 5)
+        p = Permutation.identity(5)
+        assert (p.order(), p.cycle_type()) == (1, [1] * 5)
 
     def test_order_is_least_power(self):
         rng = random.Random(17)
         for _ in range(30):
             p = random_perm(rng, 10)
-            order, _ = order_and_cycle_type(p)
+            order = p.order()
             assert order <= 2520  # lcm bound on 10 points
             acc = Permutation.identity(10)
             for k in range(1, order):
@@ -262,7 +262,7 @@ class TestPermGroup:
 
     def test_empty_domain_is_not_transitive(self):
         group = PermGroup([parse_cycles("", 0)])
-        assert not group.is_transitive() and not perms.is_transitive(group)
+        assert not group.is_transitive()
         assert group.order() == 1
         assert PermGroup([parse_cycles("", 1)]).is_transitive()
 
@@ -306,6 +306,20 @@ class TestPermGroup:
         g = PermGroup(gens)
         with pytest.raises(ResourceLimit):
             g.order()
+
+    def test_refused_build_starts_afresh(self, monkeypatch):
+        # a cap hit while a stopped build resumes leaves half-extended
+        # levels; resumed from those, this A_7 would report order 2100, so
+        # the next query starts afresh
+        gens = [parse_cycles(c, 7) for c in ("(1,6,5,7,2)", "(1,2)(5,6)", "(1,4,2,7,3,5,6)")]
+        group = PermGroup(gens)
+        assert group.order_exceeds(2)
+        monkeypatch.setattr(perms, "MAX_TRANSVERSAL_BYTES", 23 * 16 * 7)
+        with pytest.raises(ResourceLimit):
+            group.order()
+        monkeypatch.setattr(perms, "MAX_TRANSVERSAL_BYTES", 1 << 30)
+        assert group.order() == 2520
+        assert chain_digest(group) == chain_digest(PermGroup(gens))
 
     def test_witness_image_is_member(self):
         # the gallery witness evaluates to the identity in the first action,
@@ -512,6 +526,28 @@ def assert_chain_is_complete(group):
                 assert group._strip(levels, schreier, i + 1)[0] == ident
 
 
+def chain_digest(group):
+    """The order, then per level the base point, the strong generators and
+    the sorted transversal."""
+    return [group.order()] + [
+        (level.point, level.gens, sorted(level.orbit.items()))
+        for level in group._ensure_bsgs()
+    ]
+
+
+def count_sifts(monkeypatch):
+    """A list that gains an entry per ``PermGroup._strip`` call."""
+    calls = []
+    strip = PermGroup._strip
+
+    def counting(self, *args):
+        calls.append(None)
+        return strip(self, *args)
+
+    monkeypatch.setattr(PermGroup, "_strip", counting)
+    return calls
+
+
 class TestIncrementalChain:
     """The stabilizer chain, which extends orbits and sifts only new Schreier
     pairs, against exhaustive closure, known orders and its own definition."""
@@ -629,3 +665,69 @@ class TestIncrementalChain:
         assert not any(t.is_alive() for t in threads)
         assert orders == [42467328] * 4
         assert len(builds) == 1
+
+    def test_bounded_queries_resume_one_chain(self, monkeypatch):
+        # order_exceeds stops the build once the orbit sizes pass its bound;
+        # later queries continue that build, so the chain and the number of
+        # sifts are those of one fresh order()
+        from dessinkit.models import gallery_dessin
+
+        monkeypatch.setattr(perms, "_JORDAN_TRIES", 0)  # the chain answers
+        calls = count_sifts(monkeypatch)
+        cases = [[d.sigma0, d.sigma1] for d in map(gallery_dessin, range(1, 7))]
+        rng = random.Random(1214)
+        for _ in range(40):
+            n = rng.randint(3, 20)
+            cases.append([random_perm(rng, n) for _ in range(rng.randint(1, 3))])
+        for gens in cases:
+            fresh = PermGroup(gens)
+            calls.clear()
+            order = fresh.order()
+            sifts = len(calls)
+            group = PermGroup(gens)
+            calls.clear()
+            assert group.order_exceeds(order // 2) and group.order_exceeds(order - 1)
+            assert not group.order_exceeds(order)
+            assert group.order() == order and len(calls) == sifts
+            assert chain_digest(group) == chain_digest(fresh)
+
+    def test_mixed_concurrent_queries_share_one_chain(self, monkeypatch):
+        # a bounded query takes the lock first and stops early; the three
+        # order() calls waiting behind it finish the same chain
+        from dessinkit.models import gallery_dessin
+
+        d = gallery_dessin(1)
+        fresh = PermGroup([d.sigma0, d.sigma1])
+        calls = count_sifts(monkeypatch)
+        fresh.order()
+        sifts = len(calls)
+        calls.clear()
+        entered = threading.Event()
+        build = PermGroup._build
+
+        def holding(self, *args, **kwargs):
+            entered.set()
+            time.sleep(0.05)  # hold the build open while the others arrive
+            return build(self, *args, **kwargs)
+
+        monkeypatch.setattr(PermGroup, "_build", holding)
+        group = PermGroup([d.sigma0, d.sigma1])
+        exceeds, orders = [], []
+
+        def bounded():
+            exceeds.append(group.order_exceeds(1000))
+
+        def full():
+            entered.wait(timeout=30)
+            orders.append(group.order())
+
+        threads = [threading.Thread(target=bounded)]
+        threads += [threading.Thread(target=full) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert exceeds == [True] and orders == [42467328] * 3
+        assert len(calls) == sifts
+        assert chain_digest(group) == chain_digest(fresh)
