@@ -59,8 +59,6 @@ from .belyi import (
     belyi_reduce,
     bmn,
     certify_increasing,
-    chain_compose,
-    eval_extended,
     finite_critical_values,
     pair_from_ratio,
     parse_map,

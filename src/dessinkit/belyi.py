@@ -48,7 +48,6 @@ __all__ = [
     "BelyiChain",
     "INFINITY",
     "bmn",
-    "eval_extended",
     "finite_critical_values",
     "propagate_crit",
     "pair_from_ratio",
@@ -58,7 +57,6 @@ __all__ = [
     "belyi_reduce",
     "verify_reduction",
     "ReductionReport",
-    "chain_compose",
     "parse_map",
     "parse_poly",
 ]
@@ -240,7 +238,7 @@ class RatPoly:
             c = self._coeffs[i]
             if c == 0:
                 continue
-            mag = -c if c < 0 else c
+            mag = brief(-c if c < 0 else c, PRINT_BITS)
             if i == 0:
                 body = str(mag)
             else:
@@ -386,10 +384,6 @@ def _poly_of_map(poly: RatPoly, arg: RatMap) -> RatMap:
     for c in reversed(poly.coefficients):
         acc = acc * arg + RatMap(RatPoly((c,)))
     return acc
-
-
-def eval_extended(f: RatMap, v: ExtendedRational) -> ExtendedRational:
-    return f.eval_extended(v)
 
 
 # ---------------------------------------------------------------------------
@@ -963,20 +957,19 @@ Stage = Union[RatMap, BmnStage]
 
 
 class BelyiChain:
-    """Ordered composition of stages with a tracked critical-value profile.
+    """Ordered composition of stages with its critical-value profile.
 
-    ``input_profile`` is the ramification data of whatever the chain is
-    post-composed onto; ``current_profile`` is always that profile propagated
-    through every stage, so the invariant holds by construction.
+    ``current_profile`` is the empty profile propagated through every stage
+    (:func:`propagate_crit`), so the invariant holds by construction.  To
+    compose onto a prior profile, fold :func:`propagate_crit` over the stages
+    from that profile.
     """
 
-    __slots__ = ("_stages", "_input_profile", "_current_profile")
+    __slots__ = ("_stages", "_current_profile")
 
-    def __init__(self, stages: Iterable[Stage] = (),
-                 input_profile: Optional[CritProfile] = None):
+    def __init__(self, stages: Iterable[Stage] = ()):
         self._stages = tuple(stages)
-        self._input_profile = input_profile or CritProfile.empty()
-        profile = self._input_profile
+        profile = CritProfile.empty()
         for stage in self._stages:
             profile = propagate_crit(profile, stage)
         self._current_profile = profile
@@ -984,10 +977,6 @@ class BelyiChain:
     @property
     def stages(self) -> tuple:
         return self._stages
-
-    @property
-    def input_profile(self) -> CritProfile:
-        return self._input_profile
 
     @property
     def current_profile(self) -> CritProfile:
@@ -1003,11 +992,6 @@ class BelyiChain:
 
     def __str__(self) -> str:
         return " . ".join(str(s) for s in reversed(self._stages)) or "id"
-
-
-def chain_compose(chain: BelyiChain, f: Stage) -> BelyiChain:
-    """Append a stage, re-propagating the critical profile."""
-    return BelyiChain(chain.stages + (f,), input_profile=chain.input_profile)
 
 
 # ---------------------------------------------------------------------------
@@ -1103,9 +1087,11 @@ class ReductionReport:
 def verify_reduction(chain: BelyiChain, points: Iterable) -> ReductionReport:
     """Independently check the four postconditions of :func:`belyi_reduce`.
 
-    Works only from the chain's stage list and input points, never from the
-    construction path.  Each stage in turn gives the derivative sign and the
-    value on the orbit of 0, by exact evaluation throughout with one
+    Works only from the chain's stages and input points, never from the
+    construction path.  The critical values are the chain's own
+    ``current_profile``, which :class:`BelyiChain` propagated through the
+    stages when it was built.  Each stage in turn gives the derivative sign
+    and the value on the orbit of 0, by exact evaluation throughout with one
     exception: when the *final* stage's exact output would blow the work cap
     ``DEFAULT_EVAL_WORK_BITS`` (only a :class:`BmnStage` has one),
     0 < P(0) < 1 is certified by strict monotonicity (input strictly between
@@ -1117,8 +1103,7 @@ def verify_reduction(chain: BelyiChain, points: Iterable) -> ReductionReport:
 
     to_zero = all(chain.eval_extended(p) == 0 for p in pts)
 
-    profile = BelyiChain(chain.stages).current_profile
-    crit_ok = profile.finite_values <= {Fraction(0), Fraction(1)}
+    crit_ok = chain.current_profile.finite_values <= {Fraction(0), Fraction(1)}
 
     value: Optional[Fraction] = Fraction(0)
     in_unit = True

@@ -443,12 +443,15 @@ def _cmd_lemma_delta_tilde(args):
     blocks = [decimal(v.strip(), " in --d")
               for v in args.d.split(",") if v.strip()]
     report = models.delta_tilde_check(blocks, args.c0, args.c, args.alpha_minus_nu)
+    sums = [brief(v, PRINT_BITS) for v in report.partial_sums]
+    modulus = report.modulus
+    shown = (f"2^{brief(args.alpha_minus_nu, PRINT_BITS)}" if modulus is None
+             else modulus)
     return _exit_for(report.ok), [
-        ("partial_sums", list(report.partial_sums),
-         f"partial sums: {' '.join(map(str, report.partial_sums))}"),
-        ("total", report.total),
-        ("modulus", report.modulus, None),
-        ("ok", report.ok, f"all nonzero mod {report.modulus}: {_fmt_text(report.ok)}"),
+        ("partial_sums", sums, f"partial sums: {' '.join(map(str, sums))}"),
+        ("total", brief(report.total, PRINT_BITS)),
+        ("modulus", modulus, None),
+        ("ok", report.ok, f"all nonzero mod {shown}: {_fmt_text(report.ok)}"),
     ]
 
 

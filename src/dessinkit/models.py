@@ -32,6 +32,7 @@ from .errors import (
     HypothesisFailed,
     OutOfRange,
     ResourceLimit,
+    SizeGuard,
 )
 from .perms import MAX_DEGREE, Permutation, compose_right, parse_cycles
 from .words import FreeWord, commutator_word, parse_word
@@ -60,6 +61,16 @@ GALLERY_SIZE = 6
 #: The largest edge count 8p of an 8p-edge model: the permutation degree cap
 #: ``perms.MAX_DEGREE``.
 MAX_8P_DEGREE = MAX_DEGREE
+
+#: The most bits the evaluation point gamma^(2p) q^2 and the value beta1 there
+#: may have in a two-adic instance; each is checked before it is computed.
+#: Together they bound the 2-adic window and the exponents of the modular
+#: powers in :func:`two_adic_verify`, whose time grows with the cube of this
+#: size.  With beta1 = (X+1)/32 and q = 4 it takes 0.2 s for gamma = 2/3 at
+#: p = 1009 (a 3199-bit point), 0.9 s for gamma = 1024/1025 at p = 199 (3985
+#: bits, near the cap) and 1.5 s for gamma = 2/3 at p = 2003 (6350 bits, over
+#: the cap); Python 3.11 on one core of a 2-CPU x86-64 host.
+MAX_TWO_ADIC_BITS = 4096
 
 _WITNESS_VALUES = {
     1: "()",
@@ -262,9 +273,12 @@ def build_mu_omega(d, m: int, n: int, r: int, s: int) -> Tuple[FreeWord, FreeWor
 
 @dataclass(frozen=True)
 class DeltaTildeReport:
+    """The sums of :func:`delta_tilde_check` and its verdict; ``modulus``,
+    2^(alpha - nu), is None when it would have more than ``PRINT_BITS`` bits."""
+
     partial_sums: tuple
     total: int
-    modulus: int
+    modulus: Optional[int]
     ok: bool
 
 
@@ -273,8 +287,9 @@ def delta_tilde_check(d, c0: int, c: int, alpha_minus_nu: int) -> DeltaTildeRepo
 
     The terms are c0*d1, (c-c0)*d2, ..., doubled at the center; the check
     passes iff every proper partial sum and the total are nonzero modulo
-    2^(alpha - nu).  This is the sufficient condition for the x-exponent
-    prefixes of mu to avoid multiples of s.
+    2^(alpha - nu), decided by 2-adic valuation for any alpha - nu.  This is
+    the sufficient condition for the x-exponent prefixes of mu to avoid
+    multiples of s.
     """
     blocks = _check_blocks(d)
     t = len(blocks)
@@ -286,12 +301,18 @@ def delta_tilde_check(d, c0: int, c: int, alpha_minus_nu: int) -> DeltaTildeRepo
         (c0 if i % 2 else c - c0) * blocks[i - 1] * (2 if i == t else 1)
         for i in _palindrome(t)
     ]
-    modulus = 1 << alpha_minus_nu
     *partials, total = itertools.accumulate(terms)
-    ok = all(v % modulus for v in partials) and total % modulus != 0
+    # v is nonzero mod 2^k exactly when v2(v) < k, so no 2^k is built for it
+    ok = all(v and v2(v) < alpha_minus_nu for v in (*partials, total))
+    modulus = 1 << alpha_minus_nu if alpha_minus_nu < PRINT_BITS else None
     return DeltaTildeReport(
         partial_sums=tuple(partials), total=total, modulus=modulus, ok=ok
     )
+
+
+def _bits(v: Fraction) -> int:
+    """Bit length of the larger of numerator and denominator."""
+    return max(abs(v.numerator), v.denominator).bit_length()
 
 
 class TwoAdicInstance:
@@ -301,7 +322,10 @@ class TwoAdicInstance:
     0 < beta1(0) < 1; ``gamma`` and ``q`` (through gamma^(2p) q^2) set the
     evaluation point.  Derived on construction: c0 = poly(0),
     nu = v2(c0) + v2(c - c0), alpha = v2(gamma^(2p) q^2) and the odd part
-    a/b of the evaluation point.
+    a/b of the evaluation point.  A gamma^(2p) of more than
+    ``MAX_TWO_ADIC_BITS`` bits raises :class:`SizeGuard` before it is
+    computed, and so does :meth:`beta1` at a point whose value would be
+    that large.
     """
 
     def __init__(self, poly: RatPoly, c: int, p: int, q, gamma):
@@ -317,6 +341,14 @@ class TwoAdicInstance:
         c0 = int(poly(Fraction(0)))
         if not 0 < c0 < c:
             raise OutOfRange(f"need 0 < poly(0) < c, got poly(0)={c0}, c={c}")
+        # the larger of the numerator and denominator of gamma is at least
+        # 2^(bits - 1), so gamma^(2p) has more than 2p (bits - 1) bits
+        at_least = 2 * p * (_bits(gamma) - 1)
+        if at_least > MAX_TWO_ADIC_BITS:
+            raise SizeGuard(
+                f"gamma^(2p) has more than {brief(at_least, 256)} bits at "
+                f"p = {brief(p, 256)}, over the cap {MAX_TWO_ADIC_BITS}"
+            )
         self.poly = poly
         self.c = c
         self.p = p
@@ -331,7 +363,15 @@ class TwoAdicInstance:
         self.b = odd.denominator
 
     def beta1(self, v: Fraction) -> Fraction:
-        return Fraction(self.poly(Fraction(v)), self.c)
+        v = Fraction(v)
+        estimate = (self.poly.degree * _bits(v) + self.c.bit_length()
+                    + max(_bits(coef) for coef in self.poly.coefficients))
+        if estimate > MAX_TWO_ADIC_BITS:
+            raise SizeGuard(
+                f"beta1 at a point of {_bits(v)} bits needs about {estimate} "
+                f"bits, over the cap {MAX_TWO_ADIC_BITS}"
+            )
+        return Fraction(self.poly(v), self.c)
 
 
 @dataclass(frozen=True)
@@ -366,9 +406,11 @@ def two_adic_verify(inst: TwoAdicInstance) -> TwoAdicReport:
     value as N/D with N = (m+n)^(m+n) c0^m (c-c0)^n and D = m^m n^n c^(m+n),
     one has s = (D-N)/gcd(N, D), v2(gcd) = min(v2 N, v2 D) from the factored
     forms, and v2(D-N) needs only D-N modulo a power of two, so the check
-    runs in modular arithmetic no matter how large r and s are.  A report
-    with every intermediate value is returned; inconsistent congruences are
-    reported, never asserted away.
+    runs in modular arithmetic no matter how large r and s are.  Its cost is
+    cubic in the size of beta1(gamma^(2p) q^2), which :meth:`~TwoAdicInstance.beta1`
+    caps at ``MAX_TWO_ADIC_BITS`` (:class:`SizeGuard`).  A report with every
+    intermediate value is returned; inconsistent congruences are reported,
+    never asserted away.
     """
     if inst.alpha <= inst.nu:
         raise HypothesisFailed(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from ._exact import check_odd_prime, integer_root, power
+from ._exact import PRINT_BITS, brief, check_odd_prime, integer_root, power
 from .errors import (
     DegenerateTriple,
     DessinkitError,
@@ -243,6 +243,7 @@ class TowerElement:
         parts = []
         for (i, j) in sorted(self._coords):
             c = self._coords[(i, j)]
+            shown = ("-" if c < 0 else "") + str(brief(abs(c), PRINT_BITS))
             names = []
             if i:
                 names.append("z" if i == 1 else f"z^{i}")
@@ -250,13 +251,13 @@ class TowerElement:
                 names.append("t" if j == 1 else f"t^{j}")
             body = "*".join(names)
             if not body:
-                parts.append(str(c))
+                parts.append(shown)
             elif c == 1:
                 parts.append(body)
             elif c == -1:
                 parts.append(f"-{body}")
             else:
-                parts.append(f"{c}*{body}")
+                parts.append(f"{shown}*{body}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self) -> str:

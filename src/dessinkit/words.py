@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Tuple
 
-from ._exact import Scanner, power
+from ._exact import PRINT_BITS, Scanner, brief, power
 from .errors import DegreeMismatch, ParseError, ResourceLimit
 from .perms import Permutation, compose_right
 
@@ -85,7 +85,8 @@ class FreeWord:
             return "1"
         parts = []
         for g, e in self._syllables:
-            parts.append(g if e == 1 else f"{g}^{e}")
+            sign = "-" if e < 0 else ""
+            parts.append(g if e == 1 else f"{g}^{sign}{brief(abs(e), PRINT_BITS)}")
         return " ".join(parts)
 
     def __repr__(self) -> str:

@@ -29,10 +29,9 @@ EXPORTS = (
     "regular_descriptor", "witness_verdict",
     # belyi
     "INFINITY", "BelyiChain", "BmnParams", "BmnStage", "CritProfile", "RatMap",
-    "RatPoly", "belyi_reduce", "bmn", "certify_increasing", "chain_compose",
-    "eval_extended", "finite_critical_values", "pair_from_ratio", "parse_map",
-    "parse_poly", "propagate_crit", "rational_roots", "sturm_count",
-    "verify_reduction",
+    "RatPoly", "belyi_reduce", "bmn", "certify_increasing",
+    "finite_critical_values", "pair_from_ratio", "parse_map", "parse_poly",
+    "propagate_crit", "rational_roots", "sturm_count", "verify_reduction",
     # tower
     "CurveTriple", "TowerElement", "TowerField", "conjugate_triples_distinct",
     "j_invariant_of_triple",
@@ -53,7 +52,7 @@ def _exported() -> set:
 
 
 def test_pinned_names_are_unique():
-    assert len(set(EXPORTS)) == len(EXPORTS) == 78
+    assert len(set(EXPORTS)) == len(EXPORTS) == 76
 
 
 def test_no_export_is_dropped():

@@ -1,6 +1,7 @@
 """Exact polynomial calculus tests: the Belyi family, critical profiles,
 Sturm counting against a Descartes-bisection oracle, and the reduction chain."""
 
+import functools
 import hashlib
 import itertools
 import logging
@@ -26,8 +27,6 @@ from dessinkit.belyi import (
     belyi_reduce,
     bmn,
     certify_increasing,
-    chain_compose,
-    eval_extended,
     finite_critical_values,
     pair_from_ratio,
     parse_map,
@@ -182,15 +181,15 @@ class TestPolyParsing:
 class TestEvalExtended:
     def test_beta1_values(self):
         f = parse_map(BETA1)
-        assert eval_extended(f, F(-27)) == 0
-        assert eval_extended(f, F(9)) is INFINITY
-        assert eval_extended(f, F(0)) == 1
-        assert eval_extended(f, F(81)) == 1
+        assert f.eval_extended(F(-27)) == 0
+        assert f.eval_extended(F(9)) is INFINITY
+        assert f.eval_extended(F(0)) == 1
+        assert f.eval_extended(F(81)) == 1
 
     def test_at_infinity(self):
-        assert eval_extended(parse_map(BETA1), INFINITY) is INFINITY
-        assert eval_extended(parse_map("1/(X^2+1)"), INFINITY) == 0
-        assert eval_extended(parse_map("(2*X+1)/(3*X-1)"), INFINITY) == F(2, 3)
+        assert parse_map(BETA1).eval_extended(INFINITY) is INFINITY
+        assert parse_map("1/(X^2+1)").eval_extended(INFINITY) == 0
+        assert parse_map("(2*X+1)/(3*X-1)").eval_extended(INFINITY) == F(2, 3)
 
 
 class TestCriticalValues:
@@ -691,18 +690,42 @@ class TestVerifyReduction:
         report = verify_reduction(BelyiChain([self.QUARTER, BmnStage(2, 3)]), [])
         assert report.ok and report.value_at_zero is None
 
+    def test_reads_the_chain_profile_without_recomputing_it(self, monkeypatch):
+        points = [-27, 9]
+        chain = belyi_reduce(points, stage_cap=None)
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(belyi, "propagate_crit",
+                            counted("propagate_crit", belyi.propagate_crit))
+        monkeypatch.setattr(belyi, "BelyiChain",
+                            counted("BelyiChain", belyi.BelyiChain))
+        assert verify_reduction(chain, points).ok
+        assert calls == []
+        belyi.BelyiChain(chain.stages)  # the wrappers do see a rebuild
+        assert calls[0] == "BelyiChain" and "propagate_crit" in calls
+
+
+def _compose_onto(profile, stages):
+    """The critical profile of the stages composed onto a prior profile."""
+    return functools.reduce(propagate_crit, stages, profile)
+
 
 class TestChains:
-    def test_compose_updates_profile(self):
-        chain = BelyiChain([], input_profile=CritProfile.of([4]))
-        chain = chain_compose(chain, RatMap(X**2))
-        assert chain.current_profile.finite_values == {F(0), F(16)}
-        assert chain.current_profile.includes_infinity
+    def test_chain_profile_is_the_fold_from_the_empty_profile(self):
+        stages = [parse_map("(X+1)/32"), BmnStage(17, 15), RatMap(X**2)]
+        profile = BelyiChain(stages).current_profile
+        assert profile == _compose_onto(CritProfile.empty(), stages)
+        assert BelyiChain().current_profile == CritProfile.empty()
 
     def test_identity_stage_keeps_profile(self):
-        chain = BelyiChain([], input_profile=CritProfile.of([F(1, 2)]))
-        chain = chain_compose(chain, RatMap(X))
-        assert chain.current_profile == CritProfile.of([F(1, 2)])
+        profile = CritProfile.of([F(1, 2)])
+        assert _compose_onto(profile, [RatMap(X)]) == profile
 
     def test_final_composition_reaches_three_point_profile(self):
         # beta1 = (X+1)/32 evaluated at 0 and at the point 16, then the two
@@ -716,11 +739,10 @@ class TestChains:
         first = BmnStage(params.m, params.n)
         second_ratio = first.eval_extended(at_zero)
         second_params = pair_from_ratio(second_ratio)
-        chain = BelyiChain([], input_profile=profile)
-        chain = chain_compose(chain, first)
-        chain = chain_compose(chain, BmnStage(second_params.m, second_params.n))
-        assert chain.current_profile.finite_values == {F(0), F(1)}
-        assert chain.current_profile.includes_infinity
+        second = BmnStage(second_params.m, second_params.n)
+        out = _compose_onto(profile, [first, second])
+        assert out.finite_values == {F(0), F(1)}
+        assert out.includes_infinity
 
     def test_stage_special_points_are_free(self):
         huge = BmnStage(31**15, 17**17 * 15**15 - 31**15)
@@ -736,6 +758,19 @@ class TestChains:
         assert stage.derivative_sign_at(F(1, 2)) == 1
         assert stage.derivative_sign_at(stage.peak) == 0
         assert stage.derivative_sign_at(F(9, 10)) == -1
+
+    def test_stage_derivative_signs_match_the_expanded_map(self):
+        # at 0, at 1, outside [0, 1] and on both sides of the peak
+        for total in range(2, 13):
+            for m in range(1, total):
+                n = total - m
+                if math.gcd(m, n) != 1:
+                    continue
+                stage, expanded = BmnStage(m, n), bmn(BmnParams(m, n))
+                for v in (F(-2), F(-1, 2), F(0), F(1, 3), stage.peak, F(1),
+                          F(3, 2), F(2)):
+                    assert stage.derivative_sign_at(v) == \
+                        expanded.derivative_sign_at(v), (m, n, v)
 
 
 # ---------------------------------------------------------------------------

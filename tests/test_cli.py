@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, deterministic output, structured mode."""
 
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from fractions import Fraction
 
 from dessinkit import PermGroup, Permutation, dessins, load_dessin, parse_cycles
 from dessinkit._exact import PRINT_BITS
@@ -510,6 +513,85 @@ class TestSizeGuards:
             3, "", "error: map of degree 2001 before position 10 in expression "
             "is over the degree cap 2000\n"
         )
+
+
+class TestTwoAdicAndDeltaTildeSizes:
+    """Oversized lemma inputs end in an answer or a typed error, at once."""
+
+    @pytest.mark.parametrize("p, bits", [("10007", 20014), ("1000000007", 2000000014)])
+    def test_two_adic_point_over_the_cap(self, capsys, monkeypatch, p, bits):
+        def refuse(self, exponent, *args):
+            raise AssertionError(f"power {exponent} computed past the guard")
+
+        monkeypatch.setattr(Fraction, "__pow__", refuse)
+        start = time.perf_counter()
+        assert invoke(capsys, "lemma", "two-adic", "--poly", "X+1", "--c", "32",
+                      "--p", p, "--q", "4", "--gamma", "2/3") == (
+            3, "", f"error: gamma^(2p) has more than {bits} bits at p = {p}, "
+            "over the cap 4096\n"
+        )
+        assert time.perf_counter() - start < 1
+
+    def test_two_adic_below_the_cap_answers_as_before(self, capsys):
+        code, out, _ = invoke(capsys, "lemma", "two-adic", "--poly", "X+1", "--c", "32",
+                              "--p", "1009", "--q", "4", "--gamma", "2/3")
+        assert code == 0 and out.endswith("certified: true\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "698cc0dacceea7191ca40a253bdd5b2b0a555a62bea8197d006217aa1c3304cb")
+
+    @pytest.mark.parametrize("k", ["100000000", "10000000000", "10" + "0" * 20])
+    def test_delta_tilde_huge_window(self, capsys, k):
+        start = time.perf_counter()
+        argv = DELTA_TILDE[:-1] + (k, "--d", "1,1,1")
+        assert invoke(capsys, *argv) == (
+            0, f"partial sums: 1 4 6 9\ntotal: 10\nall nonzero mod 2^{k}: true\n", ""
+        )
+        code, out, _ = invoke(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["modulus"] is None
+        assert time.perf_counter() - start < 1
+
+    def test_delta_tilde_long_entries(self, capsys):
+        big = "7" * 3000
+        argv = ("lemma", "delta-tilde", "--d", f"{big},1,{big}", "--c0", big,
+                "--c", "1" + big, "--alpha-minus-nu", "4")
+        low, high = "<19931-bit integer>", "<19933-bit integer>"
+        assert invoke(capsys, *argv) == (
+            0, f"partial sums: {low} {low} {high} {high}\ntotal: {high}\n"
+            "all nonzero mod 16: true\n", ""
+        )
+        code, out, _ = invoke(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out) == {
+            "partial_sums": [low, low, high, high], "total": high, "modulus": 16,
+            "ok": True,
+        }
+
+
+class TestPlaceholders:
+    """Coefficients and exponents over PRINT_BITS bits print as placeholders."""
+
+    def test_bmn_at_the_expansion_cap(self, capsys):
+        coefficient = "<rational with 21932-bit numerator and 21920-bit denominator>"
+        assert invoke(capsys, "belyi", "bmn", "--m", "1999", "--n", "1") == (
+            0, f"-{coefficient}*X^2000 + {coefficient}*X^1999\n"
+            "critical values: {0, 1, inf}\n", ""
+        )
+
+    def test_tower_jinv_with_a_long_q(self, capsys):
+        code, out, err = invoke(capsys, "tower", "jinv", "--p", "3", "--q", "3" * 2000)
+        assert (code, err) == (0, "")
+        # a placeholder keeps the sign of its coordinate
+        assert out.startswith(
+            "j = <rational with 26569-bit numerator and 26559-bit denominator> - "
+            "<rational with 26568-bit numerator and 26561-bit denominator>*t + ")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "eba2a55500924414ef3b56e9d31fd71a43a84b6af6e9a8ea97bbe8999f5fad4e")
+
+    def test_word_with_a_long_exponent(self, capsys):
+        n = "9" * 3000
+        code, out, _ = invoke(capsys, "word", "eval", "gallery:1",
+                              "--word", f"(x^{n})^{n} (y^{n})^-{n}", "--json")
+        assert code == 0 and json.loads(out)["word"] == (
+            "x^<19932-bit integer> y^-<19932-bit integer>")
 
 
 class TestDeterminism:

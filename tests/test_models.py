@@ -8,7 +8,7 @@ import pytest
 from dessinkit import models
 from dessinkit.belyi import RatPoly, parse_poly
 from dessinkit.cli import run_cli
-from dessinkit.errors import BadShape, HypothesisFailed, OutOfRange
+from dessinkit.errors import BadShape, HypothesisFailed, OutOfRange, SizeGuard
 from dessinkit.models import (
     GALLERY_SIZE,
     TwoAdicInstance,
@@ -251,6 +251,24 @@ class TestDeltaTilde:
         assert report.total == 8 and report.modulus == 8
         assert not report.ok
 
+    def test_verdict_by_valuation_is_the_verdict_mod_2k(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            blocks = [rng.randint(1, 40) for _ in range(rng.choice((1, 3, 5)))]
+            c = rng.randint(2, 64)
+            c0, k = rng.randint(1, c - 1), rng.randint(1, 9)
+            report = delta_tilde_check(blocks, c0, c, k)
+            sums = report.partial_sums + (report.total,)
+            assert report.modulus == 2**k
+            assert report.ok == all(v % 2**k for v in sums), (blocks, c0, c, k)
+
+    def test_modulus_over_print_bits_is_not_built(self):
+        assert delta_tilde_check([1, 1, 1], 1, 4, models.PRINT_BITS - 1).modulus == (
+            2 ** (models.PRINT_BITS - 1))
+        for k in (models.PRINT_BITS, 10**21):
+            report = delta_tilde_check([1, 1, 1], 1, 4, k)
+            assert report.modulus is None and report.ok
+
     def test_bad_shapes(self):
         with pytest.raises(BadShape):
             delta_tilde_check([1, 1], 1, 4, 4)
@@ -289,6 +307,29 @@ class TestTwoAdic:
         assert inst.alpha == 18  # 6u for u = 3 at p = 3
         assert inst.b == (2**5 + 1) ** 6 and inst.b % 2 == 1
         assert inst.a == 2**0 or inst.a % 2 == 1
+
+    def test_point_over_the_cap_is_not_built(self, monkeypatch):
+        def refuse(self, exponent, *args):
+            raise AssertionError(f"power {exponent} computed past the guard")
+
+        monkeypatch.setattr(F, "__pow__", refuse)
+        with pytest.raises(SizeGuard, match="more than 4000012 bits at p = 1000003"):
+            TwoAdicInstance(RatPoly((3, 1, 1)), 40, 1000003, F(4, 3), F(5, 7))
+
+    def test_beta1_over_the_cap_is_not_evaluated(self, monkeypatch):
+        inst = TwoAdicInstance(RatPoly((1, 0, 1)), 32, 3, 4, 1)
+        assert inst.beta1(F(1, 3)) == F(10, 288)
+        monkeypatch.setattr(RatPoly, "__call__",
+                            lambda self, v: pytest.fail("evaluated past the guard"))
+        with pytest.raises(SizeGuard) as exc:
+            inst.beta1(F(1, 3**1300))
+        assert str(exc.value) == (
+            "beta1 at a point of 2061 bits needs about 4129 bits, over the cap 4096")
+
+    def test_gamma_one_needs_no_power_bits(self):
+        # gamma^(2p) = 1 for any p, so a large prime is no reason to refuse
+        inst = TwoAdicInstance(RatPoly((1, 1)), 32, 1000000007, 4, 1)
+        assert inst.point == 16 and two_adic_verify(inst).ok
 
     def test_bad_instances(self):
         with pytest.raises(OutOfRange):
