@@ -1,7 +1,9 @@
 """Exact rational polynomial and rational-map calculus for Belyi chains.
 
-Values are `fractions.Fraction`s, and the root layer works on integer
-polynomials; there is no floating point anywhere.  The module provides:
+A :class:`RatPoly` holds integers over one positive denominator, the root
+layer works on integer coefficient lists, and values are
+`fractions.Fraction`s; there is no floating point anywhere.  The module
+provides:
 
 * :class:`RatPoly` / :class:`RatMap` arithmetic with gcd-reduced maps,
 * extended evaluation on the projective line (:data:`INFINITY` as the pole
@@ -77,6 +79,14 @@ DEFAULT_EVAL_WORK_BITS = 2_000_000
 #: cap on the degree of a parsed map.
 DEFAULT_EXPANSION_CAP = 2000
 
+#: Cap on the total bits of the integers and denominators of a parsed map,
+#: and on the bound a power is checked against before it is expanded.  The
+#: expansion takes time about quadratic in the size (Python 3.11, one core):
+#: (X-1)^2000, bounded by 4.0 million bits (2.9 million actual), takes
+#: 1.3 s, (3*X+4)^1300, bounded by 5.1 million, 1.9 s, and (X+2)^2000,
+#: bounded by 8.0 million (4.9 million actual), 3.4 s.
+MAX_MAP_BITS = 6_000_000
+
 
 class _Infinity:
     """The point at infinity of the projective line (a singleton)."""
@@ -103,74 +113,94 @@ ExtendedRational = Union[Fraction, _Infinity]
 
 
 class RatPoly:
-    """Polynomial with exact rational coefficients, low degree first."""
+    """Polynomial with exact rational coefficients, low degree first.
 
-    __slots__ = ("_coeffs",)
+    Held as integers over one positive denominator in lowest terms, with no
+    trailing zero integer, so equal polynomials have equal fields.
+    """
+
+    __slots__ = ("_ints", "_den")
 
     def __init__(self, coefficients: Iterable = ()):
         coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs = tuple(coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        poly = RatPoly._lowest([c.numerator * (den // c.denominator) for c in coeffs], den)
+        self._ints, self._den = poly._ints, poly._den
+
+    @classmethod
+    def _lowest(cls, ints: list, den: int = 1) -> "RatPoly":
+        """The polynomial with coefficients ints[i] / den (den nonzero); pops
+        ints' trailing zeros."""
+        while ints and not ints[-1]:
+            ints.pop()
+        g = math.gcd(den, *ints)
+        if den < 0:
+            g = -g
+        poly = object.__new__(cls)
+        poly._ints = tuple(ints) if g == 1 else tuple(v // g for v in ints)
+        poly._den = den // g
+        return poly
 
     @property
     def coefficients(self) -> tuple:
-        return self._coeffs
+        return tuple(Fraction(v, self._den) for v in self._ints)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self._coeffs) - 1
+        return len(self._ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._ints
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._ints[-1], self._den)
 
     def __call__(self, v: Fraction) -> Fraction:
         acc = Fraction(0)
-        for c in reversed(self._coeffs):
+        for c in reversed(self._ints):
             acc = acc * v + c
-        return acc
+        return acc / self._den
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatPoly) and self._coeffs == other._coeffs
+        return (isinstance(other, RatPoly) and self._den == other._den
+                and self._ints == other._ints)
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._ints, self._den))
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self._coeffs, other._coeffs
+        a = [v * other._den for v in self._ints]
+        b = [v * self._den for v in other._ints]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
+        for i, v in enumerate(b):
+            a[i] += v
+        return RatPoly._lowest(a, self._den * other._den)
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self._coeffs))
+        return RatPoly._lowest([-v for v in self._ints], self._den)
 
     def __sub__(self, other: "RatPoly") -> "RatPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
-            return RatPoly(tuple(c * other for c in self._coeffs))
-        a, b = self._coeffs, other._coeffs
+            return RatPoly._lowest([v * other.numerator for v in self._ints],
+                                   self._den * other.denominator)
+        a, b = self._ints, other._ints
         if not a or not b:
             return RatPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return RatPoly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return RatPoly._lowest(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -180,62 +210,19 @@ class RatPoly:
         return power(self, exponent, ONE_POLY, operator.mul)
 
     def derivative(self) -> "RatPoly":
-        return RatPoly(tuple(i * c for i, c in enumerate(self._coeffs) if i))
-
-    def divmod(self, other: "RatPoly"):
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        d = other.degree
-        lead = other.leading
-        quo = [Fraction(0)] * max(0, len(rem) - d)
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            quo[shift] = factor
-            for i, c in enumerate(other._coeffs):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return RatPoly(quo), RatPoly(rem)
-
-    def monic(self) -> "RatPoly":
-        if self.is_zero:
-            return self
-        lead = self.leading
-        return RatPoly(tuple(c / lead for c in self._coeffs))
-
-    def gcd(self, other: "RatPoly") -> "RatPoly":
-        """Monic greatest common divisor: the last term of the integer
-        remainder sequence."""
-        a, b = (self, other) if self.degree >= other.degree else (other, self)
-        if b.is_zero:
-            return a.monic()
-        return _monic(_prs(a.primitive_integer_coeffs(),
-                           b.primitive_integer_coeffs())[-1])
-
-    def squarefree_part(self) -> "RatPoly":
-        if self.degree < 1:
-            return self.monic()
-        return _monic(_squarefree_chain(self.primitive_integer_coeffs())[0])
+        return RatPoly._lowest(_derivative(self._ints), self._den)
 
     def primitive_integer_coeffs(self) -> tuple:
         """Integer coefficients after clearing denominators and content."""
-        if self.is_zero:
-            return ()
-        denom_lcm = math.lcm(*(c.denominator for c in self._coeffs))
-        return tuple(_primitive([c.numerator * (denom_lcm // c.denominator)
-                                 for c in self._coeffs]))
+        return tuple(_primitive(self._ints)) if self._ints else ()
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         parts = []
-        for i in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[i]
+        coeffs = self.coefficients
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if c == 0:
                 continue
             mag = brief(-c if c < 0 else c, PRINT_BITS)
@@ -274,13 +261,13 @@ class RatMap:
         if numerator.is_zero:
             self._num, self._den = RatPoly(), ONE_POLY
             return
-        g = numerator.gcd(denominator)
-        if g.degree > 0:
-            numerator = numerator.divmod(g)[0]
-            denominator = denominator.divmod(g)[0]
-        lead = denominator.leading
-        self._num = numerator * (1 / lead)
-        self._den = denominator * (1 / lead)
+        a, b = numerator._ints, denominator._ints
+        g = _poly_gcd(a, b)
+        if len(g) > 1:
+            a, b = _quotient(a, g), _quotient(b, g)
+        self._num = RatPoly._lowest([v * denominator._den for v in a],
+                                    numerator._den * b[-1])
+        self._den = _monic(b)
 
     @property
     def numerator(self) -> RatPoly:
@@ -334,10 +321,6 @@ class RatMap:
             return RatMap(self._den, self._num) ** (-exponent)
         return RatMap(self._num ** exponent, self._den ** exponent)
 
-    def compose(self, inner: "RatMap") -> "RatMap":
-        """self(inner(X)) as a reduced map."""
-        return _poly_of_map(self._num, inner) / _poly_of_map(self._den, inner)
-
     def eval_extended(self, v: ExtendedRational) -> ExtendedRational:
         """Value on the projective line; poles map to infinity."""
         if v is INFINITY:
@@ -377,13 +360,6 @@ class RatMap:
 
     def __repr__(self) -> str:
         return f"RatMap({self!s})"
-
-
-def _poly_of_map(poly: RatPoly, arg: RatMap) -> RatMap:
-    acc = RatMap(RatPoly())
-    for c in reversed(poly.coefficients):
-        acc = acc * arg + RatMap(RatPoly((c,)))
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +469,14 @@ def propagate_crit(profile: CritProfile, f) -> CritProfile:
 # ---------------------------------------------------------------------------
 
 
-def _primitive(c: list) -> list:
+def _primitive(c: Sequence[int]) -> Sequence[int]:
     """A nonzero integer polynomial over its content, signs kept."""
     g = math.gcd(*c)
     return c if g == 1 else [v // g for v in c]
 
 
 def _monic(c: Sequence[int]) -> RatPoly:
-    lead = c[-1]
-    return RatPoly(Fraction(v, lead) for v in c)
+    return RatPoly._lowest(list(c), c[-1])
 
 
 def _derivative(c: Sequence[int]) -> list:
@@ -546,6 +521,16 @@ def _prs(a: Sequence[int], b: Sequence[int]) -> list:
             break
         seq.append(_primitive([-v for v in r]))
     return seq
+
+
+def _poly_gcd(a: Sequence[int], b: Sequence[int]) -> list:
+    """Primitive gcd of integer polynomials, a nonzero: the last term of
+    their remainder sequence."""
+    a = _primitive(a)
+    if not b:
+        return a
+    b = _primitive(b)
+    return _prs(a, b)[-1] if len(a) >= len(b) else _prs(b, a)[-1]
 
 
 def _quotient(a: Sequence[int], b: Sequence[int]) -> Optional[list]:
@@ -622,21 +607,24 @@ def certify_increasing(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise OutOfRange(f"empty interval ({lo}, {hi}]")
-    d = f.derivative()
-    if d.is_zero:
+    d = _derivative(f._ints)  # a positive multiple of f'
+    if not d:
         return False
-    g = d.gcd(d.derivative())
-    b, c, odd = d.divmod(g)[0], d.derivative().divmod(g)[0], True
-    while b.degree >= 1:
-        e = c - b.derivative()
-        a = b.gcd(e)
+    g = _poly_gcd(d, _derivative(d))
+    b, c, odd = _quotient(d, g), _quotient(_derivative(d), g), True
+    while len(b) > 1:
+        # b and c are Yun's b_i and c_i times one factor, and c has the
+        # degree of b', so e is Yun's d_i times it
+        e = [x - y for x, y in zip(c, _derivative(b))]
+        while e and not e[-1]:
+            e.pop()
+        a = RatPoly._lowest(_poly_gcd(b, e))
         if odd and sturm_count(a, lo, hi) > (a(hi) == 0):
             return False
-        b, c, odd = b.divmod(a)[0], e.divmod(a)[0], not odd
-    ints = d.primitive_integer_coeffs()
-    step = (hi - lo) / (d.degree + 2)
-    points = (lo + k * step for k in range(1, d.degree + 2))
-    signs = (_sign_at(ints, t.numerator, t.denominator) for t in points)
+        b, c, odd = _quotient(b, a._ints), _quotient(e, a._ints), not odd
+    step = (hi - lo) / (len(d) + 1)
+    points = (lo + k * step for k in range(1, len(d) + 1))
+    signs = (_sign_at(d, t.numerator, t.denominator) for t in points)
     return next(s for s in signs if s) > 0
 
 
@@ -805,11 +793,9 @@ def bmn(params: BmnParams) -> RatMap:
         raise SizeGuard(
             f"expansion of the ({m}, {n}) stage exceeds cap {DEFAULT_EXPANSION_CAP}"
         )
-    scale = Fraction((m + n) ** (m + n), m**m * n**n)
-    coeffs = [Fraction(0)] * (m + n + 1)
-    for k in range(n + 1):
-        coeffs[m + k] = scale * math.comb(n, k) * (-1) ** k
-    return RatMap(RatPoly(coeffs))
+    top = (m + n) ** (m + n)
+    ints = [0] * m + [(-1) ** k * math.comb(n, k) * top for k in range(n + 1)]
+    return RatMap(RatPoly._lowest(ints, m**m * n**n))
 
 
 def _strip(a: int, g: int) -> Tuple[int, int]:
@@ -1134,6 +1120,25 @@ def verify_reduction(chain: BelyiChain, points: Iterable) -> ReductionReport:
 # ---------------------------------------------------------------------------
 
 
+def _bits(f: RatMap) -> int:
+    """Bits of the integers and denominators of a map's two polynomials."""
+    return sum(sum(v.bit_length() for v in p._ints) + p._den.bit_length()
+               for p in (f.numerator, f.denominator))
+
+
+def _power_bits(f: RatMap, e: int) -> int:
+    """A bound on ``_bits(f ** e)`` for e >= 1.  For each polynomial p of f,
+    p^e has at most e deg p + 1 terms (one for a monomial), and with P the
+    integers of p, each integer of P^e is at most |P|_1^e."""
+    total = 0
+    for p in (f.numerator, f.denominator):
+        nonzero = sum(1 for v in p._ints if v)
+        terms = e * p.degree + 1 if nonzero > 1 else nonzero
+        total += (terms * (e * (sum(map(abs, p._ints)) - 1).bit_length() + 1)
+                  + e * (p._den - 1).bit_length() + 1)
+    return total
+
+
 class _MapParser(Scanner):
     """Recursive-descent parser for exact map expressions.
 
@@ -1141,15 +1146,21 @@ class _MapParser(Scanner):
     factor)*``, ``factor := ('-')* primary ['^' int]``, ``primary := integer |
     'X' | '(' expr ')'``.  Example: ``(X+27)^3 / (243*(X-9)^2)``.  Whitespace
     may separate tokens, but not the digits of one integer.  No map on the way
-    may have degree above ``DEFAULT_EXPANSION_CAP`` (:class:`SizeGuard`); a
-    power is checked before it is expanded.
+    may have degree above ``DEFAULT_EXPANSION_CAP`` or more than
+    ``MAX_MAP_BITS`` bits (:class:`SizeGuard`); a power is checked, on bounds,
+    before it is expanded.
     """
 
-    def check_degree(self, degree: int) -> None:
+    def check(self, degree: int, bits: int) -> None:
         if degree > DEFAULT_EXPANSION_CAP:
             raise SizeGuard(
                 f"map of degree {brief(degree, 256)} before position {self.pos} "
                 f"in expression is over the degree cap {DEFAULT_EXPANSION_CAP}"
+            )
+        if bits > MAX_MAP_BITS:
+            raise SizeGuard(
+                f"map of up to {brief(bits, 256)} bits before position {self.pos} "
+                f"in expression is over the size cap {MAX_MAP_BITS}"
             )
 
     def parse(self) -> RatMap:
@@ -1164,7 +1175,7 @@ class _MapParser(Scanner):
             op = self.take()
             rhs = self.term()
             value = value + rhs if op == "+" else value - rhs
-            self.check_degree(value.mapping_degree)
+            self.check(value.mapping_degree, _bits(value))
         return value
 
     def term(self) -> RatMap:
@@ -1173,7 +1184,7 @@ class _MapParser(Scanner):
             op = self.take()
             rhs = self.factor()
             value = value * rhs if op == "*" else value / rhs
-            self.check_degree(value.mapping_degree)
+            self.check(value.mapping_degree, _bits(value))
         return value
 
     def factor(self) -> RatMap:
@@ -1185,7 +1196,8 @@ class _MapParser(Scanner):
         if self.peek() == "^":
             self.take()
             exponent = self.integer()
-            self.check_degree(value.mapping_degree * abs(exponent))
+            e = abs(exponent)
+            self.check(value.mapping_degree * e, _power_bits(value, e))
             value = value ** exponent
         return -value if negate else value
 

@@ -41,6 +41,7 @@ from dessinkit.belyi import (
     X,
     _coprime_base,
     _least_exponent_above,
+    _squarefree_chain,
     _stage_pair,
 )
 from dessinkit.errors import (
@@ -55,6 +56,102 @@ BETA1 = "(X+27)^3 / (243*(X-9)^2)"
 
 
 # ---------------------------------------------------------------------------
+# oracle: polynomials as tuples of Fractions, with schoolbook arithmetic and
+# long division, sharing no code with RatPoly's integers over one denominator
+# ---------------------------------------------------------------------------
+
+
+class FracPoly:
+    """Polynomial with Fraction coefficients, low degree first."""
+
+    def __init__(self, coefficients=()):
+        coeffs = [F(c) for c in coefficients]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coefficients = tuple(coeffs)
+
+    @property
+    def degree(self):
+        return len(self.coefficients) - 1
+
+    @property
+    def is_zero(self):
+        return not self.coefficients
+
+    @property
+    def leading(self):
+        return self.coefficients[-1]
+
+    def __call__(self, v):
+        acc = F(0)
+        for c in reversed(self.coefficients):
+            acc = acc * v + c
+        return acc
+
+    def __add__(self, other):
+        a, b = self.coefficients, other.coefficients
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FracPoly(out)
+
+    def __neg__(self):
+        return FracPoly(-c for c in self.coefficients)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, F)):
+            return FracPoly(c * other for c in self.coefficients)
+        out = [F(0)] * (len(self.coefficients) + len(other.coefficients))
+        for i, a in enumerate(self.coefficients):
+            for j, b in enumerate(other.coefficients):
+                out[i + j] += a * b
+        return FracPoly(out)
+
+    def __pow__(self, exponent):
+        out = FracPoly([1])
+        for _ in range(exponent):
+            out = out * self
+        return out
+
+    def derivative(self):
+        return FracPoly(i * c for i, c in enumerate(self.coefficients) if i)
+
+    def divmod(self, other):
+        rem, d = list(self.coefficients), other.degree
+        quo = [F(0)] * max(0, len(rem) - d)
+        while len(rem) > d:
+            shift, factor = len(rem) - 1 - d, rem[-1] / other.leading
+            quo[shift] = factor
+            for i, c in enumerate(other.coefficients):
+                rem[shift + i] -= factor * c
+            while rem and rem[-1] == 0:
+                rem.pop()
+        return FracPoly(quo), FracPoly(rem)
+
+    def monic(self):
+        return self * (1 / self.leading) if self.coefficients else self
+
+    def __str__(self):
+        parts = []
+        for i in range(self.degree, -1, -1):
+            c = self.coefficients[i]
+            if c == 0:
+                continue
+            xs = "" if i == 0 else "X" if i == 1 else f"X^{i}"
+            body = str(abs(c)) if not xs else xs if abs(c) == 1 else f"{abs(c)}*{xs}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts) or "0"
+
+
+# ---------------------------------------------------------------------------
 # oracle: Descartes-rule bisection root isolation (independent of Sturm)
 # ---------------------------------------------------------------------------
 
@@ -64,7 +161,7 @@ def _descartes_variations(coeffs):
     return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
 
 
-def _roots_in_01_open(p: RatPoly) -> int:
+def _roots_in_01_open(p: FracPoly) -> int:
     """Distinct roots of squarefree p in the open unit interval, by the
     Vincent-Collins-Akritas bisection."""
     n = p.degree
@@ -83,20 +180,20 @@ def _roots_in_01_open(p: RatPoly) -> int:
     if v == 1:
         return 1
     half = F(1, 2)
-    left = RatPoly([c * half**i for i, c in enumerate(p.coefficients)])
+    left = FracPoly([c * half**i for i, c in enumerate(p.coefficients)])
     right_coeffs = list(left.coefficients) + [F(0)] * (n + 1 - len(left.coefficients))
     # p((x+1)/2) from p(x/2) by shifting
     shifted = list(right_coeffs)
     for i in range(len(shifted) - 1):
         for j in range(len(shifted) - 2, i - 1, -1):
             shifted[j] += shifted[j + 1]
-    count = _roots_in_01_open(left) + _roots_in_01_open(RatPoly(shifted))
+    count = _roots_in_01_open(left) + _roots_in_01_open(FracPoly(shifted))
     if p(half) == 0:
         count += 1
     return count
 
 
-def _euclid_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
+def _euclid_gcd(a: FracPoly, b: FracPoly) -> FracPoly:
     """Monic gcd by Euclid's algorithm over the rationals, so the oracles do
     not share the library's integer remainder sequence."""
     while not b.is_zero:
@@ -104,7 +201,7 @@ def _euclid_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     return a.monic()
 
 
-def _euclid_squarefree(p: RatPoly) -> RatPoly:
+def _euclid_squarefree(p: FracPoly) -> FracPoly:
     if p.degree < 1:
         return p.monic()
     return p.divmod(_euclid_gcd(p, p.derivative()))[0].monic()
@@ -112,13 +209,13 @@ def _euclid_squarefree(p: RatPoly) -> RatPoly:
 
 def oracle_count(p: RatPoly, lo: F, hi: F) -> int:
     """Distinct real roots of p in (lo, hi], by VCA on the squarefree part."""
-    ps = _euclid_squarefree(p)
+    ps = _euclid_squarefree(FracPoly(p.coefficients))
     if ps.degree < 1:
         return 0
     # affine change mapping (0,1) onto (lo, hi)
-    acc = RatPoly([F(1)])
-    result = RatPoly([])
-    shift = RatPoly([lo, hi - lo])
+    acc = FracPoly([F(1)])
+    result = FracPoly([])
+    shift = FracPoly([lo, hi - lo])
     for c in ps.coefficients:
         result = result + acc * c
         acc = acc * shift
@@ -177,6 +274,60 @@ class TestPolyParsing:
         assert parse_map("X^1500*X^500/X^1000").mapping_degree == 1000
         assert parse_map("2^5000 * X^2000").mapping_degree == 2000
 
+    def test_size_cap_leaves_these_maps(self):
+        for text in ("2^1000000*X+X^2", "3^700000*X+X^2", "2^5000 * X^2000", "(X-1)^2000"):
+            parse_map(text)
+        # a product is checked on its actual size once it is built
+        with pytest.raises(SizeGuard, match="map of up to 6000004 bits before position 19"):
+            parse_map("2^3000000*2^3000000")
+
+    def test_power_at_degree_1000_is_integer_work(self):
+        start = time.perf_counter()
+        p = parse_poly("(X-1)^1000")
+        assert time.perf_counter() - start < 1
+        assert p.coefficients[:3] == (1, -1000, 499500) and p.degree == 1000
+
+
+def _poly_pair(rng):
+    """A RatPoly and its FracPoly oracle from one list of coefficients: often
+    zero, constant, with trailing zeros, negative or fractional."""
+    coeffs = [F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 12)))
+              for _ in range(rng.choice((0, 1, 1, 2, 3, 4, 6)))]
+    coeffs += [0] * rng.randint(0, 2)
+    return RatPoly(coeffs), FracPoly(coeffs)
+
+
+class TestIntegerBackedPolynomials:
+    """RatPoly, integers over one denominator, against the Fraction oracle."""
+
+    @staticmethod
+    def same(p, oracle):
+        assert all(type(c) is F for c in p.coefficients)
+        assert p.coefficients == oracle.coefficients, (p, oracle)
+        assert (p.degree, p.is_zero, str(p)) == (oracle.degree, oracle.is_zero, str(oracle))
+        if oracle.is_zero:
+            with pytest.raises(ValueError):
+                p.leading
+        else:
+            assert p.leading == oracle.leading
+
+    def test_every_method_matches_the_fraction_oracle(self):
+        rng = random.Random(2014)
+        for _ in range(300):
+            (p, fp), (q, fq) = _poly_pair(rng), _poly_pair(rng)
+            k, c = rng.randint(-5, 5), F(rng.randint(-5, 5), rng.randint(1, 4))
+            e = rng.randint(0, 4)
+            for got, want in ((p, fp), (p + q, fp + fq), (p - q, fp - fq), (-p, -fp),
+                              (p * q, fp * fq), (p * k, fp * k), (k * p, fp * k),
+                              (p * c, fp * c), (c * p, fp * c), (p ** e, fp ** e),
+                              (p.derivative(), fp.derivative())):
+                self.same(got, want)
+            for v in (k, c):
+                assert p(v) == fp(v) and type(p(v)) is F, (p, v)
+            # one polynomial built two ways has one representation
+            for x, y in ((p * q, q * p), ((p + q) - q, p)):
+                assert x == y and hash(x) == hash(y), (x, y)
+
 
 class TestEvalExtended:
     def test_beta1_values(self):
@@ -230,7 +381,8 @@ class TestPropagation:
     def test_hexagonal_instance(self):
         # B(3,1) composed with the affine move (X+27)/36, applied to the
         # branch profile {0, -27, 9, inf}
-        composed = bmn(BmnParams(3, 1)).compose(parse_map("(X+27)/36"))
+        composed = parse_map("256/27 * ((X+27)/36)^3 * (1 - (X+27)/36)")
+        assert composed.eval_extended(F(0)) == bmn(BmnParams(3, 1)).eval_extended(F(3, 4))
         out = propagate_crit(
             CritProfile.of([0, -27, 9], includes_infinity=True), composed
         )
@@ -385,26 +537,44 @@ class TestIntegerRemainderSequence:
         def poly(terms, den):
             return RatPoly([F(rng.randint(-6, 6), rng.randint(1, den)) for _ in range(terms)])
 
+        def euclid_reduced(num, den):
+            """num/den over Euclid's gcd, the denominator made monic."""
+            num, den = FracPoly(num.coefficients), FracPoly(den.coefficients)
+            g = _euclid_gcd(num, den)
+            num, den = num.divmod(g)[0], den.divmod(g)[0]
+            scale = 1 / den.leading
+            return (num * scale).coefficients, (den * scale).coefficients
+
         for _ in range(200):
             common = poly(rng.randint(1, 3), 3)
             a = common * poly(rng.randint(1, 4), 1)
             b = common * poly(rng.randint(1, 4), 2)
-            assert a.gcd(b) == _euclid_gcd(a, b) == b.gcd(a), (a, b)
+            for num, den in ((a, b), (b, a)):
+                if not den.is_zero:  # RatMap reduces num/den by the gcd
+                    f = RatMap(num, den)
+                    assert (f.numerator.coefficients, f.denominator.coefficients) == \
+                        euclid_reduced(num, den), (num, den)
             for p in (a, a * a * b):
-                assert p.squarefree_part() == _euclid_squarefree(p), p
+                if p.degree >= 1:
+                    part = _squarefree_chain(p.primitive_integer_coeffs())[0]
+                    expected = _euclid_squarefree(FracPoly(p.coefficients))
+                    assert tuple(F(c, part[-1]) for c in part) == \
+                        expected.coefficients, p
 
 
 def _divisor_roots(p: RatPoly):
     """Rational-root theorem oracle: every +-u/v with u dividing the trailing
     and v the leading coefficient, found by enumerating all integers up to
     each, and stripped to full multiplicity."""
-    roots, work = {}, p
+    roots, work = {}, FracPoly(p.coefficients)
     while work.degree >= 1 and work.coefficients[0] == 0:
         roots[F(0)] = roots.get(F(0), 0) + 1
-        work = work.divmod(X)[0]
+        work = work.divmod(FracPoly([0, 1]))[0]
     if work.degree >= 1:
-        ints = work.primitive_integer_coeffs()
-        trailing, lead = abs(ints[0]), abs(ints[-1])
+        den = math.lcm(*(c.denominator for c in work.coefficients))
+        ints = [int(c * den) for c in work.coefficients]
+        content = math.gcd(*ints)
+        trailing, lead = abs(ints[0]) // content, abs(ints[-1]) // content
         for u in range(1, trailing + 1):
             for v in range(1, lead + 1):
                 if trailing % u or lead % v:
@@ -412,7 +582,7 @@ def _divisor_roots(p: RatPoly):
                 for cand in {F(u, v), F(-u, v)}:
                     while work.degree >= 1 and work(cand) == 0:
                         roots[cand] = roots.get(cand, 0) + 1
-                        work = work.divmod(RatPoly((-cand, 1)))[0]
+                        work = work.divmod(FracPoly([-cand, 1]))[0]
     return roots, work
 
 
@@ -443,7 +613,7 @@ class TestRationalRoots:
             oracle_roots, oracle_work = _divisor_roots(p)
             assert roots == oracle_roots, p
             if oracle_work.degree >= 1:
-                assert cofactor == oracle_work.monic(), p
+                assert cofactor.coefficients == oracle_work.monic().coefficients, p
             else:
                 assert cofactor == RatPoly((1,)), p
 
@@ -492,7 +662,8 @@ class TestRationalRoots:
         assert "degree 4, prime 13, lifted to p^" in caplog.text
         assert roots == {F(1, 3): 2, F(53, 5): 1} and cofactor == RatPoly((2, 0, 1))
         oracle_roots, oracle_work = _divisor_roots(p)
-        assert roots == oracle_roots and cofactor == oracle_work.monic()
+        assert roots == oracle_roots
+        assert cofactor.coefficients == oracle_work.monic().coefficients
 
     def test_lift_stops_at_the_least_sufficient_precision(self, caplog):
         # X + 2^64 has B = 1 + 2^64 and is lifted modulo p = 2: the least E

@@ -13,7 +13,7 @@ import pytest
 
 from fractions import Fraction
 
-from dessinkit import PermGroup, Permutation, dessins, load_dessin, parse_cycles
+from dessinkit import PermGroup, Permutation, RatPoly, dessins, load_dessin, parse_cycles
 from dessinkit._exact import PRINT_BITS
 from dessinkit.cli import run_cli
 from dessinkit.errors import ParseError
@@ -513,6 +513,28 @@ class TestSizeGuards:
             3, "", "error: map of degree 2001 before position 10 in expression "
             "is over the degree cap 2000\n"
         )
+
+    @pytest.mark.parametrize("expr, bits, position", [
+        ("3^100000000", 200000004, 11),
+        ("(X+3^1000)^2000", 6343172004, 15),
+        ("(X+2^600)^1000", 601602004, 14),
+        ("(X+2^100)^1000", 101102004, 14),
+        ("(7*X+13)^2000", 20012004, 13),
+    ])
+    def test_power_over_the_size_cap(self, capsys, monkeypatch, expr, bits, position):
+        expand = RatPoly.__pow__
+
+        def small_only(self, exponent):  # the base may hold a power itself
+            assert exponent <= 1000, "power expanded before the size cap was checked"
+            return expand(self, exponent)
+
+        monkeypatch.setattr(RatPoly, "__pow__", small_only)
+        start = time.perf_counter()
+        assert invoke(capsys, "belyi", "crit", "--map", expr) == (
+            3, "", f"error: map of up to {bits} bits before position {position} in "
+            "expression is over the size cap 6000000\n"
+        )
+        assert time.perf_counter() - start < 1
 
 
 class TestTwoAdicAndDeltaTildeSizes:
