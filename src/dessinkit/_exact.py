@@ -1,7 +1,8 @@
 """Exact integer toolkit and input scanner shared by the dessinkit modules.
 
 Primality, exact roots and 2-adic valuations of integers, binary powering in
-any associative product, the compact form of very large values in messages
+any associative product, the product of integer polynomials by Kronecker
+substitution, the compact form of very large values in messages
 and reports, the one reading of decimal integers from outside input, and the
 character scanner behind the word and map grammars.
 """
@@ -9,7 +10,7 @@ character scanner behind the word and map grammars.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import OutOfRange, ParseError, ResourceLimit
 
@@ -105,6 +106,50 @@ def power(base, exponent: int, one, mul):
         if exponent:
             base = mul(base, base)
     return result
+
+
+def int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list:
+    """Coefficients of the product of two nonempty integer coefficient lists
+    (lowest degree first), by Kronecker substitution (Kronecker 1882; Harvey,
+    J. Symbolic Comput. 44(10), 2009): each list is packed into one integer,
+    the two integers are multiplied once, and the product is unpacked.
+
+    Every slot is as wide as the widest product coefficient needs, so the
+    packed integers grow with len(a) + len(b) times the largest coefficients'
+    bits, whatever the other coefficients are.
+    """
+    # a product coefficient sums at most min(len(a), len(b)) products of two
+    # coefficients, so its magnitude is below 2^bits; with 8 width - 1 >= bits
+    # it fits its slot once biased by half
+    bits = (
+        max(map(int.bit_length, a))
+        + max(map(int.bit_length, b))
+        + min(len(a), len(b)).bit_length()
+    )
+    width = bits // 8 + 1
+    half = 1 << (8 * width - 1)
+    packed_a = _pack(a, width, half)
+    # the same integer twice lets the interpreter square
+    packed_b = packed_a if b is a else _pack(b, width, half)
+    count = len(a) + len(b) - 1
+    data = (packed_a * packed_b + _bias(count, width, half)).to_bytes(
+        count * width, "little"
+    )
+    return [
+        int.from_bytes(data[k:k + width], "little") - half
+        for k in range(0, count * width, width)
+    ]
+
+
+def _pack(values: Sequence[int], width: int, half: int) -> int:
+    """sum(values[k] * 2^(8 width k)); each slot is written biased by half,
+    and the biases are taken off at once."""
+    data = b"".join([(v + half).to_bytes(width, "little") for v in values])
+    return int.from_bytes(data, "little") - _bias(len(values), width, half)
+
+
+def _bias(count: int, width: int, half: int) -> int:
+    return int.from_bytes(half.to_bytes(width, "little") * count, "little")
 
 
 def brief(value, max_bits: int):

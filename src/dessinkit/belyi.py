@@ -1139,6 +1139,28 @@ def _power_bits(f: RatMap, e: int) -> int:
     return total
 
 
+class _Factor:
+    """A parsed factor, ``base ** exponent`` negated if ``negate``, kept
+    unexpanded until a product has been checked; exponent >= 0."""
+
+    __slots__ = ("base", "exponent", "negate")
+
+    def __init__(self, base: RatMap, exponent: int = 1, negate: bool = False):
+        self.base, self.exponent, self.negate = base, exponent, negate
+
+    @property
+    def is_polynomial(self) -> bool:
+        return self.base.is_polynomial
+
+    @property
+    def degree(self) -> int:
+        return self.base.mapping_degree * self.exponent
+
+    def expand(self) -> RatMap:
+        value = self.base if self.exponent == 1 else self.base ** self.exponent
+        return -value if self.negate else value
+
+
 class _MapParser(Scanner):
     """Recursive-descent parser for exact map expressions.
 
@@ -1148,10 +1170,10 @@ class _MapParser(Scanner):
     may separate tokens, but not the digits of one integer.  No map on the way
     may have degree above ``DEFAULT_EXPANSION_CAP`` or more than
     ``MAX_MAP_BITS`` bits (:class:`SizeGuard`); a power is checked, on bounds,
-    before it is expanded.
+    and a product of two polynomials on its degree, before it is formed.
     """
 
-    def check(self, degree: int, bits: int) -> None:
+    def check(self, degree: int, bits: int = 0) -> None:
         if degree > DEFAULT_EXPANSION_CAP:
             raise SizeGuard(
                 f"map of degree {brief(degree, 256)} before position {self.pos} "
@@ -1183,23 +1205,33 @@ class _MapParser(Scanner):
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.factor()
-            value = value * rhs if op == "*" else value / rhs
-            self.check(value.mapping_degree, _bits(value))
-        return value
+            if op == "*" and value.is_polynomial and rhs.is_polynomial:
+                # deg(a b) = deg a + deg b for nonzero polynomials (a zero one
+                # adds 0 to a degree within the cap), so the product is refused
+                # before either power is expanded
+                self.check(value.degree + rhs.degree)
+            a, b = value.expand(), rhs.expand()
+            product = a * b if op == "*" else a / b
+            self.check(product.mapping_degree, _bits(product))
+            value = _Factor(product)
+        return value.expand()
 
-    def factor(self) -> RatMap:
+    def factor(self) -> "_Factor":
         negate = False
         while self.peek() == "-":
             self.take()
             negate = not negate
         value = self.primary()
+        exponent = 1
         if self.peek() == "^":
             self.take()
             exponent = self.integer()
             e = abs(exponent)
             self.check(value.mapping_degree * e, _power_bits(value, e))
-            value = value ** exponent
-        return -value if negate else value
+            if exponent < 0:
+                # may divide by zero, which is reported where it happens
+                value, exponent = value ** exponent, 1
+        return _Factor(value, exponent, negate)
 
     def primary(self) -> RatMap:
         c = self.peek()

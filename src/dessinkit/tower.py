@@ -7,6 +7,17 @@ field is a p(p-1)-dimensional Q-algebra with basis zeta^i * t^j for
 Galois over Q with group Z/p x| (Z/p)^*: the automorphisms send
 zeta -> zeta^u and t -> zeta^i t.
 
+An element is stored as integer numerators over one positive denominator, in
+lowest terms (the gcd of the denominator and every numerator is 1).  Slot
+j*(p-1) + i holds the numerator of the coordinate of zeta^i t^j, so the slots
+run in t-blocks of p-1, and trailing zero slots are dropped.  A product is
+one big-integer product by Kronecker substitution (Kronecker 1882; Harvey,
+J. Symbolic Comput. 44(10), 2009): each vector is packed into one integer
+with slots wide enough for every coefficient of the product and 2p-3 slots
+per t-block, the two integers are multiplied, and the unpacked result is
+folded by t^p = q (q's numerator and denominator kept apart) and then by
+zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).
+
 The Galois action does the work beyond ring arithmetic.  An inverse is the
 product of an element's other conjugates divided by its norm, taken down the
 tower: the conjugates under t -> zeta^i t multiply it into Q(zeta), and those
@@ -32,7 +43,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from ._exact import PRINT_BITS, brief, check_odd_prime, integer_root, power
+from ._exact import (
+    PRINT_BITS,
+    brief,
+    check_odd_prime,
+    int_poly_mul,
+    integer_root,
+    power,
+)
 from .errors import (
     DegenerateTriple,
     DessinkitError,
@@ -51,9 +69,10 @@ __all__ = [
     "conjugate_triples_distinct",
 ]
 
-#: The largest prime p a tower is built for.  ``tower distinct`` at p = 23
-#: takes about 10 s with q = 2 and 24 s with q = 7/3, gamma = 3/5 (Python 3.11
-#: on one core of a 2-CPU x86-64 host); the latter takes 93 s at p = 29.
+#: The largest prime p a tower is built for.  ``conjugate_triples_distinct``
+#: at p = 23 takes about 0.2 s of CPU with q = 2, gamma = 1 and 0.85 s with
+#: q = 7/3, gamma = 3/5 (Python 3.11 on one core of a 2-CPU x86-64 host); the
+#: latter takes 2.9 s at p = 29.
 MAX_P = 23
 
 
@@ -86,14 +105,14 @@ class TowerField:
     # -- element constructors -------------------------------------------------
 
     def zero(self) -> "TowerElement":
-        return TowerElement(self, {})
+        return TowerElement._of(self, [], 1)
 
     def one(self) -> "TowerElement":
         return self.rational(1)
 
     def rational(self, value) -> "TowerElement":
         v = Fraction(value)
-        return TowerElement(self, {(0, 0): v} if v else {})
+        return TowerElement._of(self, [v.numerator], v.denominator)
 
     def zeta(self, power: int = 1) -> "TowerElement":
         """zeta^power as an element (power taken mod p)."""
@@ -107,35 +126,80 @@ class TowerField:
         """Element from a {(zeta_exp, t_exp): coefficient} mapping with any
         integer exponents, reduced into the basis by zeta^p = 1, t^p = q and
         zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))."""
-        p = self.p
-        folded: dict = {}
-        for (i, j), c in coords.items():
-            qpow, j = divmod(j, p)
-            c = Fraction(c) * self.q**qpow if qpow else Fraction(c)
-            key = (i % p, j)
-            folded[key] = folded[key] + c if key in folded else c
-        reduced = {key: c for key, c in folded.items() if key[0] < p - 1}
-        for (i, j), c in folded.items():
-            if i == p - 1:
-                for k in range(p - 1):
-                    key = (k, j)
-                    reduced[key] = reduced[key] - c if key in reduced else -c
-        return TowerElement(self, reduced)
+        return TowerElement(self, coords)
+
+
+def _fold_zeta(rows, p: int) -> list:
+    """Flat slots of t-blocks given by their coefficients of zeta^0, zeta^1,
+    ... (p to 2p-1 of them), folded by zeta^p = 1 and
+    zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))."""
+    out = []
+    for row in rows:
+        low = row[:p]
+        for k, c in enumerate(row[p:]):
+            low[k] += c
+        top = low.pop()
+        out.extend([c - top for c in low] if top else low)
+    return out
 
 
 class TowerElement:
-    """Element with exact rational coordinates over the fixed basis."""
+    """Element with exact rational coordinates over the fixed basis.
 
-    __slots__ = ("field", "_coords")
+    ``TowerElement(field, coords)`` takes a {(zeta_exp, t_exp): coefficient}
+    mapping, like :meth:`TowerField.element`.
+    """
+
+    __slots__ = ("field", "_num", "_den")
 
     def __init__(self, field: TowerField, coords: dict):
+        p = field.p
+        qn, qd = field.q.numerator, field.q.denominator
+        terms = []
+        for (i, j), c in coords.items():
+            c = Fraction(c)
+            if not c:
+                continue
+            # t^j = q^k t^(j mod p)
+            k, j = divmod(j, p)
+            up, down = (qn, qd) if k >= 0 else (qd, qn)
+            k = abs(k)
+            terms.append((j * p + i % p, c.numerator * up**k, c.denominator * down**k))
+        den = math.lcm(*(d for _, _, d in terms))
+        slots = [0] * (p * p)
+        for at, n, d in terms:
+            slots[at] += n * (den // d)
+        rows = [slots[j * p:(j + 1) * p] for j in range(p)]
+        self._set(field, _fold_zeta(rows, p), den)
+
+    @classmethod
+    def _of(
+        cls, field: TowerField, nums: list, den: int, lowest: bool = False
+    ) -> "TowerElement":
+        """The element with integer slots ``nums`` over ``den`` > 0; with
+        ``lowest``, the caller knows nums/den is in lowest terms."""
+        self = object.__new__(cls)
+        self._set(field, nums, den, lowest)
+        return self
+
+    def _set(self, field: TowerField, nums: list, den: int, lowest=False) -> None:
+        g = 1 if lowest else math.gcd(den, *nums)
+        k = len(nums)
+        while k and not nums[k - 1]:
+            k -= 1
         self.field = field
-        self._coords = {k: v for k, v in coords.items() if v}
+        self._num = tuple(c // g for c in nums[:k]) if g != 1 else tuple(nums[:k])
+        self._den = den // g
 
     @property
     def coordinates(self) -> dict:
         """Sparse {(zeta_exp, t_exp): Fraction} view of the coordinates."""
-        return dict(self._coords)
+        m = self.field.p - 1
+        return {
+            (k % m, k // m): Fraction(c, self._den)
+            for k, c in enumerate(self._num)
+            if c
+        }
 
     def _check(self, other: "TowerElement"):
         if self.field != other.field:
@@ -143,15 +207,15 @@ class TowerElement:
 
     @property
     def is_zero(self) -> bool:
-        return not self._coords
+        return not self._num
 
     def is_rational(self) -> bool:
-        return all(k == (0, 0) for k in self._coords)
+        return len(self._num) <= 1
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self._coords.get((0, 0), Fraction(0))
+        return Fraction(self._num[0], self._den) if self._num else Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -159,25 +223,29 @@ class TowerElement:
         return (
             isinstance(other, TowerElement)
             and self.field == other.field
-            and self._coords == other._coords
+            and self._num == other._num
+            and self._den == other._den
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, tuple(sorted(self._coords.items()))))
+        return hash((self.field, self._num, self._den))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.rational(other)
         self._check(other)
-        coords = dict(self._coords)
-        for k, v in other._coords.items():
-            coords[k] = coords.get(k, Fraction(0)) + v
-        return TowerElement(self.field, coords)
+        g = math.gcd(self._den, other._den)
+        sa, sb = other._den // g, self._den // g
+        nums = [
+            x * sa + y * sb
+            for x, y in itertools.zip_longest(self._num, other._num, fillvalue=0)
+        ]
+        return TowerElement._of(self.field, nums, self._den * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerElement(self.field, {k: -v for k, v in self._coords.items()})
+        return TowerElement._of(self.field, [-c for c in self._num], self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -188,18 +256,36 @@ class TowerElement:
         return (-self) + other
 
     def __mul__(self, other):
+        field = self.field
         if isinstance(other, (int, Fraction)):
-            factor = Fraction(other)
-            return TowerElement(
-                self.field, {k: v * factor for k, v in self._coords.items()}
+            f = Fraction(other)
+            return TowerElement._of(
+                field, [c * f.numerator for c in self._num], self._den * f.denominator
             )
         self._check(other)
-        acc: dict = {}
-        for (i1, j1), c1 in self._coords.items():
-            for (i2, j2), c2 in other._coords.items():
-                key = (i1 + i2, j1 + j2)
-                acc[key] = acc[key] + c1 * c2 if key in acc else c1 * c2
-        return self.field.element(acc)
+        a, b = self._num, other._num
+        if not a or not b:
+            return field.zero()
+        p = field.p
+        m, s = p - 1, 2 * p - 3
+        # zeta^i t^j at position j s + i: with 2p-3 positions per t-block, no
+        # zeta power of a product (at most 2p-4) reaches the next block
+        spread_a = _spread(a, m, s)
+        spread_b = spread_a if b is a else _spread(b, m, s)
+        raw = int_poly_mul(spread_a, spread_b)
+        n = -(-len(a) // m) + -(-len(b) // m) - 1
+        raw += [0] * (n * s - len(raw))
+        rows = [raw[j * s:(j + 1) * s] for j in range(n)]
+        den = self._den * other._den
+        if n > p:
+            # t^(p+j) = q t^j, over the denominator times q's
+            qn, qd = field.q.numerator, field.q.denominator
+            rows = [
+                [qd * x + qn * y for x, y in zip(low, high)]
+                for low, high in zip(rows, rows[p:])
+            ] + [[qd * x for x in low] for low in rows[n - p:p]]
+            den *= qd
+        return TowerElement._of(field, _fold_zeta(rows, p), den)
 
     __rmul__ = __mul__
 
@@ -238,11 +324,12 @@ class TowerElement:
         return self * other.inverse()
 
     def __str__(self) -> str:
-        if not self._coords:
+        coords = self.coordinates
+        if not coords:
             return "0"
         parts = []
-        for (i, j) in sorted(self._coords):
-            c = self._coords[(i, j)]
+        for (i, j) in sorted(coords):
+            c = coords[(i, j)]
             shown = ("-" if c < 0 else "") + str(brief(abs(c), PRINT_BITS))
             names = []
             if i:
@@ -264,6 +351,16 @@ class TowerElement:
         return f"TowerElement({self!s})"
 
 
+def _spread(nums, m: int, s: int) -> list:
+    """The slots of ``nums`` in t-blocks of m, each block padded to s."""
+    gap = [0] * (s - m)
+    out = list(nums[:m])
+    for j in range(m, len(nums), m):
+        out += gap
+        out += nums[j:j + m]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Galois action
 # ---------------------------------------------------------------------------
@@ -279,8 +376,18 @@ def galois_apply(field: TowerField, i: int, u: int, e: TowerElement) -> TowerEle
         raise NotAUnit(f"u = {u} is not invertible mod {p}")
     if e.field != field:
         raise FieldMismatch("element belongs to a different tower")
-    # zeta^a t^b -> zeta^(u a + i b) t^b
-    return field.element({(u * a + i * b, b): c for (a, b), c in e._coords.items()})
+    # zeta^a t^b -> zeta^(u a + i b) t^b, one-to-one on the exponents a mod p
+    m = p - 1
+    rows = []
+    for b in range(0, len(e._num), m):
+        row = [0] * p
+        shift = i * (b // m)
+        for a, c in enumerate(e._num[b:b + m]):
+            row[(u * a + shift) % p] = c
+        rows.append(row)
+    # an automorphism and its inverse map the integer span of the basis onto
+    # itself, so the image keeps the numerators' gcd, and so lowest terms
+    return TowerElement._of(field, _fold_zeta(rows, p), e._den, lowest=True)
 
 
 def galois_elements(field: TowerField):
@@ -342,8 +449,10 @@ def conjugate_triples_distinct(
 
     The conjugate under (i, u) is (0, 1 - zeta^u, gamma zeta^i t).  j has
     rational coefficients, so its j-invariant is the image under (i, u) of
-    the j-invariant of the triple itself, which is computed once.  The p(p-1)
-    images are bucketed by exact value; each pair within a bucket is a
+    the j-invariant of the triple itself, which is computed once.  Each label
+    is bucketed by the hash of its image, and the image dropped, so one image
+    is held at a time; only the labels of a shared bucket get their images
+    again, for an exact comparison.  Each pair of equal images is a
     collision, listed by first label, then by second.
     """
     gamma = Fraction(gamma)
@@ -353,11 +462,19 @@ def conjugate_triples_distinct(
         CurveTriple(field.zero(), field.one() - field.zeta(), field.root() * gamma)
     )
     labels = galois_elements(field)
-    buckets: dict = {}
+    by_hash: dict = {}
     for i, u in labels:
-        buckets.setdefault(galois_apply(field, i, u, j), []).append((i, u))
-    collisions = sorted(
-        pair for same in buckets.values() for pair in itertools.combinations(same, 2)
-    )
-    report = DistinctnessReport(count=len(labels), collisions=tuple(collisions))
+        by_hash.setdefault(hash(galois_apply(field, i, u, j)), []).append((i, u))
+    collisions = []
+    for shared in by_hash.values():
+        if len(shared) > 1:
+            buckets: dict = {}
+            for i, u in shared:
+                buckets.setdefault(galois_apply(field, i, u, j), []).append((i, u))
+            collisions += (
+                pair
+                for same in buckets.values()
+                for pair in itertools.combinations(same, 2)
+            )
+    report = DistinctnessReport(count=len(labels), collisions=tuple(sorted(collisions)))
     return report.all_distinct, report

@@ -274,6 +274,22 @@ class TestPolyParsing:
         assert parse_map("X^1500*X^500/X^1000").mapping_degree == 1000
         assert parse_map("2^5000 * X^2000").mapping_degree == 2000
 
+    def test_degree_cap_checked_before_a_polynomial_product(self):
+        for text, degree in (
+            ("(X-1)^1500*(X+1)^1500", 3000),
+            ("(X-1)^2000*(X-1)^2000", 4000),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(SizeGuard) as exc:
+                parse_map(text)
+            assert time.perf_counter() - start < 1
+            assert str(exc.value) == (
+                f"map of degree {degree} before position 21 in expression is over "
+                "the degree cap 2000"
+            )
+        # a zero factor keeps the product at degree 0
+        assert parse_map("(X-X)*X^2000*X^2000").mapping_degree == 0
+
     def test_size_cap_leaves_these_maps(self):
         for text in ("2^1000000*X+X^2", "3^700000*X+X^2", "2^5000 * X^2000", "(X-1)^2000"):
             parse_map(text)

@@ -1,6 +1,7 @@
 """The shared exact toolkit: primality against trial division and the proven
 pseudoprime bounds, exact roots, 2-adic valuations, binary powering against
-repeated multiplication, the compact form of big values, the reading of
+repeated multiplication, the Kronecker product of integer polynomials against
+the schoolbook product, the compact form of big values, the reading of
 outside integers and the contiguous-digit integer scan."""
 
 import functools
@@ -12,7 +13,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from dessinkit._exact import Scanner, brief, decimal, integer_root, is_prime, power, v2
+from dessinkit._exact import (
+    Scanner,
+    brief,
+    decimal,
+    int_poly_mul,
+    integer_root,
+    is_prime,
+    power,
+    v2,
+)
 from dessinkit.belyi import RatPoly, parse_poly
 from dessinkit.cli import run_cli
 from dessinkit.errors import ParseError, ResourceLimit
@@ -146,6 +156,36 @@ class TestPower:
             calls.clear()
             assert power(3, e, 1, mul) == 3**e
             assert len(calls) == max(e.bit_length() - 1, 0) + bin(e).count("1")
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
+
+
+class TestIntPolyMul:
+    @pytest.mark.parametrize("bits", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 200])
+    def test_slot_width_at_byte_boundaries(self, bits):
+        rng = random.Random(bits)
+        big = 2**bits - 1
+        for signs in ((1,), (-1,), (1, -1)):
+            for la, lb in ((1, 1), (1, 9), (9, 1), (8, 8), (40, 3)):
+                a = [rng.choice(signs) * big for _ in range(la)]
+                b = [rng.choice(signs) * big for _ in range(lb)]
+                assert int_poly_mul(a, b) == _schoolbook(a, b)
+                assert int_poly_mul(a, a) == _schoolbook(a, a)
+
+    def test_random_and_zero_coefficients(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            a = [rng.randint(-(2 ** rng.randint(0, 90)), 2**40)
+                 for _ in range(rng.randint(1, 30))]
+            b = [rng.choice((0, 0, rng.randint(-99, 99)))
+                 for _ in range(rng.randint(1, 30))]
+            assert int_poly_mul(a, b) == _schoolbook(a, b)
 
 
 class TestDecimal:

@@ -61,6 +61,46 @@ def distinct_by_loop(field, gamma):
     return not collisions, DistinctnessReport(len(labels), collisions)
 
 
+def oracle_fold(field, coords):
+    """Reference for TowerField.element: {(zeta_exp, t_exp): coefficient}
+    with any integer exponents folded one Fraction coordinate at a time."""
+    p = field.p
+    folded = {}
+    for (i, j), c in coords.items():
+        qpow, j = divmod(j, p)
+        c = F(c) * field.q**qpow if qpow else F(c)
+        key = (i % p, j)
+        folded[key] = folded[key] + c if key in folded else c
+    reduced = {key: c for key, c in folded.items() if key[0] < p - 1}
+    for (i, j), c in folded.items():
+        if i == p - 1:
+            for k in range(p - 1):
+                key = (k, j)
+                reduced[key] = reduced[key] - c if key in reduced else -c
+    return {key: c for key, c in reduced.items() if c}
+
+
+def oracle_mul(field, x, y):
+    """Reference for the product: the Fraction schoolbook product of two
+    coordinate maps, folded by oracle_fold."""
+    acc = {}
+    for (i1, j1), c1 in x.items():
+        for (i2, j2), c2 in y.items():
+            key = (i1 + i2, j1 + j2)
+            acc[key] = acc[key] + c1 * c2 if key in acc else c1 * c2
+    return oracle_fold(field, acc)
+
+
+def oracle_galois(field, i, u, x):
+    """Reference for galois_apply: zeta^a t^b -> zeta^(u a + i b) t^b."""
+    return oracle_fold(field, {(u * a + i * b, b): c for (a, b), c in x.items()})
+
+
+def sparse_coords(field, rng, terms, numerator, denominator=lambda: 1):
+    basis = [(i, j) for i in range(field.p - 1) for j in range(field.p)]
+    return {key: F(numerator(), denominator()) for key in rng.sample(basis, terms)}
+
+
 class TestFieldConstruction:
     def test_rejects_pth_powers(self):
         with pytest.raises(OutOfRange):
@@ -309,3 +349,93 @@ class TestConjugateDistinctness:
     def test_gamma_zero_rejected(self):
         with pytest.raises(OutOfRange):
             conjugate_triples_distinct(TowerField(3, 2), 0)
+
+
+ORACLE_QS = [F(2), F(7, 3), F(1, 5)]
+
+
+class TestAgainstFractionOracle:
+    """The integer-vector arithmetic against the Fraction reference."""
+
+    @pytest.mark.parametrize("q", ORACLE_QS)
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 23])
+    def test_product_inverse_galois(self, p, q):
+        K = TowerField(p, q)
+        rng = random.Random(1000 * p + q.numerator)
+        # dense operands up to p = 7; at 11 and 23 the Fraction product of
+        # two dense operands is too slow for a unit test, so a few terms
+        terms = K.dimension // 2 if p <= 7 else 6
+        for _ in range(3):
+            x = sparse_coords(K, rng, terms, lambda: rng.randint(-9, 9) or 1,
+                              lambda: rng.randint(1, 9))
+            y = sparse_coords(K, rng, terms, lambda: rng.randint(-9, 9) or 1,
+                              lambda: rng.randint(1, 9))
+            a, b = tower.TowerElement(K, x), K.element(y)
+            assert a.coordinates == x
+            assert (a * b).coordinates == oracle_mul(K, x, y)
+            assert (a * a).coordinates == oracle_mul(K, x, x)
+            i, u = rng.randrange(p), rng.randrange(1, p)
+            assert galois_apply(K, i, u, a).coordinates == oracle_galois(K, i, u, x)
+            assert oracle_mul(K, x, a.inverse().coordinates) == {(0, 0): 1}
+
+    @pytest.mark.parametrize("p,q", [(5, F(7, 3)), (7, F(1, 5))])
+    def test_element_fold(self, p, q):
+        K = TowerField(p, q)
+        rng = random.Random(p)
+        for _ in range(20):
+            coords = {
+                (rng.randint(-3 * p, 3 * p), rng.randint(-3 * p, 3 * p)):
+                    F(rng.randint(-9, 9), rng.randint(1, 9))
+                for _ in range(rng.randint(0, 12))
+            }
+            assert K.element(coords).coordinates == oracle_fold(K, coords)
+
+    @pytest.mark.parametrize("bits", [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65])
+    def test_slot_width_at_byte_boundaries(self, bits):
+        K = TowerField(5, F(7, 3))
+        rng = random.Random(bits)
+        big = 2**bits - 1
+        for signs in ((1,), (-1,), (1, -1)):
+            x = sparse_coords(K, rng, 20, lambda: rng.choice(signs) * big)
+            y = sparse_coords(K, rng, 20, lambda: rng.choice(signs) * big)
+            a, b = K.element(x), K.element(y)
+            assert (a * b).coordinates == oracle_mul(K, x, y)
+            assert (a * a).coordinates == oracle_mul(K, x, x)
+        # one-term operands, against dense and one-term
+        one_term = {(3, 4): F(-big)}
+        assert (K.element(one_term) * a).coordinates == oracle_mul(K, one_term, x)
+        square = oracle_mul(K, one_term, one_term)
+        assert (K.element(one_term) ** 2).coordinates == square
+
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_zero_and_one_term_operands(self, p):
+        K = TowerField(p, F(1, 5))
+        rng = random.Random(p)
+        x = sparse_coords(K, rng, K.dimension, lambda: -rng.randint(1, 9))
+        a = K.element(x)
+        assert (a * K.zero()).is_zero and (K.zero() * a).is_zero
+        assert (K.zero() * K.zero()).is_zero
+        for key in [(0, 0), (p - 2, 0), (0, p - 1), (p - 2, p - 1)]:
+            term = {key: F(-3, 7)}
+            assert (K.element(term) * a).coordinates == oracle_mul(K, term, x)
+            assert (K.element(term) * K.element(term)).coordinates == oracle_mul(
+                K, term, term
+            )
+            assert K.element(term).inverse() * K.element(term) == K.one()
+
+    def test_large_numerators_over_large_denominators(self):
+        # two 200-bit denominators per element keep the common denominator
+        # near 400 bits, so the Fraction check of the inverse stays quick
+        K = TowerField(7, F(7, 3))
+        rng = random.Random(200)
+        for _ in range(2):
+            dens = [rng.randint(2**199, 2**200) for _ in range(2)]
+            x = sparse_coords(K, rng, 21, lambda: rng.randint(-(2**200), 2**200),
+                              lambda: rng.choice(dens))
+            y = sparse_coords(K, rng, 21, lambda: rng.randint(-(2**200), 2**200),
+                              lambda: rng.choice(dens))
+            a, b = K.element(x), K.element(y)
+            assert (a * b).coordinates == oracle_mul(K, x, y)
+            i, u = rng.randrange(7), rng.randrange(1, 7)
+            assert galois_apply(K, i, u, a).coordinates == oracle_galois(K, i, u, x)
+            assert oracle_mul(K, x, a.inverse().coordinates) == {(0, 0): 1}
