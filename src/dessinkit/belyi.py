@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from ._exact import PRINT_BITS, Scanner, brief, is_prime, power
+from ._exact import PRINT_BITS, Scanner, brief, int_poly_mul, is_prime, power
 from .errors import (
     IrrationalCriticalPoints,
     NotCoprime,
@@ -192,15 +192,10 @@ class RatPoly:
         if isinstance(other, (int, Fraction)):
             return RatPoly._lowest([v * other.numerator for v in self._ints],
                                    self._den * other.denominator)
-        a, b = self._ints, other._ints
-        if not a or not b:
+        if not self._ints or not other._ints:
             return RatPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return RatPoly._lowest(out, self._den * other._den)
+        return RatPoly._lowest(int_poly_mul(self._ints, other._ints),
+                               self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -1171,6 +1166,7 @@ class _MapParser(Scanner):
     may have degree above ``DEFAULT_EXPANSION_CAP`` or more than
     ``MAX_MAP_BITS`` bits (:class:`SizeGuard`); a power is checked, on bounds,
     and a product of two polynomials on its degree, before it is formed.
+    Parentheses nest at most ``_exact.MAX_NESTING`` deep.
     """
 
     def check(self, degree: int, bits: int = 0) -> None:
@@ -1242,7 +1238,7 @@ class _MapParser(Scanner):
             return RatMap(X)
         if c == "(":
             self.take()
-            value = self.expr()
+            value = self.nested(self.expr)
             if self.take() != ")":
                 raise ParseError(f"missing ')' at position {self.pos}")
             return value

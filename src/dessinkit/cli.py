@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -519,6 +520,15 @@ _COMMANDS = [
 ]
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads ``--lo -3/2`` as ``--lo=-3/2``: argparse's negative-number
+    pattern knows no fractions, and no option here starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d.*")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="structured output")
@@ -527,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cap-stage-size", type=_parse_integer, default=None,
                         help="cap on m+n for one reduction stage")
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dessinkit",
         description="exact computations with dessins d'enfants",
     )

@@ -11,11 +11,10 @@ An element is stored as integer numerators over one positive denominator, in
 lowest terms (the gcd of the denominator and every numerator is 1).  Slot
 j*(p-1) + i holds the numerator of the coordinate of zeta^i t^j, so the slots
 run in t-blocks of p-1, and trailing zero slots are dropped.  A product is
-one big-integer product by Kronecker substitution (Kronecker 1882; Harvey,
-J. Symbolic Comput. 44(10), 2009): each vector is packed into one integer
-with slots wide enough for every coefficient of the product and 2p-3 slots
-per t-block, the two integers are multiplied, and the unpacked result is
-folded by t^p = q (q's numerator and denominator kept apart) and then by
+one integer polynomial product (``_exact.int_poly_mul``, Kronecker
+substitution or term by term as the operand sizes choose) of the two vectors
+spread to 2p-3 slots per t-block, and the result is folded by t^p = q (q's
+numerator and denominator kept apart) and then by
 zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).
 
 The Galois action does the work beyond ring arithmetic.  An inverse is the
@@ -132,14 +131,17 @@ class TowerField:
 def _fold_zeta(rows, p: int) -> list:
     """Flat slots of t-blocks given by their coefficients of zeta^0, zeta^1,
     ... (p to 2p-1 of them), folded by zeta^p = 1 and
-    zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))."""
+    zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).  Empties ``rows``, so the
+    slots of a row are freed once it is folded."""
     out = []
-    for row in rows:
-        low = row[:p]
-        for k, c in enumerate(row[p:]):
-            low[k] += c
-        top = low.pop()
-        out.extend([c - top for c in low] if top else low)
+    rows.reverse()
+    while rows:
+        row = rows.pop()
+        for k in range(p, len(row)):
+            row[k - p] += row[k]
+        del row[p:]
+        top = row.pop()
+        out.extend([c - top for c in row] if top else row)
     return out
 
 
@@ -276,6 +278,7 @@ class TowerElement:
         n = -(-len(a) // m) + -(-len(b) // m) - 1
         raw += [0] * (n * s - len(raw))
         rows = [raw[j * s:(j + 1) * s] for j in range(n)]
+        del raw  # the rows hold the only copy of the product
         den = self._den * other._den
         if n > p:
             # t^(p+j) = q t^j, over the denominator times q's

@@ -15,7 +15,8 @@ Word grammar (also the CLI wire syntax)::
 
 Whitespace may separate tokens, but not the digits of one integer; ``int``
 may be negative, and the commutator bracket expands as
-``[a, b] = a b a^-1 b^-1``.
+``[a, b] = a b a^-1 b^-1``.  Brackets nest at most ``_exact.MAX_NESTING``
+deep.
 """
 
 from __future__ import annotations
@@ -136,12 +137,12 @@ class _Parser(Scanner):
         if c in ("x", "y"):
             atom = FreeWord([(c, 1)])
         elif c == "(":
-            atom = self.parse_word(stop=")")
+            atom = self.nested(self.parse_word, ")")
             self.expect(")")
         elif c == "[":
-            a = self.parse_word(stop=",")
+            a = self.nested(self.parse_word, ",")
             self.expect(",")
-            b = self.parse_word(stop="]")
+            b = self.nested(self.parse_word, "]")
             self.expect("]")
             atom = commutator_word(a, b)
         else:

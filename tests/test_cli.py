@@ -14,7 +14,7 @@ import pytest
 from fractions import Fraction
 
 from dessinkit import PermGroup, Permutation, RatPoly, dessins, load_dessin, parse_cycles
-from dessinkit._exact import PRINT_BITS
+from dessinkit._exact import MAX_NESTING, PRINT_BITS
 from dessinkit.cli import run_cli
 from dessinkit.errors import ParseError
 from dessinkit.models import gallery_text, local_model_24
@@ -273,6 +273,28 @@ class TestBelyiCommands:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: trailing input")
+
+    @pytest.mark.parametrize("argv", [
+        ("belyi", "sturm", "--poly", "X^2-2", "--lo", "-3/2", "--hi", "2"),
+        ("belyi", "increasing", "--poly", "X^3", "--lo", "-7/3", "--hi", "-1/5"),
+        ("tower", "jinv", "--p", "3", "--q", "7/3", "--gamma", "-3/5"),
+        ("belyi", "reduce", "--points", "-27,9", "--cap-stage-size", "100"),
+    ])
+    def test_negative_rationals_as_separate_arguments(self, capsys, argv):
+        joined = []
+        for arg in argv:
+            if arg.startswith("-") and not arg.startswith("--"):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        assert invoke(capsys, *argv) == invoke(capsys, *joined)
+        assert invoke(capsys, *argv)[0] in (0, 1, 3)
+
+    def test_dash_before_a_letter_is_still_an_option(self, capsys):
+        code, out, err = invoke(
+            capsys, "belyi", "sturm", "--poly", "X", "--lo", "-x", "--hi", "2"
+        )
+        assert (code, out) == (2, "") and "expected one argument" in err
 
     def test_float_rejected(self, capsys):
         code, _, err = invoke(
@@ -535,6 +557,37 @@ class TestSizeGuards:
             "expression is over the size cap 6000000\n"
         )
         assert time.perf_counter() - start < 1
+
+
+class TestNesting:
+    @pytest.mark.parametrize("argv, atom, times", [
+        (("word", "eval", "gallery:1", "--word"), "x", " "),
+        (("belyi", "crit", "--map"), "X", "*"),
+    ])
+    def test_the_limit_is_answered_and_one_more_is_an_input_error(
+        self, capsys, argv, atom, times
+    ):
+        n = MAX_NESTING
+        code, out, _ = invoke(capsys, *argv, "(" * n + atom + ")" * n)
+        assert code == 0 and out
+        siblings = times.join(["(" + atom + ")"] * (n + 1))
+        assert invoke(capsys, *argv, siblings)[0] == 0  # depths do not add up
+        for depth in (n + 1, 300, 2000):
+            code, out, err = invoke(capsys, *argv, "(" * depth + atom + ")" * depth)
+            assert (code, out) == (2, "")
+            assert err.startswith(
+                f"error: brackets nested deeper than {n} at position {n + 1}"
+            )
+            assert "Traceback" not in err
+
+    def test_commutator_brackets_count_too(self, capsys):
+        n = MAX_NESTING + 1
+        code, out, err = invoke(
+            capsys, "word", "eval", "gallery:1", "--word", "[" * n + "x,y]" * n
+        )
+        assert (code, out) == (2, "")
+        assert err == (f"error: brackets nested deeper than {n - 1} at position "
+                       f"{n} in word\n")
 
 
 class TestTwoAdicAndDeltaTildeSizes:

@@ -1,7 +1,7 @@
 """The shared exact toolkit: primality against trial division and the proven
 pseudoprime bounds, exact roots, 2-adic valuations, binary powering against
-repeated multiplication, the Kronecker product of integer polynomials against
-the schoolbook product, the compact form of big values, the reading of
+repeated multiplication, the product of integer polynomials (Kronecker or term
+by term, as the operand sizes choose) against the schoolbook product, the compact form of big values, the reading of
 outside integers and the contiguous-digit integer scan."""
 
 import functools
@@ -13,6 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from dessinkit import _exact
 from dessinkit._exact import (
     Scanner,
     brief,
@@ -186,6 +187,80 @@ class TestIntPolyMul:
             b = [rng.choice((0, 0, rng.randint(-99, 99)))
                  for _ in range(rng.randint(1, 30))]
             assert int_poly_mul(a, b) == _schoolbook(a, b)
+
+    @staticmethod
+    def _check(a, b):
+        assert int_poly_mul(a, b) == _schoolbook(a, b)
+        assert int_poly_mul(b, a) == _schoolbook(b, a)
+        assert int_poly_mul(a, a) == _schoolbook(a, a)
+
+    def test_one_term_and_leading_zeros(self):
+        rng = random.Random(16)
+        for k in (0, 1, 7, 40):
+            for c in (1, -1, 2**70 - 1, -(3**500)):
+                for n in (1, 9, 60):
+                    b = [rng.randint(-(2**40), 2**40) for _ in range(n)]
+                    self._check([0] * k + [c], b)  # c X^k
+
+    def test_one_huge_coefficient_among_small_ones(self):
+        rng = random.Random(17)
+        for huge in (2**300, -(2**4000) + 1, 7**3000):
+            for n in (8, 30, 90):
+                a = [rng.randint(-9, 9) for _ in range(n)]
+                a[rng.randrange(n)] = huge
+                b = [rng.randint(-(2**20), 2**20) for _ in range(n + 3)]
+                self._check(a, b)
+                b[0] = -huge
+                self._check(a, b)
+
+    def test_tiny_operands(self):
+        rng = random.Random(18)
+        for _ in range(300):
+            a = [rng.randint(-(2 ** rng.randint(0, 80)), 2**60)
+                 for _ in range(rng.randint(1, 3))]
+            b = [rng.choice((0, rng.randint(-(2**90), 2**90)))
+                 for _ in range(rng.randint(1, 3))]
+            self._check(a, b)
+
+    def test_squares_of_the_same_list(self):
+        rng = random.Random(19)
+        for n in (1, 3, 8, 30, 200):
+            for bits in (1, 8, 64, 900):
+                a = [rng.randint(-(2**bits), 2**bits) for _ in range(n)]
+                assert int_poly_mul(a, a) == _schoolbook(a, a)
+                a[n // 2] = 2 ** (bits * 40) + 1
+                assert int_poly_mul(a, a) == _schoolbook(a, a)
+
+    def test_skewed_operands_pack_no_more_than_the_ratio(self, monkeypatch):
+        # a one-term tower element 2^1000000 times a dense p = 23 element, and
+        # (2^200000 X^1000 + (X+1)^999) (X+2)^1000 at a tenth of its degree
+        # and size, where one coefficient is far the widest
+        packed = []
+
+        def counting_pack(values, width, half):
+            packed.append(len(values) * width * 8)
+            return pack(values, width, half)
+
+        pack = _exact._pack
+        monkeypatch.setattr(_exact, "_pack", counting_pack)
+
+        def bits(*lists):
+            return sum(v.bit_length() for ints in lists for v in ints)
+
+        rng = random.Random(5)
+        field = TowerField(23, F(7, 3))
+        dense = field.element({(i, j): rng.choice((-9, -5, -1, 1, 2, 7, 9))
+                               for i in range(22) for j in range(23)})
+        one = field.rational(2**1000000)
+        product = one * dense
+        assert product._den == dense._den
+        assert product._num == tuple(c << 1000000 for c in dense._num)
+        assert sum(packed) <= _exact._PACK_RATIO * bits(one._num, dense._num)
+        packed.clear()
+        a = parse_poly("2^20000*X^100+(X+1)^99")
+        b = parse_poly("(X+2)^100")
+        assert a * b == RatPoly._lowest(_schoolbook(a._ints, b._ints))
+        assert sum(packed) <= _exact._PACK_RATIO * bits(a._ints, b._ints)
 
 
 class TestDecimal:
