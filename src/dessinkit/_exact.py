@@ -217,9 +217,9 @@ def decimal(text: str, where: str) -> int:
     """The integer written by ``text``: an optional sign and a run of decimal
     digits, nothing else.
 
-    The integers of dessin files, of ``DESSINKIT_CAPS``, of gallery indices,
-    of block lists and of the word and map grammars are read here, so more
-    digits than the interpreter converts is a :class:`ParseError` too.
+    The integers of dessin files, of gallery indices, of block lists and of
+    the word and map grammars are read here, so more digits than the
+    interpreter converts is a :class:`ParseError` too.
     ``where`` ends the error messages (e.g. ``" in --d"``).
     """
     digits = text[1:] if text[:1] in ("+", "-") else text

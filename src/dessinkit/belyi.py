@@ -736,7 +736,8 @@ def rational_roots(p: RatPoly) -> Tuple[dict, RatPoly]:
         roots[Fraction(0)] = k
         work = work[k:]
     if len(work) > 1:
-        for root in _squarefree_roots(_squarefree_chain(work)[0]):
+        g = _poly_gcd(work, _derivative(work))
+        for root in _squarefree_roots(work if len(g) == 1 else _quotient(work, g)):
             linear, mult = (-root.numerator, root.denominator), 0
             while (quotient := _quotient(work, linear)) is not None:
                 work, mult = quotient, mult + 1

@@ -12,9 +12,9 @@ always produces byte-identical output) and purely exact: rationals print as
 num/den, never as floats.
 
 Exit codes: 0 success or boolean true; 1 a boolean query answered false;
-2 input error; 3 resource limit.  The env var ``DESSINKIT_CAPS`` (e.g.
-``group-order=100000000,stage-size=10000``) overrides default caps; the
-``--cap-group-order`` and ``--cap-stage-size`` flags override the env var.
+2 input error; 3 resource limit.  Only ``dessin info`` and ``dessin reg-iso``
+take ``--cap-group-order`` (no cap by default), and only ``belyi reduce``
+takes ``--cap-stage-size`` (default ``belyi.DEFAULT_STAGE_CAP``).
 """
 
 from __future__ import annotations
@@ -101,31 +101,10 @@ def _load_source(source: str) -> Dessin:
         return load_dessin(fh.read())
 
 
-def _caps_from_env() -> dict:
-    caps = {"group-order": None, "stage-size": belyi.DEFAULT_STAGE_CAP}
-    raw = os.environ.get("DESSINKIT_CAPS", "")
-    for item in filter(None, (part.strip() for part in raw.split(","))):
-        key, eq, value = item.partition("=")
-        if not eq or key.strip() not in caps or not value.strip().isdecimal():
-            raise ParseError(f"bad DESSINKIT_CAPS entry {item!r}")
-        caps[key.strip()] = decimal(value.strip(), " in DESSINKIT_CAPS")
-    return caps
-
-
-def _resolve_caps(args) -> dict:
-    caps = _caps_from_env()
-    if args.cap_group_order is not None:
-        caps["group-order"] = args.cap_group_order
-    if args.cap_stage_size is not None:
-        caps["stage-size"] = args.cap_stage_size
-    return caps
-
-
-def _check_cap_flags(args) -> None:
-    for flag, value in (("--cap-group-order", args.cap_group_order),
-                        ("--cap-stage-size", args.cap_stage_size)):
-        if value is not None and value < 0:
-            raise OutOfRange(f"{flag} must be nonnegative, got {value}")
+def _check_cap(flag: str, value) -> None:
+    """Refuse a negative cap; handlers call this before loading any input."""
+    if value is not None and value < 0:
+        raise OutOfRange(f"{flag} must be nonnegative, got {value}")
 
 
 def _guard_group_order(dessin: Dessin, cap) -> None:
@@ -163,9 +142,9 @@ def _render(result: list, as_json: bool) -> None:
 
 
 def _cmd_dessin_info(args):
+    _check_cap("--cap-group-order", args.cap_group_order)
     d = _load_source(args.source)
-    caps = _resolve_caps(args)
-    _guard_group_order(d, caps["group-order"])
+    _guard_group_order(d, args.cap_group_order)
     passport = dataclasses.asdict(passport_of(d))
     genus = genus_of(d)
     reg = regular_descriptor(d)
@@ -199,11 +178,11 @@ def _cmd_dessin_iso(args):
 
 
 def _cmd_dessin_reg_iso(args):
+    _check_cap("--cap-group-order", args.cap_group_order)
     d1 = _load_source(args.first)
     d2 = _load_source(args.second)
-    caps = _resolve_caps(args)
-    _guard_group_order(d1, caps["group-order"])
-    _guard_group_order(d2, caps["group-order"])
+    _guard_group_order(d1, args.cap_group_order)
+    _guard_group_order(d2, args.cap_group_order)
     n1 = d1.cartographic_group.order()
     n2 = d2.cartographic_group.order()
     if regular_closures_isomorphic(d1, d2):
@@ -342,9 +321,9 @@ def _cmd_belyi_crit(args):
 
 
 def _cmd_belyi_reduce(args):
+    _check_cap("--cap-stage-size", args.cap_stage_size)
     points = [_parse_rational(p) for p in args.points.split(",") if p.strip()]
-    caps = _resolve_caps(args)
-    chain = belyi.belyi_reduce(points, stage_cap=caps["stage-size"])
+    chain = belyi.belyi_reduce(points, stage_cap=args.cap_stage_size)
     report = belyi.verify_reduction(chain, points)
     stages = [str(s) for s in chain.stages]
     profile = chain.current_profile
@@ -476,14 +455,16 @@ _FLAG = {"action": "store_true"}
 _PAIR = [("first", {}), ("second", {})]
 _INTERVAL = [("--poly", _REQUIRED), ("--lo", _REQUIRED), ("--hi", _REQUIRED)]
 _TOWER = [("--p", _INT), ("--q", _REQUIRED), ("--gamma", {"default": "1"})]
+_GROUP_CAP = ("--cap-group-order", {
+    "type": _parse_integer, "help": "refuse cartographic groups larger than this"})
 
 #: (group, command, handler, help, arguments); an argument is a name and the
 #: keywords of its ``add_argument`` call
 _COMMANDS = [
     ("dessin", "info", _cmd_dessin_info, None,
-     [("source", {"help": "dessin file path or gallery:k"})]),
+     [("source", {"help": "dessin file path or gallery:k"}), _GROUP_CAP]),
     ("dessin", "iso", _cmd_dessin_iso, None, _PAIR),
-    ("dessin", "reg-iso", _cmd_dessin_reg_iso, None, _PAIR),
+    ("dessin", "reg-iso", _cmd_dessin_reg_iso, None, _PAIR + [_GROUP_CAP]),
     ("dessin", "witness", _cmd_dessin_witness, None, _PAIR + [
         ("--word", _REQUIRED),
         ("--with", {"dest": "with_word",
@@ -506,7 +487,9 @@ _COMMANDS = [
     ("belyi", "crit", _cmd_belyi_crit, None, [("--map", _REQUIRED)]),
     ("belyi", "reduce", _cmd_belyi_reduce, None,
      [("--points",
-       dict(_REQUIRED, help="comma-separated nonzero rationals, e.g. 1,2/3,-27"))]),
+       dict(_REQUIRED, help="comma-separated nonzero rationals, e.g. 1,2/3,-27")),
+      ("--cap-stage-size", {"type": _parse_integer, "default": belyi.DEFAULT_STAGE_CAP,
+                            "help": "cap on m+n for one reduction stage"})]),
     ("belyi", "sturm", _cmd_belyi_sturm, None, _INTERVAL),
     ("belyi", "increasing", _cmd_belyi_increasing, None, _INTERVAL),
     ("tower", "jinv", _cmd_tower_jinv, None, _TOWER),
@@ -532,10 +515,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="structured output")
-    common.add_argument("--cap-group-order", type=_parse_integer, default=None,
-                        help="refuse cartographic groups larger than this")
-    common.add_argument("--cap-stage-size", type=_parse_integer, default=None,
-                        help="cap on m+n for one reduction stage")
 
     parser = _ArgumentParser(
         prog="dessinkit",
@@ -563,7 +542,6 @@ def run_cli(argv) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        _check_cap_flags(args)
         code, result = args.func(args)
     except (ResourceLimit, SizeGuard) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -124,14 +124,14 @@ class Permutation:
             if seen[v - 1]:
                 raise RepeatedPoint(f"image {v} occurs twice")
             seen[v - 1] = True
-        object.__setattr__(self, "_images", tuple(v - 1 for v in images))
+        self._images = tuple(v - 1 for v in images)
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
     def _from_zero_based(cls, images: tuple) -> "Permutation":
         p = object.__new__(cls)
-        object.__setattr__(p, "_images", images)
+        p._images = images
         return p
 
     @classmethod

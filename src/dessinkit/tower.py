@@ -419,14 +419,15 @@ class CurveTriple:
 def j_invariant_of_triple(tr: CurveTriple) -> TowerElement:
     """j-invariant of the curve with the given branch points.
 
-    With lambda = (c - a)/(b - a), j = 256 (lambda^2 - lambda + 1)^3 /
-    (lambda^2 (lambda - 1)^2).  Unlike the bare cross-ratio, j is invariant
+    With B = b - a and C = c - a, j = 256 (C^2 - CB + B^2)^3 / (B C (C - B))^2
+    is the cross-ratio form 256 (l^2 - l + 1)^3 / (l^2 (l - 1)^2), l = C/B,
+    over one field inverse.  Unlike the bare cross-ratio, j is invariant
     under every reordering of (a, b, c), so distinct j values certify
     non-isomorphic curves without tracking the anharmonic orbit.
     """
-    lam = (tr.c - tr.a) / (tr.b - tr.a)
-    num = (lam * lam - lam + 1) ** 3 * 256
-    den = lam * lam * (lam - 1) ** 2
+    b, c = tr.b - tr.a, tr.c - tr.a
+    num = (c * c - c * b + b * b) ** 3 * 256
+    den = (b * c * (c - b)) ** 2
     if den.is_zero:
         raise DegenerateTriple("cross-ratio degenerated to 0 or 1")
     return num / den

@@ -370,7 +370,7 @@ class TestLoadGuards:
             3, "", "error: degree 10000000000 exceeds cap 100000\n"
         )
 
-    def test_non_decimal_digits_are_parse_errors(self, capsys, monkeypatch, tmp_path):
+    def test_non_decimal_digits_are_parse_errors(self, capsys, tmp_path):
         path = tmp_path / "square.dessin"
         path.write_text("degree \u00b2\nsigma0 = ()\nsigma1 = ()\n", encoding="utf-8")
         assert invoke(capsys, "dessin", "info", str(path)) == (
@@ -378,10 +378,6 @@ class TestLoadGuards:
         )
         assert invoke(capsys, "dessin", "info", "gallery:\u00b2") == (
             2, "", "error: bad gallery index in 'gallery:\u00b2'\n"
-        )
-        monkeypatch.setenv("DESSINKIT_CAPS", "group-order=\u00b2")
-        assert invoke(capsys, "dessin", "info", "gallery:1") == (
-            2, "", "error: bad DESSINKIT_CAPS entry 'group-order=\u00b2'\n"
         )
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)])
@@ -394,31 +390,32 @@ class TestLoadGuards:
 
 
 class TestCapsEnv:
-    def test_env_var_caps(self, capsys, monkeypatch):
+    def test_env_var_is_not_read(self, capsys, monkeypatch):
+        plain = invoke(capsys, "dessin", "info", "gallery:1")
         monkeypatch.setenv("DESSINKIT_CAPS", "group-order=1000")
-        code, _, err = invoke(capsys, "dessin", "info", "gallery:1")
-        assert code == 3
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DESSINKIT_CAPS", "group-order=1000")
-        code, _, _ = invoke(
-            capsys,
-            "dessin", "info", "gallery:1", "--cap-group-order", "100000000",
-        )
-        assert code == 0
-
-    def test_bad_env_entry(self, capsys, monkeypatch):
-        monkeypatch.setenv("DESSINKIT_CAPS", "bogus=12")
-        code, _, err = invoke(capsys, "dessin", "info", "gallery:1")
-        assert code == 2
+        assert invoke(capsys, "dessin", "info", "gallery:1") == plain
+        assert plain[0] == 0
 
     @pytest.mark.parametrize("flag", ["--cap-group-order", "--cap-stage-size"])
     def test_negative_cap_flags_are_input_errors(self, capsys, flag):
-        for argv in (("dessin", "info", "gallery:1"),
-                     ("belyi", "reduce", "--points", "1,2/3")):
+        commands = {
+            "--cap-group-order": [("dessin", "info", "gallery:1"),
+                                  ("dessin", "reg-iso", "gallery:1", "gallery:2")],
+            "--cap-stage-size": [("belyi", "reduce", "--points", "1,2/3")],
+        }
+        for argv in commands[flag]:
             assert invoke(capsys, *argv, flag, "-5") == (
                 2, "", f"error: {flag} must be nonnegative, got -5\n"
             )
+
+    @pytest.mark.parametrize("argv", [
+        ("belyi", "bmn", "--m", "2", "--n", "3", "--cap-stage-size", "5"),
+        ("gallery", "list", "--cap-group-order", "5"),
+    ])
+    def test_cap_flags_only_on_the_commands_that_read_them(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
     def test_zero_caps_stay_valid(self, capsys):
         code, _, err = invoke(
@@ -459,7 +456,7 @@ class TestOutsideIntegers:
           "--alpha-minus-nu", "4"), "--c0"),
         (DELTA_TILDE[:-1] + ("4_0", "--d", "1,1,1"), "--alpha-minus-nu"),
         (("dessin", "info", "gallery:1", "--cap-group-order", "1_0"), "--cap-group-order"),
-        (("belyi", "bmn", "--m", "2", "--n", "3", "--cap-stage-size", "1_0"),
+        (("belyi", "reduce", "--points", "1", "--cap-stage-size", "1_0"),
          "--cap-stage-size"),
     ])
     def test_integer_flags_are_decimal_runs(self, capsys, argv, flag):
@@ -491,7 +488,7 @@ class TestOutsideIntegers:
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
         reason="this interpreter converts decimal strings of any length",
     )
-    def test_over_the_digit_limit(self, capsys, monkeypatch, tmp_path):
+    def test_over_the_digit_limit(self, capsys, tmp_path):
         n = sys.get_int_max_str_digits() + 1
         big = "7" * n
 
@@ -511,10 +508,6 @@ class TestOutsideIntegers:
         point.write_text(f"degree 3\nsigma0 = (1,{big})\nsigma1 = ()\n")
         assert invoke(capsys, "dessin", "info", str(point)) == (
             too_long("in cycle notation")
-        )
-        monkeypatch.setenv("DESSINKIT_CAPS", f"group-order={big}")
-        assert invoke(capsys, "dessin", "info", "gallery:1") == (
-            too_long("in DESSINKIT_CAPS")
         )
         # the same rule through the library
         with pytest.raises(ParseError, match=f"{n} digits on the degree line"):

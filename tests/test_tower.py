@@ -314,6 +314,15 @@ class TestJInvariant:
         with pytest.raises(DegenerateTriple):
             CurveTriple(K.rational(0), K.rational(0), K.rational(1))
 
+    @pytest.mark.parametrize("q", [F(2), F(7, 3)])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_matches_the_cross_ratio_form(self, p, q):
+        K = TowerField(p, q)
+        tr = CurveTriple(K.rational(F(1, 2)), K.one() - K.zeta(), K.root() * F(3, 5))
+        lam = (tr.c - tr.a) / (tr.b - tr.a)
+        oracle = (lam * lam - lam + 1) ** 3 * 256 / (lam * lam * (lam - 1) ** 2)
+        assert j_invariant_of_triple(tr) == oracle
+
 
 class TestConjugateDistinctness:
     @pytest.mark.parametrize("q", [2, 3, 5])
