@@ -843,22 +843,33 @@ def _coprime_base(factors: Iterable[Tuple[int, int]]) -> dict:
     return base
 
 
-def _stage_pair(m: int, n: int, p: int, q: int) -> Tuple[int, int]:
+def _stage_bits(m: int, n: int, p: int, q: int) -> int:
+    """Estimated bit size T (bits T + bits p + bits q), T = m+n, of the
+    (m, n) stage's value at p/q."""
+    total = m + n
+    return total * (total.bit_length() + p.bit_length() + q.bit_length())
+
+
+def _stage_pair(m: int, n: int, p: int, q: int,
+                modulus: Optional[int] = None) -> Tuple[int, int]:
     """The (m, n) stage's value at p/q (q > 0, p neither 0 nor q) as a pair
-    (numerator, denominator > 0) in lowest terms, even when p/q is not.
+    (numerator, denominator > 0) in lowest terms, even when p/q is not;
+    with a ``modulus``, the pair reduced modulo it.
 
     The value is N/D with N = T^T p^m (q-p)^n, D = m^m n^n q^T and T = m+n.
     Its exponents are summed on the coprime base of T, |p|, |q-p|, m, n and
     q, so the two sides multiplied out are already coprime: no gcd of N and
-    D is taken.
+    D is taken, and each power can be taken modulo the modulus.
     """
     total = m + n
     base = _coprime_base([(total, total), (abs(p), m), (abs(q - p), n),
                           (m, -m), (n, -n), (q, -total)])
-    num = math.prod(b**e for b, e in base.items() if e > 0)
-    den = math.prod(b**-e for b, e in base.items() if e < 0)
+    num = math.prod(pow(b, e, modulus) for b, e in base.items() if e > 0)
+    den = math.prod(pow(b, -e, modulus) for b, e in base.items() if e < 0)
     if (p < 0 and m % 2 == 1) != (p > q and n % 2 == 1):
         num = -num
+    if modulus is not None:
+        return num % modulus, den % modulus
     return num, den
 
 
@@ -893,7 +904,7 @@ class BmnStage(BmnParams):
         total = m + n
         if (p, q) == (m, total):
             return 1, 1
-        estimate = total * (total.bit_length() + p.bit_length() + q.bit_length())
+        estimate = _stage_bits(m, n, p, q)
         if estimate > DEFAULT_EVAL_WORK_BITS:
             raise SizeGuard(
                 f"exact evaluation of stage ({brief(m, 256)}, {brief(n, 256)}) at "

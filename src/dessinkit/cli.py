@@ -12,9 +12,11 @@ always produces byte-identical output) and purely exact: rationals print as
 num/den, never as floats.
 
 Exit codes: 0 success or boolean true; 1 a boolean query answered false;
-2 input error; 3 resource limit.  Only ``dessin info`` and ``dessin reg-iso``
-take ``--cap-group-order`` (no cap by default), and only ``belyi reduce``
-takes ``--cap-stage-size`` (default ``belyi.DEFAULT_STAGE_CAP``).
+2 input error; 3 resource limit; 141 (128 + SIGPIPE), with nothing on
+stderr, when stdout is closed before the output is written, as when piped
+into ``head``.  Only ``dessin info`` and ``dessin reg-iso`` take
+``--cap-group-order`` (no cap by default), and only ``belyi reduce`` takes
+``--cap-stage-size`` (default ``belyi.DEFAULT_STAGE_CAP``).
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports for `yes | head -1`
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -554,7 +557,17 @@ def run_cli(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        code = run_cli(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send the interpreter's last flush to
+        # devnull, so that it cannot fail again on the way out
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

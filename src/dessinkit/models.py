@@ -12,7 +12,8 @@ Four independent pieces live here:
 * the palindromic word builders for the lifted-path words mu0, mu and
   omega = mu y mu^-1 x^(2s) y^-1 mu,
 * the 2-adic certificate machinery: the partial-sum nonvanishing check and
-  the verifier for v2(s) >= alpha - nu, run in modular arithmetic so it
+  the verifier for v2(s) >= alpha - nu, which reads s off the (m, n) stage
+  pair of :mod:`dessinkit.belyi` taken modulo 2^(alpha - nu + 1), so it
   works even when r and s are astronomically large.
 """
 
@@ -24,8 +25,9 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional, Tuple
 
+from . import perms
 from ._exact import PRINT_BITS, brief, check_odd_prime, v2
-from .belyi import RatPoly, _stage_pair, pair_from_ratio
+from .belyi import RatPoly, _stage_bits, _stage_pair, pair_from_ratio
 from .dessins import Dessin, load_dessin
 from .errors import (
     BadShape,
@@ -34,7 +36,7 @@ from .errors import (
     ResourceLimit,
     SizeGuard,
 )
-from .perms import MAX_DEGREE, Permutation, compose_right, parse_cycles
+from .perms import Permutation, compose_right, parse_cycles
 from .words import FreeWord, commutator_word, parse_word
 
 __all__ = [
@@ -57,10 +59,6 @@ __all__ = [
 ]
 
 GALLERY_SIZE = 6
-
-#: The largest edge count 8p of an 8p-edge model: the permutation degree cap
-#: ``perms.MAX_DEGREE``.
-MAX_8P_DEGREE = MAX_DEGREE
 
 #: The most bits the evaluation point gamma^(2p) q^2 and the value beta1 there
 #: may have in a two-adic instance; each is checked before it is computed.
@@ -178,8 +176,8 @@ def local_model_8p(p: int, k: int, variant: str = "plain") -> LocalModel:
     complex-embedding variant, whose word action never commutes with y^2.
     """
     check_odd_prime(p)
-    if 8 * p > MAX_8P_DEGREE:
-        raise ResourceLimit(f"8p = {8 * p} edges is above the cap {MAX_8P_DEGREE}")
+    if 8 * p > perms.MAX_DEGREE:
+        raise ResourceLimit(f"8p = {8 * p} edges is above the cap {perms.MAX_DEGREE}")
     if not 1 <= k <= 2 * p:
         raise OutOfRange(f"k = {k} outside 1..{2 * p}")
     if variant not in ("plain", "j"):
@@ -221,9 +219,13 @@ def _check_blocks(d) -> list:
     return [int(v) for v in blocks]
 
 
-def _palindrome(t: int) -> list:
-    """Block indices of a palindrome of t blocks: 1 ... t-1, t, t-1 ... 1."""
-    return list(range(1, t)) + list(range(t, 0, -1))
+def _palindrome(blocks: list) -> list:
+    """(index, weight) pairs along the palindrome of t = len(blocks) blocks,
+    indices 1 ... t-1, t, t-1 ... 1, each weight its block's degree and the
+    central one doubled."""
+    t = len(blocks)
+    return [(i, blocks[i - 1] * (2 if i == t else 1))
+            for i in [*range(1, t), *range(t, 0, -1)]]
 
 
 def build_mu0(d) -> FreeWord:
@@ -232,11 +234,8 @@ def build_mu0(d) -> FreeWord:
     Generators alternate (x on odd slots, y on even slots) and the central
     exponent is doubled; t = len(d) must be odd.
     """
-    blocks = _check_blocks(d)
-    t = len(blocks)
     return FreeWord(
-        ("x" if i % 2 else "y", blocks[i - 1] * (2 if i == t else 1))
-        for i in _palindrome(t)
+        ("x" if i % 2 else "y", w) for i, w in _palindrome(_check_blocks(d))
     )
 
 
@@ -250,14 +249,13 @@ def build_mu_omega(d, m: int, n: int, r: int, s: int) -> Tuple[FreeWord, FreeWor
     not defined by the displayed construction and is rejected.
     """
     blocks = _check_blocks(d)
-    t = len(blocks)
-    if t < 3:
+    if len(blocks) < 3:
         raise BadShape("need at least three blocks (t >= 3)")
     if min(m, n, r, s) < 1:
         raise BadShape("m, n, r, s must be positive")
     syllables = []
-    for i in _palindrome(t):
-        e = (m if i % 2 else n) * r * blocks[i - 1] * (2 if i == t else 1)
+    for i, w in _palindrome(blocks):
+        e = (m if i % 2 else n) * r * w
         syllables += [("x", e), ("y", 1), ("x", s), ("y", 1)]
     mu = FreeWord(syllables[:-3])  # a bare suffix, without the y x^s y tail
     x2s = FreeWord((("x", 2 * s),))
@@ -292,15 +290,11 @@ def delta_tilde_check(d, c0: int, c: int, alpha_minus_nu: int) -> DeltaTildeRepo
     multiples of s.
     """
     blocks = _check_blocks(d)
-    t = len(blocks)
     if not 0 < c0 < c:
         raise OutOfRange(f"need 0 < c0 < c, got c0={c0}, c={c}")
     if alpha_minus_nu < 1:
         raise OutOfRange("alpha - nu must be positive")
-    terms = [
-        (c0 if i % 2 else c - c0) * blocks[i - 1] * (2 if i == t else 1)
-        for i in _palindrome(t)
-    ]
+    terms = [(c0 if i % 2 else c - c0) * w for i, w in _palindrome(blocks)]
     *partials, total = itertools.accumulate(terms)
     # v is nonzero mod 2^k exactly when v2(v) < k, so no 2^k is built for it
     ok = all(v and v2(v) < alpha_minus_nu for v in (*partials, total))
@@ -402,15 +396,16 @@ def two_adic_verify(inst: TwoAdicInstance) -> TwoAdicReport:
     """Certify v2(s) >= alpha - nu for the second-stage parameters.
 
     Derivation: (m, n) comes from beta1(gamma^(2p) q^2) = m/(m+n) and (r, s)
-    from the value of the (m, n) stage at beta1(0) = r/(r+s).  Writing that
-    value as N/D with N = (m+n)^(m+n) c0^m (c-c0)^n and D = m^m n^n c^(m+n),
-    one has s = (D-N)/gcd(N, D), v2(gcd) = min(v2 N, v2 D) from the factored
-    forms, and v2(D-N) needs only D-N modulo a power of two, so the check
-    runs in modular arithmetic no matter how large r and s are.  Its cost is
-    cubic in the size of beta1(gamma^(2p) q^2), which :meth:`~TwoAdicInstance.beta1`
-    caps at ``MAX_TWO_ADIC_BITS`` (:class:`SizeGuard`).  A report with every
-    intermediate value is returned; inconsistent congruences are reported,
-    never asserted away.
+    from the value of the (m, n) stage at beta1(0) = r/(r+s).
+    :func:`~dessinkit.belyi._stage_pair` gives that value as a coprime pair
+    (r, r+s), so s is its denominator minus its numerator, and the same pair
+    taken modulo 2^(alpha - nu + 1) gives s modulo that power of two: its
+    valuation when s does not vanish there, and v2(s) > alpha - nu when it
+    does.  So the check runs in modular arithmetic no matter how large r and
+    s are.  Its cost is cubic in the size of beta1(gamma^(2p) q^2), which
+    :meth:`~TwoAdicInstance.beta1` caps at ``MAX_TWO_ADIC_BITS``
+    (:class:`SizeGuard`).  A report with every intermediate value is
+    returned; inconsistent congruences are reported, never asserted away.
     """
     if inst.alpha <= inst.nu:
         raise HypothesisFailed(
@@ -438,29 +433,13 @@ def two_adic_verify(inst: TwoAdicInstance) -> TwoAdicReport:
         and e * n % modulus == (inst.c - inst.c0) % modulus
     )
 
-    # v2(s) = v2(D - N) - v2(gcd(N, D)), with v2(gcd) = min(v2 N, v2 D) read
-    # off the factored forms.  Dividing the known 2-power out analytically
-    # keeps the working modulus at 2^(alpha - nu + 1) however large the
-    # instance is: (D - N)/2^v2gcd = 2^dd * D' - 2^dn * N' with D', N' the odd
-    # parts, each computable by modular exponentiation.
-    total = m + n
-    v2_n_full = total * v2(total) + m * v2(inst.c0) + n * v2(inst.c - inst.c0)
-    v2_d_full = m * v2(m) + n * v2(n) + total * v2(inst.c)
-    v2_gcd = min(v2_n_full, v2_d_full)
+    # the stage pair (r, r + s) is coprime, so s = den - num, and s modulo
+    # 2^(alpha - nu + 1) decides v2(s) against alpha - nu however large s is
     required = inst.alpha - inst.nu
     window = required + 1
     mod = 1 << window
-
-    def odd_pow(base: int, exp: int) -> int:
-        return pow(base >> v2(base), exp, mod)
-
-    n_odd = odd_pow(total, total) * odd_pow(inst.c0, m) % mod
-    n_odd = n_odd * odd_pow(inst.c - inst.c0, n) % mod
-    d_odd = odd_pow(m, m) * odd_pow(n, n) % mod * odd_pow(inst.c, total) % mod
-    diff = (
-        d_odd * pow(2, v2_d_full - v2_gcd, mod)
-        - n_odd * pow(2, v2_n_full - v2_gcd, mod)
-    ) % mod
+    num, den = _stage_pair(m, n, inst.c0, inst.c, mod)
+    diff = (den - num) % mod
     if diff == 0:
         v2_s = window  # certified lower bound, already > required
         exact = False
@@ -468,11 +447,8 @@ def two_adic_verify(inst: TwoAdicInstance) -> TwoAdicReport:
         v2_s = v2(diff)  # exact: any higher valuation would vanish mod 2^window
         exact = True
 
-    r_val = s_val = None
-    estimate = total * (
-        total.bit_length() + inst.c.bit_length() + inst.c0.bit_length()
-    )
-    if estimate <= PRINT_BITS:  # else r and s are reported as None
+    r_val = s_val = None  # reported as None when they would not print
+    if _stage_bits(m, n, inst.c0, inst.c) <= PRINT_BITS:
         r_val, den = _stage_pair(m, n, inst.c0, inst.c)
         s_val = den - r_val
 

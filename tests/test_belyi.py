@@ -974,6 +974,21 @@ _SMOOTH = st.builds(math.prod, st.lists(st.sampled_from((2, 3, 5, 6, 10, 12, 15,
                                         max_size=8))
 
 
+def _stage_cases():
+    """The 400 seeded draws of ``test_against_direct_formula``, in its order,
+    as (m, n, p, q)."""
+    rng = random.Random(2005)
+    for _ in range(400):
+        m, n = rng.randint(1, 40), rng.randint(1, 40)
+        if math.gcd(m, n) != 1:
+            continue
+        shared = rng.choice((1, 2, 6, 30, m, n, m + n))
+        q = shared ** rng.randint(0, 3) * rng.randint(1, 30)
+        p = rng.choice((1, -1)) * shared ** rng.randint(0, 3) * rng.randint(1, 60)
+        if p != q:
+            yield m, n, p, q
+
+
 class TestStagePair:
     def test_against_direct_formula(self):
         rng = random.Random(2005)
@@ -994,6 +1009,17 @@ class TestStagePair:
                 m, n, p, q)
             regimes.add((p < 0, p > q))
         # v < 0, 0 < v < 1 and v > 1 all occurred
+        assert regimes == {(True, False), (False, False), (False, True)}
+
+    def test_modular_pair_is_the_pair_reduced(self):
+        regimes = set()
+        for m, n, p, q in _stage_cases():
+            value = _direct_stage_value(m, n, p, q)
+            for modulus in (2, 4, 2**64, 2**4000, 3**41):
+                assert _stage_pair(m, n, p, q, modulus) == (
+                    value.numerator % modulus, value.denominator % modulus), (
+                    m, n, p, q, modulus)
+            regimes.add((p < 0, p > q))
         assert regimes == {(True, False), (False, False), (False, True)}
 
     def test_stage_evaluation_is_the_pair(self):

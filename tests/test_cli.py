@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -660,6 +661,33 @@ class TestPlaceholders:
                               "--word", f"(x^{n})^{n} (y^{n})^-{n}", "--json")
         assert code == 0 and json.loads(out)["word"] == (
             "x^<19932-bit integer> y^-<19932-bit integer>")
+
+
+class TestClosedStdout:
+    """A reader that closed stdout early ends the run with 141 and no
+    traceback, as a shell reports for `yes | head -1`."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gallery", "list"),
+            ("belyi", "bmn", "--m", "3", "--n", "1"),
+            ("dessin", "info", "gallery:1", "--json"),
+        ],
+    )
+    def test_exit_141_and_silent_stderr(self, argv):
+        paths = [str(Path(dessins.__file__).resolve().parent.parent),
+                 os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "dessinkit.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 class TestDeterminism:

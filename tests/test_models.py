@@ -5,10 +5,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from dessinkit import models
+from dessinkit import models, perms
 from dessinkit.belyi import RatPoly, parse_poly
 from dessinkit.cli import run_cli
-from dessinkit.errors import BadShape, HypothesisFailed, OutOfRange, SizeGuard
+from dessinkit._exact import v2
+from dessinkit.errors import (
+    BadShape,
+    HypothesisFailed,
+    OutOfRange,
+    ResourceLimit,
+    SizeGuard,
+)
 from dessinkit.models import (
     GALLERY_SIZE,
     TwoAdicInstance,
@@ -137,6 +144,12 @@ class TestLocalModel8p:
             local_model_8p(3, 7)
         with pytest.raises(OutOfRange):
             local_model_8p(3, 1, "weird")
+
+    def test_degree_cap_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(perms, "MAX_DEGREE", 16)
+        with pytest.raises(ResourceLimit) as exc:
+            local_model_8p(3, 1)
+        assert str(exc.value) == "8p = 24 edges is above the cap 16"
 
     def test_degree_cap(self, capsys, monkeypatch):
         def refuse(n):
@@ -278,6 +291,50 @@ class TestDeltaTilde:
             delta_tilde_check([1, 1, 1], 1, 4, 0)
 
 
+def _seeded_two_adic_reports(seed, count):
+    """``count`` valid seeded instances, each with its report; about a fifth
+    are small enough that the report prints r and s."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        p = rng.choice((3, 5, 7))
+        gamma = rng.choice((F(1), F(1), F(2), F(1, 2), F(4, 3)))
+        q = F(2 ** rng.randint(1, 3) * rng.choice((1, 3)), rng.choice((1, 1, 3)))
+        coeffs = [rng.randint(1, 40)] + [rng.randint(0, 3)
+                                         for _ in range(rng.randint(1, 2))]
+        coeffs[-1] = coeffs[-1] or 1
+        value = RatPoly(coeffs)(gamma ** (2 * p) * q * q)
+        c = (value.numerator // value.denominator + rng.randint(1, 9)) * rng.choice((1, 2, 4))
+        try:
+            inst = TwoAdicInstance(RatPoly(coeffs), c, p, q, gamma)
+            found.append((inst, two_adic_verify(inst)))
+        except (HypothesisFailed, OutOfRange):
+            continue  # alpha <= nu, or beta1 outside (0, 1) at the point
+    return found
+
+
+def _v2_s_from_valuations(inst, report):
+    """(v2_s, v2_s_is_exact) derived apart from the stage pair: from the
+    2-adic valuations of N = T^T c0^m (c-c0)^n and D = m^m n^n c^T (T = m+n)
+    and their odd parts modulo 2^(alpha - nu + 1), as s = (D - N)/gcd(N, D)."""
+    m, n, c0, c = report.m, report.n, inst.c0, inst.c
+    total = m + n
+    v2_n = total * v2(total) + m * v2(c0) + n * v2(c - c0)
+    v2_d = m * v2(m) + n * v2(n) + total * v2(c)
+    v2_gcd = min(v2_n, v2_d)
+    window = inst.alpha - inst.nu + 1
+    mod = 1 << window
+
+    def odd_pow(base, exp):
+        return pow(base >> v2(base), exp, mod)
+
+    n_odd = odd_pow(total, total) * odd_pow(c0, m) * odd_pow(c - c0, n) % mod
+    d_odd = odd_pow(m, m) * odd_pow(n, n) * odd_pow(c, total) % mod
+    diff = (d_odd * pow(2, v2_d - v2_gcd, mod)
+            - n_odd * pow(2, v2_n - v2_gcd, mod)) % mod
+    return (v2(diff), True) if diff else (window, False)
+
+
 class TestTwoAdic:
     def test_reference_instance(self):
         inst = TwoAdicInstance(RatPoly((1, 1)), 32, 3, 4, 1)
@@ -338,6 +395,21 @@ class TestTwoAdic:
             TwoAdicInstance(RatPoly((5, 1)), 4, 3, 2, 1)  # c0 >= c
         with pytest.raises(OutOfRange):
             TwoAdicInstance(RatPoly((1, 1)), 4, 4, 2, 1)
+
+    def test_v2_s_agrees_with_the_valuation_derivation(self):
+        cases = _seeded_two_adic_reports(2021, 300)
+        near_cap = TwoAdicInstance(RatPoly((1, 1)), 32, 1009, 4, F(2, 3))
+        cases.append((near_cap, two_adic_verify(near_cap)))
+        for inst, report in cases:
+            assert (report.v2_s, report.v2_s_is_exact) == _v2_s_from_valuations(
+                inst, report), (inst.poly, inst.c, inst.p, inst.q, inst.gamma)
+
+    def test_v2_s_is_read_off_the_printed_s(self):
+        printed = [report for _, report in _seeded_two_adic_reports(2022, 300)
+                   if report.s is not None]
+        assert len(printed) >= 40
+        for report in printed:
+            assert report.v2_s == min(v2(report.s), report.required + 1)
 
     def test_random_valid_instances_never_contradict(self):
         rng = random.Random(71)
