@@ -101,6 +101,11 @@ class _Infinity:
     def __repr__(self):
         return "inf"
 
+    def __hash__(self):
+        # fixed, where the default hash follows the address: a set of points
+        # then iterates in the same order in every process
+        return 314159
+
 
 INFINITY = _Infinity()
 
@@ -364,23 +369,32 @@ class RatMap:
 
 @dataclass(frozen=True)
 class CritProfile:
-    """Finite critical values plus an explicit flag for infinity.
+    """Critical values of a map: one set of points of P^1(Q), the rationals
+    as `Fraction`s and the point at infinity as :data:`INFINITY`.
 
-    The finite/infinite split follows the usual convention for Belyi
-    polynomials, whose set of finite critical values excludes the point at
-    infinity even though every polynomial of degree >= 2 ramifies there.
+    ``finite_values`` and ``includes_infinity`` read the set the way Belyi
+    polynomials are usually described: finite critical values apart from
+    infinity, where every polynomial of degree >= 2 ramifies.
     """
 
-    finite_values: frozenset
-    includes_infinity: bool
+    values: frozenset
 
     @classmethod
     def empty(cls) -> "CritProfile":
-        return cls(frozenset(), False)
+        return cls(frozenset())
 
     @classmethod
     def of(cls, values: Iterable, includes_infinity: bool = False) -> "CritProfile":
-        return cls(frozenset(Fraction(v) for v in values), includes_infinity)
+        finite = frozenset(Fraction(v) for v in values)
+        return cls(finite | {INFINITY} if includes_infinity else finite)
+
+    @property
+    def finite_values(self) -> frozenset:
+        return self.values - {INFINITY}
+
+    @property
+    def includes_infinity(self) -> bool:
+        return INFINITY in self.values
 
     def sorted_finite(self) -> list:
         return sorted(self.finite_values)
@@ -403,9 +417,7 @@ def finite_critical_values(f: RatMap) -> CritProfile:
     """
     if f.mapping_degree <= 0:
         return CritProfile.empty()
-    finite = set()
-    includes_inf = False
-
+    values = set()
     w = f.wronskian()
     if not w.is_zero and w.degree >= 1:
         roots, cofactor = rational_roots(w)
@@ -414,48 +426,27 @@ def finite_critical_values(f: RatMap) -> CritProfile:
                 f"critical points are not all rational; cofactor {cofactor}",
                 cofactor=cofactor,
             )
-        for r in roots:
-            value = f.eval_extended(r)
-            if value is INFINITY:
-                includes_inf = True
-            else:
-                finite.add(value)
-
+        values.update(f.eval_extended(r) for r in roots)
     dn, dd = f.numerator.degree, f.denominator.degree
     if dn != dd:
         ram_inf = abs(dn - dd)
-        value_inf: ExtendedRational = INFINITY if dn > dd else Fraction(0)
     else:
         c = f.numerator.leading / f.denominator.leading
-        diff = f.numerator - f.denominator * c
-        ram_inf = dn - diff.degree  # diff is nonzero for a nonconstant map
-        value_inf = c
+        # num - c den is nonzero for a nonconstant map
+        ram_inf = dn - (f.numerator - f.denominator * c).degree
     if ram_inf >= 2:
-        if value_inf is INFINITY:
-            includes_inf = True
-        else:
-            finite.add(value_inf)
-    return CritProfile(frozenset(finite), includes_inf)
+        values.add(f.eval_extended(INFINITY))
+    return CritProfile(frozenset(values))
 
 
 def propagate_crit(profile: CritProfile, f) -> CritProfile:
-    """Critical profile of ``f . g`` given the profile of ``g``.
+    """Critical profile of ``f . g`` given the profile of ``g``: the
+    critical values of ``f`` and the image under ``f`` of those of ``g``.
 
     ``f`` may be a :class:`RatMap` or a :class:`BmnStage`.
     """
-    out = f.finite_critical_values()
-    finite = set(out.finite_values)
-    includes_inf = out.includes_infinity
-    values: List[ExtendedRational] = list(profile.finite_values)
-    if profile.includes_infinity:
-        values.append(INFINITY)
-    for v in values:
-        w = f.eval_extended(v)
-        if w is INFINITY:
-            includes_inf = True
-        else:
-            finite.add(w)
-    return CritProfile(frozenset(finite), includes_inf)
+    return CritProfile(f.finite_critical_values().values
+                       | {f.eval_extended(v) for v in profile.values})
 
 
 # ---------------------------------------------------------------------------
@@ -635,23 +626,6 @@ def _eval_mod(f: Sequence[int], r: int, m: int) -> int:
     return acc
 
 
-def _squarefree_mod(f: Sequence[int], p: int) -> bool:
-    """Whether f mod p is squarefree, for a prime p > deg f not dividing
-    lc(f): Euclid's gcd of f and f' over GF(p) is a constant."""
-    a = [c % p for c in f]
-    b = [c % p for c in _derivative(f)]
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            t, shift = a[-1] * inv % p, len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - t * c) % p
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
 def _least_exponent_above(p: int, bound: int) -> int:
     """The least E with p^E > bound, for p > 1: the greatest j with
     p^j <= bound is read off in binary from p, p^2, p^4, ..."""
@@ -671,19 +645,24 @@ def _squarefree_roots(f: Sequence[int]) -> list:
     polynomial f of degree d >= 1 (Loos 1983).
 
     Every rational root is k/a, a = lc(f), with |k| < B = |a| + max|f_i|
-    (Cauchy).  Modulo the least prime p > d that does not divide a and
-    leaves f mod p squarefree, every root is simple, so Newton lifts it to a
-    unique root r mod p^E, E the least exponent with p^E > 2B; the symmetric
-    residue of a*r is then the only candidate k, tested by exact integer
-    evaluation.
+    (Cauchy), and reduces to a root of f mod p for a prime p not dividing a.
+    The prime is the least p > d that does not divide a and at which every
+    root r of f mod p is simple, f'(r) != 0 mod p; one exists because f is
+    squarefree, so only the finitely many primes dividing its discriminant
+    fail.  Newton then lifts each r to a unique root mod p^E, E the least
+    exponent with p^E > 2B, and the symmetric residue of a times it is the
+    only candidate k, tested by exact integer evaluation.
     """
     a = f[-1]
     bound = abs(a) + max(abs(c) for c in f[:-1])
-    p = len(f)
-    while not (is_prime(p) and a % p and _squarefree_mod(f, p)):
-        p += 1
-    lifted = [r for r in range(p) if not _eval_mod(f, r, p)]
     deriv = _derivative(f)
+    p = len(f) - 1
+    while True:
+        p += 1
+        if is_prime(p) and a % p:
+            lifted = [r for r in range(p) if not _eval_mod(f, r, p)]
+            if all(_eval_mod(deriv, r, p) for r in lifted):
+                break
     # a Newton step from p^e reaches p^(2e), so the precisions halve (upward)
     # from the least E with p^E > 2B down to 1, and the last step stops at E
     precisions = [_least_exponent_above(p, 2 * bound)]

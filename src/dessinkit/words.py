@@ -95,7 +95,13 @@ class FreeWord:
 
 
 def _reduce(syllables: Iterable[Syllable]) -> tuple:
-    out: list = []
+    return tuple(_push([], syllables))
+
+
+def _push(out: list, syllables: Iterable[Syllable]) -> list:
+    """Append syllables to the freely reduced list ``out``, reducing as they
+    come, and check the cap on the result: the cost is the number of
+    syllables pushed, not the length of ``out``."""
     for g, e in syllables:
         if g not in ("x", "y"):
             raise ParseError(f"unknown generator {g!r}")
@@ -112,7 +118,7 @@ def _reduce(syllables: Iterable[Syllable]) -> tuple:
         raise ResourceLimit(
             f"word of {len(out)} syllables is over the cap {MAX_SYLLABLES}"
         )
-    return tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +131,12 @@ class _Parser(Scanner):
         super().__init__(text, " in word")
 
     def parse_word(self, stop=()) -> FreeWord:
-        word = FreeWord()
+        out: list = []
         while True:
             c = self.peek()
             if c is None or c in stop:
-                return word
-            word = word * self.parse_factor()
+                return FreeWord(out)
+            _push(out, self.parse_factor().syllables)
 
     def parse_factor(self) -> FreeWord:
         c = self.take()

@@ -6,10 +6,14 @@ import hashlib
 import itertools
 import logging
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -386,6 +390,18 @@ class TestCriticalValues:
         prof = finite_critical_values(parse_map("1/(X^2)"))
         assert prof.finite_values == {F(0)} and prof.includes_infinity
 
+    def test_infinity_hashes_alike_in_every_process(self):
+        # a profile's points iterate in hash order, which fixes the order in
+        # which propagate_crit evaluates them, so it must not follow the address
+        paths = [str(Path(belyi.__file__).resolve().parent.parent),
+                 os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        code = "from dessinkit.belyi import INFINITY; print(hash(INFINITY))"
+        hashes = {subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                 text=True, env=env, check=True, timeout=60).stdout
+                  for _ in range(2)}
+        assert len(hashes) == 1, hashes
+
 
 class TestPropagation:
     def test_beta1_branch_set(self):
@@ -680,6 +696,36 @@ class TestRationalRoots:
         oracle_roots, oracle_work = _divisor_roots(p)
         assert roots == oracle_roots
         assert cofactor.coefficients == oracle_work.monic().coefficients
+
+    def test_lift_prime_needs_only_simple_roots(self, caplog):
+        # (X - 1)(X^2 + 1)(X^2 + 8) = (X - 1)(X^2 + 1)^2 mod 7 is not
+        # squarefree there, but its one root 1 is simple, so 7 serves
+        p = RatPoly((-1, 1)) * RatPoly((1, 0, 1)) * RatPoly((8, 0, 1))
+        with caplog.at_level(logging.DEBUG, logger="dessinkit.belyi"):
+            roots, cofactor = rational_roots(p)
+        assert "degree 5, prime 7, lifted to p^" in caplog.text
+        assert roots == {F(1): 1} and cofactor == RatPoly((8, 0, 9, 0, 1))
+
+    def test_quadratics_that_meet_mod_the_prime(self, caplog):
+        # X^2 + c and X^2 + c + q agree mod a prime q above the degree, so
+        # the product is not squarefree mod q; q may still be the lifting
+        # prime, and the roots must match the oracle's whichever prime it is
+        rng = random.Random(719)
+        pool = [F(1), F(-1), F(2), F(-2), F(3), F(-3), F(1, 2), F(-1, 2), F(1, 3), F(-2, 3)]
+        lifted_at_q = 0
+        for _ in range(120):
+            q, c = rng.choice((7, 11, 13)), rng.randint(1, 4)
+            p = RatPoly((c, 0, 1)) * RatPoly((c + q, 0, 1)) * rng.randint(1, 3)
+            for root in rng.sample(pool, rng.randint(1, q - 5)):
+                p = p * RatPoly((-root, 1))
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="dessinkit.belyi"):
+                roots, cofactor = rational_roots(p)
+            lifted_at_q += f"prime {q}," in caplog.text
+            oracle_roots, oracle_work = _divisor_roots(p)
+            assert roots == oracle_roots, p
+            assert cofactor.coefficients == oracle_work.monic().coefficients, p
+        assert lifted_at_q >= 30, lifted_at_q
 
     def test_lift_stops_at_the_least_sufficient_precision(self, caplog):
         # X + 2^64 has B = 1 + 2^64 and is lifted modulo p = 2: the least E
@@ -1113,3 +1159,105 @@ def test_pinned_reduction_outcomes(points, chain_text, outcome):
                 digest.hexdigest()) == outcome
     else:
         assert value == (None if outcome is None else F(outcome))
+
+
+# ---------------------------------------------------------------------------
+# one digest over critical values, their propagation and rational roots
+# ---------------------------------------------------------------------------
+
+
+def _digest_map(rng):
+    """c L1^a L2^b / L3^d + e for small integer linear forms L: the critical
+    points are rational for some draws and irrational for others."""
+
+    def linear():
+        return RatPoly((rng.randint(-4, 4), rng.choice((-3, -2, -1, 1, 2, 3))))
+
+    num = linear() ** rng.randint(0, 4) * linear() ** rng.randint(1, 4)
+    den = linear() ** rng.randint(0, 3)
+    c, e = F(rng.randint(1, 9), rng.randint(1, 5)), F(rng.randint(-5, 5), rng.randint(1, 3))
+    return RatMap(num * c + den * e, den)
+
+
+def _profile_record(profile):
+    return f"{profile} {profile.sorted_finite()!r} {profile.includes_infinity}"
+
+
+def _critical_value_records(set_work_cap):
+    """Seeded outcomes of finite_critical_values, propagate_crit folds and
+    rational_roots, as (kind, input, output) string tuples."""
+    rng = random.Random(19)
+    for _ in range(150):
+        f = _digest_map(rng)
+        try:
+            yield "crit", str(f), _profile_record(finite_critical_values(f))
+        except IrrationalCriticalPoints as exc:
+            yield "irrational", str(f), f"{exc} | {exc.cofactor}"
+    for _ in range(120):
+        values = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
+        profile = CritProfile.of(values, includes_infinity=rng.random() < 0.5)
+        stages = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                total = rng.randint(2, 13)
+                m = rng.choice([k for k in range(1, total) if math.gcd(k, total - k) == 1])
+                stages.append(BmnStage(m, total - m))
+            else:
+                stages.append(_digest_map(rng))
+        text = f"{profile} | " + " | ".join(map(str, stages))
+        try:
+            yield "fold", text, _profile_record(functools.reduce(propagate_crit, stages, profile))
+        except IrrationalCriticalPoints as exc:
+            yield "fold-irrational", text, str(exc)
+    # a stage under a lowered work cap; which value a SizeGuard names when
+    # several are over the cap follows the order of the set, so the cap is
+    # the second-largest estimate and at most one value is over it
+    for _ in range(60):
+        total = rng.randint(2, 60)
+        m = rng.choice([k for k in range(1, total) if math.gcd(k, total - k) == 1])
+        stage = BmnStage(m, total - m)
+        values = {F(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(rng.randint(1, 4))}
+        generic = values - {F(0), F(1), stage.peak}
+        estimates = sorted(belyi._stage_bits(m, total - m, v.numerator, v.denominator)
+                           for v in generic)
+        set_work_cap(estimates[-2] if len(estimates) > 1 else 0)
+        profile = CritProfile.of(values | {F(0), F(1)}, includes_infinity=rng.random() < 0.5)
+        text = f"{profile} | {stage}"
+        try:
+            yield "guarded", text, _profile_record(propagate_crit(profile, stage))
+        except SizeGuard as exc:
+            yield "size-guard", text, str(exc)
+    cofactors = [RatPoly((1,)), RatPoly((1, 0, 1)), RatPoly((8, 0, 1)), RatPoly((2, 0, 1)),
+                 RatPoly((9, 0, 1)), RatPoly((-2, 0, 0, 1)), RatPoly((5, 1, 3))]
+    for _ in range(200):
+        p = RatPoly((rng.randint(1, 3),)) * rng.choice(cofactors)
+        for _ in range(rng.randint(1, 6)):
+            root = F(rng.randint(-20, 20), rng.randint(1, 6))
+            p = p * RatPoly((-root, 1)) ** rng.randint(1, 2)
+        roots, cofactor = rational_roots(p)
+        yield "roots", str(p), f"{sorted(roots.items())!r} | {cofactor}"
+    for _ in range(100):
+        p = RatPoly([rng.randint(-12, 12) for _ in range(rng.randint(2, 11))])
+        if p.degree >= 1:
+            roots, cofactor = rational_roots(p)
+            yield "dense-roots", str(p), f"{sorted(roots.items())!r} | {cofactor}"
+
+
+class TestCriticalValueDigest:
+    # sha256 of the records, pinned where the critical profile was a finite
+    # set and an infinity flag and the lifting prime left f squarefree mod p
+    DIGEST = "30d1a311b0cb94824606695127a0ccd356cd4733d05e7c779aa27483a82c621f"
+    KINDS = {"crit": 86, "irrational": 64, "fold": 88, "fold-irrational": 32,
+             "guarded": 10, "size-guard": 50, "roots": 200, "dense-roots": 100}
+
+    def test_digest(self, monkeypatch):
+        def set_work_cap(bits):
+            monkeypatch.setattr(belyi, "DEFAULT_EVAL_WORK_BITS", bits)
+
+        records = list(_critical_value_records(set_work_cap))
+        kinds = {}
+        for kind, _, _ in records:
+            kinds[kind] = kinds.get(kind, 0) + 1
+        assert kinds == self.KINDS
+        digest = hashlib.sha256("\n".join("\t".join(r) for r in records).encode())
+        assert digest.hexdigest() == self.DIGEST

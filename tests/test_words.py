@@ -1,6 +1,7 @@
 """Free-word parsing, reduction, and homomorphism evaluation tests."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,19 @@ class TestParsing:
         with pytest.raises(ResourceLimit):
             parse_word(f"[x, y]^{cap // 4 + 1}")
         assert len(parse_word(f"(x y)^{cap // 2}").syllables) == cap
+
+    def test_parse_time_is_linear_in_the_number_of_factors(self):
+        # each factor is reduced onto the word parsed so far, not the whole
+        # word again: 20000 pairs took minutes when it was
+        start = time.perf_counter()
+        word = parse_word("x y " * 20000)
+        assert time.perf_counter() - start < 2
+        assert word.syllables == (("x", 1), ("y", 1)) * 20000
+
+    def test_cap_is_checked_on_the_reduced_prefix(self):
+        with pytest.raises(ResourceLimit, match="word of 160000 syllables"):
+            parse_word("(x y)^40000 (x y)^40000 (x y)^-40000")
+        assert len(parse_word("(x y)^30000 (x y)^-30000 (x y)^30000").syllables) == 60000
 
     def test_powers_of_one_generator_stay_one_syllable(self):
         big = 10**100
