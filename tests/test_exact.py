@@ -2,9 +2,12 @@
 pseudoprime bounds, exact roots, 2-adic valuations, binary powering against
 repeated multiplication, the product of integer polynomials (Kronecker or term
 by term, as the operand sizes choose) against the schoolbook product, the compact form of big values, the reading of
-outside integers and the contiguous-digit integer scan."""
+outside integers, the contiguous-digit integer scan, and a digest of the
+printed polynomial and tower-field values that hold integers over one
+denominator."""
 
 import functools
+import hashlib
 import math
 import operator
 import random
@@ -310,3 +313,68 @@ class TestScanner:
         s.expect("(")
         with pytest.raises(ParseError, match=r"expected '\)' at position 3 in w, got '\]'"):
             s.expect(")")
+
+
+def _coefficient(rng, huge):
+    """A seeded rational coefficient: zero, a unit, a mid-sized fraction or,
+    with ``huge``, one with more than PRINT_BITS bits above or below."""
+    kind = rng.random()
+    if kind < 0.15:
+        return F(0)
+    if kind < 0.25:
+        return F(rng.choice((-1, 1)))
+    if huge and kind < 0.32:
+        return F(rng.choice((-1, 1)) * 3 ** rng.randint(7575, 7700), rng.randint(1, 6))
+    if huge and kind < 0.36:
+        return F(rng.randint(-9, 9), 7 ** rng.randint(4277, 4400))
+    return F(rng.randint(-(2**40), 2**40), rng.randint(1, 2**20))
+
+
+def _integer_vector_records():
+    """str() of seeded polynomial and tower-field values built by every
+    operation that brings integers over one denominator to lowest terms."""
+    from dessinkit.tower import CurveTriple, galois_apply, j_invariant_of_triple
+
+    rng = random.Random(20)
+    for _ in range(150):
+        a, b = (RatPoly(_coefficient(rng, True) for _ in range(rng.randint(0, 9)))
+                for _ in range(2))
+        c = _coefficient(rng, True)
+        for value in (a, b, a + b, a - b, b - b, -a, a * c, c * b, a * rng.randint(-5, 5),
+                      a * b, a.derivative(), (a * b).derivative()):
+            yield "poly", str(value)
+    for p in (3, 5, 7, 11, 13):
+        for q in (F(2), F(7, 3), F(1, 5)):
+            field = TowerField(p, q)
+
+            def element(terms, huge):
+                return field.element({(rng.randrange(-p, 2 * p), rng.randrange(-p, 2 * p)):
+                                      _coefficient(rng, huge) for _ in range(terms)})
+
+            for _ in range(4):
+                x, y = element(rng.randint(0, 8), True), element(rng.randint(0, 8), True)
+                c = _coefficient(rng, True)
+                i, u = rng.randrange(p), rng.randrange(1, p)
+                for value in (x, y, x + y, x - y, y - y, -x, x * c, c * y, x + c, c - y,
+                              x * y, x * x, galois_apply(field, i, u, x)):
+                    yield f"tower {p} {q}", str(value)
+            for _ in range(2):
+                x = element(rng.randint(1, 3), False)
+                if not x.is_zero:
+                    yield f"inverse {p} {q}", str(x.inverse())
+            if p <= 7:
+                triple = CurveTriple(field.zero(), field.one() - field.zeta(),
+                                     field.root() * _coefficient(rng, False) + 1)
+                yield f"j {p} {q}", str(j_invariant_of_triple(triple))
+
+
+class TestIntegerVectorDigest:
+    # sha256 of the records, pinned where RatPoly and TowerElement each had
+    # their own normaliser, sum and term printer
+    DIGEST = "e5198261dab21de4af3de8cbb8ab4dfee1cb16f5a16ff15e913e3b2754ded110"
+
+    def test_digest(self):
+        records = list(_integer_vector_records())
+        assert any(len(text) < 200 and "-bit" in text for _, text in records)
+        digest = hashlib.sha256("\n".join("\t".join(r) for r in records).encode())
+        assert digest.hexdigest() == self.DIGEST
