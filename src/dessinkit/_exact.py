@@ -3,14 +3,19 @@
 Primality, exact roots and 2-adic valuations of integers, binary powering in
 any associative product, the one product of integer polynomials (Kronecker
 substitution, unless the operand sizes show few terms or one wide
-coefficient), the compact form of very large values in messages and reports,
-the one reading of decimal integers from outside input, and the character
-scanner behind the word and map grammars, with their bracket nesting bounded.
+coefficient), the normal form of rational vectors held as integers over one
+denominator (``RatPoly`` and ``TowerElement``): its lowest terms, its sum and
+its printed signed sum of terms, the compact form of very large values in
+messages and reports, the one reading of decimal integers from outside input,
+and the character scanner behind the word and map grammars, with their
+bracket nesting bounded.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 from .errors import OutOfRange, ParseError, ResourceLimit
@@ -191,6 +196,50 @@ def _pack(values: Sequence[int], width: int, half: int) -> int:
 
 def _bias(count: int, width: int, half: int) -> int:
     return int.from_bytes(half.to_bytes(width, "little") * count, "little")
+
+
+def lowest(ints: list, den: int) -> tuple:
+    """The vector ints / den (den nonzero) in normal form: a tuple of
+    numerators with no trailing zero, over a positive denominator that shares
+    no factor with all of them.  Pops ints' trailing zeros."""
+    while ints and not ints[-1]:
+        ints.pop()
+    g = math.gcd(den, *ints)
+    if den < 0:
+        g = -g
+    return (tuple(ints) if g == 1 else tuple(v // g for v in ints)), den // g
+
+
+def vector_sum(a: Sequence[int], a_den: int, b: Sequence[int], b_den: int) -> tuple:
+    """a / a_den + b / b_den as (numerators, denominator) over the least
+    common denominator, not yet in lowest terms."""
+    g = math.gcd(a_den, b_den)
+    sa, sb = b_den // g, a_den // g
+    return [x * sa + y * sb for x, y in zip_longest(a, b, fillvalue=0)], a_den * sa
+
+
+def signed_sum(terms) -> str:
+    """A sum of (coefficient, monomial) terms as text, such as
+    ``-X^2 + 3/2*X - 1`` or ``1 - z^2*t``.
+
+    A monomial is a sequence of (variable, exponent) pairs, whose zero
+    exponents are left out.  Terms with coefficient 0 are left out, and so is
+    a coefficient of absolute value 1 before a nonconstant monomial;
+    magnitudes past ``PRINT_BITS`` bits print as placeholders (``brief``).
+    No term at all reads ``0``.
+    """
+    parts = []
+    for c, monomial in terms:
+        if not c:
+            continue
+        mag = brief(abs(c), PRINT_BITS)
+        names = [] if mag == 1 else [str(mag)]
+        for x, e in monomial:
+            if e:
+                names.append(x if e == 1 else f"{x}^{e}")
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + ("*".join(names) or "1"))
+    return " ".join(parts) or "0"
 
 
 def brief(value, max_bits: int):

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from ._exact import PRINT_BITS, Scanner, brief, int_poly_mul, is_prime, power
+from ._exact import (PRINT_BITS, Scanner, brief, int_poly_mul, is_prime, lowest,
+                     power, signed_sum, vector_sum)
 from .errors import (
     IrrationalCriticalPoints,
     NotCoprime,
@@ -120,8 +121,10 @@ ExtendedRational = Union[Fraction, _Infinity]
 class RatPoly:
     """Polynomial with exact rational coefficients, low degree first.
 
-    Held as integers over one positive denominator in lowest terms, with no
-    trailing zero integer, so equal polynomials have equal fields.
+    Held in the normal form ``TowerElement`` shares: integers over one
+    positive denominator, in lowest terms and with no trailing zero integer
+    (``_exact.lowest``), so equal polynomials have equal fields.  Sums go
+    through ``_exact.vector_sum`` and printing through ``_exact.signed_sum``.
     """
 
     __slots__ = ("_ints", "_den")
@@ -129,21 +132,15 @@ class RatPoly:
     def __init__(self, coefficients: Iterable = ()):
         coeffs = [Fraction(c) for c in coefficients]
         den = math.lcm(*(c.denominator for c in coeffs))
-        poly = RatPoly._lowest([c.numerator * (den // c.denominator) for c in coeffs], den)
-        self._ints, self._den = poly._ints, poly._den
+        self._ints, self._den = lowest([c.numerator * (den // c.denominator)
+                                        for c in coeffs], den)
 
     @classmethod
     def _lowest(cls, ints: list, den: int = 1) -> "RatPoly":
         """The polynomial with coefficients ints[i] / den (den nonzero); pops
         ints' trailing zeros."""
-        while ints and not ints[-1]:
-            ints.pop()
-        g = math.gcd(den, *ints)
-        if den < 0:
-            g = -g
         poly = object.__new__(cls)
-        poly._ints = tuple(ints) if g == 1 else tuple(v // g for v in ints)
-        poly._den = den // g
+        poly._ints, poly._den = lowest(ints, den)
         return poly
 
     @property
@@ -179,13 +176,7 @@ class RatPoly:
         return hash((self._ints, self._den))
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
-        a = [v * other._den for v in self._ints]
-        b = [v * self._den for v in other._ints]
-        if len(a) < len(b):
-            a, b = b, a
-        for i, v in enumerate(b):
-            a[i] += v
-        return RatPoly._lowest(a, self._den * other._den)
+        return RatPoly._lowest(*vector_sum(self._ints, self._den, other._ints, other._den))
 
     def __neg__(self) -> "RatPoly":
         return RatPoly._lowest([-v for v in self._ints], self._den)
@@ -217,25 +208,8 @@ class RatPoly:
         return tuple(_primitive(self._ints)) if self._ints else ()
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        coeffs = self.coefficients
-        for i in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[i]
-            if c == 0:
-                continue
-            mag = brief(-c if c < 0 else c, PRINT_BITS)
-            if i == 0:
-                body = str(mag)
-            else:
-                xs = "X" if i == 1 else f"X^{i}"
-                body = xs if mag == 1 else f"{mag}*{xs}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_sum((Fraction(v, self._den), (("X", i),))
+                          for i, v in reversed(list(enumerate(self._ints))))
 
     def __repr__(self) -> str:
         return f"RatPoly({self!s})"

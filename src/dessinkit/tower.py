@@ -7,10 +7,11 @@ field is a p(p-1)-dimensional Q-algebra with basis zeta^i * t^j for
 Galois over Q with group Z/p x| (Z/p)^*: the automorphisms send
 zeta -> zeta^u and t -> zeta^i t.
 
-An element is stored as integer numerators over one positive denominator, in
-lowest terms (the gcd of the denominator and every numerator is 1).  Slot
-j*(p-1) + i holds the numerator of the coordinate of zeta^i t^j, so the slots
-run in t-blocks of p-1, and trailing zero slots are dropped.  A product is
+An element is stored in the normal form ``RatPoly`` shares: integers over one
+positive denominator, in lowest terms and with no trailing zero slot
+(``_exact.lowest``), added by ``_exact.vector_sum`` and printed by
+``_exact.signed_sum``.  Slot j*(p-1) + i holds the numerator of the
+coordinate of zeta^i t^j, so the slots run in t-blocks of p-1.  A product is
 one integer polynomial product (``_exact.int_poly_mul``, Kronecker
 substitution or term by term as the operand sizes choose) of the two vectors
 spread to 2p-3 slots per t-block, and the result is folded by t^p = q (q's
@@ -43,12 +44,13 @@ from fractions import Fraction
 from typing import Tuple
 
 from ._exact import (
-    PRINT_BITS,
-    brief,
     check_odd_prime,
     int_poly_mul,
     integer_root,
+    lowest,
     power,
+    signed_sum,
+    vector_sum,
 )
 from .errors import (
     DegenerateTriple,
@@ -172,26 +174,16 @@ class TowerElement:
         for at, n, d in terms:
             slots[at] += n * (den // d)
         rows = [slots[j * p:(j + 1) * p] for j in range(p)]
-        self._set(field, _fold_zeta(rows, p), den)
+        self.field = field
+        self._num, self._den = lowest(_fold_zeta(rows, p), den)
 
     @classmethod
-    def _of(
-        cls, field: TowerField, nums: list, den: int, lowest: bool = False
-    ) -> "TowerElement":
-        """The element with integer slots ``nums`` over ``den`` > 0; with
-        ``lowest``, the caller knows nums/den is in lowest terms."""
+    def _of(cls, field: TowerField, nums: list, den: int) -> "TowerElement":
+        """The element with integer slots ``nums`` over ``den`` > 0."""
         self = object.__new__(cls)
-        self._set(field, nums, den, lowest)
-        return self
-
-    def _set(self, field: TowerField, nums: list, den: int, lowest=False) -> None:
-        g = 1 if lowest else math.gcd(den, *nums)
-        k = len(nums)
-        while k and not nums[k - 1]:
-            k -= 1
         self.field = field
-        self._num = tuple(c // g for c in nums[:k]) if g != 1 else tuple(nums[:k])
-        self._den = den // g
+        self._num, self._den = lowest(nums, den)
+        return self
 
     @property
     def coordinates(self) -> dict:
@@ -236,13 +228,9 @@ class TowerElement:
         if isinstance(other, (int, Fraction)):
             other = self.field.rational(other)
         self._check(other)
-        g = math.gcd(self._den, other._den)
-        sa, sb = other._den // g, self._den // g
-        nums = [
-            x * sa + y * sb
-            for x, y in itertools.zip_longest(self._num, other._num, fillvalue=0)
-        ]
-        return TowerElement._of(self.field, nums, self._den * sa)
+        return TowerElement._of(
+            self.field, *vector_sum(self._num, self._den, other._num, other._den)
+        )
 
     __radd__ = __add__
 
@@ -327,28 +315,8 @@ class TowerElement:
         return self * other.inverse()
 
     def __str__(self) -> str:
-        coords = self.coordinates
-        if not coords:
-            return "0"
-        parts = []
-        for (i, j) in sorted(coords):
-            c = coords[(i, j)]
-            shown = ("-" if c < 0 else "") + str(brief(abs(c), PRINT_BITS))
-            names = []
-            if i:
-                names.append("z" if i == 1 else f"z^{i}")
-            if j:
-                names.append("t" if j == 1 else f"t^{j}")
-            body = "*".join(names)
-            if not body:
-                parts.append(shown)
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{shown}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return signed_sum((c, (("z", i), ("t", j)))
+                          for (i, j), c in sorted(self.coordinates.items()))
 
     def __repr__(self) -> str:
         return f"TowerElement({self!s})"
@@ -388,9 +356,7 @@ def galois_apply(field: TowerField, i: int, u: int, e: TowerElement) -> TowerEle
         for a, c in enumerate(e._num[b:b + m]):
             row[(u * a + shift) % p] = c
         rows.append(row)
-    # an automorphism and its inverse map the integer span of the basis onto
-    # itself, so the image keeps the numerators' gcd, and so lowest terms
-    return TowerElement._of(field, _fold_zeta(rows, p), e._den, lowest=True)
+    return TowerElement._of(field, _fold_zeta(rows, p), e._den)
 
 
 def galois_elements(field: TowerField):
