@@ -130,25 +130,33 @@ class _Parser(Scanner):
     def __init__(self, text: str):
         super().__init__(text, " in word")
 
-    def parse_word(self, stop=()) -> FreeWord:
+    def parse_word(self, stop=()) -> list:
+        """The freely reduced syllables of the word up to a character of
+        ``stop`` or the end."""
         out: list = []
         while True:
             c = self.peek()
             if c is None or c in stop:
-                return FreeWord(out)
-            _push(out, self.parse_factor().syllables)
+                return out
+            out = self.parse_factor(out)
 
-    def parse_factor(self) -> FreeWord:
+    def parse_factor(self, out: list) -> list:
+        """``out`` with the next factor pushed onto it.  A group without a
+        power is pushed as its list, or taken over as the list when ``out`` is
+        still empty, so a nested word is not copied once per level."""
         c = self.take()
-        if c in ("x", "y"):
-            atom = FreeWord([(c, 1)])
-        elif c == "(":
-            atom = self.nested(self.parse_word, ")")
+        if c == "(":
+            group = self.nested(self.parse_word, ")")
             self.expect(")")
+            if self.peek() != "^":
+                return _push(out, group) if out else group
+            atom = FreeWord(group)
+        elif c in ("x", "y"):
+            atom = FreeWord([(c, 1)])
         elif c == "[":
-            a = self.nested(self.parse_word, ",")
+            a = FreeWord(self.nested(self.parse_word, ","))
             self.expect(",")
-            b = self.nested(self.parse_word, "]")
+            b = FreeWord(self.nested(self.parse_word, "]"))
             self.expect("]")
             atom = commutator_word(a, b)
         else:
@@ -156,13 +164,13 @@ class _Parser(Scanner):
         if self.peek() == "^":
             self.take()
             atom = atom ** self.integer()
-        return atom
+        return _push(out, atom.syllables)
 
 
 def parse_word(text: str) -> FreeWord:
     """Parse the word grammar above into a freely reduced :class:`FreeWord`."""
     parser = _Parser(text)
-    word = parser.parse_word()
+    word = FreeWord(parser.parse_word())
     if parser.peek() is not None:
         raise ParseError(f"trailing input at position {parser.pos} in word")
     return word

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dessinkit import words
+from dessinkit._exact import MAX_NESTING
 from dessinkit.errors import DegreeMismatch, ParseError, ResourceLimit
 from dessinkit.perms import Permutation, compose_right
 from dessinkit.words import FreeWord, commutator_word, evaluate_word, parse_word
@@ -91,6 +92,15 @@ class TestParsing:
         word = parse_word("x y " * 20000)
         assert time.perf_counter() - start < 2
         assert word.syllables == (("x", 1), ("y", 1)) * 20000
+
+    def test_nested_groups_are_not_copied_once_per_level(self):
+        # a group is pushed onto, or taken over as, the enclosing list: with
+        # a copy per level this took about 4 s
+        depth = MAX_NESTING
+        start = time.perf_counter()
+        word = parse_word("(" * depth + "x y " * 30000 + ")" * depth)
+        assert time.perf_counter() - start < 2
+        assert word.syllables == (("x", 1), ("y", 1)) * 30000
 
     def test_cap_is_checked_on_the_reduced_prefix(self):
         with pytest.raises(ResourceLimit, match="word of 160000 syllables"):
