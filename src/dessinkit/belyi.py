@@ -243,6 +243,14 @@ class RatMap:
                                     numerator._den * b[-1])
         self._den = _monic(b)
 
+    @classmethod
+    def _coprime(cls, numerator: RatPoly, monic: RatPoly) -> "RatMap":
+        """numerator / monic, already coprime with a monic denominator: the
+        negation and the powers of a map are, and need no gcd."""
+        f = object.__new__(cls)
+        f._num, f._den = numerator, monic
+        return f
+
     @property
     def numerator(self) -> RatPoly:
         return self._num
@@ -277,7 +285,7 @@ class RatMap:
         )
 
     def __neg__(self) -> "RatMap":
-        return RatMap(-self._num, self._den)
+        return RatMap._coprime(-self._num, self._den)
 
     def __sub__(self, other: "RatMap") -> "RatMap":
         return self + (-other)
@@ -293,7 +301,7 @@ class RatMap:
     def __pow__(self, exponent: int) -> "RatMap":
         if exponent < 0:
             return RatMap(self._den, self._num) ** (-exponent)
-        return RatMap(self._num ** exponent, self._den ** exponent)
+        return RatMap._coprime(self._num ** exponent, self._den ** exponent)
 
     def eval_extended(self, v: ExtendedRational) -> ExtendedRational:
         """Value on the projective line; poles map to infinity."""

@@ -307,6 +307,21 @@ class TestPolyParsing:
         assert time.perf_counter() - start < 1
         assert p.coefficients[:3] == (1, -1000, 499500) and p.degree == 1000
 
+    def test_negation_and_powers_of_a_map_take_no_gcd(self):
+        # a reduced map's negation and powers are reduced; recomputing the
+        # gcd with 2000-bit coefficients took 15 s
+        for big in (13, 7**712):
+            inner = f"X + (7/X + 40 - X)/X * (X + X*(11 + {big}/X)/X^3 - 31)"
+            start = time.perf_counter()
+            f = parse_map(f"-({inner})^4")
+            assert time.perf_counter() - start < 1
+            g = parse_map(inner)
+            assert f.numerator == -g.numerator ** 4 and f.denominator == g.denominator ** 4
+            assert f.mapping_degree == 20
+        assert f == -(g ** 4)
+        g = parse_map(inner.replace(str(big), "13"))
+        assert -(g ** 4) == RatMap(-g.numerator ** 4, g.denominator ** 4)
+
 
 def _poly_pair(rng):
     """A RatPoly and its FracPoly oracle from one list of coefficients: often
