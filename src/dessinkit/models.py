@@ -406,6 +406,14 @@ def two_adic_verify(inst: TwoAdicInstance) -> TwoAdicReport:
     :meth:`~TwoAdicInstance.beta1` caps at ``MAX_TWO_ADIC_BITS``
     (:class:`SizeGuard`).  A report with every intermediate value is
     returned; inconsistent congruences are reported, never asserted away.
+
+    The congruences e m = c0 and e n = c - c0 (mod 2^alpha) always hold.
+    Write the point as 2^alpha a/b with a and b odd, and let d = deg poly.
+    Then A = b^d poly(point) is an integer, and A = c0 b^d (mod 2^alpha)
+    because alpha > nu >= 0.  With g = gcd(A, c b^d), m = A/g and
+    m + n = c b^d/g, so e = g b^(-d) mod 2^alpha solves both congruences.  It
+    is the e computed here: m or n is odd, so the congruence solved for e has
+    one solution.  The check stays, as part of the verifier.
     """
     if inst.alpha <= inst.nu:
         raise HypothesisFailed(
