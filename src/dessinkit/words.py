@@ -145,14 +145,14 @@ class _Parser(Scanner):
         power is pushed as its list, or taken over as the list when ``out`` is
         still empty, so a nested word is not copied once per level."""
         c = self.take()
-        if c == "(":
+        if c in ("x", "y"):
+            atom = FreeWord([(c, 1)])
+        elif c == "(":
             group = self.nested(self.parse_word, ")")
             self.expect(")")
             if self.peek() != "^":
                 return _push(out, group) if out else group
             atom = FreeWord(group)
-        elif c in ("x", "y"):
-            atom = FreeWord([(c, 1)])
         elif c == "[":
             a = FreeWord(self.nested(self.parse_word, ","))
             self.expect(",")
