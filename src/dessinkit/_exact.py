@@ -3,12 +3,11 @@
 Primality, exact roots and 2-adic valuations of integers, binary powering in
 any associative product, the one product of integer polynomials (Kronecker
 substitution, unless the operand sizes show few terms or one wide
-coefficient), the normal form of rational vectors held as integers over one
-denominator (``RatPoly`` and ``TowerElement``): its lowest terms, its sum and
-its printed signed sum of terms, the compact form of very large values in
-messages and reports, the one reading of decimal integers from outside input,
-and the character scanner behind the word and map grammars, with their
-bracket nesting bounded.
+coefficient), the normal form, sum and printing of rational vectors held as
+integers over one denominator (``RatPoly``, ``TowerElement``), the compact
+form of very large values in messages and reports, the one reading of decimal
+integers from outside input, and the character scanner behind the word and
+map grammars, with their bracket nesting bounded.
 """
 
 from __future__ import annotations
@@ -219,24 +218,15 @@ def vector_sum(a: Sequence[int], a_den: int, b: Sequence[int], b_den: int) -> tu
 
 
 def signed_sum(terms) -> str:
-    """A sum of (coefficient, monomial) terms as text, such as
-    ``-X^2 + 3/2*X - 1`` or ``1 - z^2*t``.
-
-    A monomial is a sequence of (variable, exponent) pairs, whose zero
-    exponents are left out.  Terms with coefficient 0 are left out, and so is
-    a coefficient of absolute value 1 before a nonconstant monomial;
-    magnitudes past ``PRINT_BITS`` bits print as placeholders (``brief``).
-    No term at all reads ``0``.
-    """
+    """Nonzero (coefficient, ((variable, exponent), ...)) terms as a signed sum
+    such as ``-X^2 + 3/2*X - 1`` or ``1 - z^2*t``: zero exponents left out,
+    and a coefficient 1 before a variable; magnitudes as ``brief`` prints them
+    past ``PRINT_BITS`` bits; ``0`` for no terms."""
     parts = []
     for c, monomial in terms:
-        if not c:
-            continue
         mag = brief(abs(c), PRINT_BITS)
         names = [] if mag == 1 else [str(mag)]
-        for x, e in monomial:
-            if e:
-                names.append(x if e == 1 else f"{x}^{e}")
+        names += [x if e == 1 else f"{x}^{e}" for x, e in monomial if e]
         sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
         parts.append(sign + ("*".join(names) or "1"))
     return " ".join(parts) or "0"

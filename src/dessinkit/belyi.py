@@ -121,10 +121,9 @@ ExtendedRational = Union[Fraction, _Infinity]
 class RatPoly:
     """Polynomial with exact rational coefficients, low degree first.
 
-    Held in the normal form ``TowerElement`` shares: integers over one
-    positive denominator, in lowest terms and with no trailing zero integer
-    (``_exact.lowest``), so equal polynomials have equal fields.  Sums go
-    through ``_exact.vector_sum`` and printing through ``_exact.signed_sum``.
+    Held in the normal form ``TowerElement`` shares (``_exact.lowest``):
+    integers over one positive denominator in lowest terms, with no trailing
+    zero integer, so equal polynomials have equal fields.
     """
 
     __slots__ = ("_ints", "_den")
@@ -209,7 +208,7 @@ class RatPoly:
 
     def __str__(self) -> str:
         return signed_sum((Fraction(v, self._den), (("X", i),))
-                          for i, v in reversed(list(enumerate(self._ints))))
+                          for i, v in reversed(list(enumerate(self._ints))) if v)
 
     def __repr__(self) -> str:
         return f"RatPoly({self!s})"
@@ -245,8 +244,7 @@ class RatMap:
 
     @classmethod
     def _coprime(cls, numerator: RatPoly, monic: RatPoly) -> "RatMap":
-        """numerator / monic, already coprime with a monic denominator: the
-        negation and the powers of a map are, and need no gcd."""
+        """numerator / monic, known coprime, as a map's negation and powers are."""
         f = object.__new__(cls)
         f._num, f._den = numerator, monic
         return f

@@ -238,8 +238,6 @@ class TowerElement:
         return TowerElement._of(self.field, [-c for c in self._num], self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
         return self + (-other)
 
     def __rsub__(self, other):

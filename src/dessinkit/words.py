@@ -131,9 +131,7 @@ class _Parser(Scanner):
         super().__init__(text, " in word")
 
     def parse_word(self, stop=()) -> list:
-        """The freely reduced syllables of the word up to a character of
-        ``stop`` or the end."""
-        out: list = []
+        out: list = []  # the reduced syllables up to a character of stop
         while True:
             c = self.peek()
             if c is None or c in stop:
@@ -141,9 +139,8 @@ class _Parser(Scanner):
             out = self.parse_factor(out)
 
     def parse_factor(self, out: list) -> list:
-        """``out`` with the next factor pushed onto it.  A group without a
-        power is pushed as its list, or taken over as the list when ``out`` is
-        still empty, so a nested word is not copied once per level."""
+        """``out`` with the next factor pushed on.  An unpowered group's list
+        is pushed, or taken over while ``out`` is empty: no copy per level."""
         c = self.take()
         if c in ("x", "y"):
             atom = FreeWord([(c, 1)])
