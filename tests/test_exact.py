@@ -31,7 +31,7 @@ from dessinkit.belyi import RatPoly, parse_poly
 from dessinkit.cli import run_cli
 from dessinkit.errors import ParseError, ResourceLimit
 from dessinkit.perms import Permutation, parse_cycles
-from dessinkit.tower import TowerField
+from dessinkit.tower import CurveTriple, TowerField, galois_apply, j_invariant_of_triple
 from dessinkit.words import FreeWord, parse_word
 
 #: skips a case that needs the interpreter's limit on decimal digits
@@ -333,8 +333,6 @@ def _coefficient(rng, huge):
 def _integer_vector_records():
     """str() of seeded polynomial and tower-field values built by every
     operation that brings integers over one denominator to lowest terms."""
-    from dessinkit.tower import CurveTriple, galois_apply, j_invariant_of_triple
-
     rng = random.Random(20)
     for _ in range(150):
         a, b = (RatPoly(_coefficient(rng, True) for _ in range(rng.randint(0, 9)))
@@ -375,6 +373,6 @@ class TestIntegerVectorDigest:
 
     def test_digest(self):
         records = list(_integer_vector_records())
-        assert any(len(text) < 200 and "-bit" in text for _, text in records)
+        assert any("-bit" in text for _, text in records)  # placeholders past PRINT_BITS
         digest = hashlib.sha256("\n".join("\t".join(r) for r in records).encode())
         assert digest.hexdigest() == self.DIGEST
