@@ -78,8 +78,13 @@ def is_prime(n: int) -> bool:
 
 
 def check_odd_prime(p: int) -> None:
+    """Refuse p unless it is an odd prime below 2^64.  A larger p is refused
+    untested: testing one of thousands of digits takes seconds, and the caps
+    on p of the tower and the models lie far below 2^64."""
+    if p >= 2**64:
+        raise OutOfRange(f"p must be an odd prime below 2^64, got {brief(p, 256)}")
     if p == 2 or not is_prime(p):
-        raise OutOfRange(f"p must be an odd prime, got {p}")
+        raise OutOfRange(f"p must be an odd prime, got {brief(p, 256)}")
 
 
 def integer_root(x: int, k: int) -> Optional[int]:

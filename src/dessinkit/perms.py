@@ -55,8 +55,8 @@ __all__ = [
 #: outright.
 MAX_DEGREE = 100_000
 
-#: Bound on the memory the stabilizer-chain transversals may occupy
-#: (estimated as stored points times 8 bytes).
+#: Bound on the memory the stabilizer-chain transversals may occupy,
+#: estimated as two tuples of ``degree`` 8-byte entries per orbit point.
 MAX_TRANSVERSAL_BYTES = 1 << 30
 
 #: How many products of the generators the Jordan certificate inspects before
@@ -477,8 +477,7 @@ class PermGroup:
         size = _orbit_product(levels)
         while i >= 0 and (bound is None or size <= bound):
             level = levels[i]
-            if self._extend_orbit(level, inverses):
-                self._check_size(levels)
+            if self._extend_orbit(levels, level, inverses):
                 size = _orbit_product(levels)
             if not level.pending:
                 i -= 1
@@ -499,13 +498,14 @@ class PermGroup:
             i = j
         self._levels, self._level = levels, i
 
-    @staticmethod
-    def _extend_orbit(level: "_Level", inverses: dict) -> bool:
+    def _extend_orbit(self, levels: list, level: "_Level", inverses: dict) -> bool:
         """Close the orbit under the generators added since the last call,
         breadth-first: the old points under the new generators, then each
         new point under all of them.  Old entries stay as they are.  Every
         pair (point, generator) visited is queued on ``level.pending`` in
-        that order.  Return whether the orbit grew."""
+        that order.  Return whether the orbit grew.  A point that would take
+        the chain past :data:`MAX_TRANSVERSAL_BYTES` raises
+        :class:`ResourceLimit` before its entry is made."""
         gens = level.gens
         old_gens = level.closed
         if old_gens == len(gens):
@@ -513,12 +513,20 @@ class PermGroup:
         orbit, pending = level.orbit, level.pending
         points = list(orbit)
         n_old = len(points)
+        per_point = 2 * self._degree * 8
+        others = sum(len(lvl.orbit) for lvl in levels) - n_old
+        room = MAX_TRANSVERSAL_BYTES // per_point - others
         for idx, a in enumerate(points):  # points grows as the orbit does
             u, u_inv = orbit[a]
             for g in gens[old_gens:] if idx < n_old else gens:
                 pending.append((a, g))
                 b = g[a]
                 if b not in orbit:
+                    if len(points) >= room:
+                        stored = others + len(points) + 1
+                        raise ResourceLimit(
+                            f"transversal storage ~{stored * per_point} bytes "
+                            f"exceeds cap {MAX_TRANSVERSAL_BYTES}")
                     gi = inverses.get(g)
                     if gi is None:
                         gi = inverses[g] = _inv(g)
@@ -526,16 +534,6 @@ class PermGroup:
                     points.append(b)
         level.closed = len(gens)
         return len(points) > n_old
-
-    def _check_size(self, levels: list):
-        """Enforce the transversal cap."""
-        stored = sum(len(lvl.orbit) for lvl in levels)
-        approx_bytes = 2 * stored * self._degree * 8
-        if approx_bytes > MAX_TRANSVERSAL_BYTES:
-            raise ResourceLimit(
-                f"transversal storage ~{approx_bytes} bytes exceeds cap "
-                f"{MAX_TRANSVERSAL_BYTES}"
-            )
 
     def _strip(self, levels: list, g: tuple, start: int):
         """Sift g through levels[start:]; return (residue, drop-out level)."""

@@ -31,12 +31,11 @@ p(p-1) Galois conjugates of the triple (0, 1 - zeta, gamma * t) have pairwise
 distinct j-invariants, which certifies the conjugate curves are pairwise
 non-isomorphic.  j is a rational function of the triple with rational
 coefficients, so the j-invariants of the conjugates are the Galois images of
-one j-invariant.
+one j-invariant; two of them agree iff the quotient of their labels fixes it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -44,6 +43,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from ._exact import (
+    brief,
     check_odd_prime,
     int_poly_mul,
     integer_root,
@@ -82,9 +82,11 @@ class TowerField:
 
     def __init__(self, p: int, q):
         q = Fraction(q)
-        check_odd_prime(p)
+        if p < 2**64:  # a larger p is refused by the cap, untested
+            check_odd_prime(p)
         if p > MAX_P:
-            raise ResourceLimit(f"p = {p} is above {MAX_P}, the largest tower prime")
+            raise ResourceLimit(
+                f"p = {brief(p, 256)} is above {MAX_P}, the largest tower prime")
         if q <= 0:
             raise OutOfRange(f"q must be positive, got {q}")
         # q > 0 in lowest terms is a pth power iff numerator and denominator are
@@ -358,7 +360,7 @@ def galois_apply(field: TowerField, i: int, u: int, e: TowerElement) -> TowerEle
 
 
 def galois_elements(field: TowerField):
-    """All p(p-1) automorphism labels (i, u), in deterministic order."""
+    """All p(p-1) automorphism labels (i, u), in order, the identity first."""
     return [(i, u) for i in range(field.p) for u in range(1, field.p)]
 
 
@@ -409,6 +411,21 @@ class DistinctnessReport:
         return not self.collisions
 
 
+def _collisions(field: TowerField, e: TowerElement) -> tuple:
+    """The pairs of labels whose images of ``e`` agree, sorted, each in order.
+
+    g(e) = h(e) iff s = g^-1 h fixes e, so the pairs are {g, g s} for each s
+    but (0, 1) that fixes e, under (i, u)(k, v) = (i + u k, u v) mod p: (k, v)
+    is applied first, as :func:`galois_apply` composes.
+    """
+    p = field.p
+    labels = galois_elements(field)
+    fixing = [(k, v) for k, v in labels[1:] if galois_apply(field, k, v, e) == e]
+    pairs = {tuple(sorted([(i, u), ((i + u * k) % p, u * v % p)]))
+             for k, v in fixing for i, u in labels}
+    return tuple(sorted(pairs))
+
+
 def conjugate_triples_distinct(
     field: TowerField, gamma
 ) -> Tuple[bool, DistinctnessReport]:
@@ -417,11 +434,8 @@ def conjugate_triples_distinct(
 
     The conjugate under (i, u) is (0, 1 - zeta^u, gamma zeta^i t).  j has
     rational coefficients, so its j-invariant is the image under (i, u) of
-    the j-invariant of the triple itself, which is computed once.  Each label
-    is bucketed by the hash of its image, and the image dropped, so one image
-    is held at a time; only the labels of a shared bucket get their images
-    again, for an exact comparison.  Each pair of equal images is a
-    collision, listed by first label, then by second.
+    the j-invariant of the triple itself, which is computed once and compared
+    with its image under each label but the identity (:func:`_collisions`).
     """
     gamma = Fraction(gamma)
     if gamma == 0:
@@ -429,20 +443,5 @@ def conjugate_triples_distinct(
     j = j_invariant_of_triple(
         CurveTriple(field.zero(), field.one() - field.zeta(), field.root() * gamma)
     )
-    labels = galois_elements(field)
-    by_hash: dict = {}
-    for i, u in labels:
-        by_hash.setdefault(hash(galois_apply(field, i, u, j)), []).append((i, u))
-    collisions = []
-    for shared in by_hash.values():
-        if len(shared) > 1:
-            buckets: dict = {}
-            for i, u in shared:
-                buckets.setdefault(galois_apply(field, i, u, j), []).append((i, u))
-            collisions += (
-                pair
-                for same in buckets.values()
-                for pair in itertools.combinations(same, 2)
-            )
-    report = DistinctnessReport(count=len(labels), collisions=tuple(sorted(collisions)))
+    report = DistinctnessReport(count=field.dimension, collisions=_collisions(field, j))
     return report.all_distinct, report

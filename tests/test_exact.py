@@ -29,7 +29,8 @@ from dessinkit._exact import (
 )
 from dessinkit.belyi import RatPoly, parse_poly
 from dessinkit.cli import run_cli
-from dessinkit.errors import ParseError, ResourceLimit
+from dessinkit.errors import OutOfRange, ParseError, ResourceLimit
+from dessinkit.models import TwoAdicInstance, local_model_8p
 from dessinkit.perms import Permutation, parse_cycles
 from dessinkit.tower import CurveTriple, TowerField, galois_apply, j_invariant_of_triple
 from dessinkit.words import FreeWord, parse_word
@@ -72,6 +73,22 @@ class TestIsPrime:
         assert not is_prime(10**400 + 1)  # composite verdicts have no bound
         with pytest.raises(ResourceLimit):
             is_prime(2**127 - 1)
+
+    def test_caps_on_p_come_before_the_primality_test(self, monkeypatch, capsys):
+        # a 1000-digit p is past every cap on p, and testing it takes seconds
+        monkeypatch.setattr(_exact, "is_prime", lambda n: pytest.fail(
+            f"a {n.bit_length()}-bit integer was tested for primality"))
+        p = 10**999 + 7
+        with pytest.raises(ResourceLimit, match="the largest tower prime"):
+            TowerField(p, 2)
+        with pytest.raises(OutOfRange, match=r"p must be an odd prime below 2\^64"):
+            local_model_8p(p, 1)
+        for gamma in (1, F(3, 5)):
+            with pytest.raises(OutOfRange, match=r"below 2\^64, got <3319-bit integer>"):
+                TwoAdicInstance(RatPoly((1, 1)), 32, p, 4, gamma)
+        assert run_cli(["tower", "distinct", "--p", str(p), "--q", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "error: p = <3319-bit integer> is above 23, the largest tower prime\n")
 
 
 class TestIntegerToolkit:

@@ -1,15 +1,17 @@
 """Seeded fuzzing of the CLI's text inputs: maps and polynomials, words,
-rationals and integer flags, generated from a small grammar of each, run in
-text and ``--json`` through ``cli.run_cli`` in one child process under a
-timeout.  Every run must end with exit 0-3, no traceback on stderr, and, with
-``--json``, stdout that parses (or nothing, for a refusal).
+rationals and integer flags, and dessin files, generated from a small grammar
+of each, run in text and ``--json`` through ``cli.run_cli`` in one child
+process under a timeout.  Every run must end with exit 0-3, no traceback on
+stderr, and, with ``--json``, stdout that parses (or nothing, for a refusal).
 
 The grammars reach past every cap: brackets nested up to and past
 ``MAX_NESTING``, unary-minus chains thousands long, exponents and integers
 far past the degree caps and the interpreter's digit limit, signs, ``_`` and
-non-ASCII decimal digits, and random characters dropped into the text.
-Exponents below the caps stay small, so that no one case runs into the
-seconds that a map near the degree cap takes by design.
+non-ASCII decimal digits, dessin degrees at and past ``MAX_DEGREE``, and
+random characters dropped into the text.  Exponents below the caps stay
+small, so that no one case runs into the seconds that a map near the degree
+cap takes by design; for the same reason a dessin whose group needs a
+stabilizer chain (one not certified A_n or S_n) has at most 40 edges.
 """
 
 import json
@@ -22,7 +24,8 @@ from pathlib import Path
 import pytest
 
 import dessinkit
-from dessinkit._exact import MAX_NESTING
+from dessinkit._exact import MAX_NESTING, is_prime
+from dessinkit.perms import MAX_DEGREE
 
 SEED = 20
 
@@ -48,8 +51,17 @@ _NOISE = "()[]^*/+-, xyXz_.٣７"
 
 
 class _Grammar:
-    def __init__(self, rng: random.Random):
+    def __init__(self, rng: random.Random, directory: Path):
         self.rng = rng
+        self.directory = directory
+        self.files = 0
+
+    def file(self, data: bytes) -> str:
+        """The path of a new file under the test's directory holding data."""
+        self.files += 1
+        path = self.directory / f"{self.files}.txt"
+        path.write_bytes(data)
+        return str(path)
 
     def digits(self) -> str:
         rng, r = self.rng, self.rng.random()
@@ -168,6 +180,92 @@ def _tower_jinv(g):
     return argv + (g.option("--gamma", g.rational()) if g.rng.random() < 0.7 else [])
 
 
+def _cycle(points) -> str:
+    return "(" + ",".join(map(str, points)) + ")"
+
+
+def _cycles_of(images) -> str:
+    """Disjoint-cycle text of a permutation given by its 1-based images."""
+    seen, out = set(), []
+    for start in range(1, len(images) + 1):
+        if start not in seen:
+            orbit = [start]
+            while images[orbit[-1] - 1] != start:
+                orbit.append(images[orbit[-1] - 1])
+            seen.update(orbit)
+            if len(orbit) > 1:
+                out.append(_cycle(orbit))
+    return "".join(out) or "()"
+
+
+def _sigmas(g, n: int):
+    """sigma0 and sigma1 on n points: a pair of some kind, valid or not."""
+    rng = g.rng
+    kinds = ["giant", "giant", "intransitive", "out of range", "repeated", "overlap"]
+    if n <= 40:  # groups that may need a stabilizer chain stay this small
+        kinds += ["random"] * 6 + ["cyclic", "dihedral", "syntax"]
+    kind = rng.choice(kinds)
+    if kind == "giant" and n >= 8:
+        # a prime cycle of length l, n/2 < l < n - 2, certifies A_n or S_n
+        l = next((l for l in range(n - 3, n // 2, -1) if is_prime(l)), None)
+        if l:
+            return _cycle(range(1, l + 1)), _cycle(range(1, n + 1))
+    if kind == "cyclic":
+        return _cycle(range(1, n + 1)), rng.choice(("()", ""))
+    if kind == "dihedral":
+        return _cycle(range(1, n + 1)), _cycles_of([n + 1 - k for k in range(1, n + 1)])
+    if kind == "intransitive":
+        return _cycle(range(1, max(n, 2))), "()"
+    if kind == "out of range":
+        return _cycle([1, rng.choice((n + 1, 0, 10**30))]), "()"
+    if kind == "repeated":
+        return _cycle([1, 2, 1]), "()"
+    if kind == "overlap":  # two cycles that share a point are no permutation
+        return "(1,2)(2,3)", _cycle(range(1, n + 1))
+    if kind == "syntax":
+        return rng.choice(("(1 2 3)", "(1,,2)", "1,2", "(1,2", "((1,2))", "(a,b)",
+                           "(1,２)", "(1;2)")), "()"
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    other = list(range(1, n + 1))
+    rng.shuffle(other)
+    return _cycles_of(images), _cycles_of(other)
+
+
+def _dessin_info(g):
+    rng, r = g.rng, g.rng.random()
+    n = rng.randint(1, 40)
+    if r < 0.12:
+        n = MAX_DEGREE
+    degree = str(n)
+    if r >= 0.85:  # refused before any cycle is read, or a mismatched degree
+        degree = rng.choice((str(MAX_DEGREE + 1), str(10**40), "0", "-3", "3.0",
+                             "", "0x10", g.digits()))
+    lines = [f"degree {degree}", *(f"sigma{k} = {s}" for k, s in enumerate(_sigmas(g, n)))]
+    r = rng.random()
+    if r < 0.05:
+        del lines[rng.randrange(3)]
+    elif r < 0.1:
+        rng.shuffle(lines)
+    elif r < 0.13:
+        lines.append(rng.choice(lines))
+    elif r < 0.18:
+        lines[rng.randrange(3)] = rng.choice((
+            "sigma0 (1,2)", "Degree 3", "degree 3 4", "degree:3", "sigma2 = ()",
+            "sigma0 = sigma1 = ()", "degree"))
+    for _ in range(rng.choice((0, 0, 1, 3))):
+        lines.insert(rng.randint(0, len(lines)),
+                     rng.choice(("# a comment", "", "   ", "#", "  # indented", "\t")))
+    eol = rng.choice(("\n", "\n", "\r\n", "\r"))
+    text = eol.join(lines) + rng.choice((eol, ""))
+    data = (g.garble(text) if rng.random() < 0.4 else text).encode()
+    if rng.random() < 0.03:
+        at = rng.randint(0, len(data))
+        data = data[:at] + b"\xff" + data[at:]  # not UTF-8
+    cap = g.option("--cap-group-order", g.integer()) if rng.random() < 0.2 else []
+    return ["dessin", "info", g.file(data), *cap]
+
+
 #: (command, argv generator, cases); each case runs in text and with --json,
 #: and each command draws from its own seeded generator
 _COMMANDS = [
@@ -176,6 +274,7 @@ _COMMANDS = [
     ("belyi increasing", _interval("increasing"), 30),
     ("word eval", _word_eval, 40),
     ("tower jinv", _tower_jinv, 30),
+    ("dessin info", _dessin_info, 60),
 ]
 
 
@@ -196,10 +295,12 @@ def _run_batch(argvs, timeout):
     return [json.loads(line) for line in done.stdout.splitlines()]
 
 
-def test_every_input_ends_in_an_answer_or_a_typed_error():
+def test_every_input_ends_in_an_answer_or_a_typed_error(tmp_path):
     argvs = []
     for name, make, cases in _COMMANDS:
-        g = _Grammar(random.Random(f"{SEED} {name}"))
+        directory = tmp_path / name.replace(" ", "-")
+        directory.mkdir()
+        g = _Grammar(random.Random(f"{SEED} {name}"), directory)
         for _ in range(cases):
             argv = make(g)
             argvs += [argv, argv + ["--json"]]

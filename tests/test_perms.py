@@ -307,6 +307,24 @@ class TestPermGroup:
         with pytest.raises(ResourceLimit):
             g.order()
 
+    def test_transversal_cap_refuses_while_the_orbit_grows(self, monkeypatch):
+        # the cap allows 2^20 / (16 * 2000) = 32 entries of the cycle's
+        # 2000-point orbit; each entry costs two products, so a check made
+        # only once the orbit is complete would take about 4000
+        monkeypatch.setattr(perms, "MAX_TRANSVERSAL_BYTES", 1 << 20)
+        n = 2000
+        group = PermGroup([parse_cycles(f"({','.join(map(str, range(1, n + 1)))})", n),
+                           parse_cycles("()", n)])
+        assert group._giant is None  # its products are made before the count
+        calls = []
+        mul = perms._mul
+        monkeypatch.setattr(perms, "_mul", lambda a, b: calls.append(1) or mul(a, b))
+        with pytest.raises(ResourceLimit) as exc:
+            group.order()
+        assert str(exc.value) == (
+            "transversal storage ~1056000 bytes exceeds cap 1048576")
+        assert len(calls) <= 2 * 32
+
     def test_refused_build_starts_afresh(self, monkeypatch):
         # a cap hit while a stopped build resumes leaves half-extended
         # levels; resumed from those, this A_7 would report order 2100, so

@@ -1,6 +1,7 @@
 """Tower-field arithmetic, Galois action, and j-invariant distinctness."""
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction as F
@@ -361,6 +362,69 @@ class TestConjugateDistinctness:
 
 
 ORACLE_QS = [F(2), F(7, 3), F(1, 5)]
+
+
+def collisions_by_loop(field, e):
+    """Reference for tower._collisions: every image of e, every pair compared."""
+    labels = galois_elements(field)
+    images = [galois_apply(field, i, u, e) for i, u in labels]
+    return tuple(
+        (labels[x], labels[y])
+        for x in range(len(labels))
+        for y in range(x + 1, len(labels))
+        if images[x] == images[y]
+    )
+
+
+class TestCollisions:
+    """Elements with known stabilisers, so that the collision branch runs."""
+
+    @pytest.mark.parametrize("q", ORACLE_QS)
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_known_stabilisers(self, p, q):
+        K = TowerField(p, q)
+        z, t = K.zeta(), K.root()
+        # each element with the rule by which two labels (i, u), (k, v)
+        # send it to the same image
+        cases = [
+            (K.rational(F(3, 7)), lambda i, u, k, v: True),
+            (z, lambda i, u, k, v: u == v),
+            (z + K.zeta(-1), lambda i, u, k, v: v in (u, p - u)),
+            (t, lambda i, u, k, v: i == k),
+            (z * t * t, lambda i, u, k, v: (u + 2 * i - v - 2 * k) % p == 0),
+            (t + z, lambda i, u, k, v: False),
+        ]
+        for e, same in cases:
+            expected = collisions_by_loop(K, e)
+            assert tower._collisions(K, e) == expected, e
+            assert expected == tuple(
+                pair for pair in itertools.combinations(galois_elements(K), 2)
+                if same(*pair[0], *pair[1]))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_label_law_matches_composed_action(self, p):
+        # (i, u)(k, v) = (i + u k, u v) mod p, with (k, v) applied first
+        K = TowerField(p, F(7, 3))
+        rng = random.Random(70 + p)
+        for _ in range(10):
+            e = random_element(K, rng)
+            i, k = rng.randrange(p), rng.randrange(p)
+            u, v = rng.randrange(1, p), rng.randrange(1, p)
+            composed = galois_apply(K, i, u, galois_apply(K, k, v, e))
+            assert composed == galois_apply(K, (i + u * k) % p, u * v % p, e)
+
+    def test_cli_reports_collisions(self, capsys, monkeypatch):
+        monkeypatch.setattr(tower, "j_invariant_of_triple",
+                            lambda tr: tr.a.field.rational(1728))
+        pairs = list(itertools.combinations(galois_elements(TowerField(3, 2)), 2))
+        assert run_cli(["tower", "distinct", "--p", "3", "--q", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["conjugates: 6", "pairwise distinct: false"]
+        assert lines[2:] == [f"collision: {a} vs {b}" for a, b in pairs]
+        assert run_cli(["tower", "distinct", "--p", "3", "--q", "2", "--json"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["distinct"] is False
+        assert out["collisions"] == [[list(a), list(b)] for a, b in pairs]
 
 
 class TestAgainstFractionOracle:
