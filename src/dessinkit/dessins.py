@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from ._exact import decimal
@@ -56,7 +57,7 @@ __all__ = [
 class Dessin:
     """Degree n >= 1 plus the two edge rotations; transitivity is enforced."""
 
-    __slots__ = ("_sigma0", "_sigma1", "_group")
+    __slots__ = ("_sigma0", "_sigma1", "_group", "_types")
 
     def __init__(self, sigma0: Permutation, sigma1: Permutation):
         group = PermGroup([sigma0, sigma1])
@@ -70,6 +71,7 @@ class Dessin:
         self._sigma0 = sigma0
         self._sigma1 = sigma1
         self._group = group
+        self._types = None  # made by _cycle_types
 
     @property
     def degree(self) -> int:
@@ -189,12 +191,17 @@ def face_permutation(d: Dessin) -> Permutation:
     return compose_right(d.sigma0, d.sigma1)
 
 
+def _cycle_types(d: Dessin) -> tuple:
+    """The cycle types of sigma0, sigma1 and the face permutation, as
+    tuples, taken once per dessin."""
+    if d._types is None:
+        d._types = tuple(
+            tuple(p.cycle_type()) for p in (d.sigma0, d.sigma1, face_permutation(d)))
+    return d._types
+
+
 def passport_of(d: Dessin) -> Passport:
-    return Passport(
-        black=tuple(d.sigma0.cycle_type()),
-        white=tuple(d.sigma1.cycle_type()),
-        faces=tuple(face_permutation(d).cycle_type()),
-    )
+    return Passport(*_cycle_types(d))
 
 
 def genus_of(d: Dessin) -> int:
@@ -203,10 +210,7 @@ def genus_of(d: Dessin) -> int:
     genus = 1 - (B + W + F - n)/2 with B, W, F the cycle counts of sigma0,
     sigma1 and the face permutation (fixed points count as cycles).
     """
-    b = len(d.sigma0.cycle_type())
-    w = len(d.sigma1.cycle_type())
-    f = len(face_permutation(d).cycle_type())
-    chi = b + w + f - d.degree
+    chi = sum(map(len, _cycle_types(d))) - d.degree
     if chi % 2:
         raise NonIntegralCharacteristic(
             f"odd Euler characteristic {chi} for a transitive pair"
@@ -224,9 +228,7 @@ def regular_descriptor(d: Dessin) -> RegularDescriptor:
     computed in exact rational arithmetic and checked to be an even integer.
     """
     order = d.cartographic_group.order()
-    ox = d.sigma0.order()
-    oy = d.sigma1.order()
-    oxy = face_permutation(d).order()
+    ox, oy, oxy = (lcm(*lengths) for lengths in _cycle_types(d))
     chi = order * (Fraction(1, ox) + Fraction(1, oy) + Fraction(1, oxy) - 1)
     if chi.denominator != 1 or chi.numerator % 2:
         raise NonIntegralCharacteristic(

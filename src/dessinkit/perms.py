@@ -3,7 +3,8 @@ base-and-strong-generating-set (BSGS) backend.
 
 Conventions
 -----------
-* Points are 1-based in every public interface; storage is 0-based tuples.
+* Points are 1-based in every public interface; a :class:`Permutation`
+  stores a 0-based image tuple.
 * Composition is a right action: ``p ^ (a*b) == (p ^ a) ^ b``, written
   ``compose_right(a, b)`` or ``a * b`` (apply ``a`` first).
 * Canonical cycle printing sorts cycles by least element, starts each cycle at
@@ -20,6 +21,12 @@ Conventions
 * The loop's state, its levels and level index, stays on the group:
   ``order_exceeds`` stops the loop once the product of the orbit sizes
   passes its bound, and every later query continues the chain from there.
+* The chain stores its elements in one of two kernels, chosen by degree
+  (:func:`_kernel`).  Up to 256 points an element is a 256-byte ``bytes``
+  table, the identity past the degree, so that compose is
+  ``bytes.translate`` and inverse ``bytes.maketrans``, both in C.  Above,
+  it is a 0-based tuple composed by ``operator.itemgetter``.  Generators
+  are converted on the way in and strong generators on the way out.
 * A_n and S_n are recognised without a chain, by a Jordan certificate taken
   from a fixed sequence of products of the generators (``PermGroup._giant``).
 """
@@ -56,7 +63,9 @@ __all__ = [
 MAX_DEGREE = 100_000
 
 #: Bound on the memory the stabilizer-chain transversals may occupy,
-#: estimated as two tuples of ``degree`` 8-byte entries per orbit point.
+#: estimated as two tuples of ``degree`` 8-byte entries per orbit point
+#: whichever kernel stores them; two 256-byte tables take 578 bytes, the
+#: estimate at degree 36.
 MAX_TRANSVERSAL_BYTES = 1 << 30
 
 #: How many products of the generators the Jordan certificate inspects before
@@ -66,6 +75,7 @@ MAX_TRANSVERSAL_BYTES = 1 << 30
 _JORDAN_TRIES = 64
 
 _CYCLE_TOKEN = re.compile(r"\(([^()]*)\)")
+_POINT = re.compile(r"\d+")
 
 
 def _mul(a: tuple, b: tuple) -> tuple:
@@ -81,6 +91,40 @@ def _inv(a: tuple) -> tuple:
     for i, v in enumerate(a):
         out[v] = i
     return tuple(out)
+
+
+#: Largest degree whose stabilizer chain stores 256-byte tables; a larger
+#: group's chain stores 0-based tuples.
+_TABLE_DEGREE = 256
+
+_TABLE_IDENTITY = bytes(range(256))
+
+
+def _table_inv(a: bytes) -> bytes:
+    return bytes.maketrans(a, _TABLE_IDENTITY)
+
+
+def _kernel(degree: int) -> tuple:
+    """The compose, inverse and identity of a chain's elements at ``degree``.
+
+    Up to :data:`_TABLE_DEGREE` points an element is a table of 256 images,
+    the identity past ``degree``, and ``a.translate(b)`` applies ``a`` then
+    ``b``; above, it is a 0-based tuple under :func:`_mul`.  Read when a
+    chain is built or sifted through."""
+    if degree <= _TABLE_DEGREE:
+        return bytes.translate, _table_inv, _TABLE_IDENTITY
+    return _mul, _inv, tuple(range(degree))
+
+
+def _chain_element(images: tuple):
+    """0-based images as an element of the kernel of their degree."""
+    if len(images) <= _TABLE_DEGREE:
+        return bytes(images) + _TABLE_IDENTITY[len(images):]
+    return images
+
+
+def _first_moved(a) -> int:
+    return next(p for p, v in enumerate(a) if v != p)
 
 
 def _long_cycle(a: tuple) -> int:
@@ -242,7 +286,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         points = []
         for token in body.split(","):
             token = token.strip()
-            if not re.fullmatch(r"\d+", token):
+            if not _POINT.fullmatch(token):
                 raise ParseError(f"bad point {token!r} in cycle notation")
             points.append(decimal(token, " in cycle notation"))
         for pt in points:
@@ -271,7 +315,7 @@ def compose_right(a: Permutation, b: Permutation) -> Permutation:
 class _Level:
     __slots__ = ("point", "gens", "orbit", "closed", "pending")
 
-    def __init__(self, point: int, identity: tuple, gens: Sequence = ()):
+    def __init__(self, point: int, identity, gens: Sequence = ()):
         self.point = point
         self.gens = list(gens)
         # orbit maps point -> (u, u_inv) with base^u == point; an entry, once
@@ -317,7 +361,6 @@ class PermGroup:
         self._lock = threading.Lock()
         self._levels: Optional[list] = None  # made by the first chain query
         self._level = 0
-        self._identity = tuple(range(degree))
 
     @property
     def degree(self) -> int:
@@ -364,8 +407,9 @@ class PermGroup:
         symmetric = self._giant
         if symmetric is not None:
             return symmetric or not _is_odd(p)
-        residue, _ = self._strip(self._ensure_bsgs(), p._images, 0)
-        return residue == self._identity
+        mul, _, identity = _kernel(self._degree)
+        residue, _ = self._strip(self._ensure_bsgs(), _chain_element(p._images), 0, mul)
+        return residue == identity
 
     def is_transitive(self) -> bool:
         """True iff the orbit of point 1 is the whole domain; a group on the
@@ -397,7 +441,8 @@ class PermGroup:
         """Strong generators of the chain's top level, as Permutations."""
         levels = self._ensure_bsgs()
         top = levels[0].gens if levels else ()  # the trivial group has no levels
-        return [Permutation._from_zero_based(g) for g in top]
+        n = self._degree
+        return [Permutation._from_zero_based(tuple(g[:n])) for g in top]
 
     # -- construction ----------------------------------------------------------
 
@@ -463,58 +508,64 @@ class PermGroup:
         The loop resumes from the group's levels and index and stores them
         back when the chain is complete or the orbit-size product exceeds
         ``bound``; an exception leaves no levels, so the next query restarts.
+        It composes in the kernel of the group's degree (:func:`_kernel`)
+        and counts the transversal entries stored as it makes them.
         """
-        identity = self._identity
+        mul, inv, identity = _kernel(self._degree)
         levels, i = self._levels, self._level
         self._levels = None
         if levels is None:
-            unique = dict.fromkeys(g._images for g in self._gens)
+            unique = dict.fromkeys(_chain_element(g._images) for g in self._gens)
             gens = [t for t in unique if t != identity]
-            moved = [next(p for p, v in enumerate(g) if v != p) for g in gens]
-            levels = [_Level(min(moved), identity, gens)] if gens else []
+            levels = [_Level(min(map(_first_moved, gens)), identity, gens)] if gens else []
             i = len(levels) - 1
         inverses: dict = {}
+        stored = sum(len(lvl.orbit) for lvl in levels)
         size = _orbit_product(levels)
         while i >= 0 and (bound is None or size <= bound):
             level = levels[i]
-            if self._extend_orbit(levels, level, inverses):
-                size = _orbit_product(levels)
+            if level.closed < len(level.gens):
+                grown = self._extend_orbit(level, stored, mul, inv, inverses)
+                if grown:
+                    stored += grown
+                    size = _orbit_product(levels)
             if not level.pending:
                 i -= 1
                 continue
             pt, g = level.pending.popleft()
-            ug = _mul(level.orbit[pt][0], g)
+            ug = mul(level.orbit[pt][0], g)
             target = level.orbit[g[pt]]
             if ug == target[0]:
                 continue  # tree edge: Schreier generator is trivial
-            residue, j = self._strip(levels, _mul(ug, target[1]), i + 1)
+            residue, j = self._strip(levels, mul(ug, target[1]), i + 1, mul)
             if residue == identity:
                 continue
             if j == len(levels):
-                new_pt = next(p for p, v in enumerate(residue) if v != p)
-                levels.append(_Level(new_pt, identity))
+                levels.append(_Level(_first_moved(residue), identity))
+                stored += 1
             for l in range(i + 1, j + 1):
                 levels[l].gens.append(residue)
             i = j
         self._levels, self._level = levels, i
 
-    def _extend_orbit(self, levels: list, level: "_Level", inverses: dict) -> bool:
+    def _extend_orbit(self, level: "_Level", stored: int, mul, inv,
+                      inverses: dict) -> int:
         """Close the orbit under the generators added since the last call,
         breadth-first: the old points under the new generators, then each
         new point under all of them.  Old entries stay as they are.  Every
         pair (point, generator) visited is queued on ``level.pending`` in
-        that order.  Return whether the orbit grew.  A point that would take
-        the chain past :data:`MAX_TRANSVERSAL_BYTES` raises
-        :class:`ResourceLimit` before its entry is made."""
+        that order.  Return how many points the orbit gained.  ``stored``
+        counts the chain's transversal entries; a point that would take them
+        past :data:`MAX_TRANSVERSAL_BYTES` raises :class:`ResourceLimit`
+        before its entry is made.  ``inverses`` caches ``inv`` of the
+        generators."""
         gens = level.gens
         old_gens = level.closed
-        if old_gens == len(gens):
-            return False
         orbit, pending = level.orbit, level.pending
         points = list(orbit)
         n_old = len(points)
         per_point = 2 * self._degree * 8
-        others = sum(len(lvl.orbit) for lvl in levels) - n_old
+        others = stored - n_old
         room = MAX_TRANSVERSAL_BYTES // per_point - others
         for idx, a in enumerate(points):  # points grows as the orbit does
             u, u_inv = orbit[a]
@@ -529,14 +580,15 @@ class PermGroup:
                             f"exceeds cap {MAX_TRANSVERSAL_BYTES}")
                     gi = inverses.get(g)
                     if gi is None:
-                        gi = inverses[g] = _inv(g)
-                    orbit[b] = (_mul(u, g), _mul(gi, u_inv))
+                        gi = inverses[g] = inv(g)
+                    orbit[b] = (mul(u, g), mul(gi, u_inv))
                     points.append(b)
         level.closed = len(gens)
-        return len(points) > n_old
+        return len(points) - n_old
 
-    def _strip(self, levels: list, g: tuple, start: int):
-        """Sift g through levels[start:]; return (residue, drop-out level)."""
+    def _strip(self, levels: list, g, start: int, mul):
+        """Sift g through levels[start:] under the compose ``mul``; return
+        (residue, drop-out level)."""
         for idx in range(start, len(levels)):
             lvl = levels[idx]
             img = g[lvl.point]
@@ -545,5 +597,5 @@ class PermGroup:
             entry = lvl.orbit.get(img)
             if entry is None:
                 return g, idx
-            g = _mul(g, entry[1])
+            g = mul(g, entry[1])
         return g, len(levels)

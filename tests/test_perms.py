@@ -1,5 +1,6 @@
 """Permutation and group-order tests, with a brute-force closure oracle."""
 
+import hashlib
 import math
 import random
 import sys
@@ -325,6 +326,29 @@ class TestPermGroup:
             "transversal storage ~1056000 bytes exceeds cap 1048576")
         assert len(calls) <= 2 * 32
 
+    def test_transversal_cap_refuses_while_the_orbit_grows_on_tables(self, monkeypatch):
+        # the same at degree 200, whose chain composes tables: the cap allows
+        # 102400 / (16 * 200) = 32 entries of the 200-point orbit
+        monkeypatch.setattr(perms, "MAX_TRANSVERSAL_BYTES", 32 * 16 * 200)
+        n = 200
+        group = PermGroup([parse_cycles(f"({','.join(map(str, range(1, n + 1)))})", n),
+                           parse_cycles("()", n)])
+        assert group._giant is None
+        calls = []
+        kernel = perms._kernel
+
+        def counting(degree):
+            mul, inv, identity = kernel(degree)
+            assert type(identity) is bytes
+            return (lambda a, b: calls.append(1) or mul(a, b)), inv, identity
+
+        monkeypatch.setattr(perms, "_kernel", counting)
+        with pytest.raises(ResourceLimit) as exc:
+            group.order()
+        assert str(exc.value) == (
+            "transversal storage ~105600 bytes exceeds cap 102400")
+        assert 0 < len(calls) <= 2 * 32
+
     def test_refused_build_starts_afresh(self, monkeypatch):
         # a cap hit while a stopped build resumes leaves half-extended
         # levels; resumed from those, this A_7 would report order 2100, so
@@ -531,17 +555,18 @@ def assert_chain_is_complete(group):
     under every generator, and every
     Schreier generator sifts to the identity through the deeper levels."""
     levels = group._ensure_bsgs()
-    ident = tuple(range(group.degree))
+    mul, _, ident = perms._kernel(group.degree)  # the group's own elements
     for i, level in enumerate(levels):
         for g in level.gens:
+            assert type(g) is type(ident) and len(g) == len(ident)
             assert all(g[above.point] == above.point for above in levels[:i])
         assert not level.pending and level.closed == len(level.gens)
         for pt, (u, u_inv) in level.orbit.items():
-            assert u[level.point] == pt and perms._mul(u, u_inv) == ident
+            assert u[level.point] == pt and mul(u, u_inv) == ident
             for g in level.gens:
-                schreier = perms._mul(perms._mul(u, g), level.orbit[g[pt]][1])
+                schreier = mul(mul(u, g), level.orbit[g[pt]][1])
                 assert schreier[level.point] == level.point
-                assert group._strip(levels, schreier, i + 1)[0] == ident
+                assert group._strip(levels, schreier, i + 1, mul)[0] == ident
 
 
 def chain_digest(group):
@@ -749,3 +774,93 @@ class TestIncrementalChain:
         assert exceeds == [True] and orders == [42467328] * 3
         assert len(calls) == sifts
         assert chain_digest(group) == chain_digest(fresh)
+
+
+def kernel_free_digest(group):
+    """SHA-256 of the order, then per level the base point, the strong
+    generators and the sorted transversal, each element as its first
+    ``degree`` images, so that chains on tables and on tuples compare."""
+    n = group.degree
+    digest = hashlib.sha256(repr(group.order()).encode())
+    for level in group._ensure_bsgs():
+        digest.update(repr((
+            level.point,
+            [tuple(g[:n]) for g in level.gens],
+            sorted((pt, tuple(u[:n]), tuple(u_inv[:n]))
+                   for pt, (u, u_inv) in level.orbit.items()),
+        )).encode())
+    return digest.hexdigest()
+
+
+def few_point_gens(rng, n):
+    """One to three random permutations of a random set of at most 30 of the
+    n points: a small chain at any degree."""
+    support = rng.sample(range(n), rng.randint(2, 30))
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        moved = rng.sample(support, rng.randint(2, len(support)))
+        images = list(range(1, n + 1))
+        for a, b in zip(moved, rng.sample(moved, len(moved))):
+            images[a] = b + 1
+        gens.append(Permutation(images))
+    return gens
+
+
+class TestChainKernel:
+    """The table kernel against the tuple kernel, and chains that are the
+    same whatever the elements are stored as: digests recorded when every
+    chain composed 0-based tuples."""
+
+    def test_tables_match_tuples_at_every_degree(self):
+        rng = random.Random(256)
+        for n in range(1, 258):
+            mul, inv, identity = perms._kernel(n)
+            assert type(identity) is (bytes if n <= 256 else tuple)
+            assert tuple(identity[:n]) == tuple(range(n))
+            for _ in range(3):
+                # a fixes its first k points, so the first moved point varies
+                k = rng.randrange(n)
+                a = tuple(range(k)) + tuple(k + v for v in random_perm(rng, n - k)._images)
+                b = random_perm(rng, n)._images
+                ta, tb = perms._chain_element(a), perms._chain_element(b)
+                assert type(ta) is type(identity) and len(ta) == len(identity)
+                assert tuple(ta[:n]) == a and ta[n:] == identity[n:]
+                product = mul(ta, tb)
+                assert tuple(product[:n]) == perms._mul(a, b)
+                assert product[n:] == identity[n:]
+                inverse = inv(ta)
+                assert tuple(inverse[:n]) == perms._inv(a)
+                assert mul(ta, inverse) == mul(inverse, ta) == identity
+                assert mul(ta, identity) == mul(identity, ta) == ta
+                if a != tuple(range(n)):
+                    assert perms._first_moved(ta) == perms._first_moved(a) >= k
+
+    @pytest.mark.parametrize("index, digest", [
+        (1, "9e66f13c6cb79a57"),
+        (2, "be18ece5ebdeb667"),
+        (3, "9a962a8554164342"),
+        (4, "d630f3cc6156ea6f"),
+        (5, "3c57fc568ab43134"),
+        (6, "893418ba90fecfe2"),
+    ])
+    def test_gallery_chain_digests_are_pinned(self, index, digest):
+        from dessinkit.models import gallery_dessin
+
+        d = gallery_dessin(index)
+        assert kernel_free_digest(PermGroup([d.sigma0, d.sigma1]))[:16] == digest
+
+    def test_seeded_chain_digests_are_pinned(self, monkeypatch):
+        monkeypatch.setattr(perms, "_JORDAN_TRIES", 0)  # the chain answers
+        rng = random.Random(2203)
+        small = hashlib.sha256()
+        for n in range(3, 41):
+            gens = [random_perm(rng, n) for _ in range(rng.randint(1, 3))]
+            small.update(kernel_free_digest(PermGroup(gens)).encode())
+        rng = random.Random(2256)
+        border = hashlib.sha256()
+        for n in range(250, 261):  # both sides of the largest table degree
+            cyclic = PermGroup([random_perm(rng, n)])
+            border.update(kernel_free_digest(cyclic).encode())
+            border.update(kernel_free_digest(PermGroup(few_point_gens(rng, n))).encode())
+        assert small.hexdigest()[:16] == "58ed7bf1448387fc"
+        assert border.hexdigest()[:16] == "cf4686ce4e6a9e0f"
