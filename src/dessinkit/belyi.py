@@ -30,6 +30,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from ._exact import (PRINT_BITS, Scanner, brief, int_poly_mul, is_prime, lowest,
@@ -41,28 +42,6 @@ from .errors import (
     ParseError,
     SizeGuard,
 )
-
-__all__ = [
-    "RatPoly",
-    "RatMap",
-    "CritProfile",
-    "BmnParams",
-    "BmnStage",
-    "BelyiChain",
-    "INFINITY",
-    "bmn",
-    "finite_critical_values",
-    "propagate_crit",
-    "pair_from_ratio",
-    "rational_roots",
-    "sturm_count",
-    "certify_increasing",
-    "belyi_reduce",
-    "verify_reduction",
-    "ReductionReport",
-    "parse_map",
-    "parse_poly",
-]
 
 logger = logging.getLogger(__name__)
 
@@ -298,7 +277,7 @@ class RatMap:
 
     def __pow__(self, exponent: int) -> "RatMap":
         if exponent < 0:
-            return RatMap(self._den, self._num) ** (-exponent)
+            return (RatMap(ONE_POLY) / self) ** (-exponent)
         return RatMap._coprime(self._num ** exponent, self._den ** exponent)
 
     def eval_extended(self, v: ExtendedRational) -> ExtendedRational:
@@ -320,15 +299,24 @@ class RatMap:
 
     def wronskian(self) -> RatPoly:
         """num' * den - num * den': its roots are the finite critical points."""
-        return self._num.derivative() * self._den - self._num * self._den.derivative()
+        return RatPoly._lowest(self._wronskian(), self._num._den * self._den._den)
+
+    def _wronskian(self) -> list:
+        """The Wronskian times both (positive) denominators: a' b - a b' on
+        the integers a of num and b of den, empty for a constant map."""
+        a, b = self._num._ints, self._den._ints
+        left = int_poly_mul(_derivative(a), b) if len(a) > 1 else []
+        right = int_poly_mul(a, _derivative(b)) if len(b) > 1 else []
+        return [x - y for x, y in zip_longest(left, right, fillvalue=0)]
 
     def derivative_sign_at(self, v: Fraction) -> int:
-        """Sign of the derivative at a non-pole rational point."""
+        """Sign of the derivative at a non-pole rational point: the Wronskian's."""
         v = Fraction(v)
-        if self._den(v) == 0:
+        u, t = v.numerator, v.denominator
+        if not _sign_at(self._den._ints, u, t):
             raise OutOfRange(f"derivative sign requested at pole {v}")
-        w = self.wronskian()(v)
-        return (w > 0) - (w < 0)
+        w = self._wronskian()
+        return _sign_at(w, u, t) if w else 0
 
     def finite_critical_values(self) -> "CritProfile":
         return finite_critical_values(self)
@@ -543,22 +531,25 @@ def _variations(chain: Sequence[Sequence[int]], t: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_count(p: RatPoly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of ``p`` in the half-open (lo, hi].
+def _roots_in(f: Sequence[int], lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots in (lo, hi] of a nonzero primitive integer
+    polynomial, by the Sturm chain of its squarefree part; skipping zero
+    signs keeps the count right when an endpoint is a root."""
+    if len(f) < 2:
+        return 0
+    chain = _squarefree_chain(f)
+    return _variations(chain, lo) - _variations(chain, hi)
 
-    Exact, via the Sturm chain of the squarefree part with the zero-skipping
-    sign-variation convention (which makes the half-open count correct even
-    when an endpoint is itself a root).
-    """
+
+def sturm_count(p: RatPoly, lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots of ``p`` in the half-open (lo, hi],
+    exact by the Sturm chain of its squarefree part (:func:`_roots_in`)."""
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise OutOfRange(f"empty interval ({lo}, {hi}]")
     if p.is_zero:
         raise ValueError("sturm_count of the zero polynomial")
-    if p.degree < 1:
-        return 0
-    chain = _squarefree_chain(p.primitive_integer_coeffs())
-    return _variations(chain, lo) - _variations(chain, hi)
+    return _roots_in(p.primitive_integer_coeffs(), lo, hi)
 
 
 def certify_increasing(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
@@ -572,7 +563,7 @@ def certify_increasing(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
-        raise OutOfRange(f"empty interval ({lo}, {hi}]")
+        raise OutOfRange(f"empty interval [{lo}, {hi}]")
     d = _derivative(f._ints)  # a positive multiple of f'
     if not d:
         return False
@@ -584,10 +575,10 @@ def certify_increasing(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
         e = [x - y for x, y in zip(c, _derivative(b))]
         while e and not e[-1]:
             e.pop()
-        a = RatPoly._lowest(_poly_gcd(b, e))
-        if odd and sturm_count(a, lo, hi) > (a(hi) == 0):
+        a = _poly_gcd(b, e)
+        if odd and _roots_in(a, lo, hi) > (not _sign_at(a, *hi.as_integer_ratio())):
             return False
-        b, c, odd = _quotient(b, a._ints), _quotient(e, a._ints), not odd
+        b, c, odd = _quotient(b, a), _quotient(e, a), not odd
     step = (hi - lo) / (len(d) + 1)
     points = (lo + k * step for k in range(1, len(d) + 1))
     signs = (_sign_at(d, t.numerator, t.denominator) for t in points)

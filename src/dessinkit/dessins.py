@@ -36,23 +36,6 @@ from .perms import (
 )
 from .words import FreeWord, evaluate_word, parse_word
 
-__all__ = [
-    "Dessin",
-    "Passport",
-    "RegularDescriptor",
-    "Separation",
-    "WitnessVerdict",
-    "load_dessin",
-    "dump_dessin",
-    "passport_of",
-    "genus_of",
-    "regular_descriptor",
-    "dessins_isomorphic",
-    "regular_closures_isomorphic",
-    "distinguish_by_witness",
-    "witness_verdict",
-]
-
 
 class Dessin:
     """Degree n >= 1 plus the two edge rotations; transitivity is enforced."""

@@ -39,25 +39,6 @@ from .errors import (
 from .perms import Permutation, compose_right, parse_cycles
 from .words import FreeWord, commutator_word, parse_word
 
-__all__ = [
-    "GALLERY_SIZE",
-    "gallery_text",
-    "gallery_dessin",
-    "witness_word",
-    "expected_witness_value",
-    "LocalModel",
-    "local_model_24",
-    "local_model_8p",
-    "commutes_with_y2",
-    "build_mu0",
-    "build_mu_omega",
-    "DeltaTildeReport",
-    "delta_tilde_check",
-    "TwoAdicInstance",
-    "TwoAdicReport",
-    "two_adic_verify",
-]
-
 GALLERY_SIZE = 6
 
 #: The most bits the evaluation point gamma^(2p) q^2 and the value beta1 there

@@ -50,13 +50,6 @@ from .errors import (
     ResourceLimit,
 )
 
-__all__ = [
-    "Permutation",
-    "PermGroup",
-    "parse_cycles",
-    "compose_right",
-]
-
 
 #: Largest permutation domain a group accepts; larger degrees are refused
 #: outright.

@@ -61,15 +61,6 @@ from .errors import (
     ResourceLimit,
 )
 
-__all__ = [
-    "TowerField",
-    "TowerElement",
-    "CurveTriple",
-    "DistinctnessReport",
-    "j_invariant_of_triple",
-    "conjugate_triples_distinct",
-]
-
 #: The largest prime p a tower is built for.  ``conjugate_triples_distinct``
 #: at p = 23 takes about 0.2 s of CPU with q = 2, gamma = 1 and 0.85 s with
 #: q = 7/3, gamma = 3/5 (Python 3.11 on one core of a 2-CPU x86-64 host); the

@@ -28,8 +28,6 @@ from ._exact import PRINT_BITS, Scanner, brief, power
 from .errors import DegreeMismatch, ParseError, ResourceLimit
 from .perms import Permutation, compose_right
 
-__all__ = ["FreeWord", "parse_word", "evaluate_word", "commutator_word"]
-
 Syllable = Tuple[str, int]
 
 #: The most syllables a freely reduced word may have.  A power of one

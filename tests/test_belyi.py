@@ -48,6 +48,7 @@ from dessinkit.belyi import (
     _squarefree_chain,
     _stage_pair,
 )
+from dessinkit.cli import run_cli
 from dessinkit.errors import (
     IrrationalCriticalPoints,
     NotCoprime,
@@ -1276,3 +1277,71 @@ class TestCriticalValueDigest:
         assert kinds == self.KINDS
         digest = hashlib.sha256("\n".join("\t".join(r) for r in records).encode())
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestErrorMessages:
+    """The class and message of each raise site no other test reaches, and
+    for those the CLI reaches, exit 2 with the message as the one line on
+    stderr.  Inverting the zero map is one failure, by a power or by a
+    quotient; certify_increasing decides on the closed [lo, hi]."""
+
+    @pytest.mark.parametrize("call, error, message, argv", [
+        (lambda: rational_roots(RatPoly()), ValueError,
+         "rational_roots of the zero polynomial", None),
+        (lambda: sturm_count(RatPoly(), F(0), F(1)), ValueError,
+         "sturm_count of the zero polynomial",
+         ["belyi", "sturm", "--poly", "0", "--lo", "0", "--hi", "1"]),
+        (lambda: sturm_count(X, F(1), F(1)), OutOfRange, "empty interval (1, 1]",
+         ["belyi", "sturm", "--poly", "X", "--lo", "1", "--hi", "1"]),
+        (lambda: certify_increasing(X, F(1), F(0)), OutOfRange, "empty interval [1, 0]",
+         ["belyi", "increasing", "--poly", "X", "--lo", "1", "--hi", "0"]),
+        (lambda: parse_map("0^-1"), ZeroDivisionError, "division by the zero map",
+         ["belyi", "crit", "--map", "0^-1"]),
+        (lambda: parse_map("1/0"), ZeroDivisionError, "division by the zero map",
+         ["belyi", "crit", "--map", "1/0"]),
+    ], ids=["roots of 0", "sturm of 0", "sturm on (1, 1]", "increasing on [1, 0]",
+            "zero map to a negative power", "quotient by the zero map"])
+    def test_class_and_message(self, capsys, call, error, message, argv):
+        with pytest.raises(error) as exc:
+            call()
+        assert exc.type is error and str(exc.value) == message
+        if argv:
+            assert run_cli(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, inverse, profile", [
+        ("X^-1", RatMap(ONE_POLY, X), CritProfile.empty()),
+        ("(X+1)^-2", RatMap(ONE_POLY, (X + ONE_POLY) ** 2),
+         CritProfile.of([0], includes_infinity=True)),
+    ])
+    def test_negative_exponents(self, text, inverse, profile):
+        f = parse_map(text)
+        assert f == inverse
+        assert finite_critical_values(f) == profile
+
+
+class TestWronskian:
+    def test_against_polynomial_arithmetic(self):
+        # num' den - num den' by RatPoly arithmetic, and the derivative's sign
+        # as the sign of that polynomial's Fraction value, on seeded maps of
+        # degree 0-4, constant and zero maps among them
+        rng = random.Random(2303)
+        checked = 0
+        while checked < 300:
+            num, den = (RatPoly([F(rng.randint(-9, 9), rng.randint(1, 4))
+                                 for _ in range(rng.randint(0, 5))]) for _ in range(2))
+            if den.is_zero:
+                continue
+            f = RatMap(num, den)
+            a, b = f.numerator, f.denominator
+            expected = a.derivative() * b - a * b.derivative()
+            assert f.wronskian() == expected, f
+            for _ in range(3):
+                v = F(rng.randint(-5, 5), rng.randint(1, 3))
+                if b(v) == 0:
+                    with pytest.raises(OutOfRange):
+                        f.derivative_sign_at(v)
+                else:
+                    w = expected(v)
+                    assert f.derivative_sign_at(v) == (w > 0) - (w < 0), (f, v)
+            checked += 1

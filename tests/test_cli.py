@@ -807,6 +807,16 @@ PINNED = [
         },
     ),
     (
+        ["belyi", "crit", "--map", "X^-1"], 0,
+        "finite critical values: {}\n",
+        {"finite_critical_values": [], "includes_infinity": False},
+    ),
+    (
+        ["belyi", "crit", "--map", "(X+1)^-2"], 0,
+        "finite critical values: {0, inf}\n",
+        {"finite_critical_values": ["0"], "includes_infinity": True},
+    ),
+    (
         ["lemma", "delta-tilde", "--d", "1,1,1", "--c0", "1", "--c", "2",
          "--alpha-minus-nu", "1"], 1,
         "partial sums: 1 2 4 5\ntotal: 6\nall nonzero mod 2: false\n",

@@ -439,3 +439,34 @@ class TestTwoAdic:
             assert report.v2_s >= report.required, (coeffs, c, p, q, gamma)
             assert report.congruences_consistent
             checked += 1
+
+
+class TestErrorMessages:
+    """The class and message of each raise site no other test reaches, and
+    for those the CLI reaches, exit 2 with the message as the one line on
+    stderr."""
+
+    @pytest.mark.parametrize("call, error, message, argv", [
+        (lambda: build_mu_omega([1, 1, 1], 0, 1, 1, 1), BadShape,
+         "m, n, r, s must be positive", None),
+        (lambda: TwoAdicInstance(parse_poly("X+1"), 0, 3, 2, 1), OutOfRange,
+         "c must be a positive integer, got 0",
+         ["lemma", "two-adic", "--poly", "X+1", "--c", "0", "--p", "3",
+          "--q", "2", "--gamma", "1"]),
+        (lambda: TwoAdicInstance(parse_poly("X+1"), 3, 3, -4, 1), OutOfRange,
+         "q and gamma must be positive",
+         ["lemma", "two-adic", "--poly", "X+1", "--c", "3", "--p", "3",
+          "--q", "-4", "--gamma", "1"]),
+        (lambda: two_adic_verify(TwoAdicInstance(parse_poly("X^2-4*X+1"), 3, 3, 2, 1)),
+         OutOfRange, "beta1(0) equals the stage peak; s would vanish",
+         ["lemma", "two-adic", "--poly", "X^2-4*X+1", "--c", "3", "--p", "3",
+          "--q", "2", "--gamma", "1"]),
+    ], ids=["mu omega exponent 0", "two-adic c 0", "two-adic q -4",
+            "two-adic peak at 0"])
+    def test_class_and_message(self, capsys, call, error, message, argv):
+        with pytest.raises(error) as exc:
+            call()
+        assert exc.type is error and str(exc.value) == message
+        if argv:
+            assert run_cli(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")

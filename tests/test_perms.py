@@ -864,3 +864,24 @@ class TestChainKernel:
             border.update(kernel_free_digest(PermGroup(few_point_gens(rng, n))).encode())
         assert small.hexdigest()[:16] == "58ed7bf1448387fc"
         assert border.hexdigest()[:16] == "cf4686ce4e6a9e0f"
+
+
+class TestErrorMessages:
+    """The class and message of each raise site no other test reaches."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Permutation([2, 2]), RepeatedPoint, "image 2 occurs twice"),
+        (lambda: Permutation([0]), PointOutOfRange, "image 0 outside 1..1"),
+        (lambda: Permutation([1]).apply(2), PointOutOfRange, "point 2 outside 1..1"),
+        (lambda: parse_cycles("", -1), ParseError, "degree must be nonnegative"),
+        (lambda: PermGroup([]), ValueError, "at least one generator is required"),
+        (lambda: PermGroup([Permutation([1]), Permutation([2, 1])]),
+         DegreeMismatch, "generators have mixed degrees"),
+        (lambda: PermGroup([Permutation([2, 1])]).orbit(3),
+         PointOutOfRange, "point 3 outside 1..2"),
+    ], ids=["repeated image", "image 0", "apply past the degree", "negative degree",
+            "no generators", "mixed degrees", "orbit past the degree"])
+    def test_class_and_message(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert exc.type is error and str(exc.value) == message

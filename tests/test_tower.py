@@ -512,3 +512,18 @@ class TestAgainstFractionOracle:
             i, u = rng.randrange(7), rng.randrange(1, 7)
             assert galois_apply(K, i, u, a).coordinates == oracle_galois(K, i, u, x)
             assert oracle_mul(K, x, a.inverse().coordinates) == {(0, 0): 1}
+
+
+class TestErrorMessages:
+    """The class and message of each raise site no other test reaches."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: TowerField(3, 2).zeta().rational_value(), ValueError,
+         "z is not rational"),
+        (lambda: galois_apply(TowerField(3, 2), 0, 1, TowerField(3, 3).one()),
+         FieldMismatch, "element belongs to a different tower"),
+    ], ids=["zeta is not rational", "element of another tower"])
+    def test_class_and_message(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert exc.type is error and str(exc.value) == message

@@ -204,3 +204,15 @@ class TestWordAlgebra:
         assert w.exponent_sum("x") == 8
         assert w.exponent_sum("y") == 0
         assert len(w) == 10
+
+
+class TestErrorMessages:
+    """The class and message of each raise site no other test reaches."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: FreeWord([("z", 1)]), ParseError, "unknown generator 'z'"),
+    ], ids=["unknown generator"])
+    def test_class_and_message(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert exc.type is error and str(exc.value) == message
