@@ -548,7 +548,7 @@ def sturm_count(p: RatPoly, lo: Fraction, hi: Fraction) -> int:
     if not lo < hi:
         raise OutOfRange(f"empty interval ({lo}, {hi}]")
     if p.is_zero:
-        raise ValueError("sturm_count of the zero polynomial")
+        raise OutOfRange("sturm_count of the zero polynomial")
     return _roots_in(p.primitive_integer_coeffs(), lo, hi)
 
 
@@ -677,7 +677,7 @@ def rational_roots(p: RatPoly) -> Tuple[dict, RatPoly]:
     the degree and in the coefficient bits: nothing is factored.
     """
     if p.is_zero:
-        raise ValueError("rational_roots of the zero polynomial")
+        raise OutOfRange("rational_roots of the zero polynomial")
     roots: dict = {}
     work = p.primitive_integer_coeffs()
     # strip the root at 0 first so the trailing coefficient is nonzero

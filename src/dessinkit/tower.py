@@ -201,7 +201,7 @@ class TowerElement:
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
+            raise OutOfRange(f"{self} is not rational")
         return Fraction(self._num[0], self._den) if self._num else Fraction(0)
 
     def __eq__(self, other) -> bool:

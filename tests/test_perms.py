@@ -6,7 +6,7 @@ import random
 import sys
 import threading
 import time
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from dessinkit.errors import (
     DegreeMismatch,
+    OutOfRange,
     ParseError,
     PointOutOfRange,
     RepeatedPoint,
@@ -548,6 +549,142 @@ def wreath_product(k, m):
     ]
 
 
+def random_wreath_pair(rng, k, m):
+    """Two random elements of S_k wr S_m, relabelled by one random
+    permutation, that generate a transitive group: imprimitive, with blocks
+    of size k whose points the relabelling hides."""
+    n = k * m
+    while True:
+        pair = []
+        for _ in range(2):
+            blocks = rng.sample(range(m), m)
+            pair.append(Permutation([blocks[b] * k + r + 1
+                                     for b in range(m) for r in rng.sample(range(k), k)]))
+        pi = random_perm(rng, n)
+        pair = [pi.inverse() * g * pi for g in pair]
+        if PermGroup(pair).is_transitive():
+            return pair
+
+
+def brute_force_proper_block(gens):
+    """The least block holding the 0-based points 0 and 1, None when it is
+    the whole domain: the smallest proper set holding both whose images
+    under the group, the closure of the set under the generators, are
+    pairwise equal or disjoint."""
+    n = gens[0].degree
+    images = [g._images for g in gens]
+    for size in range(2, n):
+        for rest in combinations(range(2, n), size - 2):
+            block = frozenset((0, 1) + rest)
+            seen, frontier = {block}, [block]
+            while frontier:
+                b = frontier.pop()
+                for g in images:
+                    c = frozenset(g[p] for p in b)
+                    if c not in seen:
+                        seen.add(c)
+                        frontier.append(c)
+            if all(a == c or not a & c for a in seen for c in seen):
+                return sorted(block)
+    return None
+
+
+class TestBlockTest:
+    """The imprimitivity test that ends the Jordan search early, against a
+    brute-force block search, and the Jordan certificate with the test and
+    without it."""
+
+    @pytest.mark.parametrize("name, gens, block", [
+        ("PGL(2,7)", psl_or_pgl(7, 3), None),
+        ("PSL(2,8)", psl_2_8(), None),
+        ("C_7", [parse_cycles("(1,2,3,4,5,6,7)", 7)], None),
+        ("S_2 wr S_4", wreath_product(2, 4), [0, 1]),
+        ("S_4 wr S_2", wreath_product(4, 2), [0, 1, 2, 3]),
+        ("S_3 wr S_3", wreath_product(3, 3), [0, 1, 2]),
+        ("C_3 x C_3", [parse_cycles("(1,4,7)(2,5,8)(3,6,9)", 9),
+                       parse_cycles("(1,2,3)(4,5,6)(7,8,9)", 9)], [0, 1, 2]),
+        # imprimitive, but 0 and 1 lie in no proper block together
+        ("C_9", [parse_cycles("(1,2,3,4,5,6,7,8,9)", 9)], None),
+        ("D_4 on a square", [parse_cycles("(1,2,3,4)", 4), parse_cycles("(2,4)", 4)], None),
+        ("C_2", [parse_cycles("(1,2)", 2)], None),
+    ])
+    def test_known_groups(self, name, gens, block):
+        assert PermGroup(gens).is_transitive()
+        images = [g._images for g in gens]
+        assert perms._proper_block(images, gens[0].degree) == block, name
+        assert brute_force_proper_block(gens) == block, name
+
+    def test_seeded_groups_against_brute_force(self):
+        rng = random.Random(2405)
+        cases = [transitive_pair(rng, n) for n in range(2, 10) for _ in range(6)]
+        for k, m in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]:
+            cases += [random_wreath_pair(rng, k, m) for _ in range(8)]
+        blocks = []
+        for gens in cases:
+            block = brute_force_proper_block(gens)
+            assert perms._proper_block([g._images for g in gens], gens[0].degree) == block
+            blocks.append(block)
+        # proper blocks of every size from 2 to 4, beside whole domains
+        assert {len(block) for block in blocks if block} == {2, 3, 4}
+        assert blocks.count(None) > 50
+
+    def test_relabelled_wreath_products_with_large_blocks(self):
+        # blocks of up to 18 points, so that the union-find walks long paths;
+        # 0 and 1 are placed in the last block, whose image is the answer
+        rng = random.Random(2418)
+        for k in range(2, 19):
+            for m in range(2, 5):
+                n = k * m
+                for _ in range(3):
+                    first = rng.sample(range(n - k, n), 2)
+                    order = first + rng.sample([p for p in range(n) if p not in first], n - 2)
+                    images = [0] * n
+                    for new, old in enumerate(order):
+                        images[old] = new + 1
+                    pi = Permutation(images)
+                    gens = [pi.inverse() * g * pi for g in wreath_product(k, m)]
+                    block = sorted(images[old] - 1 for old in range(n - k, n))
+                    assert perms._proper_block([g._images for g in gens], n) == block, (k, m)
+
+    def test_jordan_search_is_unchanged_without_the_block_test(self, monkeypatch):
+        from dessinkit.models import gallery_dessin
+
+        rng = random.Random(2440)
+        gallery = [[d.sigma0, d.sigma1] for d in map(gallery_dessin, range(1, 7))]
+        cases = list(gallery)
+        for n in range(8, 41):
+            cases += [transitive_pair(rng, n) for _ in range(2)]
+            k = next((k for k in range(2, n) if n % k == 0), None)
+            if k is not None:
+                cases += [random_wreath_pair(rng, k, n // k),
+                          random_wreath_pair(rng, n // k, k)]
+        tests, products = [], []
+        block_test, long_cycle = perms._proper_block, perms._long_cycle
+
+        def counting_test(*args):
+            tests.append(block_test(*args))
+            return tests[-1]
+
+        def counting_cycle(a):
+            products.append(None)
+            return long_cycle(a)
+
+        monkeypatch.setattr(perms, "_proper_block", counting_test)
+        monkeypatch.setattr(perms, "_long_cycle", counting_cycle)
+        for gens in gallery:  # each gallery group has 0 and 1 in a block of 12
+            products.clear()
+            assert PermGroup(gens)._giant is None and len(products) == 8
+        tests.clear()
+        with_test = [PermGroup(gens)._giant for gens in cases]
+        found = [block for block in tests if block is not None]
+        assert len(tests) >= 60 and len(found) >= 15
+        assert {True, False, None} <= set(with_test)
+        monkeypatch.setattr(perms, "_BLOCK_TEST_AFTER", None)
+        tests.clear()
+        assert [PermGroup(gens)._giant for gens in cases] == with_test
+        assert not tests
+
+
 def assert_chain_is_complete(group):
     """The finished chain against its definition: every transversal entry
     maps the base point to its key, every level's generators fix the earlier
@@ -653,12 +790,12 @@ class TestIncrementalChain:
         assert 0 < len(calls) < 900
 
     @pytest.mark.parametrize("index, base, sifts", [
-        (1, [1, 13, 16, 14, 22, 18, 21, 17, 2, 15, 19, 6, 20, 24, 23, 5, 3, 4], 363),
-        (2, [1, 14, 13, 3, 21, 17, 16, 20, 6, 15, 19, 2, 22, 18, 23, 24, 5, 4], 361),
-        (3, [1, 14, 13, 4, 17, 15, 16, 18, 6, 21, 19, 20, 22, 2, 3, 23, 5, 24], 361),
-        (4, [1, 14, 13, 5, 17, 21, 16, 20, 6, 15, 19, 3, 4, 18, 22, 2, 23, 24], 361),
-        (5, [1, 14, 13, 6, 15, 19, 18, 16, 22, 20, 23, 4, 5, 17, 21, 2, 24, 3], 373),
-        (6, [1, 14, 13, 16, 17, 15, 20, 21, 6, 19, 23, 22, 18, 5, 24, 2, 4, 3], 361),
+        (1, [1, 13, 16, 14, 22, 18, 21, 17, 2, 15, 19, 6, 20, 24, 23, 5, 3, 4], 240),
+        (2, [1, 14, 13, 3, 21, 17, 16, 20, 6, 15, 19, 2, 22, 18, 23, 24, 5, 4], 237),
+        (3, [1, 14, 13, 4, 17, 15, 16, 18, 6, 21, 19, 20, 22, 2, 3, 23, 5, 24], 237),
+        (4, [1, 14, 13, 5, 17, 21, 16, 20, 6, 15, 19, 3, 4, 18, 22, 2, 23, 24], 237),
+        (5, [1, 14, 13, 6, 15, 19, 18, 16, 22, 20, 23, 4, 5, 17, 21, 2, 24, 3], 247),
+        (6, [1, 14, 13, 16, 17, 15, 20, 21, 6, 19, 23, 22, 18, 5, 24, 2, 4, 3], 237),
     ])
     def test_gallery_chain_is_pinned(self, monkeypatch, index, base, sifts):
         # chains are bit-reproducible: the same base points in the same order
@@ -874,7 +1011,7 @@ class TestErrorMessages:
         (lambda: Permutation([0]), PointOutOfRange, "image 0 outside 1..1"),
         (lambda: Permutation([1]).apply(2), PointOutOfRange, "point 2 outside 1..1"),
         (lambda: parse_cycles("", -1), ParseError, "degree must be nonnegative"),
-        (lambda: PermGroup([]), ValueError, "at least one generator is required"),
+        (lambda: PermGroup([]), OutOfRange, "at least one generator is required"),
         (lambda: PermGroup([Permutation([1]), Permutation([2, 1])]),
          DegreeMismatch, "generators have mixed degrees"),
         (lambda: PermGroup([Permutation([2, 1])]).orbit(3),
