@@ -137,7 +137,7 @@ class RatPoly:
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
+            raise OutOfRange("zero polynomial has no leading coefficient")
         return Fraction(self._ints[-1], self._den)
 
     def __call__(self, v: Fraction) -> Fraction:
@@ -175,7 +175,7 @@ class RatPoly:
 
     def __pow__(self, exponent: int) -> "RatPoly":
         if exponent < 0:
-            raise ValueError("negative polynomial power")
+            raise OutOfRange("negative polynomial power")
         return power(self, exponent, ONE_POLY, operator.mul)
 
     def derivative(self) -> "RatPoly":
@@ -867,24 +867,17 @@ class BmnStage(BmnParams):
         """Exact sign of the derivative, without any big arithmetic.
 
         The derivative is scale * X^(m-1) (1-X)^(n-1) (m - (m+n) X) with a
-        positive scale, so the sign is a product of three cheap sign checks.
+        positive scale.  At v = u/t, t > 0, it has the sign of
+        u^(m-1) (t-u)^(n-1) (m t - (m+n) u): the product of the signs of the
+        three bases, each raised to the parity of its exponent (x^0 = 1).
         """
         v = Fraction(v)
         m, n = self.m, self.n
-        if v == 0:
-            return 1 if m == 1 else 0
-        if v == 1:
-            return -1 if n == 1 else 0
+        u, t = v.numerator, v.denominator
         sign = 1
-        if v < 0 and (m - 1) % 2:
-            sign = -sign
-        if v > 1 and (n - 1) % 2:
-            sign = -sign
-        linear = m * v.denominator - (m + n) * v.numerator
-        if linear == 0:
-            return 0
-        if linear < 0:
-            sign = -sign
+        for base, e in ((u, m - 1), (t - u, n - 1), (m * t - (m + n) * u, 1)):
+            if e:
+                sign *= (base > 0) - (base < 0) if e % 2 else base != 0
         return sign
 
     def __str__(self) -> str:

@@ -34,21 +34,15 @@ from ._exact import PRINT_BITS, brief, decimal
 from .dessins import (
     Dessin,
     Separation,
+    closure_difference,
     dessins_isomorphic,
     distinguish_by_witness,
     genus_of,
     load_dessin,
     passport_of,
-    regular_closures_isomorphic,
     regular_descriptor,
 )
-from .errors import (
-    DessinkitError,
-    OutOfRange,
-    ParseError,
-    ResourceLimit,
-    SizeGuard,
-)
+from .errors import DessinkitError, OutOfRange, ParseError, ResourceLimit
 from .words import parse_word
 
 EXIT_OK = 0
@@ -186,15 +180,9 @@ def _cmd_dessin_reg_iso(args):
     d2 = _load_source(args.second)
     _guard_group_order(d1, args.cap_group_order)
     _guard_group_order(d2, args.cap_group_order)
-    n1 = d1.cartographic_group.order()
-    n2 = d2.cartographic_group.order()
-    if regular_closures_isomorphic(d1, d2):
+    reason = closure_difference(d1, d2)
+    if reason is None:
         return EXIT_OK, [("isomorphic_closures", True, "regular closures isomorphic")]
-    reason = (
-        "component orders differ"
-        if n1 != n2
-        else "diagonal order exceeds component order"
-    )
     return EXIT_FALSE, [
         ("isomorphic_closures", False, f"regular closures not isomorphic: {reason}"),
         ("reason", reason, None),
@@ -368,10 +356,7 @@ def _cmd_belyi_increasing(args):
 
 def _cmd_tower_jinv(args):
     field = tower.TowerField(args.p, _parse_rational(args.q))
-    gamma = _parse_rational(args.gamma)
-    triple = tower.CurveTriple(
-        field.zero(), field.one() - field.zeta(), field.root() * gamma
-    )
+    triple = tower.base_triple(field, _parse_rational(args.gamma))
     j = tower.j_invariant_of_triple(triple)
     return EXIT_OK, [("j", str(j), f"j = {j}")]
 
@@ -546,7 +531,7 @@ def run_cli(argv) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         code, result = args.func(args)
-    except (ResourceLimit, SizeGuard) as exc:
+    except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (DessinkitError, ValueError, OSError, ZeroDivisionError) as exc:

@@ -21,12 +21,7 @@ from math import lcm
 from typing import Optional
 
 from ._exact import decimal
-from .errors import (
-    NonIntegralCharacteristic,
-    NotTransitive,
-    ParseError,
-    ResourceLimit,
-)
+from .errors import NonIntegralCharacteristic, NotTransitive, ParseError
 from . import perms
 from .perms import (
     PermGroup,
@@ -142,8 +137,7 @@ def load_dessin(text: str) -> Dessin:
     if len(m) != 2 or m[0] != "degree" or not m[1].isdecimal():
         raise ParseError(f"bad degree line: {lines[0]!r}")
     degree = decimal(m[1], " on the degree line")
-    if degree > perms.MAX_DEGREE:
-        raise ResourceLimit(f"degree {degree} exceeds cap {perms.MAX_DEGREE}")
+    perms.check_degree(degree)
     sigmas = []
     for key, line in zip(("sigma0", "sigma1"), lines[1:]):
         name, eq, rest = line.partition("=")
@@ -276,24 +270,31 @@ def _direct_sum(a: Permutation, b: Permutation) -> Permutation:
     return Permutation(list(a.images) + [v + shift for v in b.images])
 
 
-def regular_closures_isomorphic(d1: Dessin, d2: Dessin) -> bool:
-    """Whether sigma0 -> sigma0', sigma1 -> sigma1' extends to a group
-    isomorphism of the cartographic groups.
+def closure_difference(d1: Dessin, d2: Dessin) -> Optional[str]:
+    """Why sigma0 -> sigma0', sigma1 -> sigma1' does not extend to a group
+    isomorphism of the cartographic groups, or None when it does.
 
     Criterion: the diagonal group D generated by sigma0(d1)+sigma0(d2) and
     sigma1(d1)+sigma1(d2) on the disjoint union of the edge sets satisfies
     |D| == |G1| == |G2| exactly when the assignment is an isomorphism.  D acts
     on n1+n2 points, so the closure (of order possibly in the tens of
-    millions) is never constructed.
+    millions) is never constructed.  The two reasons are the two steps:
+    "component orders differ" when |G1| != |G2|, and "diagonal order exceeds
+    component order" when |D| > |G1|.
     """
     n1 = d1.cartographic_group.order()
-    n2 = d2.cartographic_group.order()
-    if n1 != n2:
-        return False
+    if n1 != d2.cartographic_group.order():
+        return "component orders differ"
     diag = PermGroup(
         [_direct_sum(d1.sigma0, d2.sigma0), _direct_sum(d1.sigma1, d2.sigma1)]
     )
-    return not diag.order_exceeds(n1)
+    return "diagonal order exceeds component order" if diag.order_exceeds(n1) else None
+
+
+def regular_closures_isomorphic(d1: Dessin, d2: Dessin) -> bool:
+    """Whether the regular closures of ``d1`` and ``d2`` are isomorphic, by
+    the criterion of :func:`closure_difference`."""
+    return closure_difference(d1, d2) is None
 
 
 # ---------------------------------------------------------------------------

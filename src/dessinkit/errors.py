@@ -39,8 +39,8 @@ class NotCoprime(DessinkitError, ValueError):
     """Parameters that must be coprime are not."""
 
 
-class SizeGuard(DessinkitError, RuntimeError):
-    """A polynomial stage would exceed the configured size cap."""
+class SizeGuard(ResourceLimit):
+    """A polynomial stage or expression would exceed its size cap."""
 
 
 class IrrationalCriticalPoints(DessinkitError, ValueError):

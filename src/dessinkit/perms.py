@@ -53,8 +53,8 @@ from .errors import (
 )
 
 
-#: Largest permutation domain a group accepts; larger degrees are refused
-#: outright.
+#: Largest permutation domain a group or a parsed cycle text accepts; larger
+#: degrees are refused outright (:func:`check_degree`).
 MAX_DEGREE = 100_000
 
 #: Bound on the memory the stabilizer-chain transversals may occupy,
@@ -309,16 +309,26 @@ class Permutation:
         return f"Permutation({self!s}, degree={self.degree})"
 
 
+def check_degree(degree: int) -> None:
+    """Refuse a degree above ``MAX_DEGREE``, read at call time, with
+    :class:`ResourceLimit`."""
+    if degree > MAX_DEGREE:
+        raise ResourceLimit(f"degree {degree} exceeds cap {MAX_DEGREE}")
+
+
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse whitespace-tolerant disjoint-cycle notation with 1-based points.
 
     Fixed points may be omitted; ``()`` and the empty string denote the
     identity.  Raises :class:`RepeatedPoint` when a point occurs twice,
-    :class:`PointOutOfRange` when a point exceeds ``degree``, and
-    :class:`ParseError` for anything that is not cycle syntax.
+    :class:`PointOutOfRange` when a point exceeds ``degree``,
+    :class:`ParseError` for anything that is not cycle syntax, and
+    :class:`ResourceLimit` for a degree above ``MAX_DEGREE``, before the
+    permutation's lists are allocated.
     """
     if degree < 0:
         raise ParseError("degree must be nonnegative")
+    check_degree(degree)
     stripped = text.strip()
     remainder = _CYCLE_TOKEN.sub("", stripped)
     if remainder.strip():
@@ -400,8 +410,7 @@ class PermGroup:
         for g in gens:
             if g.degree != degree:
                 raise DegreeMismatch("generators have mixed degrees")
-        if degree > MAX_DEGREE:
-            raise ResourceLimit(f"degree {degree} exceeds cap {MAX_DEGREE}")
+        check_degree(degree)
         self._degree = degree
         self._gens = tuple(gens)
         self._lock = threading.Lock()

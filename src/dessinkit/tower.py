@@ -390,6 +390,12 @@ def j_invariant_of_triple(tr: CurveTriple) -> TowerElement:
     return num / den
 
 
+def base_triple(field: TowerField, gamma) -> CurveTriple:
+    """The paper's triple (0, 1 - zeta, gamma * t); gamma = 0 repeats 0 and
+    raises :class:`DegenerateTriple`."""
+    return CurveTriple(field.zero(), field.one() - field.zeta(), field.root() * gamma)
+
+
 @dataclass(frozen=True)
 class DistinctnessReport:
     """Outcome of the pairwise j-invariant comparison of a Galois orbit."""
@@ -431,8 +437,6 @@ def conjugate_triples_distinct(
     gamma = Fraction(gamma)
     if gamma == 0:
         raise OutOfRange("gamma must be nonzero")
-    j = j_invariant_of_triple(
-        CurveTriple(field.zero(), field.one() - field.zeta(), field.root() * gamma)
-    )
+    j = j_invariant_of_triple(base_triple(field, gamma))
     report = DistinctnessReport(count=field.dimension, collisions=_collisions(field, j))
     return report.all_distinct, report

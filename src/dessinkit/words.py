@@ -163,12 +163,12 @@ class _Parser(Scanner):
 
 
 def parse_word(text: str) -> FreeWord:
-    """Parse the word grammar above into a freely reduced :class:`FreeWord`."""
-    parser = _Parser(text)
-    word = FreeWord(parser.parse_word())
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input at position {parser.pos} in word")
-    return word
+    """Parse the word grammar above into a freely reduced :class:`FreeWord`.
+
+    With no stop characters the parser returns only at the end of the input:
+    a stray ``)``, ``]`` or ``,`` is an unexpected character of a factor.
+    """
+    return FreeWord(_Parser(text).parse_word())
 
 
 def commutator_word(a: FreeWord, b: FreeWord) -> FreeWord:

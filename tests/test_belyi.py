@@ -1021,6 +1021,29 @@ class TestChains:
                     assert stage.derivative_sign_at(v) == \
                         expanded.derivative_sign_at(v), (m, n, v)
 
+    def test_stage_derivative_signs_past_machine_words(self):
+        # X^(m-1) (1-X)^(n-1) (m - (m+n) X): X^(m-1) is negative for X < 0
+        # when m - 1 is odd, (1-X)^(n-1) for X > 1 when n - 1 is odd, the
+        # linear factor past the peak m/(m+n), which is about 1/3 here; a
+        # coprime m, n are not both even, so m - 1, n - 1 are not both odd
+        even = BmnStage(2**64 + 1, 2**65 + 3)
+        m_odd = BmnStage(2**64 + 2, 2**65 + 3)
+        n_odd = BmnStage(2**64 + 1, 2**65 + 4)
+        big = F(2**70 + 1, 3)
+        cases = [
+            (even, F(-1, 2), 1), (even, F(1, 5), 1), (even, even.peak, 0),
+            (even, F(1, 2), -1), (even, big, -1), (even, F(0), 0), (even, F(1), 0),
+            (m_odd, F(-1, 2), -1), (m_odd, F(1, 5), 1), (m_odd, F(9, 10), -1),
+            (m_odd, big, -1),
+            (n_odd, F(-1, 2), 1), (n_odd, F(1, 10), 1), (n_odd, F(9, 10), -1),
+            (n_odd, big, 1),
+            # x^0 = 1 at the end points
+            (BmnStage(1, 2**65), F(0), 1), (BmnStage(1, 2**65), F(2), 1),
+            (BmnStage(2**65, 1), F(1), -1), (BmnStage(2**65, 1), F(-1), -1),
+        ]
+        for stage, v, sign in cases:
+            assert stage.derivative_sign_at(v) == sign, (stage, v)
+
 
 # ---------------------------------------------------------------------------
 # oracle: the (m, n) stage value by the direct Fraction formula
@@ -1299,8 +1322,12 @@ class TestErrorMessages:
          ["belyi", "crit", "--map", "0^-1"]),
         (lambda: parse_map("1/0"), ZeroDivisionError, "division by the zero map",
          ["belyi", "crit", "--map", "1/0"]),
+        (lambda: RatPoly().leading, OutOfRange,
+         "zero polynomial has no leading coefficient", None),
+        (lambda: X ** -1, OutOfRange, "negative polynomial power", None),
     ], ids=["roots of 0", "sturm of 0", "sturm on (1, 1]", "increasing on [1, 0]",
-            "zero map to a negative power", "quotient by the zero map"])
+            "zero map to a negative power", "quotient by the zero map",
+            "leading of 0", "negative polynomial power"])
     def test_class_and_message(self, capsys, call, error, message, argv):
         with pytest.raises(error) as exc:
             call()

@@ -8,6 +8,7 @@ from dessinkit import dessins, perms
 from dessinkit.dessins import (
     Dessin,
     Separation,
+    closure_difference,
     dessins_isomorphic,
     distinguish_by_witness,
     dump_dessin,
@@ -253,6 +254,13 @@ class TestRegularClosures:
 
     def test_gallery_non_isomorphic(self):
         assert not regular_closures_isomorphic(gallery_dessin(1), gallery_dessin(3))
+
+    def test_reason_names_the_failed_step(self):
+        d = gallery_dessin(1)
+        assert closure_difference(d, d) is None
+        assert (closure_difference(d, gallery_dessin(4))
+                == "diagonal order exceeds component order")
+        assert closure_difference(d, load_dessin(ONE_EDGE)) == "component orders differ"
 
     def test_relabelings(self):
         rng = random.Random(47)

@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -98,6 +99,20 @@ class TestParsing:
         for bad in ("(1,2", "1,2)", "(1 2)", "(a,b)", "(1,,2)"):
             with pytest.raises(ParseError):
                 parse_cycles(bad, 5)
+
+    def test_degree_cap_checked_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(perms, "MAX_DEGREE", 50)
+        assert parse_cycles("(1,50)", 50).degree == 50
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit) as exc:
+                parse_cycles("()", 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.type is ResourceLimit
+        assert str(exc.value) == "degree 1000000 exceeds cap 50"
+        assert peak < 100_000  # two lists of 10^6 entries take 16 MB
 
     def test_identity_forms(self):
         assert parse_cycles("()", 4).is_identity

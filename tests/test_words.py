@@ -211,7 +211,10 @@ class TestErrorMessages:
 
     @pytest.mark.parametrize("call, error, message", [
         (lambda: FreeWord([("z", 1)]), ParseError, "unknown generator 'z'"),
-    ], ids=["unknown generator"])
+        (lambda: parse_word("x)"), ParseError, "unexpected ')' at position 2 in word"),
+        (lambda: parse_word("x y]"), ParseError, "unexpected ']' at position 4 in word"),
+        (lambda: parse_word("x,y"), ParseError, "unexpected ',' at position 2 in word"),
+    ], ids=["unknown generator", "stray parenthesis", "stray bracket", "stray comma"])
     def test_class_and_message(self, call, error, message):
         with pytest.raises(error) as exc:
             call()
