@@ -54,6 +54,12 @@ DEFAULT_STAGE_CAP = 10**6
 #: fails loudly instead of stalling on multi-megabyte integers.
 DEFAULT_EVAL_WORK_BITS = 2_000_000
 
+#: Width, in bits, of the mantissas on which :func:`_product_bits` bounds a
+#: product of powers from both sides.  At 128 bits an exponent of 2^24 still
+#: leaves the bounds about 2^-100 apart, relatively, so they straddle a power
+#: of two only for values next to one, such as (2^k - 1)^e.
+_CERT_BITS = 128
+
 #: Cap on m+n for explicit expansion into coefficients (expansion
 #: needs ~(m+n)^2 log(m+n) bits in total, far more than evaluation), and the
 #: cap on the degree of a parsed map.
@@ -800,27 +806,103 @@ def _stage_bits(m: int, n: int, p: int, q: int) -> int:
     return total * (total.bit_length() + p.bit_length() + q.bit_length())
 
 
+def _stage_vector(m: int, n: int, p: int, q: int) -> Tuple[int, dict]:
+    """The (m, n) stage's value at p/q (q > 0, p neither 0 nor q) as
+    ``(sign, base)``: the value is sign * prod(b**e), with the exponents e
+    signed (positive in the numerator) on pairwise coprime elements b.
+
+    The value is N/D with N = T^T p^m (q-p)^n, D = m^m n^n q^T and T = m+n.
+    Its exponents are summed on the coprime base of T, |p|, |q-p|, m, n and
+    q, so the two sides are coprime without a gcd of N and D.
+    """
+    total = m + n
+    base = _coprime_base([(total, total), (abs(p), m), (abs(q - p), n),
+                          (m, -m), (n, -n), (q, -total)])
+    sign = -1 if (p < 0 and m % 2 == 1) != (p > q and n % 2 == 1) else 1
+    return sign, base
+
+
+def _vector_pair(sign: int, base: dict,
+                 modulus: Optional[int] = None) -> Tuple[int, int]:
+    """A :func:`_stage_vector` multiplied out: the pair (numerator,
+    denominator > 0) in lowest terms; with a ``modulus``, each power is taken
+    modulo it and the pair is reduced modulo it."""
+    num = sign * math.prod(pow(b, e, modulus) for b, e in base.items() if e > 0)
+    den = math.prod(pow(b, -e, modulus) for b, e in base.items() if e < 0)
+    if modulus is not None:
+        return num % modulus, den % modulus
+    return num, den
+
+
 def _stage_pair(m: int, n: int, p: int, q: int,
                 modulus: Optional[int] = None) -> Tuple[int, int]:
     """The (m, n) stage's value at p/q (q > 0, p neither 0 nor q) as a pair
     (numerator, denominator > 0) in lowest terms, even when p/q is not;
     with a ``modulus``, the pair reduced modulo it.
 
-    The value is N/D with N = T^T p^m (q-p)^n, D = m^m n^n q^T and T = m+n.
-    Its exponents are summed on the coprime base of T, |p|, |q-p|, m, n and
-    q, so the two sides multiplied out are already coprime: no gcd of N and
-    D is taken, and each power can be taken modulo the modulus.
+    This is :func:`_vector_pair` of :func:`_stage_vector`.
+    :func:`belyi_reduce` checks the work caps first, then the stage cap on
+    the value that keys its next stage, from the bit lengths
+    :func:`_vector_bits` reads off its vector, and multiplies out last; it
+    falls back to this product for that value when the bit lengths are not
+    settled or the ratio prints in full.
     """
-    total = m + n
-    base = _coprime_base([(total, total), (abs(p), m), (abs(q - p), n),
-                          (m, -m), (n, -n), (q, -total)])
-    num = math.prod(pow(b, e, modulus) for b, e in base.items() if e > 0)
-    den = math.prod(pow(b, -e, modulus) for b, e in base.items() if e < 0)
-    if (p < 0 and m % 2 == 1) != (p > q and n % 2 == 1):
-        num = -num
-    if modulus is not None:
-        return num % modulus, den % modulus
-    return num, den
+    return _vector_pair(*_stage_vector(m, n, p, q), modulus)
+
+
+def _round(x: int, shift: int, up: bool) -> Tuple[int, int]:
+    """x * 2**shift (x > 0) as (mantissa, shift) with at most ``_CERT_BITS``
+    mantissa bits (one more when rounding up carries): rounded down, or up
+    with ``up``."""
+    extra = x.bit_length() - _CERT_BITS
+    if extra <= 0:
+        return x, shift
+    return (-(-x >> extra) if up else x >> extra), shift + extra
+
+
+def _product_bits(powers: Sequence[Tuple[int, int]]) -> Optional[int]:
+    """The bit length of the product of b**e over the (b, e) pairs (b, e > 0),
+    or None when it is not settled.
+
+    Each power is taken by square-and-multiply on the top ``_CERT_BITS`` bits
+    twice, every step rounded down for a floor bound and up for a ceiling
+    bound.  The product lies between them, so when their bit lengths agree,
+    that is its bit length; when they straddle a power of two, None.
+    """
+    lengths = []
+    for up in (False, True):
+        acc, acc_shift = 1, 0
+        for b, e in powers:
+            sq, sq_shift = _round(b, 0, up)
+            while True:
+                if e & 1:
+                    acc, acc_shift = _round(acc * sq, acc_shift + sq_shift, up)
+                e >>= 1
+                if not e:
+                    break
+                sq, sq_shift = _round(sq * sq, 2 * sq_shift, up)
+        lengths.append(acc.bit_length() + acc_shift)
+    return lengths[0] if lengths[0] == lengths[1] else None
+
+
+def _vector_bits(base: dict, over: int = 0) -> Optional[Tuple[int, int]]:
+    """The exact bit lengths of the numerator and denominator of a
+    :func:`_stage_vector`'s pair, read off without multiplying it out, when
+    the denominator's is settled over ``over``; None otherwise, and when the
+    numerator's is not settled (:func:`_product_bits`).
+
+    When the sum of e times the bit length of b over the denominator's
+    powers, an upper bound on its bit length, is at most ``over``, that sum
+    is all it costs.
+    """
+    den_powers = [(b, -e) for b, e in base.items() if e < 0]
+    if sum(e * b.bit_length() for b, e in den_powers) <= over:
+        return None
+    den = _product_bits(den_powers)
+    if den is None or den <= over:
+        return None
+    num = _product_bits([(b, e) for b, e in base.items() if e > 0])
+    return None if num is None else (num, den)
 
 
 class BmnStage(BmnParams):
@@ -839,29 +921,25 @@ class BmnStage(BmnParams):
         if v is INFINITY:
             return INFINITY
         v = Fraction(v)
-        return Fraction(*self._eval_pair((v.numerator, v.denominator)))
-
-    def _eval_pair(self, v: Tuple[int, int]) -> Tuple[int, int]:
-        """The value at a pair (p, q) in lowest terms, q > 0, as such a pair.
-
-        Raises :class:`SizeGuard` when the estimated size of the result is
-        over ``DEFAULT_EVAL_WORK_BITS``.
-        """
-        p, q = v
+        p, q = v.numerator, v.denominator
         if p == 0 or p == q:
-            return 0, 1
+            return Fraction(0)
+        if (p, q) == (self.m, self.m + self.n):
+            return Fraction(1)
+        self._check_work((p, q))
+        return Fraction(*_stage_pair(self.m, self.n, p, q))
+
+    def _check_work(self, v: Tuple[int, int]) -> None:
+        """Raise :class:`SizeGuard` when the estimated size of the value at a
+        pair (p, q) is over ``DEFAULT_EVAL_WORK_BITS``."""
         m, n = self.m, self.n
-        total = m + n
-        if (p, q) == (m, total):
-            return 1, 1
-        estimate = _stage_bits(m, n, p, q)
+        estimate = _stage_bits(m, n, *v)
         if estimate > DEFAULT_EVAL_WORK_BITS:
             raise SizeGuard(
                 f"exact evaluation of stage ({brief(m, 256)}, {brief(n, 256)}) at "
                 f"{brief(v, 256)} needs about {brief(estimate, 256)} bits, over the "
                 f"work cap {DEFAULT_EVAL_WORK_BITS}"
             )
-        return _stage_pair(m, n, p, q)
 
     def derivative_sign_at(self, v: Fraction) -> int:
         """Exact sign of the derivative, without any big arithmetic.
@@ -935,6 +1013,17 @@ class BelyiChain:
 # ---------------------------------------------------------------------------
 
 
+def _refuse_ratio(ratio: Tuple[int, int], stage_cap: Optional[int]) -> None:
+    """Raise :class:`SizeGuard` when the ratio num/den that keys the next
+    stage needs m+n = den over ``stage_cap``."""
+    den = ratio[1]
+    if stage_cap is not None and den > stage_cap:
+        raise SizeGuard(
+            f"next stage ratio {brief(ratio, 256)} needs m+n = "
+            f"{brief(den, 256)}, over the cap {stage_cap}"
+        )
+
+
 def belyi_reduce(
     points: Iterable, stage_cap: Optional[int] = DEFAULT_STAGE_CAP
 ) -> BelyiChain:
@@ -951,7 +1040,16 @@ def belyi_reduce(
 
     Raises :class:`SizeGuard` when a stage ratio would exceed ``stage_cap``
     (the offending ratio is reported) or a required exact evaluation would
-    exceed ``DEFAULT_EVAL_WORK_BITS``.
+    exceed ``DEFAULT_EVAL_WORK_BITS``.  After each stage is made the checks
+    run in this order, before anything is multiplied out: the work cap for
+    each remaining tracked value, in order, then the stage cap for the value
+    that keys the next stage.  That value is refused from its bit lengths,
+    read off its exponent vector (:func:`_vector_bits`), when they settle
+    its denominator over the cap and exceed the 256 bits the message prints
+    in full; otherwise (the bounds straddle a power of two, or the ratio is
+    short) it is multiplied out and compared exactly.  The other values are
+    multiplied out last.  So the first :class:`SizeGuard` and its message are
+    those of evaluating every value first.
     """
     raw = list(points)
     pts = sorted({Fraction(p) for p in raw})
@@ -983,19 +1081,30 @@ def belyi_reduce(
     tracked = [(t.numerator, t.denominator) for t in [aux] + mapped]
 
     stages: List[Stage] = [first]
+    _refuse_ratio(tracked[-2], stage_cap)
     while len(tracked) > 1:
         num, den = tracked[-2]
-        if stage_cap is not None and den > stage_cap:
-            raise SizeGuard(
-                f"next stage ratio {brief(tracked[-2], 256)} needs m+n = "
-                f"{brief(den, 256)}, over the cap {stage_cap}"
-            )
         stage = BmnStage(num, den - num)  # the ratio num/den lies in (0, 1)
-        # the largest tracked value (always 1) maps to 0 and drops out; the
-        # others stay strictly increasing because the stage is increasing
-        # below its peak
-        tracked = [stage._eval_pair(t) for t in tracked[:-1]]
         stages.append(stage)
+        # the largest tracked value (always 1) maps to 0 and drops out, the
+        # peak maps to 1, and the others stay strictly increasing because the
+        # stage is increasing below its peak
+        rest = tracked[:-2]
+        for t in rest:
+            stage._check_work(t)
+        if rest:
+            sign, base = _stage_vector(stage.m, stage.n, *rest[-1])
+            bits = stage_cap is not None and _vector_bits(
+                base, max(256, stage_cap.bit_length()))
+            if bits:
+                # the denominator is over the cap and prints as its bit length,
+                # so powers of two of the same bit lengths print the same
+                keyed = (1 << bits[0] - 1, 1 << bits[1] - 1)
+            else:
+                keyed = _vector_pair(sign, base)
+            _refuse_ratio(keyed, stage_cap)
+            rest = [_stage_pair(stage.m, stage.n, *t) for t in rest[:-1]] + [keyed]
+        tracked = rest + [(1, 1)]
     assert tracked == [(1, 1)]
     return BelyiChain(stages)
 

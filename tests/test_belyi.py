@@ -4,6 +4,7 @@ Sturm counting against a Descartes-bisection oracle, and the reduction chain."""
 import functools
 import hashlib
 import itertools
+import json
 import logging
 import math
 import os
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dessinkit import belyi
+from dessinkit._exact import brief
 from dessinkit.belyi import (
     INFINITY,
     BelyiChain,
@@ -47,6 +49,7 @@ from dessinkit.belyi import (
     _least_exponent_above,
     _squarefree_chain,
     _stage_pair,
+    _stage_vector,
 )
 from dessinkit.cli import run_cli
 from dessinkit.errors import (
@@ -1132,6 +1135,41 @@ class TestStagePair:
         assert math.prod(F(v) ** e for v, e in factors) == math.prod(
             F(b) ** e for b, e in base.items())
 
+    def test_bit_lengths_without_the_product(self):
+        rng = random.Random(2610)
+        vectors = [_stage_vector(*case)[1] for case in itertools.islice(_stage_cases(), 60)]
+        # stages as the reduction meets them: m, n drawn up to 10^6, and p, q
+        # sharing primes with m, n and m+n; only those whose product has at
+        # most about 600 kbit are kept, for the oracle's sake (the pool
+        # oracle below meets larger ones)
+        while len(vectors) < 100:
+            m, n = (int(10 ** rng.uniform(0, 6)) for _ in range(2))
+            shared = rng.choice((1, 2, 6, m, n, m + n))
+            q = shared ** rng.randint(0, 2) * rng.randint(1, 2**rng.randint(1, 40))
+            p = rng.choice((1, -1)) * shared ** rng.randint(0, 2) * rng.randint(1, 2 * q)
+            if math.gcd(m, n) == 1 and p != q and belyi._stage_bits(m, n, p, q) <= 600_000:
+                vectors.append(_stage_vector(m, n, p, q)[1])
+        # powers of two stay exact; (2^k - 1)^e straddles a power of two once
+        # 2^k - 1 has more bits than the mantissas
+        for k in (1, 2, 64, 127, 128, 129, 200, 1000):
+            for e in (1, 2, 3, 1000, 12345):
+                if k * e <= 600_000:
+                    vectors += [{2**k: e, 3: -e}, {2**k + 1: -e, 2**k: e},
+                                {2**k - 1: e, 2**k: -e}, {7: 1, 2**k - 1: -e}]
+        settled = unsettled = 0
+        for base in vectors:
+            num = math.prod(b**e for b, e in base.items() if e > 0).bit_length()
+            den = math.prod(b ** -e for b, e in base.items() if e < 0).bit_length()
+            bits = belyi._vector_bits(base)
+            if bits is None:
+                unsettled += 1
+            else:
+                assert bits == (num, den), base
+                settled += 1
+                assert belyi._vector_bits(base, den - 1) == bits
+            assert belyi._vector_bits(base, den) is None
+        assert settled > 100 and unsettled > 0, (settled, unsettled)
+
     def test_work_cap_message_reads_the_point_briefly(self, monkeypatch):
         monkeypatch.setattr(belyi, "DEFAULT_EVAL_WORK_BITS", 20)
         stage = BmnStage(2, 3)
@@ -1198,6 +1236,141 @@ def test_pinned_reduction_outcomes(points, chain_text, outcome):
                 digest.hexdigest()) == outcome
     else:
         assert value == (None if outcome is None else F(outcome))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the reduction loop that multiplies every value out before it checks
+# the stage cap
+# ---------------------------------------------------------------------------
+
+REDUCE_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "reduce_pool.json"
+
+
+def _reduce_pool_strata():
+    """The pool's entries by stage work, with the bounds of the reduce
+    workload's strata; "above" holds those it leaves out."""
+    with open(REDUCE_POOL, encoding="utf-8") as fh:
+        entries = json.load(fh)["entries"]
+    strata = {"light": [], "medium": [], "heavy": [], "above": []}
+    for e in entries:
+        work = e["work"]
+        name = ("above" if work >= 10**12 else "heavy" if work >= 10**11
+                else "medium" if work >= 10**9 else "light")
+        strata[name].append(e["points"])
+    return strata
+
+
+def _multiplied_out_reduce(points, stage_cap):
+    """``belyi_reduce`` with each stage's values all multiplied out first and
+    the stage cap checked at the top of the next iteration."""
+    pts = sorted({F(p) for p in points})
+    negatives = [p for p in pts if p < 0]
+    alpha = max(negatives) / 4 if negatives else F(-1)
+    f_alpha = RatPoly((alpha * alpha, -2 * alpha, 1))
+    first = RatMap(f_alpha * (1 / max(f_alpha(p) for p in pts)))
+    mapped = sorted({first.eval_extended(p) for p in pts})
+    aux = (first.eval_extended(F(0)) + mapped[0]) / 2
+    tracked = [(t.numerator, t.denominator) for t in [aux] + mapped]
+    stages = [first]
+    while len(tracked) > 1:
+        num, den = tracked[-2]
+        if stage_cap is not None and den > stage_cap:
+            raise SizeGuard(f"next stage ratio {brief(tracked[-2], 256)} needs m+n = "
+                            f"{brief(den, 256)}, over the cap {stage_cap}")
+        m, n = num, den - num
+        values = []
+        for p, q in tracked[:-1]:
+            if (p, q) == (m, den):
+                values.append((1, 1))
+                continue
+            estimate = den * (den.bit_length() + p.bit_length() + q.bit_length())
+            if estimate > belyi.DEFAULT_EVAL_WORK_BITS:
+                raise SizeGuard(
+                    f"exact evaluation of stage ({brief(m, 256)}, {brief(n, 256)}) at "
+                    f"{brief((p, q), 256)} needs about {brief(estimate, 256)} bits, "
+                    f"over the work cap {belyi.DEFAULT_EVAL_WORK_BITS}")
+            values.append(_stage_pair(m, n, p, q))
+        tracked = values
+        stages.append(BmnStage(m, n))
+    return BelyiChain(stages)
+
+
+def _outcome(reduce, points, stage_cap):
+    try:
+        return str(reduce(points, stage_cap))
+    except SizeGuard as exc:
+        return f"SizeGuard: {exc}"
+
+
+class TestStageCapOrder:
+    def test_same_outcomes_as_multiplying_everything_out(self):
+        rng = random.Random(26)
+        strata = _reduce_pool_strata()
+        sample = {name: rng.sample(entries, k) for (name, entries), k in
+                  zip(strata.items(), (30, 10, 6, 4))}
+        caps = (belyi.DEFAULT_STAGE_CAP, 0, 1000, 2**300, None)
+        refusals = set()
+        for name, entries in sample.items():
+            for points in entries:
+                # the other caps on the cheap strata: None runs to the work cap
+                for cap in caps if name in ("light", "medium") else caps[:1]:
+                    pts = [F(p) for p in points]
+                    expected = _outcome(_multiplied_out_reduce, pts, cap)
+                    assert _outcome(belyi_reduce, pts, cap) == expected, (points, cap)
+                    refusals.add((name, expected.split(" ", 2)[1]))
+        # stage-cap and work-cap refusals in the strata that have them
+        assert {("above", "next"), ("heavy", "next"), ("medium", "next"),
+                ("light", "next"), ("light", "exact")} <= refusals, refusals
+
+    def test_refused_value_is_not_multiplied_out(self, monkeypatch):
+        products = []
+
+        def counted(*args, **kwargs):
+            pair = multiply_out(*args, **kwargs)
+            products.append((pair[0].bit_length(), pair[1].bit_length()))
+            return pair
+
+        multiply_out = belyi._vector_pair
+        monkeypatch.setattr(belyi, "_vector_pair", counted)
+        points = [F(-1), F(-13, 20), F(2, 3)]
+        with pytest.raises(SizeGuard) as exc:
+            belyi_reduce(points)
+        assert str(exc.value) == (
+            "next stage ratio <rational with 553511-bit numerator and 610152-bit "
+            "denominator> needs m+n = <610152-bit integer>, over the cap 1000000")
+        assert products == []
+        with pytest.raises(SizeGuard, match="over the work cap"):
+            belyi_reduce(points, stage_cap=None)
+        assert products == [(553511, 610152), (517252, 607236)]
+
+    def test_pool_inputs_past_the_workload_refused_quickly(self):
+        # the 23 inputs above 10^12 bits^2 took 2.1-4.2 s in all when every
+        # stage value was multiplied out, and take about 0.01 s from bit
+        # lengths; 1 s leaves room for a slow host and still fails the former
+        paths = [str(Path(belyi.__file__).resolve().parent.parent),
+                 os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        code = (
+            "import json, sys, time\n"
+            "from fractions import Fraction\n"
+            "from dessinkit import SizeGuard, belyi_reduce\n"
+            "inputs = [[Fraction(p) for p in points] for points in json.load(sys.stdin)]\n"
+            "refused = 0\n"
+            "start = time.perf_counter()\n"
+            "for points in inputs:\n"
+            "    try:\n"
+            "        belyi_reduce(points)\n"
+            "    except SizeGuard:\n"
+            "        refused += 1\n"
+            "print(refused, time.perf_counter() - start)\n"
+        )
+        above = _reduce_pool_strata()["above"]
+        done = subprocess.run([sys.executable, "-c", code], input=json.dumps(above),
+                              capture_output=True, text=True, env=env, check=True,
+                              timeout=120)
+        refused, seconds = done.stdout.split()
+        assert (len(above), int(refused)) == (23, 23)
+        assert float(seconds) < 1, seconds
 
 
 # ---------------------------------------------------------------------------
