@@ -33,6 +33,10 @@ _MR_PROVEN_BELOW = 3317044064679887385961981
 #: interpreter's int-to-decimal limit.
 PRINT_BITS = 12_000
 
+#: Values with more bits are abbreviated in error messages and in the name of
+#: a two-parameter stage: the default width of :func:`brief`.
+MESSAGE_BITS = 256
+
 #: Brackets nest at most this deep in the word and map grammars; deeper input
 #: is a ParseError, before the recursive descent runs out of stack.
 MAX_NESTING = 100
@@ -71,7 +75,7 @@ def is_prime(n: int) -> bool:
             return False
     if n >= _MR_PROVEN_BELOW:
         raise ResourceLimit(
-            f"primality of {brief(n, 256)} is undecided: the fixed Miller-Rabin "
+            f"primality of {brief(n)} is undecided: the fixed Miller-Rabin "
             f"bases are proven only below {_MR_PROVEN_BELOW}"
         )
     return True
@@ -82,9 +86,9 @@ def check_odd_prime(p: int) -> None:
     untested: testing one of thousands of digits takes seconds, and the caps
     on p of the tower and the models lie far below 2^64."""
     if p >= 2**64:
-        raise OutOfRange(f"p must be an odd prime below 2^64, got {brief(p, 256)}")
+        raise OutOfRange(f"p must be an odd prime below 2^64, got {brief(p)}")
     if p == 2 or not is_prime(p):
-        raise OutOfRange(f"p must be an odd prime, got {brief(p, 256)}")
+        raise OutOfRange(f"p must be an odd prime, got {brief(p)}")
 
 
 def integer_root(x: int, k: int) -> Optional[int]:
@@ -237,7 +241,7 @@ def signed_sum(terms) -> str:
     return " ".join(parts) or "0"
 
 
-def brief(value, max_bits: int):
+def brief(value, max_bits: int = MESSAGE_BITS):
     """``value`` itself, or a placeholder naming its bit sizes when it is an
     integer or fraction with more than ``max_bits`` bits.
 

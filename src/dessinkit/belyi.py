@@ -33,8 +33,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from ._exact import (PRINT_BITS, Scanner, brief, int_poly_mul, is_prime, lowest,
-                     power, signed_sum, vector_sum)
+from ._exact import (MESSAGE_BITS, PRINT_BITS, Scanner, brief, int_poly_mul, is_prime,
+                     lowest, power, signed_sum, vector_sum)
 from .errors import (
     IrrationalCriticalPoints,
     NotCoprime,
@@ -603,18 +603,22 @@ def _eval_mod(f: Sequence[int], r: int, m: int) -> int:
     return acc
 
 
-def _least_exponent_above(p: int, bound: int) -> int:
-    """The least E with p^E > bound, for p > 1: the greatest j with
-    p^j <= bound is read off in binary from p, p^2, p^4, ..."""
-    squares = [p]
-    while squares[-1] <= bound:
+def _largest_exponent(g: int, fits) -> int:
+    """The largest j with ``fits(g**j)``, for g > 1 and a test that holds at
+    1 and, once it fails, fails at every higher power.
+
+    g, g^2, g^4, ... are tried while they fit, and the rest of j is read off
+    in binary, so a large j costs O(log j) tests.
+    """
+    squares = [g]
+    while fits(squares[-1]):
         squares.append(squares[-1] * squares[-1])
     j, acc = 0, 1
     for i in reversed(range(len(squares) - 1)):
-        if acc * squares[i] <= bound:
+        if fits(acc * squares[i]):
             acc *= squares[i]
             j += 1 << i
-    return j + 1
+    return j
 
 
 def _squarefree_roots(f: Sequence[int]) -> list:
@@ -642,7 +646,7 @@ def _squarefree_roots(f: Sequence[int]) -> list:
                 break
     # a Newton step from p^e reaches p^(2e), so the precisions halve (upward)
     # from the least E with p^E > 2B down to 1, and the last step stops at E
-    precisions = [_least_exponent_above(p, 2 * bound)]
+    precisions = [_largest_exponent(p, lambda x: x <= 2 * bound) + 1]
     while precisions[-1] > 1:
         precisions.append((precisions[-1] + 1) // 2)
     precisions.pop()  # the roots mod p are known
@@ -750,25 +754,6 @@ def bmn(params: BmnParams) -> RatMap:
     return RatMap(RatPoly._lowest(ints, m**m * n**n))
 
 
-def _strip(a: int, g: int) -> Tuple[int, int]:
-    """``(j, a // g**j)`` for the largest j with g**j dividing a (g > 1).
-
-    g, g^2, g^4, ... are divided out while they divide, and the rest of j is
-    read off in binary, so a high power costs O(log j) divisions.
-    """
-    squares = []
-    while a % g == 0:
-        a //= g
-        squares.append(g)
-        g *= g
-    j = (1 << len(squares)) - 1
-    for i in reversed(range(len(squares))):
-        if a % squares[i] == 0:
-            a //= squares[i]
-            j += 1 << i
-    return j, a
-
-
 def _coprime_base(factors: Iterable[Tuple[int, int]]) -> dict:
     """Pairwise coprime elements > 1, each with its summed exponent, whose
     product of powers equals that of the ``(value, exponent)`` factors
@@ -789,8 +774,9 @@ def _coprime_base(factors: Iterable[Tuple[int, int]]) -> dict:
             g = math.gcd(a, b)
             if g > 1:
                 eb = base.pop(b)  # the loop ends here, so popping is safe
-                j, a = _strip(a, g)
-                k, b = _strip(b, g)
+                j = _largest_exponent(g, lambda x: a % x == 0)
+                k = _largest_exponent(g, lambda x: b % x == 0)
+                a, b = a // g**j, b // g**k
                 pending += [(x, e) for x, e in ((g, j * ea + k * eb), (a, ea), (b, eb))
                             if x > 1]
                 break
@@ -850,38 +836,31 @@ def _stage_pair(m: int, n: int, p: int, q: int,
     return _vector_pair(*_stage_vector(m, n, p, q), modulus)
 
 
-def _round(x: int, shift: int, up: bool) -> Tuple[int, int]:
-    """x * 2**shift (x > 0) as (mantissa, shift) with at most ``_CERT_BITS``
-    mantissa bits (one more when rounding up carries): rounded down, or up
-    with ``up``."""
-    extra = x.bit_length() - _CERT_BITS
-    if extra <= 0:
-        return x, shift
-    return (-(-x >> extra) if up else x >> extra), shift + extra
-
-
 def _product_bits(powers: Sequence[Tuple[int, int]]) -> Optional[int]:
     """The bit length of the product of b**e over the (b, e) pairs (b, e > 0),
     or None when it is not settled.
 
-    Each power is taken by square-and-multiply on the top ``_CERT_BITS`` bits
-    twice, every step rounded down for a floor bound and up for a ceiling
-    bound.  The product lies between them, so when their bit lengths agree,
-    that is its bit length; when they straddle a power of two, None.
+    The product is taken twice by :func:`_exact.power` on (mantissa, shift)
+    pairs, x * 2**shift, every step cut to the top ``_CERT_BITS`` mantissa
+    bits (one more when rounding up carries), rounded down for a floor bound
+    and up for a ceiling bound.  The product lies between them, so when their
+    bit lengths agree, that is its bit length; when they straddle a power of
+    two, None.
     """
     lengths = []
     for up in (False, True):
-        acc, acc_shift = 1, 0
+        def mul(a, b, up=up):
+            (x, s), (y, t) = a, b
+            z = x * y
+            extra = z.bit_length() - _CERT_BITS
+            if extra <= 0:
+                return z, s + t
+            return (-(-z >> extra) if up else z >> extra), s + t + extra
+
+        acc = one = (1, 0)
         for b, e in powers:
-            sq, sq_shift = _round(b, 0, up)
-            while True:
-                if e & 1:
-                    acc, acc_shift = _round(acc * sq, acc_shift + sq_shift, up)
-                e >>= 1
-                if not e:
-                    break
-                sq, sq_shift = _round(sq * sq, 2 * sq_shift, up)
-        lengths.append(acc.bit_length() + acc_shift)
+            acc = mul(acc, power(mul(one, (b, 0)), e, one, mul))
+        lengths.append(acc[0].bit_length() + acc[1])
     return lengths[0] if lengths[0] == lengths[1] else None
 
 
@@ -936,8 +915,8 @@ class BmnStage(BmnParams):
         estimate = _stage_bits(m, n, *v)
         if estimate > DEFAULT_EVAL_WORK_BITS:
             raise SizeGuard(
-                f"exact evaluation of stage ({brief(m, 256)}, {brief(n, 256)}) at "
-                f"{brief(v, 256)} needs about {brief(estimate, 256)} bits, over the "
+                f"exact evaluation of stage ({brief(m)}, {brief(n)}) at "
+                f"{brief(v)} needs about {brief(estimate)} bits, over the "
                 f"work cap {DEFAULT_EVAL_WORK_BITS}"
             )
 
@@ -959,7 +938,7 @@ class BmnStage(BmnParams):
         return sign
 
     def __str__(self) -> str:
-        return f"B[{brief(self.m, 256)},{brief(self.n, 256)}]"
+        return f"B[{brief(self.m)},{brief(self.n)}]"
 
 
 Stage = Union[RatMap, BmnStage]
@@ -1019,8 +998,8 @@ def _refuse_ratio(ratio: Tuple[int, int], stage_cap: Optional[int]) -> None:
     den = ratio[1]
     if stage_cap is not None and den > stage_cap:
         raise SizeGuard(
-            f"next stage ratio {brief(ratio, 256)} needs m+n = "
-            f"{brief(den, 256)}, over the cap {stage_cap}"
+            f"next stage ratio {brief(ratio)} needs m+n = "
+            f"{brief(den)}, over the cap {stage_cap}"
         )
 
 
@@ -1045,11 +1024,11 @@ def belyi_reduce(
     each remaining tracked value, in order, then the stage cap for the value
     that keys the next stage.  That value is refused from its bit lengths,
     read off its exponent vector (:func:`_vector_bits`), when they settle
-    its denominator over the cap and exceed the 256 bits the message prints
-    in full; otherwise (the bounds straddle a power of two, or the ratio is
-    short) it is multiplied out and compared exactly.  The other values are
-    multiplied out last.  So the first :class:`SizeGuard` and its message are
-    those of evaluating every value first.
+    its denominator over the cap and exceed the ``MESSAGE_BITS`` the message
+    prints in full; otherwise (the bounds straddle a power of two, or the
+    ratio is short) it is multiplied out and compared exactly.  The other
+    values are multiplied out last.  So the first :class:`SizeGuard` and its
+    message are those of evaluating every value first.
     """
     raw = list(points)
     pts = sorted({Fraction(p) for p in raw})
@@ -1065,15 +1044,17 @@ def belyi_reduce(
 
     negatives = [p for p in pts if p < 0]
     alpha = max(negatives) / 4 if negatives else Fraction(-1)
-    f_alpha = RatPoly((alpha * alpha, -2 * alpha, 1))  # (X - alpha)^2
-    peak_value = max(f_alpha(p) for p in pts)
-    first = RatMap(f_alpha * (1 / peak_value))
+    # the stage is (X - alpha)^2 / M, M the largest square, so its values
+    # are read off the squares
+    squares = sorted({(p - alpha) ** 2 for p in pts})
+    peak_value = squares[-1]
+    first = RatMap(RatPoly((alpha * alpha, -2 * alpha, 1)) * (1 / peak_value))
 
-    mapped = sorted({first.eval_extended(p) for p in pts})
+    mapped = [s / peak_value for s in squares]
     if len(mapped) < len(pts):
         logger.info("belyi_reduce: quadratic stage merged symmetric points "
                     "(%d -> %d)", len(pts), len(mapped))
-    at_zero = first.eval_extended(Fraction(0))
+    at_zero = alpha * alpha / peak_value
     assert mapped[-1] == 1 and 0 < at_zero < mapped[0]
     aux = (at_zero + mapped[0]) / 2
     # tracked values are pairs (numerator, denominator) in lowest terms, so
@@ -1095,7 +1076,7 @@ def belyi_reduce(
         if rest:
             sign, base = _stage_vector(stage.m, stage.n, *rest[-1])
             bits = stage_cap is not None and _vector_bits(
-                base, max(256, stage_cap.bit_length()))
+                base, max(MESSAGE_BITS, stage_cap.bit_length()))
             if bits:
                 # the denominator is over the cap and prints as its bit length,
                 # so powers of two of the same bit lengths print the same
@@ -1236,12 +1217,12 @@ class _MapParser(Scanner):
     def check(self, degree: int, bits: int = 0) -> None:
         if degree > DEFAULT_EXPANSION_CAP:
             raise SizeGuard(
-                f"map of degree {brief(degree, 256)} before position {self.pos} "
+                f"map of degree {brief(degree)} before position {self.pos} "
                 f"in expression is over the degree cap {DEFAULT_EXPANSION_CAP}"
             )
         if bits > MAX_MAP_BITS:
             raise SizeGuard(
-                f"map of up to {brief(bits, 256)} bits before position {self.pos} "
+                f"map of up to {brief(bits)} bits before position {self.pos} "
                 f"in expression is over the size cap {MAX_MAP_BITS}"
             )
 

@@ -267,7 +267,7 @@ def dessins_isomorphic(d1: Dessin, d2: Dessin) -> Optional[Permutation]:
 
 def _direct_sum(a: Permutation, b: Permutation) -> Permutation:
     shift = a.degree
-    return Permutation(list(a.images) + [v + shift for v in b.images])
+    return Permutation._from_zero_based(a._images + tuple(v + shift for v in b._images))
 
 
 def closure_difference(d1: Dessin, d2: Dessin) -> Optional[str]:

@@ -321,8 +321,8 @@ class TwoAdicInstance:
         at_least = 2 * p * (_bits(gamma) - 1)
         if at_least > MAX_TWO_ADIC_BITS:
             raise SizeGuard(
-                f"gamma^(2p) has more than {brief(at_least, 256)} bits at "
-                f"p = {brief(p, 256)}, over the cap {MAX_TWO_ADIC_BITS}"
+                f"gamma^(2p) has more than {brief(at_least)} bits at "
+                f"p = {brief(p)}, over the cap {MAX_TWO_ADIC_BITS}"
             )
         self.poly = poly
         self.c = c
@@ -403,7 +403,7 @@ def two_adic_verify(inst: TwoAdicInstance) -> TwoAdicReport:
     ratio = inst.beta1(inst.point)
     if not 0 < ratio < 1:
         raise OutOfRange(
-            f"beta1(gamma^(2p) q^2) = {brief(ratio, 256)} outside (0, 1)"
+            f"beta1(gamma^(2p) q^2) = {brief(ratio)} outside (0, 1)"
         )
     params = pair_from_ratio(ratio)
     m, n = params.m, params.n

@@ -77,7 +77,7 @@ class TowerField:
             check_odd_prime(p)
         if p > MAX_P:
             raise ResourceLimit(
-                f"p = {brief(p, 256)} is above {MAX_P}, the largest tower prime")
+                f"p = {brief(p)} is above {MAX_P}, the largest tower prime")
         if q <= 0:
             raise OutOfRange(f"q must be positive, got {q}")
         # q > 0 in lowest terms is a pth power iff numerator and denominator are

@@ -46,7 +46,7 @@ from dessinkit.belyi import (
     ONE_POLY,
     X,
     _coprime_base,
-    _least_exponent_above,
+    _largest_exponent,
     _squarefree_chain,
     _stage_pair,
     _stage_vector,
@@ -757,7 +757,7 @@ class TestRationalRoots:
     def test_least_exponent_above(self):
         for p in (2, 3, 5, 13, 97):
             for bound in list(range(1, 200)) + [p**k + d for k in range(1, 40) for d in (-1, 0, 1)]:
-                e = _least_exponent_above(p, bound)
+                e = _largest_exponent(p, lambda x: x <= bound) + 1
                 assert p**e > bound >= p ** (e - 1), (p, bound)
 
     def test_zero_first_then_ascending(self):
@@ -1119,6 +1119,45 @@ class TestStagePair:
     def test_high_powers_are_stripped_at_once(self):
         base = _coprime_base([(2**100_000 * 3, 1), (6, -1), (9, 2)])
         assert base == {2: 99_999, 3: 4}
+
+    def test_largest_exponent_against_naive_loops(self):
+        # the one exponent search serves the coprime base ("g^j divides a")
+        # and the lifting precision ("g^j <= bound"); the oracles count one
+        # power at a time
+        def naive_divides(g, a):
+            j, (q, r) = 0, divmod(a, g)
+            while not r:
+                j, (q, r) = j + 1, divmod(q, g)
+            return j
+
+        def naive_at_most(g, bound):
+            j, acc = 0, g
+            while acc <= bound:
+                acc, j = acc * g, j + 1
+            return j
+
+        rng = random.Random(27)
+        wide = rng.getrandbits(600) | 1 << 599 | 1  # several hundred bits
+        divides = [(2, 2**100_003 * 3), (2, 3**5), (12, 8), (wide, 7), (wide, wide - 1),
+                   (wide, wide), (wide, wide**37 * 12), (wide, wide**5 * (wide + 1))]
+        divides += [(g, g ** rng.randint(0, 60) * rng.randint(1, 10**6))
+                    for g in (rng.randint(2, 50) for _ in range(200))]
+        at_most = [(2, 2**100_000 + 5), (7, 1), (7, 6), (wide, wide - 1),
+                   (wide, wide**9 + rng.randint(-wide, wide))]
+        at_most += [(p, p**k + d) for p in (2, 3, 5, 13, 97, wide) for k in (1, 2, 7, 40)
+                    for d in (-1, 0, 1)]
+        at_most += [(g, rng.randint(1, 2**rng.randint(1, 300)))
+                    for g in (rng.randint(2, 50) for _ in range(200))]
+        found = set()
+        for g, a in divides:
+            j = _largest_exponent(g, lambda x: a % x == 0)
+            assert j == naive_divides(g, a), (g, a)
+            found.add(j)
+        for g, bound in at_most:
+            j = _largest_exponent(g, lambda x: x <= bound)
+            assert j == naive_at_most(g, bound), (g, bound)
+            found.add(j)
+        assert {0, 1, 37, 100_000, 100_003} <= found
 
     @given(st.lists(st.tuples(st.one_of(_SMOOTH, st.integers(1, 10**6)),
                               st.integers(-40, 40)), max_size=6))

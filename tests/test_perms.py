@@ -277,6 +277,55 @@ class TestPermGroup:
                 w = w * rng.choice(gens)
             assert g.is_member(w)
 
+    def test_generators_are_the_given_ones(self):
+        gens = [parse_cycles(SIGMA0_36, 36), parse_cycles(SIGMA1_36, 36)]
+        group = PermGroup(iter(gens))
+        assert group.generators == tuple(gens)
+        assert group.order() == 42467328 and group.generators == tuple(gens)
+
+    def test_in_against_closure_up_to_degree_256(self):
+        rng = random.Random(27)
+        for n in (4, 5, 6, 7):
+            gens = [random_perm(rng, n) for _ in range(2)]
+            group = PermGroup(gens)
+            elements = brute_force_closure(gens)
+            probes = [random_perm(rng, n) for _ in range(30)] + list(elements)[:10]
+            assert [p in group for p in probes] == [p in elements for p in probes]
+
+    def test_in_dihedral_group_above_degree_256(self):
+        # D_300 on 300 points: its 600 elements are i -> k + i and i -> k - i
+        # mod 300, so the oracle never builds the group
+        n = 300
+        rotation = Permutation([(i + 1) % n + 1 for i in range(n)])
+        reflection = Permutation([(-i) % n + 1 for i in range(n)])
+        group = PermGroup([rotation, reflection])
+
+        def dihedral(p):
+            k = p.images[0] - 1
+            return any(all(v - 1 == (k + s * i) % n for i, v in enumerate(p.images))
+                       for s in (1, -1))
+
+        rng = random.Random(300)
+        probes = [Permutation([(k + s * i) % n + 1 for i in range(n)])
+                  for k, s in zip(rng.sample(range(n), 20), (1, -1) * 10)]
+        probes += [random_perm(rng, n) for _ in range(10)]
+        probes += [parse_cycles("(1,2)", n), parse_cycles("(1,2,3)", n)]
+        outcomes = [p in group for p in probes]
+        assert outcomes == [dihedral(p) for p in probes]
+        assert outcomes.count(True) == 20 and group.order() == 600
+
+    @pytest.mark.parametrize("n", [12, 300])
+    def test_in_certified_giant_by_parity(self, n):
+        rng = random.Random(n + 27)
+        gens = transitive_pair(rng, n)
+        group = PermGroup(gens)
+        probes = [random_perm(rng, n) for _ in range(20)] + [parse_cycles("(1,2)", n)]
+        outcomes = [p in group for p in probes]
+        assert group._giant is not None and group._levels is None  # no chain
+        symmetric = any(is_odd(g) for g in gens)
+        assert outcomes == [symmetric or not is_odd(p) for p in probes]
+        assert outcomes[-1] == symmetric
+
     def test_empty_domain_is_not_transitive(self):
         group = PermGroup([parse_cycles("", 0)])
         assert not group.is_transitive()

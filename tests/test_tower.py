@@ -202,6 +202,16 @@ class TestArithmetic:
         t = K.root()
         assert t**-3 == K.rational(F(1, 2))
 
+    def test_equality_with_int_and_fraction(self):
+        K = TowerField(3, F(2, 5))
+        t = K.root()
+        # t^3 = q, and an element with an irrational part equals no rational
+        assert t * t * t == F(2, 5) and t * t * t != F(5, 2) and t**-3 == F(5, 2)
+        assert K.rational(7) == 7 and K.rational(7) != 6 and K.rational(7) == F(14, 2)
+        assert K.zero() == 0 and K.one() == 1 and K.one() != 0
+        assert t != 0 and t != 1 and K.one() + t != 1 and K.zeta() != 1
+        assert K.zeta() * K.zeta(2) == 1 and (K.one() - K.zeta()) * (K.one() - K.zeta(2)) == 3
+
 
 class TestGalois:
     def test_identity(self):
