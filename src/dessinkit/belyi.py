@@ -696,8 +696,7 @@ def rational_roots(p: RatPoly) -> Tuple[dict, RatPoly]:
         roots[Fraction(0)] = k
         work = work[k:]
     if len(work) > 1:
-        g = _poly_gcd(work, _derivative(work))
-        for root in _squarefree_roots(work if len(g) == 1 else _quotient(work, g)):
+        for root in _squarefree_roots(_squarefree_chain(work)[0]):
             linear, mult = (-root.numerator, root.denominator), 0
             while (quotient := _quotient(work, linear)) is not None:
                 work, mult = quotient, mult + 1
@@ -894,7 +893,9 @@ class BmnStage(BmnParams):
     """
 
     def finite_critical_values(self) -> CritProfile:
-        return CritProfile.of((0, 1), includes_infinity=True)
+        # B[1,1] = 4X(1 - X) has simple roots, so 0 is no critical value
+        return CritProfile.of((0, 1) if self.m + self.n > 2 else (1,),
+                              includes_infinity=True)
 
     def eval_extended(self, v: ExtendedRational) -> ExtendedRational:
         if v is INFINITY:

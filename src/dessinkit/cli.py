@@ -75,7 +75,7 @@ _parse_integer.__name__ = "int"
 
 
 def _fmt_rational(v) -> str:
-    return "inf" if v is belyi.INFINITY else str(brief(v, PRINT_BITS))
+    return str(brief(v, PRINT_BITS))
 
 
 def _fmt_cycle_type(lengths) -> str:

@@ -37,7 +37,7 @@ from .errors import (
     SizeGuard,
 )
 from .perms import Permutation, compose_right, parse_cycles
-from .words import FreeWord, commutator_word, parse_word
+from .words import FreeWord, parse_word
 
 GALLERY_SIZE = 6
 
@@ -83,7 +83,7 @@ def gallery_dessin(k: int) -> Dessin:
 
 def witness_word() -> FreeWord:
     """The kernel witness [x^-1 y^2 x, x y] that separates the gallery."""
-    return commutator_word(parse_word("x^-1 y^2 x"), parse_word("x y"))
+    return parse_word("[x^-1 y^2 x, x y]")
 
 
 def expected_witness_value(k: int) -> Permutation:
@@ -128,15 +128,8 @@ class LocalModel:
         return start, via_omega, via_y2
 
 
-def _pair_product(n: int) -> Permutation:
-    images = []
-    for i in range(1, n + 1, 2):
-        images.extend([i + 1, i])
-    return Permutation(images)
-
-
 def _full_cycle(n: int) -> Permutation:
-    return Permutation(list(range(2, n + 1)) + [1])
+    return Permutation._from_zero_based(tuple(range(1, n)) + (0,))
 
 
 def local_model_24(k: int) -> LocalModel:
@@ -164,16 +157,14 @@ def local_model_8p(p: int, k: int, variant: str = "plain") -> LocalModel:
     if variant not in ("plain", "j"):
         raise OutOfRange(f"variant must be 'plain' or 'j', got {variant!r}")
     n = 8 * p
-    a = 1
-    b = a + (2 * k - 1)
-    c = a + 4 * p
-    d = c + (2 * k - 1)
+    a, c = 0, 4 * p  # the special edges, 0-based: distinct and below n
+    b, d = a + 2 * k - 1, c + 2 * k - 1
     y = _full_cycle(n)
-    s = _pair_product(n)
-    if variant == "plain":
-        t = parse_cycles(f"({a},{c})({b},{d})", n)
-    else:
-        t = parse_cycles(f"({b},{d})", n)
+    s = Permutation._from_zero_based(tuple(i ^ 1 for i in range(n)))
+    images = list(range(n))
+    for u, v in ((a, c), (b, d)) if variant == "plain" else ((b, d),):
+        images[u], images[v] = v, u
+    t = Permutation._from_zero_based(tuple(images))
     omega = compose_right(compose_right(t, s), t)
     return LocalModel(
         point_count=n, y=y, t=t, omega=omega, s=s, k=k, p=p, variant=variant

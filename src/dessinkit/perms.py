@@ -150,7 +150,6 @@ def _long_cycle(a: tuple) -> int:
         if 2 * length > n:
             return length
         unseen -= length
-    return 0
 
 
 def _proper_block(gens: list, n: int) -> Optional[list]:

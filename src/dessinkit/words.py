@@ -125,9 +125,6 @@ def _push(out: list, syllables: Iterable[Syllable]) -> list:
 
 
 class _Parser(Scanner):
-    def __init__(self, text: str):
-        super().__init__(text, " in word")
-
     def parse_word(self, stop=()) -> list:
         out: list = []  # the reduced syllables up to a character of stop
         while True:
@@ -137,12 +134,16 @@ class _Parser(Scanner):
             out = self.parse_factor(out)
 
     def parse_factor(self, out: list) -> list:
-        """``out`` with the next factor pushed on.  An unpowered group's list
-        is pushed, or taken over while ``out`` is empty: no copy per level."""
+        """``out`` with the next factor pushed on.  A letter's power is one
+        syllable, whatever its exponent.  An unpowered group's list is pushed,
+        or taken over while ``out`` is empty: no copy per level."""
         c = self.take()
         if c in ("x", "y"):
-            atom = FreeWord([(c, 1)])
-        elif c == "(":
+            if self.peek() != "^":
+                return _push(out, [(c, 1)])
+            self.take()
+            return _push(out, [(c, self.integer())])
+        if c == "(":
             group = self.nested(self.parse_word, ")")
             self.expect(")")
             if self.peek() != "^":
@@ -168,7 +169,7 @@ def parse_word(text: str) -> FreeWord:
     With no stop characters the parser returns only at the end of the input:
     a stray ``)``, ``]`` or ``,`` is an unexpected character of a factor.
     """
-    return FreeWord(_Parser(text).parse_word())
+    return FreeWord(_Parser(text, " in word").parse_word())
 
 
 def commutator_word(a: FreeWord, b: FreeWord) -> FreeWord:

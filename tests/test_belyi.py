@@ -1494,10 +1494,26 @@ def _critical_value_records(set_work_cap):
             yield "dense-roots", str(p), f"{sorted(roots.items())!r} | {cofactor}"
 
 
+class TestStageProfile:
+    def test_stage_profile_is_the_expanded_maps(self):
+        for total in range(2, 31):
+            for m in range(1, total):
+                if math.gcd(m, total - m) == 1:
+                    stage = BmnStage(m, total - m)
+                    assert (stage.finite_critical_values()
+                            == finite_critical_values(bmn(BmnParams(m, total - m)))), stage
+
+    def test_b11_has_no_critical_value_at_0(self):
+        # 4X(1 - X) has simple roots at 0 and 1
+        profile = CritProfile.of([1], includes_infinity=True)
+        assert BelyiChain([BmnStage(1, 1)]).current_profile == profile
+
+
 class TestCriticalValueDigest:
     # sha256 of the records, pinned where the critical profile was a finite
-    # set and an infinity flag and the lifting prime left f squarefree mod p
-    DIGEST = "30d1a311b0cb94824606695127a0ccd356cd4733d05e7c779aa27483a82c621f"
+    # set and an infinity flag and the lifting prime left f squarefree mod p;
+    # re-pinned when B[1,1]'s profile lost the value 0
+    DIGEST = "2410e0f5c4dfd0d008dbd60febab20f71222621421b8a7ed9c4b3e1f2fbe87c9"
     KINDS = {"crit": 86, "irrational": 64, "fold": 88, "fold-irrational": 32,
              "guarded": 10, "size-guard": 50, "roots": 200, "dense-roots": 100}
 

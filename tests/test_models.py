@@ -31,6 +31,7 @@ from dessinkit.models import (
     two_adic_verify,
     witness_word,
 )
+from dessinkit.perms import parse_cycles
 from dessinkit.words import FreeWord, parse_word
 
 
@@ -144,6 +145,19 @@ class TestLocalModel8p:
             local_model_8p(3, 7)
         with pytest.raises(OutOfRange):
             local_model_8p(3, 1, "weird")
+
+    def test_permutations_match_their_cycle_text(self):
+        for p in (3, 5, 7, 11, 13):
+            n = 8 * p
+            y = parse_cycles("(" + ",".join(map(str, range(1, n + 1))) + ")", n)
+            s = parse_cycles("".join(f"({i},{i + 1})" for i in range(1, n, 2)), n)
+            for k in range(1, 2 * p + 1):
+                a, c = 1, 1 + 4 * p
+                b, d = a + 2 * k - 1, c + 2 * k - 1
+                for variant, t in (("plain", f"({a},{c})({b},{d})"), ("j", f"({b},{d})")):
+                    model = local_model_8p(p, k, variant)
+                    assert (model.y, model.s) == (y, s)
+                    assert model.t == parse_cycles(t, n)
 
     def test_degree_cap_is_read_at_call_time(self, monkeypatch):
         monkeypatch.setattr(perms, "MAX_DEGREE", 16)

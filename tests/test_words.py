@@ -112,6 +112,61 @@ class TestParsing:
         assert parse_word(f"x^{big} y^-{big}").syllables == (("x", big), ("y", -big))
 
 
+def _random_factor(rng, depth):
+    """A random factor as (text, oracle): the text in the word grammar, and
+    its FreeWord built without the parser's powers.  A small letter power
+    x^k is |k| letters or inverse letters, a huge one its one syllable, a
+    group power repeated products, and a bracket a b a^-1 b^-1."""
+    kind = rng.random() if depth else 0
+    if kind < 0.7:
+        letter = rng.choice("xy")
+        if rng.random() < 0.1:
+            k = rng.choice([-1, 1]) * rng.randint(10**5, 10 ** rng.randint(5, 40))
+            return f"{letter}^{k}", FreeWord([(letter, k)])
+        k = rng.randint(-6, 6)
+        text = letter if k == 1 and rng.random() < 0.5 else f"{letter}^{k}"
+        return text, FreeWord([(letter, 1 if k > 0 else -1)] * abs(k))
+    if kind < 0.85:
+        text, oracle = _random_word(rng, depth - 1)
+        k = rng.randint(-3, 3)
+        power = FreeWord()
+        for _ in range(abs(k)):
+            power = power * oracle
+        return f"({text})^{k}", power if k >= 0 else power.inverse()
+    (a_text, a), (b_text, b) = _random_word(rng, depth - 1), _random_word(rng, depth - 1)
+    return f"[{a_text}, {b_text}]", a * b * a.inverse() * b.inverse()
+
+
+def _random_word(rng, depth):
+    text, oracle = [], FreeWord()
+    for _ in range(rng.randint(0, 5)):
+        factor_text, factor = _random_factor(rng, depth)
+        text.append(factor_text)
+        oracle = oracle * factor
+    return " ".join(text), oracle
+
+
+class TestLetterPowers:
+    def test_against_written_out_letters(self):
+        rng = random.Random(28)
+        for _ in range(800):
+            text, oracle = _random_word(rng, 3)
+            assert parse_word(text).syllables == oracle.syllables, text
+
+    def test_a_letter_power_is_one_syllable(self, monkeypatch):
+        calls = []
+        pow_ = FreeWord.__pow__
+
+        def counted(self, exponent):
+            calls.append(exponent)
+            return pow_(self, exponent)
+
+        monkeypatch.setattr(FreeWord, "__pow__", counted)
+        w = parse_word("x^-3 y^1000000000000 x^0")
+        assert w.syllables == (("x", -3), ("y", 10**12)) and calls == []
+        assert parse_word("(x y)^2") == parse_word("x y x y") and calls == [2]
+
+
 class TestCommutator:
     def test_self_commutator(self):
         x = parse_word("x")
