@@ -11,6 +11,7 @@ from .errors import (
     DegenerateTriple,
     DegreeMismatch,
     DessinkitError,
+    DivisionByZero,
     FieldMismatch,
     HypothesisFailed,
     IrrationalCriticalPoints,

@@ -36,6 +36,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 from ._exact import (MESSAGE_BITS, PRINT_BITS, Scanner, brief, int_poly_mul, is_prime,
                      lowest, power, signed_sum, vector_sum)
 from .errors import (
+    DivisionByZero,
     IrrationalCriticalPoints,
     NotCoprime,
     OutOfRange,
@@ -215,7 +216,7 @@ class RatMap:
 
     def __init__(self, numerator: RatPoly, denominator: RatPoly = ONE_POLY):
         if denominator.is_zero:
-            raise ZeroDivisionError("zero denominator")
+            raise DivisionByZero("zero denominator")
         if numerator.is_zero:
             self._num, self._den = RatPoly(), ONE_POLY
             return
@@ -229,7 +230,7 @@ class RatMap:
 
     @classmethod
     def _coprime(cls, numerator: RatPoly, monic: RatPoly) -> "RatMap":
-        """numerator / monic, known coprime, as a map's negation and powers are."""
+        """numerator / monic, known coprime: a negation, power or reciprocal."""
         f = object.__new__(cls)
         f._num, f._den = numerator, monic
         return f
@@ -277,14 +278,16 @@ class RatMap:
         return RatMap(self._num * other._num, self._den * other._den)
 
     def __truediv__(self, other: "RatMap") -> "RatMap":
-        if other._num.is_zero:
-            raise ZeroDivisionError("division by the zero map")
-        return RatMap(self._num * other._den, self._den * other._num)
+        return self * other ** -1
 
     def __pow__(self, exponent: int) -> "RatMap":
+        num, den = self._num, self._den
         if exponent < 0:
-            return (RatMap(ONE_POLY) / self) ** (-exponent)
-        return RatMap._coprime(self._num ** exponent, self._den ** exponent)
+            # a reduced map's reciprocal is reduced: swap the sides, monic below
+            if num.is_zero:
+                raise DivisionByZero("division by the zero map")
+            num, den, exponent = den * (1 / num.leading), _monic(num._ints), -exponent
+        return RatMap._coprime(num ** exponent, den ** exponent)
 
     def eval_extended(self, v: ExtendedRational) -> ExtendedRational:
         """Value on the projective line; poles map to infinity."""
@@ -383,32 +386,25 @@ class CritProfile:
 def finite_critical_values(f: RatMap) -> CritProfile:
     """Critical-value profile of a rational map.
 
-    Finite critical points are the roots of the Wronskian (poles of order
-    >= 2 are among them and contribute infinity); infinity itself is a
-    critical point when the map ramifies there.  Requires every critical
-    point to be rational: a Wronskian factor without rational roots raises
-    :class:`IrrationalCriticalPoints` carrying the offending cofactor.
+    Finite critical points are the roots of the Wronskian W = a'b - ab' (poles
+    of order >= 2 among them, with value infinity).  For f = a/b of degree
+    d >= 1, d W is the Jacobian of a, b made homogeneous of degree d, at y = 1:
+    a form of degree 2d - 2 vanishing to order e - 1 at each point of
+    ramification index e, so infinity is critical iff deg W < 2d - 2.
+    Requires every critical point to be rational: a Wronskian factor without
+    rational roots raises :class:`IrrationalCriticalPoints` with the cofactor.
     """
     if f.mapping_degree <= 0:
         return CritProfile.empty()
-    values = set()
     w = f.wronskian()
-    if not w.is_zero and w.degree >= 1:
-        roots, cofactor = rational_roots(w)
-        if cofactor.degree >= 1:
-            raise IrrationalCriticalPoints(
-                f"critical points are not all rational; cofactor {cofactor}",
-                cofactor=cofactor,
-            )
-        values.update(f.eval_extended(r) for r in roots)
-    dn, dd = f.numerator.degree, f.denominator.degree
-    if dn != dd:
-        ram_inf = abs(dn - dd)
-    else:
-        c = f.numerator.leading / f.denominator.leading
-        # num - c den is nonzero for a nonconstant map
-        ram_inf = dn - (f.numerator - f.denominator * c).degree
-    if ram_inf >= 2:
+    roots, cofactor = rational_roots(w)
+    if cofactor.degree >= 1:
+        raise IrrationalCriticalPoints(
+            f"critical points are not all rational; cofactor {cofactor}",
+            cofactor=cofactor,
+        )
+    values = {f.eval_extended(r) for r in roots}
+    if w.degree < 2 * f.mapping_degree - 2:
         values.add(f.eval_extended(INFINITY))
     return CritProfile(frozenset(values))
 

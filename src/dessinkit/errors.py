@@ -35,6 +35,11 @@ class ResourceLimit(DessinkitError, RuntimeError):
     """A configured cap (degree, memory, order) or a proven range was exceeded."""
 
 
+class DivisionByZero(DessinkitError, ZeroDivisionError):
+    """A zero denominator, or the inverse of the zero map or of zero in a
+    tower field."""
+
+
 class NotCoprime(DessinkitError, ValueError):
     """Parameters that must be coprime are not."""
 

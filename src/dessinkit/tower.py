@@ -55,6 +55,7 @@ from ._exact import (
 from .errors import (
     DegenerateTriple,
     DessinkitError,
+    DivisionByZero,
     FieldMismatch,
     NotAUnit,
     OutOfRange,
@@ -285,7 +286,7 @@ class TowerElement:
         x^-1 = c1 c2 / N.
         """
         if self.is_zero:
-            raise ZeroDivisionError("inverse of zero in the tower field")
+            raise DivisionByZero("inverse of zero in the tower field")
         field = self.field
         p = field.p
         c1 = math.prod(galois_apply(field, i, 1, self) for i in range(1, p))

@@ -1,6 +1,7 @@
 """Exact polynomial calculus tests: the Belyi family, critical profiles,
 Sturm counting against a Descartes-bisection oracle, and the reduction chain."""
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -53,6 +54,7 @@ from dessinkit.belyi import (
 )
 from dessinkit.cli import run_cli
 from dessinkit.errors import (
+    DivisionByZero,
     IrrationalCriticalPoints,
     NotCoprime,
     OutOfRange,
@@ -420,6 +422,132 @@ class TestCriticalValues:
                                  text=True, env=env, check=True, timeout=60).stdout
                   for _ in range(2)}
         assert len(hashes) == 1, hashes
+
+
+def _moebius(m, v):
+    """(a v + b) / (c v + d) on the projective line, for m = (a, b, c, d)."""
+    a, b, c, d = m
+    if v is INFINITY:
+        return a / c if c else INFINITY
+    den = c * v + d
+    return (a * v + b) / den if den else INFINITY
+
+
+def _moebius_text(m, inner):
+    a, b, c, d = m
+    return f"(({a})*({inner}) + ({b})) / (({c})*({inner}) + ({d}))"
+
+
+def _random_moebius(rng, at_infinity=None):
+    """A seeded rational Moebius map (a, b, c, d), ad - bc != 0, sending
+    infinity to ``at_infinity`` when that is given."""
+    def r():
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+    while True:
+        if at_infinity is INFINITY:
+            m = (r(), r(), F(0), F(1))
+        elif at_infinity is not None:
+            c = r()
+            m = (at_infinity * c, r(), c, r())
+        else:
+            m = (r(), r(), rng.choice((F(0), r())), r())
+        if m[0] * m[3] != m[1] * m[2]:
+            return m
+
+
+def _bicritical(a, b, quotient):
+    """{critical point: value} of X^a (X-1)^b, or of X^a / (X-1)^b when
+    ``quotient``, written out: g' is X^(a-1) (X-1)^(b-1) ((a+b) X - a), or
+    X^(a-1) (X-1)^(-b-1) ((a-b) X - a), and g ramifies at infinity with
+    index a + b, or |a - b|."""
+    crit = {}
+    if a >= 2:
+        crit[F(0)] = F(0)
+    if b >= 2:
+        crit[F(1)] = INFINITY if quotient else F(0)
+    if not quotient:
+        x = F(a, a + b)
+        crit[x] = x ** a * (x - 1) ** b
+        crit[INFINITY] = INFINITY
+    elif a != b:
+        x = F(a, a - b)
+        crit[x] = x ** a / (x - 1) ** b
+        if abs(a - b) >= 2:
+            crit[INFINITY] = INFINITY if a > b else F(0)
+    return crit
+
+
+def _leading_coefficient_rule(f):
+    """Whether f ramifies at infinity, by the rule finite_critical_values used
+    before the Wronskian's degree decided it: |deg a - deg b| when the
+    degrees differ, else deg a - deg(a - c b) with c the leading ratio."""
+    dn, dd = f.numerator.degree, f.denominator.degree
+    if dn != dd:
+        return abs(dn - dd) >= 2
+    c = f.numerator.leading / f.denominator.leading
+    return dn - (f.numerator - f.denominator * c).degree >= 2
+
+
+class TestInfinityByTheWronskian:
+    def test_against_written_out_profiles(self):
+        # f = nu . g . mu by parsed text, g = X^a (X-1)^b or X^a / (X-1)^b
+        # with rational critical points, mu and nu seeded Moebius maps, mu
+        # sending infinity to a critical point of g about half the time; the
+        # profile is nu of g's critical values, and f ramifies at infinity
+        # iff g ramifies at mu(infinity)
+        rng = random.Random(2901)
+        seen = collections.Counter()
+        for _ in range(300):
+            a, b, quotient = rng.randint(1, 5), rng.randint(1, 5), rng.random() < 0.5
+            crit = _bicritical(a, b, quotient)
+            if not crit:  # X / (X - 1) is a Moebius map
+                continue
+            if rng.random() < 0.5:
+                target = rng.choice(sorted(crit, key=str))
+            else:
+                target = F(rng.randint(-9, 9), rng.randint(1, 5))
+                while target in crit:
+                    target += 1
+            mu, nu = _random_moebius(rng, target), _random_moebius(rng)
+            inner = _moebius_text(mu, "X")
+            g = (f"({inner})^{a}/(({inner}) - 1)^{b}" if quotient
+                 else f"({inner})^{a}*(({inner}) - 1)^{b}")
+            f = parse_map(_moebius_text(nu, g))
+            profile = finite_critical_values(f)
+            assert profile == CritProfile(frozenset(_moebius(nu, v) for v in crit.values())), f
+            ramified = target in crit
+            assert _leading_coefficient_rule(f) == ramified, f
+            assert (f.wronskian().degree < 2 * f.mapping_degree - 2) == ramified, f
+            seen[ramified, INFINITY in profile.values] += 1
+        assert min(seen.values()) >= 30, seen
+        assert len(seen) == 4, seen
+
+
+class TestReciprocal:
+    def test_negative_powers_against_the_general_constructor(self, monkeypatch):
+        # f^-k of seeded constants, polynomials and maps equals the general
+        # constructor's map with the sides swapped, to the k, and runs no gcd
+        calls = []
+        gcd = belyi._poly_gcd
+        monkeypatch.setattr(belyi, "_poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+        rng = random.Random(2902)
+
+        def poly(degree):
+            while True:
+                p = RatPoly([F(rng.randint(-9, 9), rng.randint(1, 6))
+                             for _ in range(degree + 1)])
+                if not p.is_zero:
+                    return p
+
+        for i in range(300):
+            kind = i % 3
+            num = poly(0 if kind == 0 else rng.randint(0, 5))
+            f = RatMap(num, ONE_POLY if kind < 2 else poly(rng.randint(0, 5)))
+            k = rng.randint(1, 4)
+            calls.clear()
+            got = f ** -k
+            assert not calls, f
+            assert got == RatMap(f.denominator, f.numerator) ** k, (f, k)
 
 
 class TestPropagation:
@@ -1546,9 +1674,9 @@ class TestErrorMessages:
          ["belyi", "sturm", "--poly", "X", "--lo", "1", "--hi", "1"]),
         (lambda: certify_increasing(X, F(1), F(0)), OutOfRange, "empty interval [1, 0]",
          ["belyi", "increasing", "--poly", "X", "--lo", "1", "--hi", "0"]),
-        (lambda: parse_map("0^-1"), ZeroDivisionError, "division by the zero map",
+        (lambda: parse_map("0^-1"), DivisionByZero, "division by the zero map",
          ["belyi", "crit", "--map", "0^-1"]),
-        (lambda: parse_map("1/0"), ZeroDivisionError, "division by the zero map",
+        (lambda: parse_map("1/0"), DivisionByZero, "division by the zero map",
          ["belyi", "crit", "--map", "1/0"]),
         (lambda: RatPoly().leading, OutOfRange,
          "zero polynomial has no leading coefficient", None),

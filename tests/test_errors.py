@@ -4,8 +4,12 @@ import ast
 import builtins
 from pathlib import Path
 
+import pytest
+
 import dessinkit
-from dessinkit.errors import DessinkitError, ResourceLimit, SizeGuard
+from dessinkit.belyi import RatMap, RatPoly, X
+from dessinkit.errors import DessinkitError, DivisionByZero, ResourceLimit, SizeGuard
+from dessinkit.tower import TowerField
 
 # The raise sites that still raise a built-in exception class, as
 # (module, enclosing function).  Every other error raised on purpose derives
@@ -13,9 +17,6 @@ from dessinkit.errors import DessinkitError, ResourceLimit, SizeGuard
 BUILTIN_RAISES = {
     ("_exact", "v2"),
     ("_exact", "integer_root"),
-    ("belyi", "RatMap.__init__"),
-    ("belyi", "RatMap.__truediv__"),
-    ("tower", "TowerElement.inverse"),
 }
 
 
@@ -47,3 +48,21 @@ def test_builtin_raises_are_the_known_five():
 def test_size_guard_is_a_resource_limit():
     assert issubclass(SizeGuard, ResourceLimit)
     assert DessinkitError in SizeGuard.__mro__ and RuntimeError in SizeGuard.__mro__
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RatMap(X, RatPoly()), "zero denominator"),
+    (lambda: RatMap(RatPoly()) ** -1, "division by the zero map"),
+    (lambda: RatMap(X) / RatMap(RatPoly()), "division by the zero map"),
+    (lambda: TowerField(3, 2).zero().inverse(), "inverse of zero in the tower field"),
+], ids=["zero denominator", "zero map to a negative power", "quotient by the zero map",
+        "tower inverse of zero"])
+def test_division_by_zero_is_a_dessinkit_error(call, message):
+    # each site raises the one class, which both except clauses catch
+    for caught in (DessinkitError, ZeroDivisionError):
+        try:
+            call()
+        except caught as exc:
+            assert type(exc) is DivisionByZero and str(exc) == message
+        else:
+            pytest.fail(f"{message}: nothing raised")
