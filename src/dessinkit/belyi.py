@@ -55,12 +55,6 @@ DEFAULT_STAGE_CAP = 10**6
 #: fails loudly instead of stalling on multi-megabyte integers.
 DEFAULT_EVAL_WORK_BITS = 2_000_000
 
-#: Width, in bits, of the mantissas on which :func:`_product_bits` bounds a
-#: product of powers from both sides.  At 128 bits an exponent of 2^24 still
-#: leaves the bounds about 2^-100 apart, relatively, so they straddle a power
-#: of two only for values next to one, such as (2^k - 1)^e.
-_CERT_BITS = 128
-
 #: Cap on m+n for explicit expansion into coefficients (expansion
 #: needs ~(m+n)^2 log(m+n) bits in total, far more than evaluation), and the
 #: cap on the degree of a parsed map.
@@ -822,61 +816,19 @@ def _stage_pair(m: int, n: int, p: int, q: int,
     with a ``modulus``, the pair reduced modulo it.
 
     This is :func:`_vector_pair` of :func:`_stage_vector`.
-    :func:`belyi_reduce` checks the work caps first, then the stage cap on
-    the value that keys its next stage, from the bit lengths
-    :func:`_vector_bits` reads off its vector, and multiplies out last; it
-    falls back to this product for that value when the bit lengths are not
-    settled or the ratio prints in full.
+    :func:`belyi_reduce` refuses the value that keys its next stage from the
+    bound :func:`_denominator_bound` reads off its vector when the bound is
+    at least the cap's bit length and ``MESSAGE_BITS``; otherwise it
+    multiplies the value out with this product and compares it exactly.
     """
     return _vector_pair(*_stage_vector(m, n, p, q), modulus)
 
 
-def _product_bits(powers: Sequence[Tuple[int, int]]) -> Optional[int]:
-    """The bit length of the product of b**e over the (b, e) pairs (b, e > 0),
-    or None when it is not settled.
-
-    The product is taken twice by :func:`_exact.power` on (mantissa, shift)
-    pairs, x * 2**shift, every step cut to the top ``_CERT_BITS`` mantissa
-    bits (one more when rounding up carries), rounded down for a floor bound
-    and up for a ceiling bound.  The product lies between them, so when their
-    bit lengths agree, that is its bit length; when they straddle a power of
-    two, None.
-    """
-    lengths = []
-    for up in (False, True):
-        def mul(a, b, up=up):
-            (x, s), (y, t) = a, b
-            z = x * y
-            extra = z.bit_length() - _CERT_BITS
-            if extra <= 0:
-                return z, s + t
-            return (-(-z >> extra) if up else z >> extra), s + t + extra
-
-        acc = one = (1, 0)
-        for b, e in powers:
-            acc = mul(acc, power(mul(one, (b, 0)), e, one, mul))
-        lengths.append(acc[0].bit_length() + acc[1])
-    return lengths[0] if lengths[0] == lengths[1] else None
-
-
-def _vector_bits(base: dict, over: int = 0) -> Optional[Tuple[int, int]]:
-    """The exact bit lengths of the numerator and denominator of a
-    :func:`_stage_vector`'s pair, read off without multiplying it out, when
-    the denominator's is settled over ``over``; None otherwise, and when the
-    numerator's is not settled (:func:`_product_bits`).
-
-    When the sum of e times the bit length of b over the denominator's
-    powers, an upper bound on its bit length, is at most ``over``, that sum
-    is all it costs.
-    """
-    den_powers = [(b, -e) for b, e in base.items() if e < 0]
-    if sum(e * b.bit_length() for b, e in den_powers) <= over:
-        return None
-    den = _product_bits(den_powers)
-    if den is None or den <= over:
-        return None
-    num = _product_bits([(b, e) for b, e in base.items() if e > 0])
-    return None if num is None else (num, den)
+def _denominator_bound(base: dict) -> int:
+    """The sum N of (-e) * (bits(b) - 1) over the negative exponents e of a
+    :func:`_stage_vector`: each b is at least 2**(bits(b) - 1), so the
+    denominator is at least 2**N and has more than N bits."""
+    return sum(-e * (b.bit_length() - 1) for b, e in base.items() if e < 0)
 
 
 class BmnStage(BmnParams):
@@ -1019,13 +971,14 @@ def belyi_reduce(
     exceed ``DEFAULT_EVAL_WORK_BITS``.  After each stage is made the checks
     run in this order, before anything is multiplied out: the work cap for
     each remaining tracked value, in order, then the stage cap for the value
-    that keys the next stage.  That value is refused from its bit lengths,
-    read off its exponent vector (:func:`_vector_bits`), when they settle
-    its denominator over the cap and exceed the ``MESSAGE_BITS`` the message
-    prints in full; otherwise (the bounds straddle a power of two, or the
-    ratio is short) it is multiplied out and compared exactly.  The other
-    values are multiplied out last.  So the first :class:`SizeGuard` and its
-    message are those of evaluating every value first.
+    that keys the next stage.  Its denominator has more than N bits, N the
+    bound :func:`_denominator_bound` reads off its exponent vector.  When N
+    is at least the cap's bit length and ``MESSAGE_BITS``, the denominator is
+    over the cap and too long to print, so the value is refused with N and
+    nothing is multiplied out; otherwise it is multiplied out and compared
+    exactly.  The other values are multiplied out last.  So the first
+    :class:`SizeGuard` is that of evaluating every value first, and so is its
+    message, except that a denominator refused from its bound is named by N.
     """
     raw = list(points)
     pts = sorted({Fraction(p) for p in raw})
@@ -1072,14 +1025,12 @@ def belyi_reduce(
             stage._check_work(t)
         if rest:
             sign, base = _stage_vector(stage.m, stage.n, *rest[-1])
-            bits = stage_cap is not None and _vector_bits(
-                base, max(MESSAGE_BITS, stage_cap.bit_length()))
-            if bits:
-                # the denominator is over the cap and prints as its bit length,
-                # so powers of two of the same bit lengths print the same
-                keyed = (1 << bits[0] - 1, 1 << bits[1] - 1)
-            else:
-                keyed = _vector_pair(sign, base)
+            bound = _denominator_bound(base)
+            if stage_cap is not None and bound >= max(MESSAGE_BITS,
+                                                      stage_cap.bit_length()):
+                raise SizeGuard(f"next stage ratio needs m+n = <integer of more "
+                                f"than {bound} bits>, over the cap {stage_cap}")
+            keyed = _vector_pair(sign, base)
             _refuse_ratio(keyed, stage_cap)
             rest = [_stage_pair(stage.m, stage.n, *t) for t in rest[:-1]] + [keyed]
         tracked = rest + [(1, 1)]

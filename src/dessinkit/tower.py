@@ -303,6 +303,8 @@ class TowerElement:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
+            if not other:
+                raise DivisionByZero("division by zero in the tower field")
             return self * (1 / Fraction(other))
         return self * other.inverse()
 

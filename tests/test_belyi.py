@@ -10,6 +10,7 @@ import logging
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -1302,13 +1303,12 @@ class TestStagePair:
         assert math.prod(F(v) ** e for v, e in factors) == math.prod(
             F(b) ** e for b, e in base.items())
 
-    def test_bit_lengths_without_the_product(self):
+    def test_denominator_bound(self):
         rng = random.Random(2610)
         vectors = [_stage_vector(*case)[1] for case in itertools.islice(_stage_cases(), 60)]
         # stages as the reduction meets them: m, n drawn up to 10^6, and p, q
         # sharing primes with m, n and m+n; only those whose product has at
-        # most about 600 kbit are kept, for the oracle's sake (the pool
-        # oracle below meets larger ones)
+        # most about 600 kbit are kept, for the oracle's sake
         while len(vectors) < 100:
             m, n = (int(10 ** rng.uniform(0, 6)) for _ in range(2))
             shared = rng.choice((1, 2, 6, m, n, m + n))
@@ -1316,26 +1316,22 @@ class TestStagePair:
             p = rng.choice((1, -1)) * shared ** rng.randint(0, 2) * rng.randint(1, 2 * q)
             if math.gcd(m, n) == 1 and p != q and belyi._stage_bits(m, n, p, q) <= 600_000:
                 vectors.append(_stage_vector(m, n, p, q)[1])
-        # powers of two stay exact; (2^k - 1)^e straddles a power of two once
-        # 2^k - 1 has more bits than the mantissas
+        # bases next to a power of two, (2^k - 1)^e and (2^k + 1)^e, and powers
+        # of two themselves
         for k in (1, 2, 64, 127, 128, 129, 200, 1000):
             for e in (1, 2, 3, 1000, 12345):
                 if k * e <= 600_000:
                     vectors += [{2**k: e, 3: -e}, {2**k + 1: -e, 2**k: e},
                                 {2**k - 1: e, 2**k: -e}, {7: 1, 2**k - 1: -e}]
-        settled = unsettled = 0
+        powers_of_two = 0
         for base in vectors:
-            num = math.prod(b**e for b, e in base.items() if e > 0).bit_length()
-            den = math.prod(b ** -e for b, e in base.items() if e < 0).bit_length()
-            bits = belyi._vector_bits(base)
-            if bits is None:
-                unsettled += 1
-            else:
-                assert bits == (num, den), base
-                settled += 1
-                assert belyi._vector_bits(base, den - 1) == bits
-            assert belyi._vector_bits(base, den) is None
-        assert settled > 100 and unsettled > 0, (settled, unsettled)
+            den = math.prod(b ** -e for b, e in base.items() if e < 0)
+            bound = belyi._denominator_bound(base)
+            assert bound < den.bit_length(), base
+            if den & (den - 1) == 0:
+                assert bound == den.bit_length() - 1, base
+                powers_of_two += 1
+        assert powers_of_two > 10, powers_of_two
 
     def test_work_cap_message_reads_the_point_briefly(self, monkeypatch):
         monkeypatch.setattr(belyi, "DEFAULT_EVAL_WORK_BITS", 20)
@@ -1356,7 +1352,9 @@ class TestStagePair:
 # inputs of the reduce workload's catalogue (perfbench/reduce_pool.json):
 # (points, chain, value at 0) for a verified reduction, where a value with
 # more than 256 bits is (numerator bits, denominator bits, sha256 of
-# "num/den" in hex), and (points, None, exact message) for a SizeGuard.
+# "num/den" in hex), and (points, None, exact message) for a SizeGuard; a
+# stage-cap refusal whose denominator is proven to have more than 256 bits
+# names that bound.
 PINNED_REDUCTIONS = [
     (["-13/11"], "B[5,4] . 1936/1521*X^2 + 88/117*X + 1/9", "16/3125"),
     (["19/20"], "B[1921,1121] . 400/1521*X^2 + 800/1521*X + 400/1521",
@@ -1376,11 +1374,11 @@ PINNED_REDUCTIONS = [
      "357334617794433607688082344039363064508867208544256 needs m+n = "
      "357334617794433607688082344039363064508867208544256, over the cap 1000000"),
     (["-5/9", "-3/10", "-1/10"], None,
-     "next stage ratio <rational with 354584-bit numerator and 380061-bit "
-     "denominator> needs m+n = <380061-bit integer>, over the cap 1000000"),
+     "next stage ratio needs m+n = <integer of more than 352286 bits>, over the "
+     "cap 1000000"),
     (["-20/13", "13/8"], None,
-     "next stage ratio <rational with 476249-bit numerator and 480109-bit "
-     "denominator> needs m+n = <480109-bit integer>, over the cap 1000000"),
+     "next stage ratio needs m+n = <integer of more than 453134 bits>, over the "
+     "cap 1000000"),
 ]
 
 
@@ -1476,18 +1474,30 @@ class TestStageCapOrder:
         sample = {name: rng.sample(entries, k) for (name, entries), k in
                   zip(strata.items(), (30, 10, 6, 4))}
         caps = (belyi.DEFAULT_STAGE_CAP, 0, 1000, 2**300, None)
-        refusals = set()
+        refusals, bounded = set(), 0
         for name, entries in sample.items():
             for points in entries:
                 # the other caps on the cheap strata: None runs to the work cap
                 for cap in caps if name in ("light", "medium") else caps[:1]:
                     pts = [F(p) for p in points]
                     expected = _outcome(_multiplied_out_reduce, pts, cap)
-                    assert _outcome(belyi_reduce, pts, cap) == expected, (points, cap)
+                    got = _outcome(belyi_reduce, pts, cap)
+                    bound = re.search(r"<integer of more than (\d+) bits>", got)
+                    if bound:
+                        # refused from the bound: the oracle's stage-cap refusal,
+                        # of a denominator with more bits than the bound
+                        den = re.search(r"needs m\+n = <(\d+)-bit integer>", expected)
+                        assert expected.startswith("SizeGuard: next stage ratio ") and den
+                        assert (max(256, (cap or 0).bit_length()) <= int(bound[1])
+                                < int(den[1])), (points, cap)
+                        bounded += 1
+                    else:
+                        assert got == expected, (points, cap)
                     refusals.add((name, expected.split(" ", 2)[1]))
         # stage-cap and work-cap refusals in the strata that have them
         assert {("above", "next"), ("heavy", "next"), ("medium", "next"),
                 ("light", "next"), ("light", "exact")} <= refusals, refusals
+        assert bounded > 0
 
     def test_refused_value_is_not_multiplied_out(self, monkeypatch):
         products = []
@@ -1503,8 +1513,8 @@ class TestStageCapOrder:
         with pytest.raises(SizeGuard) as exc:
             belyi_reduce(points)
         assert str(exc.value) == (
-            "next stage ratio <rational with 553511-bit numerator and 610152-bit "
-            "denominator> needs m+n = <610152-bit integer>, over the cap 1000000")
+            "next stage ratio needs m+n = <integer of more than 598815 bits>, over "
+            "the cap 1000000")
         assert products == []
         with pytest.raises(SizeGuard, match="over the work cap"):
             belyi_reduce(points, stage_cap=None)

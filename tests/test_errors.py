@@ -55,8 +55,9 @@ def test_size_guard_is_a_resource_limit():
     (lambda: RatMap(RatPoly()) ** -1, "division by the zero map"),
     (lambda: RatMap(X) / RatMap(RatPoly()), "division by the zero map"),
     (lambda: TowerField(3, 2).zero().inverse(), "inverse of zero in the tower field"),
+    (lambda: TowerField(3, 2).one() / 0, "division by zero in the tower field"),
 ], ids=["zero denominator", "zero map to a negative power", "quotient by the zero map",
-        "tower inverse of zero"])
+        "tower inverse of zero", "tower element over a rational zero"])
 def test_division_by_zero_is_a_dessinkit_error(call, message):
     # each site raises the one class, which both except clauses catch
     for caught in (DessinkitError, ZeroDivisionError):
