@@ -3,11 +3,12 @@
 Primality, exact roots and 2-adic valuations of integers, binary powering in
 any associative product, the one product of integer polynomials (Kronecker
 substitution, unless the operand sizes show few terms or one wide
-coefficient), the normal form, sum and printing of rational vectors held as
-integers over one denominator (``RatPoly``, ``TowerElement``), the compact
-form of very large values in messages and reports, the one reading of decimal
-integers from outside input, and the character scanner behind the word and
-map grammars, with their bracket nesting bounded.
+coefficient), the normal form, operators and printing of rational vectors
+held as integers over one denominator (``Vector``, the base of ``RatPoly``
+and ``TowerElement``), the compact form of very large values in messages and
+reports, the one reading of decimal integers from outside input, and the
+character scanner behind the word and map grammars, with their bracket
+nesting bounded.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Optional, Sequence
 
-from .errors import OutOfRange, ParseError, ResourceLimit
+from .errors import FieldMismatch, OutOfRange, ParseError, ResourceLimit
 
 #: The first 13 primes, used as Miller-Rabin bases.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -218,12 +219,80 @@ def lowest(ints: list, den: int) -> tuple:
     return (tuple(ints) if g == 1 else tuple(v // g for v in ints)), den // g
 
 
-def vector_sum(a: Sequence[int], a_den: int, b: Sequence[int], b_den: int) -> tuple:
-    """a / a_den + b / b_den as (numerators, denominator) over the least
-    common denominator, not yet in lowest terms."""
-    g = math.gcd(a_den, b_den)
-    sa, sb = b_den // g, a_den // g
-    return [x * sa + y * sb for x, y in zip_longest(a, b, fillvalue=0)], a_den * sa
+class Vector:
+    """A rational vector in ``lowest``'s normal form, ``_num`` over ``_den``,
+    with the operators ``RatPoly`` and ``TowerElement`` share.
+
+    One operand rule holds for each of them: an int or a Fraction on either
+    side is the constant vector, so a constant equals and hashes as its
+    Fraction; a vector of the same class is combined only in the same
+    ``_space`` (a tower element's field), or the operator raises
+    FieldMismatch and ``==`` is False; any other type gives NotImplemented,
+    so the operator raises TypeError and ``==`` is False.  A subclass
+    supplies ``_like(nums, den)``, the vector nums / den of its class and
+    space (popping nums' trailing zeros), and its own vector product, which
+    calls ``_scale`` for any other operand.
+    """
+
+    __slots__ = ("_num", "_den")
+    _space = None
+
+    def _operand(self, other):
+        """other's (numerators, denominator), or None for a foreign type."""
+        if type(other) is type(self):
+            if other._space != self._space:
+                raise FieldMismatch(f"{self._space} vs {other._space}")
+            return other._num, other._den
+        if isinstance(other, (int, Fraction)):
+            return ((other.numerator,) if other else ()), other.denominator
+        return None
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def __eq__(self, other):
+        if type(other) is type(self) and other._space != self._space:
+            return False
+        pair = self._operand(other)
+        return NotImplemented if pair is None else pair == (self._num, self._den)
+
+    def __hash__(self) -> int:
+        if len(self._num) > 1:
+            return hash((self._num, self._den))
+        return hash(Fraction(self._num[0], self._den) if self._num else 0)
+
+    def _sum(self, other, sign: int):
+        """self + sign * other over the least common denominator."""
+        pair = self._operand(other)
+        if pair is None:
+            return NotImplemented
+        (b, b_den), a, a_den = pair, self._num, self._den
+        g = math.gcd(a_den, b_den)
+        sa, sb = b_den // g, sign * (a_den // g)
+        nums = [x * sa + y * sb for x, y in zip_longest(a, b, fillvalue=0)]
+        return self._like(nums, a_den * sa)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __rsub__(self, other):
+        return (-self)._sum(other, 1)
+
+    def __neg__(self):
+        return self._like([-v for v in self._num], self._den)
+
+    def _scale(self, c):
+        """self times c, an int or a Fraction; NotImplemented otherwise."""
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        n, d = c.numerator, c.denominator
+        return self._like([v * n for v in self._num], self._den * d)
 
 
 def signed_sum(terms) -> str:

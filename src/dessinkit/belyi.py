@@ -33,8 +33,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from ._exact import (MESSAGE_BITS, PRINT_BITS, Scanner, brief, int_poly_mul, is_prime,
-                     lowest, power, signed_sum, vector_sum)
+from ._exact import (MESSAGE_BITS, PRINT_BITS, Scanner, Vector, brief, int_poly_mul,
+                     is_prime, lowest, power, signed_sum)
 from .errors import (
     DivisionByZero,
     IrrationalCriticalPoints,
@@ -98,78 +98,59 @@ ExtendedRational = Union[Fraction, _Infinity]
 # ---------------------------------------------------------------------------
 
 
-class RatPoly:
+class RatPoly(Vector):
     """Polynomial with exact rational coefficients, low degree first.
 
-    Held in the normal form ``TowerElement`` shares (``_exact.lowest``):
-    integers over one positive denominator in lowest terms, with no trailing
-    zero integer, so equal polynomials have equal fields.
+    An ``_exact.Vector``: integers over one positive denominator in lowest
+    terms, with no trailing zero integer, so equal polynomials have equal
+    fields; an int or a Fraction operand is the constant polynomial.
     """
 
-    __slots__ = ("_ints", "_den")
+    __slots__ = ()
 
     def __init__(self, coefficients: Iterable = ()):
         coeffs = [Fraction(c) for c in coefficients]
         den = math.lcm(*(c.denominator for c in coeffs))
-        self._ints, self._den = lowest([c.numerator * (den // c.denominator)
-                                        for c in coeffs], den)
+        self._num, self._den = lowest([c.numerator * (den // c.denominator)
+                                       for c in coeffs], den)
 
     @classmethod
     def _lowest(cls, ints: list, den: int = 1) -> "RatPoly":
         """The polynomial with coefficients ints[i] / den (den nonzero); pops
         ints' trailing zeros."""
         poly = object.__new__(cls)
-        poly._ints, poly._den = lowest(ints, den)
+        poly._num, poly._den = lowest(ints, den)
         return poly
+
+    _like = _lowest
 
     @property
     def coefficients(self) -> tuple:
-        return tuple(Fraction(v, self._den) for v in self._ints)
+        return tuple(Fraction(v, self._den) for v in self._num)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self._ints) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._ints
+        return len(self._num) - 1
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise OutOfRange("zero polynomial has no leading coefficient")
-        return Fraction(self._ints[-1], self._den)
+        return Fraction(self._num[-1], self._den)
 
     def __call__(self, v: Fraction) -> Fraction:
         acc = Fraction(0)
-        for c in reversed(self._ints):
+        for c in reversed(self._num):
             acc = acc * v + c
         return acc / self._den
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RatPoly) and self._den == other._den
-                and self._ints == other._ints)
-
-    def __hash__(self) -> int:
-        return hash((self._ints, self._den))
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        return RatPoly._lowest(*vector_sum(self._ints, self._den, other._ints, other._den))
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly._lowest([-v for v in self._ints], self._den)
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
     def __mul__(self, other) -> "RatPoly":
-        if isinstance(other, (int, Fraction)):
-            return RatPoly._lowest([v * other.numerator for v in self._ints],
-                                   self._den * other.denominator)
-        if not self._ints or not other._ints:
+        if type(other) is not RatPoly:
+            return self._scale(other)
+        if not self._num or not other._num:
             return RatPoly()
-        return RatPoly._lowest(int_poly_mul(self._ints, other._ints),
+        return RatPoly._lowest(int_poly_mul(self._num, other._num),
                                self._den * other._den)
 
     __rmul__ = __mul__
@@ -180,15 +161,15 @@ class RatPoly:
         return power(self, exponent, ONE_POLY, operator.mul)
 
     def derivative(self) -> "RatPoly":
-        return RatPoly._lowest(_derivative(self._ints), self._den)
+        return RatPoly._lowest(_derivative(self._num), self._den)
 
     def primitive_integer_coeffs(self) -> tuple:
         """Integer coefficients after clearing denominators and content."""
-        return tuple(_primitive(self._ints)) if self._ints else ()
+        return tuple(_primitive(self._num)) if self._num else ()
 
     def __str__(self) -> str:
         return signed_sum((Fraction(v, self._den), (("X", i),))
-                          for i, v in reversed(list(enumerate(self._ints))) if v)
+                          for i, v in reversed(list(enumerate(self._num))) if v)
 
     def __repr__(self) -> str:
         return f"RatPoly({self!s})"
@@ -214,7 +195,7 @@ class RatMap:
         if numerator.is_zero:
             self._num, self._den = RatPoly(), ONE_POLY
             return
-        a, b = numerator._ints, denominator._ints
+        a, b = numerator._num, denominator._num
         g = _poly_gcd(a, b)
         if len(g) > 1:
             a, b = _quotient(a, g), _quotient(b, g)
@@ -280,7 +261,7 @@ class RatMap:
             # a reduced map's reciprocal is reduced: swap the sides, monic below
             if num.is_zero:
                 raise DivisionByZero("division by the zero map")
-            num, den, exponent = den * (1 / num.leading), _monic(num._ints), -exponent
+            num, den, exponent = den * (1 / num.leading), _monic(num._num), -exponent
         return RatMap._coprime(num ** exponent, den ** exponent)
 
     def eval_extended(self, v: ExtendedRational) -> ExtendedRational:
@@ -307,7 +288,7 @@ class RatMap:
     def _wronskian(self) -> list:
         """The Wronskian times both (positive) denominators: a' b - a b' on
         the integers a of num and b of den, empty for a constant map."""
-        a, b = self._num._ints, self._den._ints
+        a, b = self._num._num, self._den._num
         left = int_poly_mul(_derivative(a), b) if len(a) > 1 else []
         right = int_poly_mul(a, _derivative(b)) if len(b) > 1 else []
         return [x - y for x, y in zip_longest(left, right, fillvalue=0)]
@@ -316,7 +297,7 @@ class RatMap:
         """Sign of the derivative at a non-pole rational point: the Wronskian's."""
         v = Fraction(v)
         u, t = v.numerator, v.denominator
-        if not _sign_at(self._den._ints, u, t):
+        if not _sign_at(self._den._num, u, t):
             raise OutOfRange(f"derivative sign requested at pole {v}")
         w = self._wronskian()
         return _sign_at(w, u, t) if w else 0
@@ -560,7 +541,7 @@ def certify_increasing(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise OutOfRange(f"empty interval [{lo}, {hi}]")
-    d = _derivative(f._ints)  # a positive multiple of f'
+    d = _derivative(f._num)  # a positive multiple of f'
     if not d:
         return False
     g = _poly_gcd(d, _derivative(d))
@@ -1110,7 +1091,7 @@ def verify_reduction(chain: BelyiChain, points: Iterable) -> ReductionReport:
 
 def _bits(f: RatMap) -> int:
     """Bits of the integers and denominators of a map's two polynomials."""
-    return sum(sum(v.bit_length() for v in p._ints) + p._den.bit_length()
+    return sum(sum(v.bit_length() for v in p._num) + p._den.bit_length()
                for p in (f.numerator, f.denominator))
 
 
@@ -1120,9 +1101,9 @@ def _power_bits(f: RatMap, e: int) -> int:
     integers of p, each integer of P^e is at most |P|_1^e."""
     total = 0
     for p in (f.numerator, f.denominator):
-        nonzero = sum(1 for v in p._ints if v)
+        nonzero = sum(1 for v in p._num if v)
         terms = e * p.degree + 1 if nonzero > 1 else nonzero
-        total += (terms * (e * (sum(map(abs, p._ints)) - 1).bit_length() + 1)
+        total += (terms * (e * (sum(map(abs, p._num)) - 1).bit_length() + 1)
                   + e * (p._den - 1).bit_length() + 1)
     return total
 

@@ -185,17 +185,12 @@ def genus_of(d: Dessin) -> int:
     """Genus of the surface carrying the dessin, via the Euler formula.
 
     genus = 1 - (B + W + F - n)/2 with B, W, F the cycle counts of sigma0,
-    sigma1 and the face permutation (fixed points count as cycles).
+    sigma1 and the face permutation (fixed points count as cycles).  The
+    characteristic B + W + F - n is even: sign sigma = (-1)^(n - cycles), and
+    sigma0 sigma1 sigma_inf = 1 gives B + W + F = 3n = n mod 2.  The genus
+    is at least 0, because a transitive pair gives a connected surface.
     """
-    chi = sum(map(len, _cycle_types(d))) - d.degree
-    if chi % 2:
-        raise NonIntegralCharacteristic(
-            f"odd Euler characteristic {chi} for a transitive pair"
-        )
-    genus = 1 - chi // 2
-    if genus < 0:
-        raise NonIntegralCharacteristic(f"negative genus {genus}")
-    return genus
+    return 1 - (sum(map(len, _cycle_types(d))) - d.degree) // 2
 
 
 def regular_descriptor(d: Dessin) -> RegularDescriptor:

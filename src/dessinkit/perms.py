@@ -251,6 +251,8 @@ class Permutation:
         return hash(self._images)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
+        if not isinstance(other, Permutation):
+            return NotImplemented
         return compose_right(self, other)
 
     def __pow__(self, exponent: int) -> "Permutation":

@@ -7,10 +7,10 @@ field is a p(p-1)-dimensional Q-algebra with basis zeta^i * t^j for
 Galois over Q with group Z/p x| (Z/p)^*: the automorphisms send
 zeta -> zeta^u and t -> zeta^i t.
 
-An element is stored in the normal form ``RatPoly`` shares: integers over one
-positive denominator, in lowest terms and with no trailing zero slot
-(``_exact.lowest``), added by ``_exact.vector_sum`` and printed by
-``_exact.signed_sum``.  Slot j*(p-1) + i holds the numerator of the
+An element is an ``_exact.Vector``, the normal form ``RatPoly`` shares:
+integers over one positive denominator, in lowest terms and with no trailing
+zero slot, added, negated and compared by the operators of that class and
+printed by ``_exact.signed_sum``.  Slot j*(p-1) + i holds the numerator of the
 coordinate of zeta^i t^j, so the slots run in t-blocks of p-1.  A product is
 one integer polynomial product (``_exact.int_poly_mul``, Kronecker
 substitution or term by term as the operand sizes choose) of the two vectors
@@ -21,9 +21,8 @@ zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).
 The Galois action does the work beyond ring arithmetic.  An inverse is the
 product of an element's other conjugates divided by its norm, taken down the
 tower: the conjugates under t -> zeta^i t multiply it into Q(zeta), and those
-under zeta -> zeta^u multiply that into Q.  A zero norm would contradict
-irreducibility of t^p - q over Q(zeta_p) and raises an internal error naming
-that assumption.
+under zeta -> zeta^u multiply that into Q.  The norm of a nonzero element
+is never zero, because t^p - q is irreducible over Q(zeta_p).
 
 The module also computes j-invariants of branch-point triples
 (a, b, c, infinity) of curves y^2 = (x-a)(x-b)(x-c), and checks that the
@@ -43,6 +42,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from ._exact import (
+    Vector,
     brief,
     check_odd_prime,
     int_poly_mul,
@@ -50,11 +50,9 @@ from ._exact import (
     lowest,
     power,
     signed_sum,
-    vector_sum,
 )
 from .errors import (
     DegenerateTriple,
-    DessinkitError,
     DivisionByZero,
     FieldMismatch,
     NotAUnit,
@@ -100,14 +98,13 @@ class TowerField:
     # -- element constructors -------------------------------------------------
 
     def zero(self) -> "TowerElement":
-        return TowerElement._of(self, [], 1)
+        return TowerElement(self, {})
 
     def one(self) -> "TowerElement":
         return self.rational(1)
 
     def rational(self, value) -> "TowerElement":
-        v = Fraction(value)
-        return TowerElement._of(self, [v.numerator], v.denominator)
+        return TowerElement(self, {(0, 0): value})
 
     def zeta(self, power: int = 1) -> "TowerElement":
         """zeta^power as an element (power taken mod p)."""
@@ -141,14 +138,16 @@ def _fold_zeta(rows, p: int) -> list:
     return out
 
 
-class TowerElement:
+class TowerElement(Vector):
     """Element with exact rational coordinates over the fixed basis.
 
     ``TowerElement(field, coords)`` takes a {(zeta_exp, t_exp): coefficient}
-    mapping, like :meth:`TowerField.element`.
+    mapping, like :meth:`TowerField.element`.  Sums, negation, equality and
+    hashing are ``_exact.Vector``'s: an int or a Fraction operand is the
+    rational element, and two elements combine only in one field.
     """
 
-    __slots__ = ("field", "_num", "_den")
+    __slots__ = ("field",)
 
     def __init__(self, field: TowerField, coords: dict):
         p = field.p
@@ -171,31 +170,22 @@ class TowerElement:
         self.field = field
         self._num, self._den = lowest(_fold_zeta(rows, p), den)
 
-    @classmethod
-    def _of(cls, field: TowerField, nums: list, den: int) -> "TowerElement":
-        """The element with integer slots ``nums`` over ``den`` > 0."""
-        self = object.__new__(cls)
-        self.field = field
-        self._num, self._den = lowest(nums, den)
-        return self
+    def _like(self, nums: list, den: int) -> "TowerElement":
+        """The element of self's field with integer slots ``nums`` over ``den``."""
+        e = object.__new__(TowerElement)
+        e.field = self.field
+        e._num, e._den = lowest(nums, den)
+        return e
+
+    @property
+    def _space(self) -> TowerField:
+        return self.field
 
     @property
     def coordinates(self) -> dict:
         """Sparse {(zeta_exp, t_exp): Fraction} view of the coordinates."""
-        m = self.field.p - 1
-        return {
-            (k % m, k // m): Fraction(c, self._den)
-            for k, c in enumerate(self._num)
-            if c
-        }
-
-    def _check(self, other: "TowerElement"):
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._num
+        m, den = self.field.p - 1, self._den
+        return {(k % m, k // m): Fraction(c, den) for k, c in enumerate(self._num) if c}
 
     def is_rational(self) -> bool:
         return len(self._num) <= 1
@@ -205,49 +195,13 @@ class TowerElement:
             raise OutOfRange(f"{self} is not rational")
         return Fraction(self._num[0], self._den) if self._num else Fraction(0)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
-        return (
-            isinstance(other, TowerElement)
-            and self.field == other.field
-            and self._num == other._num
-            and self._den == other._den
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self._num, self._den))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
-        self._check(other)
-        return TowerElement._of(
-            self.field, *vector_sum(self._num, self._den, other._num, other._den)
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TowerElement._of(self.field, [-c for c in self._num], self._den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
+        if type(other) is not TowerElement:
+            return self._scale(other)
         field = self.field
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return TowerElement._of(
-                field, [c * f.numerator for c in self._num], self._den * f.denominator
-            )
-        self._check(other)
-        a, b = self._num, other._num
+        a, (b, b_den) = self._num, self._operand(other)
         if not a or not b:
-            return field.zero()
+            return self._like([], 1)
         p = field.p
         m, s = p - 1, 2 * p - 3
         # zeta^i t^j at position j s + i: with 2p-3 positions per t-block, no
@@ -259,7 +213,7 @@ class TowerElement:
         raw += [0] * (n * s - len(raw))
         rows = [raw[j * s:(j + 1) * s] for j in range(n)]
         del raw  # the rows hold the only copy of the product
-        den = self._den * other._den
+        den = self._den * b_den
         if n > p:
             # t^(p+j) = q t^j, over the denominator times q's
             qn, qd = field.q.numerator, field.q.denominator
@@ -268,7 +222,7 @@ class TowerElement:
                 for low, high in zip(rows, rows[p:])
             ] + [[qd * x for x in low] for low in rows[n - p:p]]
             den *= qd
-        return TowerElement._of(field, _fold_zeta(rows, p), den)
+        return self._like(_fold_zeta(rows, p), den)
 
     __rmul__ = __mul__
 
@@ -283,7 +237,9 @@ class TowerElement:
         With sigma_i: t -> zeta^i t and tau_u: zeta -> zeta^u,
         c1 = prod_{0<i<p} sigma_i(x) makes n1 = x c1 the norm of x to Q(zeta),
         c2 = prod_{1<u<p} tau_u(n1) makes N = n1 c2 its norm to Q, and
-        x^-1 = c1 c2 / N.
+        x^-1 = c1 c2 / N.  N is not zero: [Q(zeta_p) : Q] = p - 1 is prime to
+        p, so q, not a pth power in Q, is none in Q(zeta_p) either, and
+        t^p - q is irreducible over Q(zeta_p) (Lang, *Algebra*, VI §9).
         """
         if self.is_zero:
             raise DivisionByZero("inverse of zero in the tower field")
@@ -292,21 +248,16 @@ class TowerElement:
         c1 = math.prod(galois_apply(field, i, 1, self) for i in range(1, p))
         n1 = self * c1
         c2 = math.prod(galois_apply(field, 0, u, n1) for u in range(2, p))
-        norm = n1 * c2
-        if norm.is_zero:
-            raise DessinkitError(
-                "zero divisor encountered: the Kummer polynomial t^p - q must "
-                "be irreducible over the cyclotomic field; this contradicts "
-                "the certified non-pth-power hypothesis and indicates a bug"
-            )
-        return c1 * c2 / norm.rational_value()
+        return c1 * c2 / (n1 * c2).rational_value()
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise DivisionByZero("division by zero in the tower field")
-            return self * (1 / Fraction(other))
-        return self * other.inverse()
+        if type(other) is TowerElement:
+            return self * other.inverse()
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            raise DivisionByZero("division by zero in the tower field")
+        return self._scale(1 / Fraction(other))
 
     def __str__(self) -> str:
         return signed_sum((c, (("z", i), ("t", j)))
@@ -350,7 +301,7 @@ def galois_apply(field: TowerField, i: int, u: int, e: TowerElement) -> TowerEle
         for a, c in enumerate(e._num[b:b + m]):
             row[(u * a + shift) % p] = c
         rows.append(row)
-    return TowerElement._of(field, _fold_zeta(rows, p), e._den)
+    return e._like(_fold_zeta(rows, p), e._den)
 
 
 def galois_elements(field: TowerField):
@@ -383,14 +334,13 @@ def j_invariant_of_triple(tr: CurveTriple) -> TowerElement:
     is the cross-ratio form 256 (l^2 - l + 1)^3 / (l^2 (l - 1)^2), l = C/B,
     over one field inverse.  Unlike the bare cross-ratio, j is invariant
     under every reordering of (a, b, c), so distinct j values certify
-    non-isomorphic curves without tracking the anharmonic orbit.
+    non-isomorphic curves without tracking the anharmonic orbit.  The
+    divisor is never zero: ``CurveTriple`` refuses repeated points, so b, c
+    and c - b are nonzero elements of a field.
     """
     b, c = tr.b - tr.a, tr.c - tr.a
     num = (c * c - c * b + b * b) ** 3 * 256
-    den = (b * c * (c - b)) ** 2
-    if den.is_zero:
-        raise DegenerateTriple("cross-ratio degenerated to 0 or 1")
-    return num / den
+    return num / (b * c * (c - b)) ** 2
 
 
 def base_triple(field: TowerField, gamma) -> CurveTriple:

@@ -61,6 +61,8 @@ class FreeWord:
         return hash(self._syllables)
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
+        if not isinstance(other, FreeWord):
+            return NotImplemented
         return FreeWord(self._syllables + other._syllables)
 
     def inverse(self) -> "FreeWord":

@@ -279,8 +279,8 @@ class TestIntPolyMul:
         packed.clear()
         a = parse_poly("2^20000*X^100+(X+1)^99")
         b = parse_poly("(X+2)^100")
-        assert a * b == RatPoly._lowest(_schoolbook(a._ints, b._ints))
-        assert sum(packed) <= _exact._PACK_RATIO * bits(a._ints, b._ints)
+        assert a * b == RatPoly._lowest(_schoolbook(a._num, b._num))
+        assert sum(packed) <= _exact._PACK_RATIO * bits(a._num, b._num)
 
 
 class TestDecimal:

@@ -1,0 +1,118 @@
+"""The operand rule of the exact vector types: an int or a Fraction on either
+side of a ``RatPoly`` or a ``TowerElement`` is the constant vector, equal
+values hash alike, any other type raises TypeError (and ``==`` is False), and
+tower elements of different fields still raise FieldMismatch."""
+
+import operator
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from dessinkit.belyi import RatPoly, X, parse_poly
+from dessinkit.errors import DegreeMismatch, FieldMismatch
+from dessinkit.perms import Permutation
+from dessinkit.tower import TowerField
+from dessinkit.words import parse_word
+
+K = TowerField(3, 2)
+Z, T = K.zeta(), K.root()
+
+POLY_ROWS = [
+    ("X + 1", X + 1),
+    ("1 + X", 1 + X),
+    ("X - 1/2", X - F(1, 2)),
+    ("1/2 - X", F(1, 2) - X),
+    ("2*X", 2 * X),
+    ("X*2/3", X * F(2, 3)),
+    ("X^2 + 1", X**2 + 1),
+    ("3", RatPoly() + 3),
+    ("0", X - X),
+]
+
+# coordinates {(zeta_exp, t_exp): coefficient}; zeta^2 = -1 - zeta for p = 3
+TOWER_ROWS = [
+    (Z + 1, {(0, 0): 1, (1, 0): 1}),
+    (1 + Z, {(0, 0): 1, (1, 0): 1}),
+    (T - F(1, 2), {(0, 0): F(-1, 2), (0, 1): 1}),
+    (F(1, 2) - T, {(0, 0): F(1, 2), (0, 1): -1}),
+    (2 * Z, {(1, 0): 2}),
+    (Z * F(2, 3), {(1, 0): F(2, 3)}),
+    (Z * Z + 1, {(1, 0): -1}),
+    (Z / 4, {(1, 0): F(1, 4)}),
+    (K.zero() + F(5, 7), {(0, 0): F(5, 7)}),
+]
+
+
+@pytest.mark.parametrize("text, value", POLY_ROWS, ids=[t for t, _ in POLY_ROWS])
+def test_polynomial_with_a_constant(text, value):
+    parsed = parse_poly(text)
+    assert value == parsed and hash(value) == hash(parsed)
+
+
+@pytest.mark.parametrize("value, coords", TOWER_ROWS)
+def test_tower_element_with_a_constant(value, coords):
+    built = K.element(coords)
+    assert value == built and hash(value) == hash(built)
+
+
+def test_equal_values_have_equal_hashes():
+    rng = random.Random(31)
+    values = []
+    for _ in range(40):
+        v = F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 6]))
+        values += [v, RatPoly((v,)), K.rational(v), K.one() * v]
+        if v.denominator == 1:
+            values.append(int(v))
+    values += [X, K.zeta(), X + 1, K.zeta() + 1, RatPoly(), K.zero()]
+    pairs = [(a, b) for a in values for b in values if a == b]
+    assert all(hash(a) == hash(b) for a, b in pairs)
+    # each constant equals its Fraction, and the two classes never meet
+    assert RatPoly((F(1, 2),)) == F(1, 2) == K.rational(F(1, 2))
+    assert RatPoly((1,)) != K.one() and 1 in {K.one()} and 1 in {RatPoly((1,))}
+    assert sum(1 for a, b in pairs if type(a) is not type(b)) > 100
+
+
+SAMPLES = {
+    "RatPoly": X + 1,
+    "TowerElement": Z + 1,
+    "Permutation": Permutation([2, 1, 3]),
+    "FreeWord": parse_word("x y"),
+}
+OTHER = {"RatPoly": "TowerElement", "TowerElement": "RatPoly",
+         "Permutation": "FreeWord", "FreeWord": "Permutation"}
+
+
+@pytest.mark.parametrize("kind", SAMPLES)
+def test_foreign_operands_raise_type_error(kind):
+    value = SAMPLES[kind]
+    ops = [operator.add, operator.sub, operator.mul]
+    if kind == "TowerElement":
+        ops.append(operator.truediv)
+    for foreign in (1.5, "a", None, SAMPLES[OTHER[kind]]):
+        for op in ops:
+            with pytest.raises(TypeError):
+                op(value, foreign)
+            with pytest.raises(TypeError):
+                op(foreign, value)
+        assert not value == foreign and not foreign == value
+        assert value != foreign
+
+
+def test_integer_operand_of_a_group_element():
+    for value in (Permutation([2, 1, 3]), parse_word("x y")):
+        with pytest.raises(TypeError):
+            value * 3
+        with pytest.raises(TypeError):
+            3 * value
+    with pytest.raises(DegreeMismatch):
+        Permutation([2, 1, 3]) * Permutation([2, 1])
+
+
+def test_another_field_still_mismatches():
+    other = TowerField(3, 5)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(FieldMismatch, match=r"TowerField\(p=3, q=2\) vs "
+                                                r"TowerField\(p=3, q=5\)"):
+            op(Z + 1, other.zeta() + 1)
+    assert K.one() != other.one() and not K.one() == other.one()
