@@ -226,34 +226,39 @@ class RatMap:
     def mapping_degree(self) -> int:
         return max(self._num.degree, self._den.degree)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMap)
-            and self._num == other._num
-            and self._den == other._den
-        )
+    @staticmethod
+    def _of(value) -> Optional["RatMap"]:
+        """value as a map: a RatMap itself, a RatPoly as its polynomial map,
+        an int or a Fraction as the constant map by ``Vector._scale``'s type
+        test; None for any other type."""
+        if isinstance(value, RatMap):
+            return value
+        poly = value if isinstance(value, RatPoly) else ONE_POLY._scale(value)
+        return None if poly is NotImplemented else RatMap._coprime(poly, ONE_POLY)
+
+    def _operators(op):
+        """op on two maps as a forward and a reflected operator, which take
+        the other operand by ``_of`` and return NotImplemented on None, as
+        ``fractions.Fraction._operator_fallbacks`` does."""
+        return (lambda a, b: NotImplemented if (b := RatMap._of(b)) is None else op(a, b),
+                lambda a, b: NotImplemented if (b := RatMap._of(b)) is None else op(b, a))
+
+    # field operations, used by the expression parser; an int, a Fraction or a
+    # RatPoly is a polynomial map, which equals and hashes as that value
+    __eq__ = _operators(lambda a, b: a._num == b._num and a._den == b._den)[0]
+    __add__, __radd__ = _operators(
+        lambda a, b: RatMap(a._num * b._den + b._num * a._den, a._den * b._den))
+    __sub__, __rsub__ = _operators(lambda a, b: a + -b)
+    __mul__, __rmul__ = _operators(
+        lambda a, b: RatMap(a._num * b._num, a._den * b._den))
+    __truediv__, __rtruediv__ = _operators(lambda a, b: a * b ** -1)
+    del _operators
 
     def __hash__(self) -> int:
-        return hash((self._num, self._den))
-
-    # field operations, used by the expression parser
-    def __add__(self, other: "RatMap") -> "RatMap":
-        return RatMap(
-            self._num * other._den + other._num * self._den,
-            self._den * other._den,
-        )
+        return hash(self._num if self.is_polynomial else (self._num, self._den))
 
     def __neg__(self) -> "RatMap":
         return RatMap._coprime(-self._num, self._den)
-
-    def __sub__(self, other: "RatMap") -> "RatMap":
-        return self + (-other)
-
-    def __mul__(self, other: "RatMap") -> "RatMap":
-        return RatMap(self._num * other._num, self._den * other._den)
-
-    def __truediv__(self, other: "RatMap") -> "RatMap":
-        return self * other ** -1
 
     def __pow__(self, exponent: int) -> "RatMap":
         num, den = self._num, self._den
@@ -1046,7 +1051,8 @@ def verify_reduction(chain: BelyiChain, points: Iterable) -> ReductionReport:
     construction path.  The critical values are the chain's own
     ``current_profile``, which :class:`BelyiChain` propagated through the
     stages when it was built.  Each stage in turn gives the derivative sign
-    and the value on the orbit of 0, by exact evaluation throughout with one
+    and the value on the orbit of 0, the sign of P'(0) being the product of
+    the signs (the chain rule), by exact evaluation throughout with one
     exception: when the *final* stage's exact output would blow the work cap
     ``DEFAULT_EVAL_WORK_BITS`` (only a :class:`BmnStage` has one),
     0 < P(0) < 1 is certified by strict monotonicity (input strictly between
@@ -1061,11 +1067,9 @@ def verify_reduction(chain: BelyiChain, points: Iterable) -> ReductionReport:
     crit_ok = chain.current_profile.finite_values <= {Fraction(0), Fraction(1)}
 
     value: Optional[Fraction] = Fraction(0)
-    in_unit = True
-    derivative_positive = True
+    sign = 1
     for idx, stage in enumerate(chain.stages):
-        if stage.derivative_sign_at(value) <= 0:
-            derivative_positive = False
+        sign *= stage.derivative_sign_at(value)
         try:
             value = stage.eval_extended(value)
         except SizeGuard:
@@ -1073,13 +1077,11 @@ def verify_reduction(chain: BelyiChain, points: Iterable) -> ReductionReport:
                 value = None  # certified: strictly increasing into (0, 1)
                 break
             raise
-    if value is not None:
-        in_unit = 0 < value < 1
     return ReductionReport(
         points_to_zero=to_zero,
         critical_values_in_01=crit_ok,
-        value_at_zero_in_unit_interval=in_unit,
-        derivative_positive_at_zero=derivative_positive,
+        value_at_zero_in_unit_interval=value is None or 0 < value < 1,
+        derivative_positive_at_zero=sign > 0,
         value_at_zero=value,
     )
 

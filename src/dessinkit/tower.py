@@ -251,10 +251,10 @@ class TowerElement(Vector):
         return c1 * c2 / (n1 * c2).rational_value()
 
     def __truediv__(self, other):
+        if self._operand(other) is None:  # another field raises before the inverse
+            return NotImplemented
         if type(other) is TowerElement:
             return self * other.inverse()
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
         if not other:
             raise DivisionByZero("division by zero in the tower field")
         return self._scale(1 / Fraction(other))

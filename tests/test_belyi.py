@@ -1057,6 +1057,20 @@ class TestVerifyReduction:
         assert not report.derivative_positive_at_zero and not report.ok
         assert report.value_at_zero == F(1, 4)
 
+    @pytest.mark.parametrize("stages, positive", [
+        (["1/2 - X/4", "1 - X"], True),  # P = X/4 + 1/2: two decreasing stages
+        (["1/2 - X/4"], False),
+        (["X^2 + 1/4"], False),  # P'(0) = 0
+        (["1 - X", "X^2 + 1/4"], False),  # P'(0) = 0 after a decreasing stage
+    ])
+    def test_derivative_sign_by_the_chain_rule(self, stages, positive):
+        report = verify_reduction(BelyiChain([parse_map(t) for t in stages]), [])
+        assert report.derivative_positive_at_zero is positive
+
+    def test_derivative_sign_of_a_reduction(self):
+        chain = belyi_reduce([F(-13, 11)])
+        assert len(chain) == 2 and verify_reduction(chain, [F(-13, 11)]).ok
+
     def test_work_cap_mid_chain_raises(self, monkeypatch):
         monkeypatch.setattr(belyi, "DEFAULT_EVAL_WORK_BITS", 20)
         chain = BelyiChain([self.QUARTER, BmnStage(2, 3), BmnStage(2, 3)])

@@ -1,5 +1,6 @@
-"""The operand rule of the exact vector types: an int or a Fraction on either
-side of a ``RatPoly`` or a ``TowerElement`` is the constant vector, equal
+"""The operand rule of the exact types: an int or a Fraction on either side of
+a ``RatPoly`` or a ``TowerElement`` is the constant vector, and an int, a
+Fraction or a ``RatPoly`` beside a ``RatMap`` is a polynomial map; equal
 values hash alike, any other type raises TypeError (and ``==`` is False), and
 tower elements of different fields still raise FieldMismatch."""
 
@@ -9,10 +10,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from dessinkit.belyi import RatPoly, X, parse_poly
-from dessinkit.errors import DegreeMismatch, FieldMismatch
+from dessinkit.belyi import RatMap, RatPoly, X, parse_map, parse_poly
+from dessinkit.errors import DegreeMismatch, DivisionByZero, FieldMismatch
 from dessinkit.perms import Permutation
-from dessinkit.tower import TowerField
+from dessinkit.tower import TowerElement, TowerField
 from dessinkit.words import parse_word
 
 K = TowerField(3, 2)
@@ -116,3 +117,92 @@ def test_another_field_still_mismatches():
                                                 r"TowerField\(p=3, q=5\)"):
             op(Z + 1, other.zeta() + 1)
     assert K.one() != other.one() and not K.one() == other.one()
+
+
+def test_division_by_another_field_raises_before_it_inverts(monkeypatch):
+    def refuse(self):
+        raise AssertionError("inverse taken")
+
+    monkeypatch.setattr(TowerElement, "inverse", refuse)
+    with pytest.raises(FieldMismatch, match=r"^TowerField\(p=3, q=2\) vs "
+                                            r"TowerField\(p=3, q=5\)$"):
+        (Z + 1) / (TowerField(3, 5).zeta() + 1)
+
+
+# each row: text with f for the map's own text, and the same value by operators
+MAP_ROWS = [
+    ("f + 1", lambda f: f + 1),
+    ("1 + f", lambda f: 1 + f),
+    ("f - 1/2", lambda f: f - F(1, 2)),
+    ("1/2 - f", lambda f: F(1, 2) - f),
+    ("2*f", lambda f: 2 * f),
+    ("f/2", lambda f: f / 2),
+    ("2/f", lambda f: 2 / f),
+    ("f + X", lambda f: f + X),
+    ("X + f", lambda f: X + f),
+    ("X*f", lambda f: X * f),
+    ("X - f", lambda f: X - f),
+    ("f/X", lambda f: f / X),
+    ("X/f", lambda f: X / f),
+    ("f*f - f", lambda f: f * f - f),
+]
+
+
+@pytest.mark.parametrize("map_text", ["(X+1)/(X-1)", "X"])
+@pytest.mark.parametrize("text, build", MAP_ROWS, ids=[t for t, _ in MAP_ROWS])
+def test_map_with_a_constant_or_polynomial(map_text, text, build):
+    value = build(parse_map(map_text))
+    parsed = parse_map(text.replace("f", f"({map_text})"))
+    assert type(value) is RatMap
+    assert value == parsed and hash(value) == hash(parsed)
+    assert str(value) == str(parsed)
+
+
+def test_a_polynomial_map_equals_and_hashes_as_its_polynomial():
+    assert parse_map("X") == parse_poly("X") == X
+    assert hash(parse_map("X")) == hash(X)
+    assert parse_map("3") == 3 and hash(parse_map("3")) == hash(3)
+    assert parse_map("1/2") == F(1, 2) == parse_map("1/2").numerator
+    assert 3 in {parse_map("3")} and parse_map("X^2 + 1") in {X**2 + 1}
+    assert parse_map("1/X") != X and parse_map("1/X") != 1
+    assert parse_map("X/X") == 1 and parse_map("X - X") == 0
+
+
+def test_map_equal_values_have_equal_hashes():
+    rng = random.Random(32)
+    values = []
+    for _ in range(30):
+        v = F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 6]))
+        poly = RatPoly([F(rng.randint(-3, 3), rng.choice([1, 2]))
+                        for _ in range(rng.randint(1, 3))])
+        values += [v, RatPoly((v,)), RatMap(RatPoly((v,))), poly, RatMap(poly),
+                   parse_map(f"({poly}) * (X + 1) / (X + 1)")]
+        if v.denominator == 1:
+            values.append(int(v))
+    values += [parse_map("1/X"), parse_map("(X^2 + 1)/(2*X)")]
+    pairs = [(a, b) for a in values for b in values if a == b]
+    assert all(hash(a) == hash(b) for a, b in pairs)
+    assert all(b == a for a, b in pairs)
+    mixed = [(a, b) for a, b in pairs if isinstance(a, RatMap) != isinstance(b, RatMap)]
+    assert len(mixed) > 100
+    assert not any(a == b for a in values[-2:] for b in values
+                   if not isinstance(b, RatMap))
+
+
+def test_map_foreign_operands_raise_type_error():
+    f = parse_map("(X+1)/(X-1)")
+    for foreign in (1.5, "a", None, Z + 1):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(f, foreign)
+            with pytest.raises(TypeError):
+                op(foreign, f)
+        assert not f == foreign and not foreign == f
+        assert f != foreign
+
+
+def test_map_division_by_a_zero_operand():
+    with pytest.raises(DivisionByZero, match="division by the zero map"):
+        parse_map("X") / 0
+    with pytest.raises(DivisionByZero, match="division by the zero map"):
+        1 / (parse_map("X") - X)

@@ -138,6 +138,12 @@ class TestFieldConstruction:
                 TowerField(p, 2)
         assert run_cli(["tower", "distinct", "--p", "1009", "--q", "2"]) == 3
 
+    def test_equal_fields_hash_alike(self):
+        field, same = TowerField(3, 2), TowerField(3, F(4, 2))
+        assert field == same and hash(field) == hash(same)
+        assert {field: "K", same: "K'"} == {field: "K'"}
+        assert len({field, same, TowerField(3, F(2, 3)), TowerField(5, 2)}) == 3
+
     def test_rejects_nonpositive_q(self):
         with pytest.raises(OutOfRange):
             TowerField(3, 0)
