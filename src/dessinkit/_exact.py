@@ -6,9 +6,9 @@ substitution, unless the operand sizes show few terms or one wide
 coefficient), the normal form, operators and printing of rational vectors
 held as integers over one denominator (``Vector``, the base of ``RatPoly``
 and ``TowerElement``), the compact form of very large values in messages and
-reports, the one reading of decimal integers from outside input, and the
+reports, the one reading of decimal integers from outside input, the
 character scanner behind the word and map grammars, with their bracket
-nesting bounded.
+nesting bounded, and ``Record``, the base of the immutable value records.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Optional, Sequence
 
-from .errors import FieldMismatch, OutOfRange, ParseError, ResourceLimit
+from .errors import DessinkitError, FieldMismatch, OutOfRange, ParseError, ResourceLimit
 
 #: The first 13 primes, used as Miller-Rabin bases.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -125,6 +125,17 @@ def power(base, exponent: int, one, mul):
         if exponent:
             base = mul(base, base)
     return result
+
+
+def exponent_of(value) -> Optional[int]:
+    """An int, or a Fraction equal to one, as an int, the exponents that the
+    operand rule of ``Vector`` admits; None for any other type.  A Fraction
+    that is not an integer raises OutOfRange."""
+    if not isinstance(value, (int, Fraction)):
+        return None
+    if value.denominator != 1:
+        raise OutOfRange(f"exponent {value} is not an integer")
+    return value.numerator
 
 
 #: int_poly_mul's choice, timed on CPython 3.11 with 8- to 1000-bit
@@ -293,6 +304,82 @@ class Vector:
             return NotImplemented
         n, d = c.numerator, c.denominator
         return self._like([v * n for v in self._num], self._den * d)
+
+
+class RecordArguments(DessinkitError, TypeError):
+    """A record called with a field left out, given twice, or unknown."""
+
+
+def _field(index: int) -> property:
+    return property(lambda self: self._values[index])
+
+
+class _RecordType(type):
+    """The type of the ``Record`` classes.  The annotated names of a class
+    body become read-only fields after those of the base class, and a value
+    the body gives one is its default.  A record has no instance
+    dictionary, so no other name can be set on it either."""
+
+    def __new__(mcs, name, bases, namespace):
+        fields = tuple(f for base in bases for f in base._fields)
+        defaults = {k: v for base in bases for k, v in base._defaults.items()}
+        for index, f in enumerate(namespace.get("__annotations__", ()), len(fields)):
+            if f in namespace:
+                defaults[f] = namespace[f]
+            namespace[f] = _field(index)
+            fields += (f,)
+        namespace.setdefault("__slots__", ())
+        namespace.update(_fields=fields, _defaults=defaults, __match_args__=fields)
+        return super().__new__(mcs, name, bases, namespace)
+
+
+class Record(metaclass=_RecordType):
+    """An immutable value with named fields, declared as annotations of a
+    subclass body, as a frozen dataclass would be: ``Name(field=value, ...)``
+    as its repr, equal only to a record of the same class with equal
+    fields, hashed as the tuple of its fields, and refusing assignment.  A
+    subclass may define ``__post_init__`` to check the fields, which runs
+    once they are set.  The fields are held once, as one tuple, and a call
+    that gives every field by position stores its arguments as they are.
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self, *args, **kwargs):
+        self._values = (args if not kwargs and len(args) == len(self._fields)
+                        else self._bind(args, kwargs))
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """The fields of a call that names some or leaves defaults out."""
+        given = {**self._defaults, **kwargs}
+        try:
+            values = args + tuple(map(given.pop, self._fields[len(args):]))
+        except KeyError:  # a field without a default is left out
+            values = None
+        # a name left over is no field or names one given by position
+        if (values is None or not given.keys().isdisjoint(kwargs)
+                or len(args) > len(self._fields)):
+            signature = ", ".join(f"{f}={self._defaults[f]!r}" if f in self._defaults
+                                  else f for f in self._fields)
+            raise RecordArguments(f"{type(self).__name__}({signature}): give each field "
+                                  f"once, by position or by name")
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def __repr__(self) -> str:
+        pairs = (f"{f}={v!r}" for f, v in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({', '.join(pairs)})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
 
 
 def signed_sum(terms) -> str:

@@ -25,16 +25,15 @@ provides:
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from ._exact import (MESSAGE_BITS, PRINT_BITS, Scanner, Vector, brief, int_poly_mul,
-                     is_prime, lowest, power, signed_sum)
+from ._exact import (MESSAGE_BITS, PRINT_BITS, Record, Scanner, Vector, brief, exponent_of,
+                     int_poly_mul, is_prime, lowest, power, signed_sum)
 from .errors import (
     DivisionByZero,
     IrrationalCriticalPoints,
@@ -44,7 +43,16 @@ from .errors import (
     SizeGuard,
 )
 
-logger = logging.getLogger(__name__)
+
+def _log(level: str, message: str, *args) -> None:
+    """``message % args`` through the ``level`` method ("debug" or "info") of
+    this module's logger, naming the caller's function and line.  Nothing is
+    logged in a process that has not imported ``logging``: it has no handler
+    or level that would show the record."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        getattr(logging.getLogger(__name__), level)(message, *args, stacklevel=2)
+
 
 #: Default cap on m+n for one chain stage (the offending ratio is reported).
 DEFAULT_STAGE_CAP = 10**6
@@ -155,7 +163,10 @@ class RatPoly(Vector):
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "RatPoly":
+    def __pow__(self, exponent) -> "RatPoly":
+        exponent = exponent_of(exponent)
+        if exponent is None:
+            return NotImplemented
         if exponent < 0:
             raise OutOfRange("negative polynomial power")
         return power(self, exponent, ONE_POLY, operator.mul)
@@ -260,8 +271,10 @@ class RatMap:
     def __neg__(self) -> "RatMap":
         return RatMap._coprime(-self._num, self._den)
 
-    def __pow__(self, exponent: int) -> "RatMap":
-        num, den = self._num, self._den
+    def __pow__(self, exponent) -> "RatMap":
+        num, den, exponent = self._num, self._den, exponent_of(exponent)
+        if exponent is None:
+            return NotImplemented
         if exponent < 0:
             # a reduced map's reciprocal is reduced: swap the sides, monic below
             if num.is_zero:
@@ -324,8 +337,7 @@ class RatMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CritProfile:
+class CritProfile(Record):
     """Critical values of a map: one set of points of P^1(Q), the rationals
     as `Fraction`s and the point at infinity as :data:`INFINITY`.
 
@@ -639,9 +651,7 @@ def _squarefree_roots(f: Sequence[int]) -> list:
         lifted = [(r - _eval_mod(f_mod, r, modulus)
                    * pow(_eval_mod(d_mod, r, modulus), -1, modulus)) % modulus
                   for r in lifted]
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("rational_roots: degree %d, prime %d, lifted to p^%d",
-                     len(f) - 1, p, e)
+    _log("debug", "rational_roots: degree %d, prime %d, lifted to p^%d", len(f) - 1, p, e)
     roots = []
     for r in lifted:
         k = a * r % modulus
@@ -657,10 +667,11 @@ def _squarefree_roots(f: Sequence[int]) -> list:
 def rational_roots(p: RatPoly) -> Tuple[dict, RatPoly]:
     """All rational roots with multiplicities, plus the rootless cofactor.
 
-    The roots of the squarefree part come from p-adic lifting
-    (:func:`_squarefree_roots`); each one, ascending after 0, is stripped to
-    full multiplicity by exact integer division.  The cost is polynomial in
-    the degree and in the coefficient bits: nothing is factored.
+    The roots of the squarefree part, the primitive part f over gcd(f, f'),
+    come from p-adic lifting (:func:`_squarefree_roots`); each one, ascending
+    after 0, is stripped to full multiplicity by exact integer division.  The
+    cost is polynomial in the degree and in the coefficient bits: nothing is
+    factored.
     """
     if p.is_zero:
         raise OutOfRange("rational_roots of the zero polynomial")
@@ -672,7 +683,8 @@ def rational_roots(p: RatPoly) -> Tuple[dict, RatPoly]:
         roots[Fraction(0)] = k
         work = work[k:]
     if len(work) > 1:
-        for root in _squarefree_roots(_squarefree_chain(work)[0]):
+        g = _poly_gcd(work, _derivative(work))
+        for root in _squarefree_roots(work if len(g) == 1 else _quotient(work, g)):
             linear, mult = (-root.numerator, root.denominator), 0
             while (quotient := _quotient(work, linear)) is not None:
                 work, mult = quotient, mult + 1
@@ -685,18 +697,18 @@ def rational_roots(p: RatPoly) -> Tuple[dict, RatPoly]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BmnParams:
+class BmnParams(Record):
     """Coprime positive exponent pair of the Belyi polynomial family."""
 
     m: int
     n: int
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise OutOfRange(f"exponents must be positive, got ({self.m}, {self.n})")
-        if math.gcd(self.m, self.n) != 1:
-            raise NotCoprime(f"({self.m}, {self.n}) are not coprime")
+        m, n = self.m, self.n
+        if m < 1 or n < 1:
+            raise OutOfRange(f"exponents must be positive, got ({m}, {n})")
+        if math.gcd(m, n) != 1:
+            raise NotCoprime(f"({m}, {n}) are not coprime")
 
     @property
     def peak(self) -> Fraction:
@@ -971,8 +983,8 @@ def belyi_reduce(
     if any(p == 0 for p in pts):
         raise OutOfRange("input points must be nonzero")
     if len(pts) < len(raw):
-        logger.info("belyi_reduce: duplicate inputs collapsed (%d -> %d)",
-                    len(raw), len(pts))
+        _log("info", "belyi_reduce: duplicate inputs collapsed (%d -> %d)",
+             len(raw), len(pts))
     if not pts:
         # Degenerate success: no points to kill.  (2X + 1)/4 has no critical
         # points, value 1/4 at 0 and positive derivative.
@@ -988,8 +1000,8 @@ def belyi_reduce(
 
     mapped = [s / peak_value for s in squares]
     if len(mapped) < len(pts):
-        logger.info("belyi_reduce: quadratic stage merged symmetric points "
-                    "(%d -> %d)", len(pts), len(mapped))
+        _log("info", "belyi_reduce: quadratic stage merged symmetric points (%d -> %d)",
+             len(pts), len(mapped))
     at_zero = alpha * alpha / peak_value
     assert mapped[-1] == 1 and 0 < at_zero < mapped[0]
     aux = (at_zero + mapped[0]) / 2
@@ -1024,8 +1036,7 @@ def belyi_reduce(
     return BelyiChain(stages)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(Record):
     """Outcome of the four-postcondition check of a reduction chain."""
 
     points_to_zero: bool
@@ -1077,13 +1088,7 @@ def verify_reduction(chain: BelyiChain, points: Iterable) -> ReductionReport:
                 value = None  # certified: strictly increasing into (0, 1)
                 break
             raise
-    return ReductionReport(
-        points_to_zero=to_zero,
-        critical_values_in_01=crit_ok,
-        value_at_zero_in_unit_interval=value is None or 0 < value < 1,
-        derivative_positive_at_zero=sign > 0,
-        value_at_zero=value,
-    )
+    return ReductionReport(to_zero, crit_ok, value is None or 0 < value < 1, sign > 0, value)
 
 
 # ---------------------------------------------------------------------------

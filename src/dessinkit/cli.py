@@ -22,7 +22,6 @@ into ``head``.  Only ``dessin info`` and ``dessin reg-iso`` take
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -142,7 +141,8 @@ def _cmd_dessin_info(args):
     _check_cap("--cap-group-order", args.cap_group_order)
     d = _load_source(args.source)
     _guard_group_order(d, args.cap_group_order)
-    passport = dataclasses.asdict(passport_of(d))
+    p = passport_of(d)
+    passport = {"black": p.black, "white": p.white, "faces": p.faces}
     genus = genus_of(d)
     reg = regular_descriptor(d)
     orders = (reg.ord_x, reg.ord_y, reg.ord_xy)

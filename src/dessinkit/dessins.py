@@ -15,12 +15,11 @@ diagonal-group order criterion without ever constructing the closure).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from ._exact import decimal
+from ._exact import Record, decimal
 from .errors import NonIntegralCharacteristic, NotTransitive, ParseError
 from . import perms
 from .perms import (
@@ -85,8 +84,7 @@ class Dessin:
         return f"Dessin(degree={self.degree}, sigma0={self._sigma0}, sigma1={self._sigma1})"
 
 
-@dataclass(frozen=True)
-class Passport:
+class Passport(Record):
     """Cycle-type multisets of sigma0, sigma1 and the face permutation."""
 
     black: tuple
@@ -94,8 +92,7 @@ class Passport:
     faces: tuple
 
 
-@dataclass(frozen=True)
-class RegularDescriptor:
+class RegularDescriptor(Record):
     """Invariants of the regular closure, from the cartographic group."""
 
     group_order: int
@@ -207,14 +204,7 @@ def regular_descriptor(d: Dessin) -> RegularDescriptor:
             f"chi = {chi} is not an even integer; this is a bug"
         )
     chi = int(chi)
-    return RegularDescriptor(
-        group_order=order,
-        ord_x=ox,
-        ord_y=oy,
-        ord_xy=oxy,
-        euler_characteristic=chi,
-        genus=1 - chi // 2,
-    )
+    return RegularDescriptor(order, ox, oy, oxy, chi, 1 - chi // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +293,7 @@ class Separation(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class WitnessVerdict:
+class WitnessVerdict(Record):
     """Outcome of a word-witness comparison of two monodromy actions."""
 
     separation: Separation

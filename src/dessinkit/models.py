@@ -20,13 +20,12 @@ Four independent pieces live here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from typing import Optional, Tuple
 
 from . import perms
-from ._exact import PRINT_BITS, brief, check_odd_prime, v2
+from ._exact import PRINT_BITS, Record, brief, check_odd_prime, v2
 from .belyi import RatPoly, _stage_bits, _stage_pair, pair_from_ratio
 from .dessins import Dessin, load_dessin
 from .errors import (
@@ -97,8 +96,7 @@ def expected_witness_value(k: int) -> Permutation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalModel:
+class LocalModel(Record):
     """Derived action of the separating word on the special edge set.
 
     ``y`` is the full cycle on the points, ``s`` pairs consecutive points
@@ -139,7 +137,8 @@ def local_model_24(k: int) -> LocalModel:
     S = (1,2)(3,4)...(23,24), and it commutes with y^2 exactly when k = 1.
     This is the plain 8p-edge model at p = 3.
     """
-    return replace(local_model_8p(3, k), p=None, variant=None)
+    m = local_model_8p(3, k)
+    return LocalModel(m.point_count, m.y, m.t, m.omega, m.s, m.k)
 
 
 def local_model_8p(p: int, k: int, variant: str = "plain") -> LocalModel:
@@ -241,8 +240,7 @@ def build_mu_omega(d, m: int, n: int, r: int, s: int) -> Tuple[FreeWord, FreeWor
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaTildeReport:
+class DeltaTildeReport(Record):
     """The sums of :func:`delta_tilde_check` and its verdict; ``modulus``,
     2^(alpha - nu), is None when it would have more than ``PRINT_BITS`` bits."""
 
@@ -340,8 +338,7 @@ class TwoAdicInstance:
         return Fraction(self.poly(v), self.c)
 
 
-@dataclass(frozen=True)
-class TwoAdicReport:
+class TwoAdicReport(Record):
     """Every intermediate of the v2(s) certificate, plus the verdict."""
 
     alpha: int

@@ -37,14 +37,15 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
 from ._exact import (
+    Record,
     Vector,
     brief,
     check_odd_prime,
+    exponent_of,
     int_poly_mul,
     integer_root,
     lowest,
@@ -226,7 +227,10 @@ class TowerElement(Vector):
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "TowerElement":
+    def __pow__(self, exponent) -> "TowerElement":
+        exponent = exponent_of(exponent)
+        if exponent is None:
+            return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
         return power(self, exponent, self.field.one(), operator.mul)
@@ -314,8 +318,7 @@ def galois_elements(field: TowerField):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurveTriple:
+class CurveTriple(Record):
     """Finite branch points (a, b, c) of y^2 = (x-a)(x-b)(x-c)."""
 
     a: TowerElement
@@ -349,8 +352,7 @@ def base_triple(field: TowerField, gamma) -> CurveTriple:
     return CurveTriple(field.zero(), field.one() - field.zeta(), field.root() * gamma)
 
 
-@dataclass(frozen=True)
-class DistinctnessReport:
+class DistinctnessReport(Record):
     """Outcome of the pairwise j-invariant comparison of a Galois orbit."""
 
     count: int

@@ -2,7 +2,9 @@
 a ``RatPoly`` or a ``TowerElement`` is the constant vector, and an int, a
 Fraction or a ``RatPoly`` beside a ``RatMap`` is a polynomial map; equal
 values hash alike, any other type raises TypeError (and ``==`` is False), and
-tower elements of different fields still raise FieldMismatch."""
+tower elements of different fields still raise FieldMismatch.  An exponent
+follows the same rule: an integral Fraction is its int, another Fraction is
+out of range, and any other type raises TypeError."""
 
 import operator
 import random
@@ -11,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from dessinkit.belyi import RatMap, RatPoly, X, parse_map, parse_poly
-from dessinkit.errors import DegreeMismatch, DivisionByZero, FieldMismatch
+from dessinkit.errors import DegreeMismatch, DivisionByZero, FieldMismatch, OutOfRange
 from dessinkit.perms import Permutation
 from dessinkit.tower import TowerElement, TowerField
 from dessinkit.words import parse_word
@@ -206,3 +208,33 @@ def test_map_division_by_a_zero_operand():
         parse_map("X") / 0
     with pytest.raises(DivisionByZero, match="division by the zero map"):
         1 / (parse_map("X") - X)
+
+
+POWER_BASES = {
+    "RatPoly": X + 1,
+    "RatMap": parse_map("(X+1)/(X-1)"),
+    "TowerElement": Z + T,
+}
+
+
+@pytest.mark.parametrize("kind", POWER_BASES)
+def test_an_integral_fraction_exponent_is_its_int(kind):
+    base = POWER_BASES[kind]
+    exponents = (F(2), F(6, 3), F(0), True) + ((F(-2),) if kind != "RatPoly" else ())
+    for e in exponents:
+        assert base ** e == base ** int(e)
+    assert base ** F(3) == base * base * base
+
+
+@pytest.mark.parametrize("kind", POWER_BASES)
+def test_a_fractional_exponent_is_out_of_range(kind):
+    for e in (F(1, 2), F(-7, 3)):
+        with pytest.raises(OutOfRange, match=f"exponent {e} is not an integer"):
+            POWER_BASES[kind] ** e
+
+
+@pytest.mark.parametrize("kind", POWER_BASES)
+def test_a_foreign_exponent_raises_type_error(kind):
+    for e in (2.0, "2", None, X, Z):
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*\*"):
+            POWER_BASES[kind] ** e
