@@ -212,6 +212,20 @@ def regular_descriptor(d: Dessin) -> RegularDescriptor:
 # ---------------------------------------------------------------------------
 
 
+def _cycle_lengths(images: tuple) -> list:
+    """The length of the cycle through each point of 0-based ``images``."""
+    lengths = [0] * len(images)
+    for start, j in enumerate(images):
+        if not lengths[start]:
+            cycle = [start]
+            while j != start:
+                cycle.append(j)
+                j = images[j]
+            for point in cycle:
+                lengths[point] = len(cycle)
+    return lengths
+
+
 def dessins_isomorphic(d1: Dessin, d2: Dessin) -> Optional[Permutation]:
     """Simultaneous-conjugation witness, or None.
 
@@ -223,13 +237,23 @@ def dessins_isomorphic(d1: Dessin, d2: Dessin) -> Optional[Permutation]:
     mapping that completes is equivariant.  Its image is then closed under
     both generators of d2, and d2 is transitive, so it is onto: every
     completed mapping is a bijection and a witness.
+
+    Only targets on a sigma0-cycle and a sigma1-cycle of the same lengths as
+    those through edge 1 are tried: a witness maps each cycle of d1 onto a
+    cycle of d2 of the same length, so every other target fails.  The rest
+    are tried in ascending order, as all targets would be, so the witness
+    returned is the one a search over every target finds first.
     """
     if d1.degree != d2.degree:
         return None
     n = d1.degree
     a0, a1 = d1.sigma0._images, d1.sigma1._images
     b0, b1 = d2.sigma0._images, d2.sigma1._images
+    k0, k1 = _cycle_lengths(a0)[0], _cycle_lengths(a1)[0]
+    l0, l1 = _cycle_lengths(b0), _cycle_lengths(b1)
     for target in range(n):
+        if l0[target] != k0 or l1[target] != k1:
+            continue
         mapping = [-1] * n
         mapping[0] = target
         stack = [0]

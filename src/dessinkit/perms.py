@@ -16,8 +16,9 @@ Conventions
   its strong generator moves.  When a level gains a strong generator its
   orbit is extended breadth-first, keeping every transversal entry it had,
   and the Schreier pairs (orbit point, generator) it meets are queued on the
-  level; each pair is sifted once.  Group orders and sift results are
-  bit-reproducible across runs.
+  level; each pair is sifted at most once, and not at all when its Schreier
+  generator is a strong generator of the next level.  Group orders and sift
+  results are bit-reproducible across runs.
 * The loop's state, its levels and level index, stays on the group:
   ``order_exceeds`` stops the loop once the product of the orbit sizes
   passes its bound, and every later query continues the chain from there.
@@ -42,7 +43,7 @@ from math import factorial, lcm, prod
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from ._exact import decimal, is_prime, power
+from ._exact import decimal, exponent_of, is_prime, power
 from .errors import (
     DegreeMismatch,
     OutOfRange,
@@ -255,13 +256,13 @@ class Permutation:
             return NotImplemented
         return compose_right(self, other)
 
-    def __pow__(self, exponent: int) -> "Permutation":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        identity = tuple(range(len(self._images)))
-        return Permutation._from_zero_based(
-            power(self._images, exponent, identity, _mul)
-        )
+    def __pow__(self, exponent) -> "Permutation":
+        exponent = exponent_of(exponent)
+        if exponent is None:
+            return NotImplemented
+        images = self._images if exponent >= 0 else _inv(self._images)
+        identity = tuple(range(len(images)))
+        return Permutation._from_zero_based(power(images, abs(exponent), identity, _mul))
 
     def inverse(self) -> "Permutation":
         return Permutation._from_zero_based(_inv(self._images))
@@ -565,10 +566,15 @@ class PermGroup:
         level with no pair left is complete, and the loop goes up to i - 1.
         A pair sifted once needs no second sift: its transversal entries are
         kept, and the deeper levels it went through have since only gained
-        orbit points and new levels below, never changed an entry.  A pair
-        (base point, g) with g also a strong generator of level i+1 is not
-        sifted at all: its Schreier generator is g, which the complete
-        levels below hold, so it sifts to the identity.
+        orbit points and new levels below, never changed an entry.  A
+        Schreier generator that is a strong generator of level i+1 is not
+        sifted at all: level i+1 and every level after it are complete, so
+        it sifts to the identity, and skipping it changes no state.  For a
+        pair (base point, g) the Schreier generator is g itself, so that
+        case is tested before any product.  The test reads a set per level
+        that mirrors its generators; the sets are made from the levels when
+        the loop starts, so a resumed build skips what a fresh one would,
+        and are dropped when it returns.
 
         The loop resumes from the group's levels and index and stores them
         back when the chain is complete or the orbit-size product exceeds
@@ -585,6 +591,7 @@ class PermGroup:
             levels = [_Level(min(map(_first_moved, gens)), identity, gens)] if gens else []
             i = len(levels) - 1
         inverses: dict = {}
+        held = [set(lvl.gens) for lvl in levels]  # each level's gens, as a set
         stored = sum(len(lvl.orbit) for lvl in levels)
         size = _orbit_product(levels)
         while i >= 0 and (bound is None or size <= bound):
@@ -598,20 +605,26 @@ class PermGroup:
                 i -= 1
                 continue
             pt, g = level.pending.popleft()
-            if pt == level.point and i + 1 < len(levels) and g in levels[i + 1].gens:
+            below = held[i + 1] if i + 1 < len(levels) else ()
+            if pt == level.point and g in below:
                 continue  # Schreier generator g lies in the complete level below
             ug = mul(level.orbit[pt][0], g)
             target = level.orbit[g[pt]]
             if ug == target[0]:
                 continue  # tree edge: Schreier generator is trivial
-            residue, j = self._strip(levels, mul(ug, target[1]), i + 1, mul)
+            schreier = mul(ug, target[1])
+            if schreier in below:
+                continue  # a strong generator of the complete level below
+            residue, j = self._strip(levels, schreier, i + 1, mul)
             if residue == identity:
                 continue
             if j == len(levels):
                 levels.append(_Level(_first_moved(residue), identity))
+                held.append(set())
                 stored += 1
             for l in range(i + 1, j + 1):
                 levels[l].gens.append(residue)
+                held[l].add(residue)
             i = j
         self._levels, self._level = levels, i
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Tuple
 
-from ._exact import PRINT_BITS, Scanner, brief, power
+from ._exact import PRINT_BITS, Scanner, brief, exponent_of, power
 from .errors import DegreeMismatch, ParseError, ResourceLimit
 from .perms import Permutation, compose_right
 
@@ -68,10 +68,12 @@ class FreeWord:
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple((g, -e) for g, e in reversed(self._syllables)))
 
-    def __pow__(self, exponent: int) -> "FreeWord":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return power(self, exponent, FreeWord(), operator.mul)
+    def __pow__(self, exponent) -> "FreeWord":
+        exponent = exponent_of(exponent)
+        if exponent is None:
+            return NotImplemented
+        base = self if exponent >= 0 else self.inverse()
+        return power(base, abs(exponent), FreeWord(), operator.mul)
 
     def __len__(self) -> int:
         """Word length: total number of letters, counting multiplicity."""

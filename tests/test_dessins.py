@@ -45,6 +45,24 @@ def random_transitive_dessin(rng, n):
             continue
 
 
+def cyclic_cover(rng, m, c):
+    """A transitive dessin on m*c edges (e, k), e < m and k mod c, that the
+    shift (e, k) -> (e, k + 1) maps to itself: sigma0 and sigma1 take (e, k)
+    to (s(e), k + a(e)) for random permutations s and shifts a.  Edge
+    (e, k) is numbered e*c + k + 1."""
+    while True:
+        images = []
+        for _ in range(2):
+            s = rng.sample(range(m), m)
+            shift = [rng.randrange(c) for _ in range(m)]
+            images.append([s[e] * c + (k + shift[e]) % c + 1
+                           for e in range(m) for k in range(c)])
+        try:
+            return Dessin(Permutation(images[0]), Permutation(images[1]))
+        except NotTransitive:
+            continue
+
+
 def trace_face_count(d):
     """Independent face counter: walks sigma0-then-sigma1 orbits pointwise."""
     seen = set()
@@ -207,11 +225,13 @@ class TestIsomorphism:
 
     def test_against_brute_force_oracle(self):
         # oracle: build the candidate bijection from generator words and
-        # verify the conjugation equations wholesale, for every base image
+        # verify the conjugation equations wholesale, for every base image;
+        # every witness, in ascending order of the image of edge 1
         def oracle(d1, d2):
             if d1.degree != d2.degree:
-                return False
+                return []
             n = d1.degree
+            witnesses = []
             for target in range(1, n + 1):
                 mapping = {1: target}
                 frontier = [1]
@@ -233,10 +253,11 @@ class TestIsomorphism:
                     for e in range(1, n + 1)
                 )
                 if good:
-                    return True
-            return False
+                    witnesses.append(Permutation([mapping[e] for e in range(1, n + 1)]))
+            return witnesses
 
         rng = random.Random(43)
+        pairs = []
         for _ in range(25):
             n = rng.randint(2, 12)
             d1 = random_transitive_dessin(rng, n)
@@ -244,7 +265,23 @@ class TestIsomorphism:
                 d2 = conjugate_dessin(d1, random_perm(rng, n))
             else:
                 d2 = random_transitive_dessin(rng, n)
-            assert (dessins_isomorphic(d1, d2) is not None) == oracle(d1, d2)
+            pairs.append((d1, d2))
+        # the least target matters where there are several witnesses: gallery
+        # dessins with themselves and relabelled, and seeded dessins with
+        # automorphisms, relabelled
+        gallery = [gallery_dessin(k) for k in range(1, 7)]
+        pairs += [(d, d) for d in gallery]
+        pairs += [(d, conjugate_dessin(d, random_perm(rng, 36))) for d in gallery]
+        pairs += [(gallery[0], gallery[3])]
+        for _ in range(20):
+            d = cyclic_cover(rng, rng.randint(2, 5), rng.randint(2, 4))
+            pairs += [(d, conjugate_dessin(d, random_perm(rng, d.degree))), (d, d)]
+        several = 0
+        for d1, d2 in pairs:
+            witnesses = oracle(d1, d2)
+            assert dessins_isomorphic(d1, d2) == (witnesses[0] if witnesses else None)
+            several += len(witnesses) > 1
+        assert several >= 20
 
 
 class TestRegularClosures:

@@ -3,8 +3,9 @@ a ``RatPoly`` or a ``TowerElement`` is the constant vector, and an int, a
 Fraction or a ``RatPoly`` beside a ``RatMap`` is a polynomial map; equal
 values hash alike, any other type raises TypeError (and ``==`` is False), and
 tower elements of different fields still raise FieldMismatch.  An exponent
-follows the same rule: an integral Fraction is its int, another Fraction is
-out of range, and any other type raises TypeError."""
+of these types, of a ``Permutation`` and of a ``FreeWord`` follows the same
+rule: an integral Fraction is its int, another Fraction is out of range, and
+any other type raises TypeError."""
 
 import operator
 import random
@@ -214,6 +215,8 @@ POWER_BASES = {
     "RatPoly": X + 1,
     "RatMap": parse_map("(X+1)/(X-1)"),
     "TowerElement": Z + T,
+    "Permutation": Permutation([2, 3, 1]),
+    "FreeWord": parse_word("x y"),
 }
 
 

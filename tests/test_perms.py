@@ -792,6 +792,26 @@ def count_sifts(monkeypatch):
     return calls
 
 
+def side_by_side(a, b):
+    """a on points 1..n and b on points n+1..n+m."""
+    return Permutation(a.images + tuple(v + a.degree for v in b.images))
+
+
+def diagonal_gens():
+    """The generators of the diagonal group, sigma0 and sigma1 of one dessin
+    beside those of another on the disjoint union of their edges, for each
+    of the 15 pairs of gallery dessins and for gallery dessin 1 beside a
+    relabelled copy of itself: chains of degree 72 whose levels hold many
+    strong generators."""
+    from dessinkit.models import gallery_dessin
+
+    gallery = [(d.sigma0, d.sigma1) for d in map(gallery_dessin, range(1, 7))]
+    pi = random_perm(random.Random(3436), 36)
+    copy = [pi.inverse() * s * pi for s in gallery[0]]
+    pairs = list(combinations(gallery, 2)) + [(gallery[0], copy)]
+    return [[side_by_side(x, y) for x, y in zip(*pair)] for pair in pairs]
+
+
 class TestIncrementalChain:
     """The stabilizer chain, which extends orbits and sifts only new Schreier
     pairs, against exhaustive closure, known orders and its own definition."""
@@ -854,12 +874,12 @@ class TestIncrementalChain:
         assert 0 < len(calls) < 900
 
     @pytest.mark.parametrize("index, base, sifts", [
-        (1, [1, 13, 16, 14, 22, 18, 21, 17, 2, 15, 19, 6, 20, 24, 23, 5, 3, 4], 240),
-        (2, [1, 14, 13, 3, 21, 17, 16, 20, 6, 15, 19, 2, 22, 18, 23, 24, 5, 4], 237),
-        (3, [1, 14, 13, 4, 17, 15, 16, 18, 6, 21, 19, 20, 22, 2, 3, 23, 5, 24], 237),
-        (4, [1, 14, 13, 5, 17, 21, 16, 20, 6, 15, 19, 3, 4, 18, 22, 2, 23, 24], 237),
-        (5, [1, 14, 13, 6, 15, 19, 18, 16, 22, 20, 23, 4, 5, 17, 21, 2, 24, 3], 247),
-        (6, [1, 14, 13, 16, 17, 15, 20, 21, 6, 19, 23, 22, 18, 5, 24, 2, 4, 3], 237),
+        (1, [1, 13, 16, 14, 22, 18, 21, 17, 2, 15, 19, 6, 20, 24, 23, 5, 3, 4], 63),
+        (2, [1, 14, 13, 3, 21, 17, 16, 20, 6, 15, 19, 2, 22, 18, 23, 24, 5, 4], 69),
+        (3, [1, 14, 13, 4, 17, 15, 16, 18, 6, 21, 19, 20, 22, 2, 3, 23, 5, 24], 72),
+        (4, [1, 14, 13, 5, 17, 21, 16, 20, 6, 15, 19, 3, 4, 18, 22, 2, 23, 24], 80),
+        (5, [1, 14, 13, 6, 15, 19, 18, 16, 22, 20, 23, 4, 5, 17, 21, 2, 24, 3], 71),
+        (6, [1, 14, 13, 16, 17, 15, 20, 21, 6, 19, 23, 22, 18, 5, 24, 2, 4, 3], 66),
     ])
     def test_gallery_chain_is_pinned(self, monkeypatch, index, base, sifts):
         # chains are bit-reproducible: the same base points in the same order
@@ -919,6 +939,7 @@ class TestIncrementalChain:
         monkeypatch.setattr(perms, "_JORDAN_TRIES", 0)  # the chain answers
         calls = count_sifts(monkeypatch)
         cases = [[d.sigma0, d.sigma1] for d in map(gallery_dessin, range(1, 7))]
+        cases += diagonal_gens()
         rng = random.Random(1214)
         for _ in range(40):
             n = rng.randint(3, 20)
@@ -1049,6 +1070,22 @@ class TestChainKernel:
 
         d = gallery_dessin(index)
         assert kernel_free_digest(PermGroup([d.sigma0, d.sigma1]))[:16] == digest
+
+    def test_diagonal_chain_digests_are_pinned(self):
+        # recorded before the build skipped Schreier generators that are
+        # strong generators of the level below, which changes no chain
+        digests = [
+            "cc4fffca3dd4ee28", "2e4c4d94ca9495a3", "74f177060830a945",
+            "aaaa1e190156e1c8", "cec092ce4a9fc40f", "c80dfa7265d1329a",
+            "ee4fd977a9b98fec", "dcfa91311d0bacc6", "8b3041f46579158d",
+            "48779af1904a7c2a", "b136e2631795a150", "1f3524c722acbcc8",
+            "e9ae2952646451e2", "2a347b8fdd97dcae", "0eff4bebd2459f40",
+            "92a924b910bd74bb",
+        ]
+        groups = [PermGroup(gens) for gens in diagonal_gens()]
+        assert [kernel_free_digest(g)[:16] for g in groups] == digests
+        for group in groups:
+            assert_chain_is_complete(group)
 
     def test_seeded_chain_digests_are_pinned(self, monkeypatch):
         monkeypatch.setattr(perms, "_JORDAN_TRIES", 0)  # the chain answers
