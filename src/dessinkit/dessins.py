@@ -34,7 +34,7 @@ from .words import FreeWord, evaluate_word, parse_word
 class Dessin:
     """Degree n >= 1 plus the two edge rotations; transitivity is enforced."""
 
-    __slots__ = ("_sigma0", "_sigma1", "_group", "_types")
+    __slots__ = ("_sigma0", "_sigma1", "_group", "_types", "_lengths")
 
     def __init__(self, sigma0: Permutation, sigma1: Permutation):
         group = PermGroup([sigma0, sigma1])
@@ -49,6 +49,7 @@ class Dessin:
         self._sigma1 = sigma1
         self._group = group
         self._types = None  # made by _cycle_types
+        self._lengths = None  # made by _edge_cycle_lengths
 
     @property
     def degree(self) -> int:
@@ -226,6 +227,14 @@ def _cycle_lengths(images: tuple) -> list:
     return lengths
 
 
+def _edge_cycle_lengths(d: Dessin) -> tuple:
+    """The :func:`_cycle_lengths` of sigma0 and of sigma1, taken once per
+    dessin."""
+    if d._lengths is None:
+        d._lengths = (_cycle_lengths(d.sigma0._images), _cycle_lengths(d.sigma1._images))
+    return d._lengths
+
+
 def dessins_isomorphic(d1: Dessin, d2: Dessin) -> Optional[Permutation]:
     """Simultaneous-conjugation witness, or None.
 
@@ -249,8 +258,8 @@ def dessins_isomorphic(d1: Dessin, d2: Dessin) -> Optional[Permutation]:
     n = d1.degree
     a0, a1 = d1.sigma0._images, d1.sigma1._images
     b0, b1 = d2.sigma0._images, d2.sigma1._images
-    k0, k1 = _cycle_lengths(a0)[0], _cycle_lengths(a1)[0]
-    l0, l1 = _cycle_lengths(b0), _cycle_lengths(b1)
+    k0, k1 = (lengths[0] for lengths in _edge_cycle_lengths(d1))
+    l0, l1 = _edge_cycle_lengths(d2)
     for target in range(n):
         if l0[target] != k0 or l1[target] != k1:
             continue

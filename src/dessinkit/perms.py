@@ -16,9 +16,12 @@ Conventions
   its strong generator moves.  When a level gains a strong generator its
   orbit is extended breadth-first, keeping every transversal entry it had,
   and the Schreier pairs (orbit point, generator) it meets are queued on the
-  level; each pair is sifted at most once, and not at all when its Schreier
-  generator is a strong generator of the next level.  Group orders and sift
-  results are bit-reproducible across runs.
+  level, except the pair that makes a point's entry (its Schreier generator
+  is trivial) and a pair (base point, g) with g a strong generator of the
+  next level.  Each visit to a level drains its queue until a pair gives a
+  new strong generator; each pair is sifted at most once, and not at all
+  when its Schreier generator is a strong generator of the next level.
+  Group orders and sift results are bit-reproducible across runs.
 * The loop's state, its levels and level index, stays on the group:
   ``order_exceeds`` stops the loop once the product of the orbit sizes
   passes its bound, and every later query continues the chain from there.
@@ -560,27 +563,32 @@ class PermGroup:
 
         Every level after i is complete.  Level i first extends its orbit
         under the generators it gained, which queues the new Schreier pairs,
-        then sifts its queued pairs one at a time through the deeper levels.
-        A nontrivial residue that drops out at level j becomes a strong
-        generator of levels i+1..j, and the loop goes down to level j; a
-        level with no pair left is complete, and the loop goes up to i - 1.
-        A pair sifted once needs no second sift: its transversal entries are
-        kept, and the deeper levels it went through have since only gained
-        orbit points and new levels below, never changed an entry.  A
-        Schreier generator that is a strong generator of level i+1 is not
-        sifted at all: level i+1 and every level after it are complete, so
-        it sifts to the identity, and skipping it changes no state.  For a
-        pair (base point, g) the Schreier generator is g itself, so that
-        case is tested before any product.  The test reads a set per level
-        that mirrors its generators; the sets are made from the levels when
-        the loop starts, so a resumed build skips what a fresh one would,
-        and are dropped when it returns.
+        then drains its queue in one inner loop, sifting each pair through
+        the deeper levels, until a nontrivial residue appears.  A residue
+        that drops out at level j becomes a strong generator of levels
+        i+1..j, and the loop goes down to level j; a level whose queue runs
+        dry is complete, and the loop goes up to i - 1.  A pair sifted once
+        needs no second sift: its transversal entries are kept, and the
+        deeper levels it went through have since only gained orbit points
+        and new levels below, never changed an entry.
+
+        Only pairs that can give a strong generator are queued
+        (:meth:`_extend_orbit`), and of those a pair is not sifted when its
+        Schreier generator is trivial or a strong generator of level i+1:
+        level i+1 and every level after it are complete, so it sifts to the
+        identity, and skipping it changes no state.  That test reads a set
+        per level that mirrors its generators; the sets are made from the
+        levels when the loop starts, so a resumed build skips what a fresh
+        one would, and are dropped when it returns.
 
         The loop resumes from the group's levels and index and stores them
-        back when the chain is complete or the orbit-size product exceeds
-        ``bound``; an exception leaves no levels, so the next query restarts.
-        It composes in the kernel of the group's degree (:func:`_kernel`)
-        and counts the transversal entries stored as it makes them.
+        back when the chain is complete or, before a level drains its queue,
+        when the orbit-size product exceeds ``bound``, so a bounded build
+        and the builds that resume it do the work of one unbounded build, in
+        the same order.  An exception leaves no levels, so the next query
+        restarts.  It composes in the kernel of the group's degree
+        (:func:`_kernel`) and counts the transversal entries stored as it
+        makes them.
         """
         mul, inv, identity = _kernel(self._degree)
         levels, i = self._levels, self._level
@@ -596,27 +604,29 @@ class PermGroup:
         size = _orbit_product(levels)
         while i >= 0 and (bound is None or size <= bound):
             level = levels[i]
+            below = held[i + 1] if i + 1 < len(levels) else ()
             if level.closed < len(level.gens):
-                grown = self._extend_orbit(level, stored, mul, inv, inverses)
+                grown = self._extend_orbit(level, stored, mul, inv, inverses, below)
                 if grown:
                     stored += grown
-                    size = _orbit_product(levels)
-            if not level.pending:
-                i -= 1
-                continue
-            pt, g = level.pending.popleft()
-            below = held[i + 1] if i + 1 < len(levels) else ()
-            if pt == level.point and g in below:
-                continue  # Schreier generator g lies in the complete level below
-            ug = mul(level.orbit[pt][0], g)
-            target = level.orbit[g[pt]]
-            if ug == target[0]:
-                continue  # tree edge: Schreier generator is trivial
-            schreier = mul(ug, target[1])
-            if schreier in below:
-                continue  # a strong generator of the complete level below
-            residue, j = self._strip(levels, schreier, i + 1, mul)
-            if residue == identity:
+                    if bound is not None:
+                        size = _orbit_product(levels)
+                        continue  # test the bound before the queue is drained
+            orbit, pending = level.orbit, level.pending
+            while pending:
+                pt, g = pending.popleft()
+                ug = mul(orbit[pt][0], g)
+                target = orbit[g[pt]]
+                if ug == target[0]:
+                    continue  # Schreier generator is trivial
+                schreier = mul(ug, target[1])
+                if schreier in below:
+                    continue  # a strong generator of the complete level below
+                residue, j = self._strip(levels, schreier, i + 1, mul)
+                if residue != identity:
+                    break
+            else:
+                i -= 1  # level i is complete
                 continue
             if j == len(levels):
                 levels.append(_Level(_first_moved(residue), identity))
@@ -629,40 +639,50 @@ class PermGroup:
         self._levels, self._level = levels, i
 
     def _extend_orbit(self, level: "_Level", stored: int, mul, inv,
-                      inverses: dict) -> int:
+                      inverses: dict, below) -> int:
         """Close the orbit under the generators added since the last call,
         breadth-first: the old points under the new generators, then each
-        new point under all of them.  Old entries stay as they are.  Every
-        pair (point, generator) visited is queued on ``level.pending`` in
-        that order.  Return how many points the orbit gained.  ``stored``
-        counts the chain's transversal entries; a point that would take them
-        past :data:`MAX_TRANSVERSAL_BYTES` raises :class:`ResourceLimit`
-        before its entry is made.  ``inverses`` caches ``inv`` of the
-        generators."""
+        new point under all of them.  Old entries stay as they are.  Return
+        how many points the orbit gained.
+
+        The pairs (point, generator) visited are queued on ``level.pending``
+        in that order, except two kinds whose Schreier generator is known to
+        be trivial or held already.  A pair (a, g) that makes the entry of
+        b = a^g gives u_b = u_a g, and entries are never replaced, so it
+        would always pop as a tree edge.  A pair (base point, g) with g in
+        ``below``, the generators of the next level, has Schreier generator
+        g, and ``below`` only grows, so it would be skipped when popped.
+
+        ``stored`` counts the chain's transversal entries; a point that
+        would take them past :data:`MAX_TRANSVERSAL_BYTES` raises
+        :class:`ResourceLimit` before its entry is made.  ``inverses``
+        caches ``inv`` of the generators."""
         gens = level.gens
         old_gens = level.closed
-        orbit, pending = level.orbit, level.pending
+        base, orbit, pending = level.point, level.orbit, level.pending
         points = list(orbit)
         n_old = len(points)
         per_point = 2 * self._degree * 8
         others = stored - n_old
         room = MAX_TRANSVERSAL_BYTES // per_point - others
         for idx, a in enumerate(points):  # points grows as the orbit does
-            u, u_inv = orbit[a]
             for g in gens[old_gens:] if idx < n_old else gens:
-                pending.append((a, g))
                 b = g[a]
-                if b not in orbit:
-                    if len(points) >= room:
-                        stored = others + len(points) + 1
-                        raise ResourceLimit(
-                            f"transversal storage ~{stored * per_point} bytes "
-                            f"exceeds cap {MAX_TRANSVERSAL_BYTES}")
-                    gi = inverses.get(g)
-                    if gi is None:
-                        gi = inverses[g] = inv(g)
-                    orbit[b] = (mul(u, g), mul(gi, u_inv))
-                    points.append(b)
+                if b in orbit:
+                    if a != base or g not in below:
+                        pending.append((a, g))
+                    continue
+                if len(points) >= room:
+                    stored = others + len(points) + 1
+                    raise ResourceLimit(
+                        f"transversal storage ~{stored * per_point} bytes "
+                        f"exceeds cap {MAX_TRANSVERSAL_BYTES}")
+                gi = inverses.get(g)
+                if gi is None:
+                    gi = inverses[g] = inv(g)
+                u, u_inv = orbit[a]
+                orbit[b] = (mul(u, g), mul(gi, u_inv))
+                points.append(b)
         level.closed = len(gens)
         return len(points) - n_old
 

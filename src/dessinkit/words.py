@@ -26,15 +26,15 @@ from typing import Iterable, Tuple
 
 from ._exact import PRINT_BITS, Scanner, brief, exponent_of, power
 from .errors import DegreeMismatch, ParseError, ResourceLimit
-from .perms import Permutation, compose_right
+from .perms import Permutation, _inv, _mul
 
 Syllable = Tuple[str, int]
 
 #: The most syllables a freely reduced word may have.  A power of one
 #: generator stays one syllable however large its exponent, but ``(x y)^N``
 #: has 2N syllables.  At the cap such a word takes about 0.3 s and 33 MiB to
-#: parse and 1 s to evaluate on a degree-36 dessin (Python 3.11, one core of
-#: a 2-CPU x86-64 host).
+#: parse and 0.13 s to evaluate on a degree-36 dessin (Python 3.11, one core
+#: of a 2-CPU x86-64 host).
 MAX_SYLLABLES = 100_000
 
 
@@ -193,14 +193,24 @@ def evaluate_word(w: FreeWord, mx: Permutation, my: Permutation) -> Permutation:
     """Image of ``w`` under the homomorphism x -> mx, y -> my.
 
     Respects the right action: ``evaluate_word(u * v) ==
-    compose_right(evaluate_word(u), evaluate_word(v))``.
+    compose_right(evaluate_word(u), evaluate_word(v))``.  The syllables are
+    composed as 0-based image tuples, each power by square and multiply,
+    and the product becomes one :class:`Permutation` at the end.
     """
     if mx.degree != my.degree:
         raise DegreeMismatch(
             f"assignment degrees {mx.degree} and {my.degree} differ"
         )
-    result = Permutation.identity(mx.degree)
+    identity = tuple(range(mx.degree))
+    images = {"x": mx._images, "y": my._images}
+    inverses: dict = {}
+    result = identity
     for g, e in w.syllables:
-        base = mx if g == "x" else my
-        result = compose_right(result, base ** e)
-    return result
+        if e > 0:
+            base = images[g]
+        else:
+            base = inverses.get(g)
+            if base is None:
+                base = inverses[g] = _inv(images[g])
+        result = _mul(result, base if e in (1, -1) else power(base, abs(e), identity, _mul))
+    return Permutation._from_zero_based(result)

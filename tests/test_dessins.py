@@ -283,6 +283,27 @@ class TestIsomorphism:
             several += len(witnesses) > 1
         assert several >= 20
 
+    def test_cycle_lengths_are_taken_once_per_dessin(self, monkeypatch):
+        # each dessin keeps the cycle lengths of sigma0 and sigma1, so calls
+        # on every ordered pair, three rounds over, take two per dessin
+        calls = []
+        cycle_lengths = dessins._cycle_lengths
+
+        def counting(images):
+            calls.append(None)
+            return cycle_lengths(images)
+
+        monkeypatch.setattr(dessins, "_cycle_lengths", counting)
+        rng = random.Random(3508)
+        d = random_transitive_dessin(rng, 9)
+        family = [d, conjugate_dessin(d, random_perm(rng, 9)), random_transitive_dessin(rng, 9)]
+        family += [Dessin(g.sigma0, g.sigma1) for g in map(gallery_dessin, (1, 2))]
+        rounds = [[dessins_isomorphic(d1, d2) for d1 in family for d2 in family]
+                  for _ in range(3)]
+        assert rounds[0] == rounds[1] == rounds[2]
+        assert rounds[0][1] is not None and rounds[0][2] is None
+        assert len(calls) <= 2 * len(family)
+
 
 class TestRegularClosures:
     def test_self(self):

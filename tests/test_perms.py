@@ -792,6 +792,22 @@ def count_sifts(monkeypatch):
     return calls
 
 
+def count_queued(monkeypatch):
+    """A list that gains, per ``PermGroup._extend_orbit`` call, the number of
+    Schreier pairs it queued."""
+    queued = []
+    extend = PermGroup._extend_orbit
+
+    def counting(self, level, *args):
+        before = len(level.pending)
+        grown = extend(self, level, *args)
+        queued.append(len(level.pending) - before)
+        return grown
+
+    monkeypatch.setattr(PermGroup, "_extend_orbit", counting)
+    return queued
+
+
 def side_by_side(a, b):
     """a on points 1..n and b on points n+1..n+m."""
     return Permutation(a.images + tuple(v + a.degree for v in b.images))
@@ -899,6 +915,71 @@ class TestIncrementalChain:
         assert group.order() == 42467328
         assert group.base() == base
         assert len(calls) == sifts
+
+    @pytest.mark.parametrize("index, queued", [
+        (1, 261), (2, 254), (3, 254), (4, 254), (5, 264), (6, 254),
+    ])
+    def test_gallery_chain_queues_pinned_pairs(self, monkeypatch, index, queued):
+        # queuing every Schreier pair met took 444/438/438/438/450/438 here;
+        # tree edges and base pairs held below are left out, and the chain
+        # and its sifts are those pinned above
+        from dessinkit.models import gallery_dessin
+
+        d = gallery_dessin(index)
+        pairs = count_queued(monkeypatch)
+        assert PermGroup([d.sigma0, d.sigma1]).order() == 42467328
+        assert sum(pairs) == queued
+
+    def test_queue_holds_no_pair_known_to_be_skipped(self, monkeypatch):
+        # after every orbit extension, no pending pair on any level is an
+        # edge of its Schreier tree (the pair that made an entry, the first
+        # in visit order to reach a new point), and no pair just queued is
+        # (base point, g) with g a strong generator of the next level.  A
+        # level's first extension comes right after it is made, so the levels
+        # seen, in order, are the chain's, and the set of the next level's
+        # generators is the one passed in
+        from dessinkit.models import gallery_dessin
+
+        monkeypatch.setattr(perms, "_JORDAN_TRIES", 0)  # the chain answers
+        extend = PermGroup._extend_orbit
+        seen, tree = [], []
+
+        def checking(self, level, stored, mul, inv, inverses, below):
+            if level not in seen:
+                seen.append(level)
+                tree.append(set())
+            k = seen.index(level)
+            before, old_points, closed = len(level.pending), len(level.orbit), level.closed
+            grown = extend(self, level, stored, mul, inv, inverses, below)
+            reached = set(list(level.orbit)[:old_points])
+            for idx, a in enumerate(level.orbit):
+                for g in level.gens[closed:] if idx < old_points else level.gens:
+                    if g[a] not in reached:
+                        reached.add(g[a])
+                        tree[k].add((a, g))
+                        assert mul(level.orbit[a][0], g) == level.orbit[g[a]][0]
+            assert set(below) == (set(seen[k + 1].gens) if k + 1 < len(seen) else set())
+            for pt, g in list(level.pending)[before:]:
+                assert pt != level.point or g not in below
+            for lvl, edges in zip(seen, tree):
+                assert not edges & set(lvl.pending)
+            return grown
+
+        monkeypatch.setattr(PermGroup, "_extend_orbit", checking)
+        cases = [[d.sigma0, d.sigma1] for d in map(gallery_dessin, range(1, 7))]
+        cases += diagonal_gens()
+        rng = random.Random(3510)
+        for _ in range(40):
+            n = rng.randint(2, 12)
+            cases.append([random_perm(rng, n) for _ in range(rng.randint(1, 3))])
+        for gens in cases:
+            seen.clear()
+            tree.clear()
+            group = PermGroup(gens)
+            group.order()
+            assert seen == group._levels
+            assert sum(map(len, tree)) == sum(len(lvl.orbit) - 1 for lvl in seen)
+            assert_chain_is_complete(group)
 
     def test_concurrent_queries_build_one_chain(self, monkeypatch):
         from dessinkit.models import gallery_dessin

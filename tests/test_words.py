@@ -222,6 +222,54 @@ class TestEvaluation:
         assert left == right
         assert evaluate_word(u.inverse(), mx, my) == evaluate_word(u, mx, my).inverse()
 
+    def test_against_letter_by_letter_oracle(self):
+        # the oracle sends each point through the word one letter at a time;
+        # a power e of a letter walks the point's cycle |e| mod its length
+        # letters, so 2^100 + 1 is cheap.  Degrees 0 and 1 are the ones
+        # perms._mul composes by hand, 300 a degree above the byte tables
+        from dessinkit.models import gallery_dessin
+
+        def letter_by_letter(w, mx, my):
+            maps = {}
+            for g, p in (("x", mx), ("y", my)):
+                forward = dict(enumerate(p.images, 1))
+                maps[g, 1] = forward
+                maps[g, -1] = {v: k for k, v in forward.items()}
+
+            def walk(point, g, e):
+                step = maps[g, 1 if e > 0 else -1]
+                length, q = 1, step[point]
+                while q != point:
+                    length, q = length + 1, step[q]
+                for _ in range(abs(e) % length):
+                    point = step[point]
+                return point
+
+            images = []
+            for point in range(1, mx.degree + 1):
+                for g, e in w.syllables:
+                    point = walk(point, g, e)
+                images.append(point)
+            return Permutation(images)
+
+        rng = random.Random(3509)
+        huge = 2 ** 100 + 1
+        exponents = [0, 1, -1, 2, -2, huge, -huge]
+        gallery = gallery_dessin(2)
+        assignments = [(Permutation([]), Permutation([]))]
+        assignments += [(random_perm(rng, n), random_perm(rng, n)) for n in (1, 2, 2)]
+        assignments += [(gallery.sigma0, gallery.sigma1)]
+        assignments += [(random_perm(rng, 300), random_perm(rng, 300))]
+        for mx, my in assignments:
+            for length in range(6):
+                syllables = [(rng.choice("xy"), rng.choice(exponents))
+                             for _ in range(length)]
+                w = FreeWord(syllables)
+                assert evaluate_word(w, mx, my) == letter_by_letter(w, mx, my), syllables
+        w = parse_word("[x^-1 y^2 x, x y]")
+        assert evaluate_word(w, gallery.sigma0, gallery.sigma1) == letter_by_letter(
+            w, gallery.sigma0, gallery.sigma1)
+
     def test_kernel_inversion_invariance(self):
         rng = random.Random(13)
         for _ in range(30):
