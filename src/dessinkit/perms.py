@@ -374,7 +374,7 @@ def compose_right(a: Permutation, b: Permutation) -> Permutation:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "orbit", "closed", "pending")
+    __slots__ = ("point", "gens", "orbit", "points", "closed", "pending")
 
     def __init__(self, point: int, identity, gens: Sequence = ()):
         self.point = point
@@ -382,6 +382,9 @@ class _Level:
         # orbit maps point -> (u, u_inv) with base^u == point; an entry, once
         # made, is never replaced
         self.orbit: dict = {point: (identity, identity)}
+        # the orbit's points in the order they were reached, a list that an
+        # orbit extension walks while it appends
+        self.points = [point]
         # the orbit is closed under gens[:closed]
         self.closed = 0
         # Schreier pairs (orbit point, generator) not sifted yet, first in
@@ -402,7 +405,8 @@ class PermGroup:
     group, so a query continues a build that :meth:`order_exceeds` stopped;
     once it is complete, queries are read-only and safe for concurrent use.
     Each level keeps its orbit with a transversal entry (u, u^-1) per point,
-    the number of generators that orbit is closed under, and a queue of the
+    the orbit's points in the order they were reached, the number of
+    generators that orbit is closed under, and a queue of the
     Schreier pairs it has not sifted yet, so that a level that gains a strong
     generator does only the new work.
     """
@@ -655,23 +659,25 @@ class PermGroup:
 
         ``stored`` counts the chain's transversal entries; a point that
         would take them past :data:`MAX_TRANSVERSAL_BYTES` raises
-        :class:`ResourceLimit` before its entry is made.  ``inverses``
-        caches ``inv`` of the generators."""
+        :class:`ResourceLimit` before its entry is made.  The room left
+        under that cap is worked out at the first new point, since most
+        calls add none.  ``inverses`` caches ``inv`` of the generators."""
         gens = level.gens
-        old_gens = level.closed
-        base, orbit, pending = level.point, level.orbit, level.pending
-        points = list(orbit)
+        fresh = gens[level.closed:]
+        base, orbit, pending, points = level.point, level.orbit, level.pending, level.points
         n_old = len(points)
-        per_point = 2 * self._degree * 8
-        others = stored - n_old
-        room = MAX_TRANSVERSAL_BYTES // per_point - others
+        room = None
         for idx, a in enumerate(points):  # points grows as the orbit does
-            for g in gens[old_gens:] if idx < n_old else gens:
+            for g in fresh if idx < n_old else gens:
                 b = g[a]
                 if b in orbit:
                     if a != base or g not in below:
                         pending.append((a, g))
                     continue
+                if room is None:
+                    per_point = 2 * self._degree * 8
+                    others = stored - n_old
+                    room = MAX_TRANSVERSAL_BYTES // per_point - others
                 if len(points) >= room:
                     stored = others + len(points) + 1
                     raise ResourceLimit(

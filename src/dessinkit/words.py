@@ -116,6 +116,32 @@ def _push(out: list, syllables: Iterable[Syllable]) -> list:
                 out.append((g, merged))
         else:
             out.append((g, e))
+    return _capped(out)
+
+
+def _join(left: list, right: list) -> list:
+    """The freely reduced product of two freely reduced lists, made in the
+    longer one, so that only the shorter one is walked: the shorter right
+    list is pushed onto the left one, and a shorter left list goes before
+    the right one once the syllables that cancel at the junction are gone.
+    Either list may be the result."""
+    if len(left) >= len(right):
+        return _push(left, right)
+    # left[:n] and right[k:] are what is left of each; k <= len(left) -
+    # n < len(right), so right never runs out
+    n, k = len(left), 0
+    while n and left[n - 1][0] == right[k][0]:
+        g, e = right[k][0], left[n - 1][1] + right[k][1]
+        n -= 1
+        if e:
+            right[k] = (g, e)
+            break
+        k += 1
+    right[:k] = left[:n]
+    return _capped(right)
+
+
+def _capped(out: list) -> list:
     if len(out) > MAX_SYLLABLES:
         raise ResourceLimit(
             f"word of {len(out)} syllables is over the cap {MAX_SYLLABLES}"
@@ -139,8 +165,9 @@ class _Parser(Scanner):
 
     def parse_factor(self, out: list) -> list:
         """``out`` with the next factor pushed on.  A letter's power is one
-        syllable, whatever its exponent.  An unpowered group's list is pushed,
-        or taken over while ``out`` is empty: no copy per level."""
+        syllable, whatever its exponent.  An unpowered group's list and
+        ``out`` are joined in the longer of the two (:func:`_join`), so a
+        level costs the shorter one, and nesting copies no list per level."""
         c = self.take()
         if c in ("x", "y"):
             if self.peek() != "^":
@@ -151,7 +178,7 @@ class _Parser(Scanner):
             group = self.nested(self.parse_word, ")")
             self.expect(")")
             if self.peek() != "^":
-                return _push(out, group) if out else group
+                return _join(out, group)
             atom = FreeWord(group)
         elif c == "[":
             a = FreeWord(self.nested(self.parse_word, ","))

@@ -7,11 +7,21 @@ points and is a bijection of the projective line, so crit(f . mu) = crit(f)
 and crit(mu . f) = mu(crit(f)), infinity included; the critical points of
 f . mu are mu^-1 of those of f and those of mu . f are those of f, so either
 composite has irrational critical points exactly when f has.
+
+Group orders under relabelling and direct product: for a permutation pi of
+the points, G^pi = pi^-1 G pi is isomorphic to G, so |G^pi| = |G|; and G and
+H acting on disjoint sets of points generate G x H, so the group of their
+generators side by side has order |G| |H|.  Both hold at any degree, so they
+reach the chain's tuple kernel above 256 points, where no closure is
+affordable.
 """
 
 import collections
+import math
 import random
 from fractions import Fraction as F
+
+import pytest
 
 from dessinkit.belyi import (
     INFINITY,
@@ -22,6 +32,8 @@ from dessinkit.belyi import (
     finite_critical_values,
 )
 from dessinkit.errors import IrrationalCriticalPoints
+from dessinkit.models import gallery_dessin
+from dessinkit.perms import Permutation, PermGroup
 
 Z = RatMap(X)
 
@@ -95,3 +107,81 @@ def test_critical_values_under_moebius_maps():
         seen["to infinity"] += INFINITY in moved.values - crit.values
     assert seen["irrational"] >= 50 and seen["rational"] >= 150, seen
     assert seen["moves infinity"] >= 50 and seen["to infinity"] >= 10, seen
+
+
+# -- group orders under relabelling and direct product --------------------------
+
+
+def _cycles(n, lengths):
+    """0-based images of disjoint cycles of the given lengths on 0, 1, ...,
+    the other points of 0..n-1 fixed."""
+    images, at = list(range(n)), 0
+    for length in lengths:
+        for k in range(length):
+            images[at + k] = at + (k + 1) % length
+        at += length
+    return images
+
+
+def _dihedral(n):
+    return [[(i + 1) % n for i in range(n)], [-i % n for i in range(n)]]
+
+
+def _wreath(m):
+    """C2 wr C_m on 2m points: a swap of one pair, and a shift of the pairs."""
+    return [[1, 0] + list(range(2, 2 * m)), [(i + 2) % (2 * m) for i in range(2 * m)]]
+
+
+def _gallery(index):
+    d = gallery_dessin(index)
+    return [[v - 1 for v in s.images] for s in (d.sigma0, d.sigma1)]
+
+
+# (name, 0-based generators, order); degrees 36, 260 to 1000
+GROUPS = {
+    "gallery 1": (_gallery(1), 42467328),
+    "gallery 4": (_gallery(4), 42467328),
+    "dihedral 300": (_dihedral(300), 600),
+    "dihedral 1000": (_dihedral(1000), 2000),
+    "cycles 257": ([_cycles(257, [256])], 256),
+    "cycles 400": ([_cycles(400, [7, 11, 13, 17, 19, 23, 29, 31, 37])],
+                   math.lcm(7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    "wreath 260": (_wreath(130), 2**130 * 130),
+    "symmetric 500": ([_cycles(500, [500]), _cycles(500, [2])], math.factorial(500)),
+}
+
+
+def _order(gens):
+    return PermGroup([Permutation([v + 1 for v in g]) for g in gens]).order()
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_order_under_relabelling(name):
+    gens, order = GROUPS[name]
+    n = len(gens[0])
+    rng = random.Random(f"relabel {name}")
+    pi = list(range(n))
+    rng.shuffle(pi)
+    # pi^-1 g pi sends pi(x) to pi(g(x))
+    relabelled = []
+    for g in gens:
+        images = [0] * n
+        for x in range(n):
+            images[pi[x]] = pi[g[x]]
+        relabelled.append(images)
+    assert _order(relabelled) == _order(gens) == order
+
+
+@pytest.mark.parametrize("first, second", [
+    ("gallery 1", "dihedral 300"),
+    ("dihedral 300", "cycles 400"),
+    ("wreath 260", "gallery 4"),
+    ("gallery 1", "gallery 4"),
+    ("cycles 257", "dihedral 300"),
+])
+def test_order_of_a_direct_product(first, second):
+    (g_gens, g_order), (h_gens, h_order) = GROUPS[first], GROUPS[second]
+    n, m = len(g_gens[0]), len(h_gens[0])
+    gens = [g + list(range(n, n + m)) for g in g_gens]
+    gens += [list(range(n)) + [v + n for v in h] for h in h_gens]
+    assert _order(gens) == _order(g_gens) * _order(h_gens) == g_order * h_order

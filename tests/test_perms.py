@@ -930,6 +930,54 @@ class TestIncrementalChain:
         assert PermGroup([d.sigma0, d.sigma1]).order() == 42467328
         assert sum(pairs) == queued
 
+    @pytest.mark.parametrize("index, calls, idle", [
+        (1, 143, 123), (2, 142, 124), (3, 142, 124), (4, 142, 124), (5, 144, 126), (6, 142, 124),
+    ])
+    def test_gallery_chain_extensions_that_add_no_point(self, monkeypatch, index, calls, idle):
+        # most orbit extensions only queue the pairs of a new generator;
+        # those add no point, and work out no room under the cap
+        from dessinkit.models import gallery_dessin
+
+        d = gallery_dessin(index)
+        grown = []
+        extend = PermGroup._extend_orbit
+
+        def counting(self, *args):
+            grown.append(extend(self, *args))
+            return grown[-1]
+
+        monkeypatch.setattr(PermGroup, "_extend_orbit", counting)
+        assert PermGroup([d.sigma0, d.sigma1]).order() == 42467328
+        assert (len(grown), grown.count(0)) == (calls, idle)
+
+    def test_transversal_cap_fires_at_pinned_entries(self, monkeypatch):
+        # gallery dessin 1's chain stores 78 transversal entries on 18
+        # levels, 36 of them on the first.  Under a cap of k entries of
+        # 2 * 36 * 8 bytes, the refusal names the entries the chain would
+        # hold with the point it refused; past 36 the cap fires on deeper
+        # levels, where a new level's base point is stored before its orbit
+        # is extended, so some counts are skipped
+        from dessinkit.models import gallery_dessin
+
+        d = gallery_dessin(1)
+        per_point = 2 * 36 * 8
+        refused = []
+        for entries in range(1, 80):
+            monkeypatch.setattr(perms, "MAX_TRANSVERSAL_BYTES", per_point * entries)
+            try:
+                PermGroup([d.sigma0, d.sigma1]).order()
+            except ResourceLimit as exc:
+                text = f" bytes exceeds cap {per_point * entries}"
+                stored = str(exc).removeprefix("transversal storage ~").removesuffix(text)
+                refused.append(int(stored) // per_point)
+                assert int(stored) % per_point == 0
+            else:
+                refused.append(None)
+        assert refused == list(range(2, 37)) + [
+            38, 38, 39, 41, 41, 42, 43, 44, 45, 47, 47, 49, 49, 51, 51, 52, 53, 54, 56,
+            56, 58, 58, 60, 60, 62, 62, 64, 64, 66, 66, 68, 68, 70, 70, 72, 72, 74, 74,
+            76, 76, 78, 78, None, None]
+
     def test_queue_holds_no_pair_known_to_be_skipped(self, monkeypatch):
         # after every orbit extension, no pending pair on any level is an
         # edge of its Schreier tree (the pair that made an entry, the first

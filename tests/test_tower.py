@@ -2,7 +2,10 @@
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
@@ -13,6 +16,7 @@ from dessinkit._exact import is_prime
 from dessinkit.cli import run_cli
 from dessinkit.errors import (
     DegenerateTriple,
+    DivisionByZero,
     FieldMismatch,
     NotAUnit,
     OutOfRange,
@@ -23,6 +27,7 @@ from dessinkit.tower import (
     CurveTriple,
     DistinctnessReport,
     TowerField,
+    base_triple,
     conjugate_triples_distinct,
     galois_apply,
     galois_elements,
@@ -357,6 +362,8 @@ class TestConjugateDistinctness:
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_matches_per_conjugate_loop(self, p, monkeypatch):
+        # the exact path: with no prime tried, j is computed in the tower
+        monkeypatch.setattr(tower, "_IMAGE_PRIMES", 0)
         calls = []
         jinv = tower.j_invariant_of_triple
         monkeypatch.setattr(
@@ -430,6 +437,9 @@ class TestCollisions:
             assert composed == galois_apply(K, (i + u * k) % p, u * v % p, e)
 
     def test_cli_reports_collisions(self, capsys, monkeypatch):
+        # the exact path, whose j is patched: with no prime tried, the
+        # patched j is the only one computed
+        monkeypatch.setattr(tower, "_IMAGE_PRIMES", 0)
         monkeypatch.setattr(tower, "j_invariant_of_triple",
                             lambda tr: tr.a.field.rational(1728))
         pairs = list(itertools.combinations(galois_elements(TowerField(3, 2)), 2))
@@ -441,6 +451,214 @@ class TestCollisions:
         out = json.loads(capsys.readouterr().out)
         assert out["distinct"] is False
         assert out["collisions"] == [[list(a), list(b)] for a, b in pairs]
+
+
+def first_split_primes(field, gamma, count):
+    """The first ``count`` (l, w, r) of the certificate's prime search."""
+    return list(itertools.islice(tower._split_primes(field, F(gamma)), count))
+
+
+def split_primes_by_scan(field, gamma, count):
+    """Reference for the primes of tower._split_primes: every l = 1 mod 2p
+    above the start, each condition tested as stated, q's pth power by
+    Euler's criterion on q mod l."""
+    p, q = field.p, field.q
+    start = tower._IMAGE_START
+    ell, out = start + 1 + (-start) % (2 * p), []
+    while len(out) < count:
+        heights = (q.numerator, q.denominator, gamma.numerator, gamma.denominator)
+        if is_prime(ell) and ell % (p * p) != 1 and all(v % ell for v in heights):
+            qm = q.numerator * pow(q.denominator, -1, ell) % ell
+            if pow(qm, (ell - 1) // p, ell) == 1:
+                out.append(ell)
+        ell += 2 * p
+    return out
+
+
+def image(ell, w, r, label, x):
+    """phi sigma(x) in GF(l) for sigma = (i, u): zeta^a t^b -> w^(u a + i b) r^b,
+    each coordinate read mod l."""
+    i, u = label
+    return sum(c.numerator * pow(c.denominator, -1, ell) * pow(w, u * a + i * b, ell)
+               * pow(r, b, ell) for (a, b), c in x.coordinates.items()) % ell
+
+
+def record_images(monkeypatch):
+    """A list that gains (l, slots) per evaluation of j on a triple of
+    residues, slots None when a divisor vanished; j of tower elements is
+    left as it is."""
+    seen = []
+    jinv = tower.j_invariant_of_triple
+
+    def recording(tr):
+        if type(tr.a) is not tower._Residues:
+            return jinv(tr)
+        try:
+            j = jinv(tr)
+        except DivisionByZero:
+            seen.append((tr.a.ell, None))
+            raise
+        seen.append((tr.a.ell, j.slots))
+        return j
+
+    monkeypatch.setattr(tower, "j_invariant_of_triple", recording)
+    return seen
+
+
+class TestPrimeImages:
+    """The certificate by images in a prime field: its primes, its ring
+    maps, each way a prime fails, and its verdicts against the exact path."""
+
+    @pytest.mark.parametrize("p, q, gamma", [
+        (3, 2, 1), (5, F(7, 3), F(3, 5)), (7, 5, F(-2, 9)), (13, F(1, 6), 4), (23, 2, 1),
+    ])
+    def test_primes_are_those_of_a_scan(self, p, q, gamma):
+        K = TowerField(p, q)
+        found = first_split_primes(K, gamma, 3)
+        assert [ell for ell, _, _ in found] == split_primes_by_scan(K, F(gamma), 3)
+        for ell, w, r in found:
+            assert ell > tower._IMAGE_START
+            assert w != 1 and pow(w, p, ell) == 1
+            assert pow(r, p, ell) == K.q.numerator * pow(K.q.denominator, -1, ell) % ell
+
+    @pytest.mark.parametrize("p, q", [(3, F(2)), (5, F(7, 3)), (7, F(1, 5))])
+    def test_each_map_is_a_ring_map(self, p, q):
+        K = TowerField(p, q)
+        (ell, w, r), = first_split_primes(K, 1, 1)
+        rng = random.Random(380 + p)
+        pairs = [(random_element(K, rng), random_element(K, rng)) for _ in range(3)]
+        labels = galois_elements(K)
+        for label in labels:
+            for x, y in pairs:
+                fx, fy = image(ell, w, r, label, x), image(ell, w, r, label, y)
+                assert image(ell, w, r, label, x * y) == fx * fy % ell
+                assert image(ell, w, r, label, x + y) == (fx + fy) % ell
+                # phi sigma is phi after the library's sigma
+                assert fx == image(ell, w, r, (0, 1), galois_apply(K, *label, x))
+        generators = {(image(ell, w, r, label, K.zeta()), image(ell, w, r, label, K.root()))
+                      for label in labels}
+        assert len(generators) == len(labels)
+
+    def test_images_are_those_of_the_exact_j(self):
+        # the certificate's images are phi sigma(j) for j computed exactly
+        K = TowerField(5, F(7, 3))
+        gamma = F(3, 5)
+        (ell, w, r), = first_split_primes(K, gamma, 1)
+        labels = galois_elements(K)
+        exact = base_triple(K, gamma)
+        j = j_invariant_of_triple(exact)
+        expected = [image(ell, w, r, label, j) for label in labels]
+        triple = CurveTriple(*(tower._Residues(ell, [image(ell, w, r, label, e) for label in labels])
+                               for e in (exact.a, exact.b, exact.c)))
+        assert j_invariant_of_triple(triple).slots == expected
+        assert len(set(expected)) == len(expected)
+
+    def test_a_prime_dividing_q_or_gamma_is_skipped(self):
+        K = TowerField(5, 2)
+        primes = [ell for ell, _, _ in first_split_primes(K, 1, 3)]
+        ell = primes[0]
+        # 2 l^5 is a 5th power mod every other prime exactly when 2 is
+        assert [e for e, _, _ in first_split_primes(TowerField(5, 2 * ell**5), 1, 2)] == primes[1:]
+        for gamma in (F(ell, 3), F(2, ell)):
+            assert [e for e, _, _ in first_split_primes(K, gamma, 2)] == primes[1:]
+            assert tower._distinct_by_images(K, gamma) is True
+
+    def test_a_vanishing_divisor_fails_the_prime(self, monkeypatch):
+        K = TowerField(3, 2)
+        (ell, w, r), (later, _, _) = first_split_primes(K, 1, 2)
+        # gamma t goes to 1 - w, the image of 1 - zeta, under the identity's map
+        gamma = F((1 - w) * pow(r, -1, ell) % ell)
+        seen = record_images(monkeypatch)
+        assert tower._distinct_by_images(K, gamma) is True
+        assert [(e, slots is None) for e, slots in seen] == [(ell, True), (later, False)]
+        monkeypatch.setattr(tower, "_IMAGE_PRIMES", 1)
+        assert tower._distinct_by_images(K, gamma) is None
+        monkeypatch.setattr(tower, "_IMAGE_PRIMES", 0)
+        assert conjugate_triples_distinct(K, gamma) == (True, DistinctnessReport(6, ()))
+
+    def test_colliding_images_fail_the_prime(self, monkeypatch):
+        K = TowerField(5, F(7, 3))
+        (ell, w, r), (later, _, _) = first_split_primes(K, 1, 2)
+        # lambda = c / b is L = gamma r / (1 - w) under the identity's map and
+        # w L under (1, 1)'s; this gamma makes w L = 1 - L, and j(1 - L) = j(L)
+        gamma = F((1 - w) * pow(r * (1 + w), -1, ell) % ell)
+        labels = galois_elements(K)
+        seen = record_images(monkeypatch)
+        assert tower._distinct_by_images(K, gamma) is True
+        (first, slots), (second, after) = seen
+        assert (first, second) == (ell, later)
+        assert slots[labels.index((0, 1))] == slots[labels.index((1, 1))]
+        assert len(set(after)) == len(labels)
+        monkeypatch.setattr(tower, "_IMAGE_PRIMES", 1)
+        assert tower._distinct_by_images(K, gamma) is None
+        monkeypatch.setattr(tower, "_IMAGE_PRIMES", 0)
+        assert conjugate_triples_distinct(K, gamma) == (True, DistinctnessReport(20, ()))
+
+    def test_one_equal_pair_fails_the_prime(self, monkeypatch):
+        # the images must be pairwise distinct: one pair of equal slots
+        # fails a prime
+        def one_pair(tr):
+            slots = list(range(len(tr.a.slots)))
+            slots[-1] = slots[0]
+            return tower._Residues(tr.a.ell, slots)
+
+        monkeypatch.setattr(tower, "j_invariant_of_triple", one_pair)
+        assert tower._distinct_by_images(TowerField(5, 2), F(1)) is None
+
+    def test_certified_inputs_are_distinct_by_the_exact_path(self, monkeypatch):
+        # every seeded input is certified, and the exact path, run with no
+        # prime tried, gives the same report; the inputs include q and gamma
+        # divisible by the first prime the search would otherwise take
+        rng = random.Random(3801)
+        cases = []
+        for p in (3, 5, 7, 11, 13):
+            for _ in range(3):
+                q = F(rng.choice((2, 3, 5, 7, 11)), rng.choice((1, 2, 3)))
+                while q == 1:
+                    q = F(rng.choice((2, 3, 5, 7, 11)), rng.choice((1, 2, 3)))
+                gamma = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                cases.append((p, q, gamma))
+            if p <= 7:
+                q = F(rng.choice((2, 3, 5)))
+                (ell, _, _), = first_split_primes(TowerField(p, q), 1, 1)
+                cases += [(p, q * ell**p, F(1)), (p, q, F(ell, 2)), (p, q, F(-3, ell))]
+        for p, q, gamma in cases:
+            field = TowerField(p, q)
+            assert tower._distinct_by_images(field, gamma) is True, (p, q, gamma)
+            report = conjugate_triples_distinct(field, gamma)
+            with monkeypatch.context() as m:
+                m.setattr(tower, "_IMAGE_PRIMES", 0)
+                exact = conjugate_triples_distinct(field, gamma)
+            assert exact == report == (True, DistinctnessReport(p * (p - 1), ()))
+
+    @pytest.mark.parametrize("argv, conjugates", [
+        (["--p", "23", "--q", "7/3", "--gamma", "3/5"], 506),
+        (["--p", "11", "--q", "7/3", "--gamma", f"{7**100}/{3**130}"], 110),
+    ])
+    def test_command_time_in_a_child_process(self, argv, conjugates):
+        # the command, timed in a fresh interpreter after the imports: with
+        # j computed exactly the first took 0.47-0.65 s and the second 11 s;
+        # certified by prime images each takes a few ms, and 0.1 s leaves
+        # room for a slow host
+        paths = [os.path.dirname(os.path.dirname(tower.__file__)),
+                 os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        code = (
+            "import contextlib, io, sys, time\n"
+            "from dessinkit.cli import run_cli\n"
+            "out = io.StringIO()\n"
+            "start = time.process_time()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = run_cli(['tower', 'distinct', *sys.argv[1:]])\n"
+            "print(code, time.process_time() - start)\n"
+            "print(out.getvalue(), end='')\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env=env, check=True, timeout=120)
+        status, seconds = done.stdout.splitlines()[0].split()
+        assert done.stdout.splitlines()[1:] == [f"conjugates: {conjugates}",
+                                                "pairwise distinct: true"]
+        assert status == "0" and float(seconds) < 0.1, seconds
 
 
 class TestAgainstFractionOracle:

@@ -102,6 +102,33 @@ class TestParsing:
         assert time.perf_counter() - start < 2
         assert word.syllables == (("x", 1), ("y", 1)) * 30000
 
+    def test_a_prefix_before_each_group_costs_the_prefix(self, monkeypatch):
+        # x ( ... x ( x y ... ) ... ): each level joins its one-syllable
+        # prefix and its group in the longer list, so every letter is pushed
+        # once, and the word once more as the FreeWord is made; pushing each
+        # group onto its prefix pushed about 50 times as many and took
+        # 1.2-2.1 s
+        pushed = []
+        push = words._push
+
+        def counting(out, syllables):
+            syllables = list(syllables)
+            pushed.append(len(syllables))
+            return push(out, syllables)
+
+        monkeypatch.setattr(words, "_push", counting)
+        word = parse_word("x (" * 100 + "x y " * 30000 + ")" * 100)
+        assert word.syllables == (("x", 101), ("y", 1)) + (("x", 1), ("y", 1)) * 29999
+        assert sum(pushed) == 100 + 60000 + 60000
+
+    def test_groups_after_prefixes_against_products(self):
+        # unpowered groups after prefixes that cancel into them, or not, and
+        # longer or shorter than them, against the product of their words
+        rng = random.Random(3809)
+        for _ in range(600):
+            text, oracle = _nested_word(rng, 4)
+            assert parse_word(text).syllables == oracle.syllables, text
+
     def test_cap_is_checked_on_the_reduced_prefix(self):
         with pytest.raises(ResourceLimit, match="word of 160000 syllables"):
             parse_word("(x y)^40000 (x y)^40000 (x y)^-40000")
@@ -144,6 +171,22 @@ def _random_word(rng, depth):
         text.append(factor_text)
         oracle = oracle * factor
     return " ".join(text), oracle
+
+
+def _nested_word(rng, depth):
+    """A random word of letter powers and unpowered groups as (text,
+    oracle), the oracle the product of the factors' FreeWords."""
+    parts, oracle = [], FreeWord()
+    for _ in range(rng.randint(0, 4)):
+        if depth and rng.random() < 0.5:
+            text, factor = _nested_word(rng, depth - 1)
+            text = f"({text})"
+        else:
+            letter, k = rng.choice("xy"), rng.choice((-2, -1, 1, 2))
+            text, factor = f"{letter}^{k}", FreeWord([(letter, k)])
+        parts.append(text)
+        oracle = oracle * factor
+    return " ".join(parts), oracle
 
 
 class TestLetterPowers:
