@@ -112,18 +112,25 @@ def integer_root(x: int, k: int) -> Optional[int]:
 
 def power(base, exponent: int, one, mul):
     """``base`` to a nonnegative ``exponent`` under the associative product
-    ``mul``, by square and multiply: about 2 log2(exponent) products.
+    ``mul``, by square and multiply: bit_length(exponent) - 1 squarings and
+    popcount(exponent) - 1 products.
 
-    ``one`` is the identity of the product; negative exponents are the
-    caller's rule.
+    The result starts from the power of ``base`` at the lowest set bit, so
+    ``one``, the identity of the product, is returned only for exponent 0
+    and is never multiplied; negative exponents are the caller's rule.
     """
-    result = one
+    if not exponent:
+        return one
+    while not exponent & 1:
+        base = mul(base, base)
+        exponent >>= 1
+    result = base
+    exponent >>= 1
     while exponent:
+        base = mul(base, base)
         if exponent & 1:
             result = mul(result, base)
         exponent >>= 1
-        if exponent:
-            base = mul(base, base)
     return result
 
 

@@ -198,8 +198,28 @@ def _proper_block(gens: list, n: int) -> Optional[list]:
     return [p for p in range(n) if find(p) == root]
 
 
+def _cycle_lengths(images: tuple) -> list:
+    """The length of each cycle of 0-based ``images``, fixed points
+    included, in the order of their least points: one walk, which makes no
+    cycle tuples."""
+    seen = [False] * len(images)
+    lengths = []
+    for start, j in enumerate(images):
+        if seen[start]:
+            continue
+        length = 1
+        while j != start:
+            seen[j] = True
+            length += 1
+            j = images[j]
+        lengths.append(length)
+    return lengths
+
+
 def _is_odd(p: "Permutation") -> bool:
-    return sum(len(c) - 1 for c in p.cycles()) % 2 == 1
+    """A permutation of n points with c cycles, fixed points included, is a
+    product of n - c transpositions."""
+    return (len(p._images) - len(_cycle_lengths(p._images))) % 2 == 1
 
 
 class Permutation:
@@ -296,13 +316,10 @@ class Permutation:
 
     def cycle_type(self) -> list:
         """Multiset of cycle lengths, fixed points included, sorted descending."""
-        lengths = [len(c) for c in self.cycles()]
-        fixed = len(self._images) - sum(lengths)
-        return sorted(lengths + [1] * fixed, reverse=True)
+        return sorted(_cycle_lengths(self._images), reverse=True)
 
     def order(self) -> int:
-        cycles = self.cycles()
-        return lcm(*(len(c) for c in cycles)) if cycles else 1
+        return lcm(*_cycle_lengths(self._images))  # lcm() is 1 at degree 0
 
     def __str__(self) -> str:
         cycles = self.cycles()
@@ -478,6 +495,12 @@ class PermGroup:
     def is_transitive(self) -> bool:
         """True iff the orbit of point 1 is the whole domain; a group on the
         empty domain has no orbit and is not transitive."""
+        return self._transitive
+
+    @cached_property
+    def _transitive(self) -> bool:
+        """:meth:`is_transitive`, worked out once: the generators never
+        change."""
         return self._degree > 0 and len(self.orbit(1)) == self._degree
 
     def orbit(self, point: int) -> set:

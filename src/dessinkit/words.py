@@ -16,12 +16,14 @@ Word grammar (also the CLI wire syntax)::
 Whitespace may separate tokens, but not the digits of one integer; ``int``
 may be negative, and the commutator bracket expands as
 ``[a, b] = a b a^-1 b^-1``.  Brackets nest at most ``_exact.MAX_NESTING``
-deep.
+deep.  A run of letter factors is read by one pattern match; groups,
+brackets and every error go through the character scanner.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from typing import Iterable, Tuple
 
 from ._exact import PRINT_BITS, Scanner, brief, exponent_of, power
@@ -32,9 +34,9 @@ Syllable = Tuple[str, int]
 
 #: The most syllables a freely reduced word may have.  A power of one
 #: generator stays one syllable however large its exponent, but ``(x y)^N``
-#: has 2N syllables.  At the cap such a word takes about 0.3 s and 33 MiB to
-#: parse and 0.13 s to evaluate on a degree-36 dessin (Python 3.11, one core
-#: of a 2-CPU x86-64 host).
+#: has 2N syllables.  At the cap such a word takes about 0.15-0.2 s to parse,
+#: in a process whose peak RSS is 32 MiB, and 0.12-0.17 s to evaluate on a
+#: degree-36 dessin (Python 3.11, one core of a shared 2-CPU x86-64 host).
 MAX_SYLLABLES = 100_000
 
 
@@ -45,6 +47,14 @@ class FreeWord:
 
     def __init__(self, syllables: Iterable[Syllable] = ()):
         self._syllables = _reduce(syllables)
+
+    @classmethod
+    def _reduced(cls, syllables: list) -> "FreeWord":
+        """The word of a list that is already freely reduced and within the
+        cap, taken as it is."""
+        w = object.__new__(cls)
+        w._syllables = tuple(syllables)
+        return w
 
     @property
     def syllables(self) -> tuple:
@@ -154,20 +164,61 @@ def _capped(out: list) -> list:
 # ---------------------------------------------------------------------------
 
 
+#: A letter with an optional power, ``x``, ``y^-3`` or ``x ^ - 12``: the
+#: grammar of a letter factor, whose whitespace and digits are those of
+#: ``Scanner`` (``\s`` and ``\d`` are ``str.isspace`` and ``str.isdecimal``).
+_SYLLABLE = re.compile(r"([xy])(?:\s*\^\s*(-?)\s*(\d+))?")
+
+#: A run of up to ``_RUN_SYLLABLES`` letter factors and the whitespace after
+#: each.  A letter followed by a ``^`` without a complete integer ends the
+#: run before it, so that the factor path reports it.  The bound keeps what
+#: one match makes small: a long word is pushed 512 syllables at a time, and
+#: a run that may cross the cap is read again at most 512 factors.
+_RUN_SYLLABLES = 512
+_RUN = re.compile(r"(?:[xy](?:\s*\^\s*-?\s*\d+|(?!\s*\^))\s*){1,%d}" % _RUN_SYLLABLES)
+
+
 class _Parser(Scanner):
     def parse_word(self, stop=()) -> list:
-        out: list = []  # the reduced syllables up to a character of stop
+        """The reduced syllables up to a character of ``stop``.
+
+        A run of letter factors is read by one match of ``_RUN`` and pushed
+        in one call.  A run that could pass the cap, or that holds an
+        integer too long for ``int``, is read again factor by factor, which
+        checks the cap after each factor and reports the integer as
+        :func:`_exact.decimal` does; everything else is a factor too.
+        """
+        out: list = []
+        text = self.text
         while True:
             c = self.peek()
             if c is None or c in stop:
                 return out
-            out = self.parse_factor(out)
+            run = _RUN.match(text, self.pos)
+            if run is None:
+                out = self.parse_factor(out)
+                continue
+            factors = _SYLLABLE.findall(text, self.pos, run.end())
+            try:
+                syllables = [(g, int(sign + digits) if digits else 1)
+                             for g, sign, digits in factors]
+                fits = len(out) + len(syllables) <= MAX_SYLLABLES
+            except ValueError:  # the interpreter's limit on decimal digits
+                fits = False
+            if fits:
+                self.pos = run.end()
+                out = _push(out, syllables)
+            else:
+                for _ in factors:
+                    out = self.parse_factor(out)
 
     def parse_factor(self, out: list) -> list:
         """``out`` with the next factor pushed on.  A letter's power is one
         syllable, whatever its exponent.  An unpowered group's list and
         ``out`` are joined in the longer of the two (:func:`_join`), so a
-        level costs the shorter one, and nesting copies no list per level."""
+        level costs the shorter one, and nesting copies no list per level;
+        the reduced list of a powered group or a bracket becomes its word
+        as it is."""
         c = self.take()
         if c in ("x", "y"):
             if self.peek() != "^":
@@ -179,11 +230,11 @@ class _Parser(Scanner):
             self.expect(")")
             if self.peek() != "^":
                 return _join(out, group)
-            atom = FreeWord(group)
+            atom = FreeWord._reduced(group)
         elif c == "[":
-            a = FreeWord(self.nested(self.parse_word, ","))
+            a = FreeWord._reduced(self.nested(self.parse_word, ","))
             self.expect(",")
-            b = FreeWord(self.nested(self.parse_word, "]"))
+            b = FreeWord._reduced(self.nested(self.parse_word, "]"))
             self.expect("]")
             atom = commutator_word(a, b)
         else:
@@ -199,8 +250,9 @@ def parse_word(text: str) -> FreeWord:
 
     With no stop characters the parser returns only at the end of the input:
     a stray ``)``, ``]`` or ``,`` is an unexpected character of a factor.
+    The parser reduces as it reads, so its list becomes the word as it is.
     """
-    return FreeWord(_Parser(text, " in word").parse_word())
+    return FreeWord._reduced(_Parser(text, " in word").parse_word())
 
 
 def commutator_word(a: FreeWord, b: FreeWord) -> FreeWord:
@@ -222,16 +274,16 @@ def evaluate_word(w: FreeWord, mx: Permutation, my: Permutation) -> Permutation:
     Respects the right action: ``evaluate_word(u * v) ==
     compose_right(evaluate_word(u), evaluate_word(v))``.  The syllables are
     composed as 0-based image tuples, each power by square and multiply,
-    and the product becomes one :class:`Permutation` at the end.
+    the product starting from the first syllable's image, not the identity,
+    and it becomes one :class:`Permutation` at the end.
     """
     if mx.degree != my.degree:
         raise DegreeMismatch(
             f"assignment degrees {mx.degree} and {my.degree} differ"
         )
-    identity = tuple(range(mx.degree))
     images = {"x": mx._images, "y": my._images}
     inverses: dict = {}
-    result = identity
+    result = None
     for g, e in w.syllables:
         if e > 0:
             base = images[g]
@@ -239,5 +291,6 @@ def evaluate_word(w: FreeWord, mx: Permutation, my: Permutation) -> Permutation:
             base = inverses.get(g)
             if base is None:
                 base = inverses[g] = _inv(images[g])
-        result = _mul(result, base if e in (1, -1) else power(base, abs(e), identity, _mul))
-    return Permutation._from_zero_based(result)
+        base = power(base, abs(e), None, _mul)  # e != 0, so no identity is used
+        result = base if result is None else _mul(result, base)
+    return Permutation._from_zero_based(tuple(range(mx.degree)) if result is None else result)

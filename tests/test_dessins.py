@@ -1,5 +1,6 @@
 """Dessin invariants, isomorphism decisions, and witness verdicts."""
 
+import math
 import random
 
 import pytest
@@ -181,6 +182,27 @@ class TestRegularDescriptor:
         assert r.group_order == 2
         assert (r.ord_x, r.ord_y, r.ord_xy) == (2, 2, 1)
         assert r.euler_characteristic == 2 and r.genus == 0
+
+    def test_transitivity_is_worked_out_once(self, monkeypatch):
+        # Dessin checks it and the Jordan certificate reads it; both share
+        # one orbit of edge 1, for a gallery group and for a giant
+        calls = []
+        orbit = perms.PermGroup.orbit
+
+        def counted(self, point):
+            calls.append(point)
+            return orbit(self, point)
+
+        monkeypatch.setattr(perms.PermGroup, "orbit", counted)
+        rng = random.Random(3904)
+        giant = random_transitive_dessin(rng, 20)
+        sigmas = [(g.sigma0, g.sigma1) for g in (gallery_dessin(1), giant)]
+        orders = []
+        for s0, s1 in sigmas:
+            calls.clear()
+            orders.append(regular_descriptor(Dessin(s0, s1)).group_order)
+            assert calls == [1]
+        assert orders[0] == 42467328 and orders[1] in (math.factorial(20), math.factorial(20) // 2)
 
     def test_group_order_at_least_degree(self):
         rng = random.Random(29)

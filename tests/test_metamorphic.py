@@ -14,6 +14,11 @@ H acting on disjoint sets of points generate G x H, so the group of their
 generators side by side has order |G| |H|.  Both hold at any degree, so they
 reach the chain's tuple kernel above 256 points, where no closure is
 affordable.
+
+Words under evaluation: evaluation is a homomorphism from the free group, so
+eval(u v) = eval(u) eval(v), eval(u^-1) = eval(u)^-1 and eval(u^k) =
+eval(u)^k, the right-hand sides computed by Permutation's own product,
+inverse and power.
 """
 
 import collections
@@ -34,6 +39,7 @@ from dessinkit.belyi import (
 from dessinkit.errors import IrrationalCriticalPoints
 from dessinkit.models import gallery_dessin
 from dessinkit.perms import Permutation, PermGroup
+from dessinkit.words import FreeWord, evaluate_word
 
 Z = RatMap(X)
 
@@ -185,3 +191,47 @@ def test_order_of_a_direct_product(first, second):
     gens = [g + list(range(n, n + m)) for g in g_gens]
     gens += [list(range(n)) + [v + n for v in h] for h in h_gens]
     assert _order(gens) == _order(g_gens) * _order(h_gens) == g_order * h_order
+
+
+# -- words under evaluation -----------------------------------------------------
+
+HUGE = 2**100 + 1
+
+
+def _random_syllables(rng):
+    """Up to 10 syllables; one in ten exponents is +-(2^100 + 1)."""
+    exponents = (-3, -2, -1, 1, 2, 3, 7, 5, -HUGE, HUGE, -1, 1, 2, 1, -2, -1, 4, 3, 1, -1)
+    return [(rng.choice("xy"), rng.choice(exponents)) for _ in range(rng.randint(0, 10))]
+
+
+def _random_pair(rng, n):
+    pair = []
+    for _ in range(2):
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        pair.append(Permutation(images))
+    return pair
+
+
+@pytest.mark.parametrize("degree", [36, 257, 1000])
+def test_words_under_evaluation(degree):
+    rng = random.Random(f"words {degree}")
+    assignments = [_random_pair(rng, degree) for _ in range(2)]
+    if degree == 36:
+        d = gallery_dessin(1)
+        assignments.append((d.sigma0, d.sigma1))
+    for mx, my in assignments:
+        for _ in range(8):
+            u, v = FreeWord(_random_syllables(rng)), FreeWord(_random_syllables(rng))
+            eu, ev = evaluate_word(u, mx, my), evaluate_word(v, mx, my)
+            assert evaluate_word(u * v, mx, my) == eu * ev
+            assert evaluate_word(u.inverse(), mx, my) == eu.inverse()
+            # u^k has |k| times u's syllables unless u is a conjugate of a
+            # letter power, w g^e w^-1, whose powers stay short
+            w, g = FreeWord(_random_syllables(rng)), rng.choice("xy")
+            conjugate = w * FreeWord([(g, rng.choice((-2, 1, 3)))]) * w.inverse()
+            ec = evaluate_word(conjugate, mx, my)
+            for k in (0, 1, -1, 2, -2, HUGE, -HUGE):
+                assert evaluate_word(conjugate ** k, mx, my) == ec ** k
+                if abs(k) <= 2:
+                    assert evaluate_word(u ** k, mx, my) == eu ** k

@@ -207,6 +207,23 @@ class TestOrderAndCycleType:
         p = Permutation.identity(5)
         assert (p.order(), p.cycle_type()) == (1, [1] * 5)
 
+    def test_against_the_cycles(self):
+        # order, cycle type and parity read one walk of the cycle lengths;
+        # the reference is built from the 1-based cycle tuples
+        rng = random.Random(3903)
+        perms_ = [Permutation([]), Permutation([1]), Permutation([2, 1])]
+        perms_ += [random_perm(rng, n) for n in (1, 2, 3, 5, 8, 13, 36, 257) for _ in range(12)]
+        perms_ += [Permutation.identity(n) for n in (3, 40)]
+        for p in perms_:
+            lengths = [len(c) for c in p.cycles()]
+            lengths += [1] * (p.degree - sum(lengths))
+            assert p.cycle_type() == sorted(lengths, reverse=True)
+            assert p.order() == (math.lcm(*lengths) if p.degree else 1)
+            assert perms._is_odd(p) == is_odd(p)
+        assert [p.order() for p in perms_[:3]] == [1, 1, 2]
+        assert [p.cycle_type() for p in perms_[:3]] == [[], [1], [2]]
+        assert sorted({perms._is_odd(p) for p in perms_}) == [False, True]
+
     def test_order_is_least_power(self):
         rng = random.Random(17)
         for _ in range(30):

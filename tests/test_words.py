@@ -1,14 +1,19 @@
 """Free-word parsing, reduction, and homomorphism evaluation tests."""
 
+import os
 import random
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dessinkit import words
-from dessinkit._exact import MAX_NESTING
+from dessinkit._exact import MAX_NESTING, Scanner
 from dessinkit.errors import DegreeMismatch, ParseError, ResourceLimit
 from dessinkit.perms import Permutation, compose_right
 from dessinkit.words import FreeWord, commutator_word, evaluate_word, parse_word
@@ -105,9 +110,9 @@ class TestParsing:
     def test_a_prefix_before_each_group_costs_the_prefix(self, monkeypatch):
         # x ( ... x ( x y ... ) ... ): each level joins its one-syllable
         # prefix and its group in the longer list, so every letter is pushed
-        # once, and the word once more as the FreeWord is made; pushing each
-        # group onto its prefix pushed about 50 times as many and took
-        # 1.2-2.1 s
+        # once, and the reduced list becomes the FreeWord without a second
+        # push; pushing each group onto its prefix pushed about 50 times as
+        # many and took 1.2-2.1 s
         pushed = []
         push = words._push
 
@@ -119,7 +124,7 @@ class TestParsing:
         monkeypatch.setattr(words, "_push", counting)
         word = parse_word("x (" * 100 + "x y " * 30000 + ")" * 100)
         assert word.syllables == (("x", 101), ("y", 1)) + (("x", 1), ("y", 1)) * 29999
-        assert sum(pushed) == 100 + 60000 + 60000
+        assert sum(pushed) == 100 + 60000
 
     def test_groups_after_prefixes_against_products(self):
         # unpowered groups after prefixes that cancel into them, or not, and
@@ -365,3 +370,247 @@ class TestErrorMessages:
         with pytest.raises(error) as exc:
             call()
         assert exc.type is error and str(exc.value) == message
+
+
+# -- letter runs against a factor-by-factor reference --------------------------
+
+
+class _ReferenceParser(Scanner):
+    """The reference parser: every factor, letters included, is read through
+    the scanner one character at a time, with no pattern match, and the
+    reduced list is pushed again as the word is made."""
+
+    def parse_word(self, stop=()) -> list:
+        out: list = []
+        while True:
+            c = self.peek()
+            if c is None or c in stop:
+                return out
+            out = self.parse_factor(out)
+
+    def parse_factor(self, out: list) -> list:
+        c = self.take()
+        if c in ("x", "y"):
+            if self.peek() != "^":
+                return words._push(out, [(c, 1)])
+            self.take()
+            return words._push(out, [(c, self.integer())])
+        if c == "(":
+            group = self.nested(self.parse_word, ")")
+            self.expect(")")
+            if self.peek() != "^":
+                return words._join(out, group)
+            atom = FreeWord(group)
+        elif c == "[":
+            a = FreeWord(self.nested(self.parse_word, ","))
+            self.expect(",")
+            b = FreeWord(self.nested(self.parse_word, "]"))
+            self.expect("]")
+            atom = commutator_word(a, b)
+        else:
+            raise ParseError(f"unexpected {c!r} at position {self.pos} in word")
+        if self.peek() == "^":
+            self.take()
+            atom = atom ** self.integer()
+        return words._push(out, atom.syllables)
+
+
+def _reference_parse(text):
+    return FreeWord(_ReferenceParser(text, " in word").parse_word())
+
+
+def _outcome(parse, text):
+    """The syllables, or the type and message of the exception raised."""
+    try:
+        return parse(text).syllables
+    except Exception as exc:  # any exception, so that a new type shows too
+        return type(exc), str(exc)
+
+
+# whitespace by str.isspace, Unicode spaces and separators among it
+_SPACES = (" ", " ", "  ", "\t", "\n", "\x0b", "\x1c", "\x85", "\u00a0",
+           "\u1680", "\u2003", "\u2029", "\u3000")
+# decimal digits of several scripts, and two digit characters that are not
+# decimal
+_DIGITS = "0123456789" * 3 + "\u0661\u0663\u0669\u0966\u096f\uff10\uff15\U0001d7ce"
+_NOT_DECIMAL = "\u00b2\u00bd"
+_STRAY = ("^", "-", "+", "(", ")", "[", "]", ",", "x", "y", "z", "*", "1", "\u00b2", " ")
+
+
+def _gap(rng):
+    return "" if rng.random() < 0.5 else rng.choice(_SPACES)
+
+
+def _integer(rng, width=(1, 1, 2, 3, 25)):
+    if rng.random() < 0.01:  # past the interpreter's limit on decimal digits
+        digits = "7" * (sys.get_int_max_str_digits() + rng.randint(1, 3))
+    elif rng.random() < 0.01:
+        digits = rng.choice(_NOT_DECIMAL)
+    else:
+        digits = "".join(rng.choice(_DIGITS) for _ in range(rng.choice(width)))
+    sign = rng.choice(("", "-")) if rng.random() < 0.99 else "+"
+    return sign + _gap(rng) + digits
+
+
+def _letters(rng):
+    """A run of letter factors, with powers, spaced every way the grammar
+    allows; now and then a power lacks its integer."""
+    parts = []
+    for _ in range(rng.randint(1, 6)):
+        letter = rng.choice("xyxyxyz" if rng.random() < 0.05 else "xy")
+        if rng.random() < 0.6:
+            power = "" if rng.random() < 0.01 else _integer(rng)
+            letter += _gap(rng) + "^" + _gap(rng) + power
+        parts.append(letter)
+    return "".join(p + (_gap(rng) or " ") for p in parts)
+
+
+def _text(rng, depth):
+    parts = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.random() if depth else 0
+        if kind < 0.6:
+            parts.append(_letters(rng))
+        elif kind < 0.85:
+            # one digit, so that a group power stays far below the cap
+            power = ("^" + _gap(rng) + _integer(rng, (1,))) if rng.random() < 0.4 else ""
+            parts.append("(" + _gap(rng) + _text(rng, depth - 1) + ")" + _gap(rng) + power)
+        else:
+            parts.append("[" + _text(rng, depth - 1) + "," + _gap(rng)
+                         + _text(rng, depth - 1) + "]")
+        parts.append(_gap(rng))
+    return "".join(parts)
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randint(1, 2)):
+        at = rng.randint(0, len(text))
+        if rng.random() < 0.5 and text:
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + rng.choice(_STRAY) + text[at:]
+    return text
+
+
+class TestLetterRuns:
+    """A run of letter factors is read by one match; the reference is the
+    parser that read every factor through the scanner."""
+
+    def test_against_the_factor_by_factor_parser(self):
+        rng = random.Random(3901)
+        seen = {"valid": 0}
+        for k in range(3000):
+            text = _text(rng, 3)
+            if k % 3 == 0:
+                text = _mutate(rng, text)
+            outcome = _outcome(parse_word, text)
+            assert outcome == _outcome(_reference_parse, text), repr(text)
+            if isinstance(outcome, tuple) and outcome and isinstance(outcome[0], type):
+                kind = re.sub(r"\d+|'.*'|None", "#", outcome[1])
+                seen[kind] = seen.get(kind, 0) + 1
+            else:
+                seen["valid"] += 1
+        assert seen["valid"] >= 1000, seen
+        assert seen["expected integer at position # in word"] >= 200, seen
+        assert seen["integer of # digits at position # in word is too long"] >= 30, seen
+        assert seen["unexpected # at position # in word"] >= 200, seen
+        assert seen["expected # at position # in word, got #"] >= 20, seen
+
+    def test_runs_at_the_nesting_limit(self):
+        rng = random.Random(3902)
+        for depth in (MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1):
+            for _ in range(20):
+                inner = _letters(rng)
+                for text in ("(" * depth + inner + ")" * depth,
+                             "x (" * depth + inner + ") y^2" * depth,
+                             "[x, " + "(" * (depth - 1) + inner + ")" * (depth - 1) + "]"):
+                    assert _outcome(parse_word, text) == _outcome(_reference_parse, text)
+        with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING} at position"):
+            parse_word("(" * (MAX_NESTING + 1) + "x y^2" + ")" * (MAX_NESTING + 1))
+
+    @pytest.mark.parametrize("text, outcome", [
+        ("x^ y", (ParseError, "expected integer at position 3 in word")),
+        ("x^+1", (ParseError, "expected integer at position 2 in word")),
+        ("y x^", (ParseError, "expected integer at position 4 in word")),
+        ("x y^-", (ParseError, "expected integer at position 5 in word")),
+        ("x ^ - 12", (("x", -12),)),
+        ("y\u3000x \t^\u00a0-\u2003\u0661\u0662 y x^3", (("y", 1), ("x", -12), ("y", 1), ("x", 3))),
+        ("x^2^3", (ParseError, "unexpected '^' at position 4 in word")),
+        ("x^1 2", (ParseError, "unexpected '2' at position 5 in word")),
+        ("x x^-1 y^0 y^-0", ()),
+        ("x y^2 x^" + "1" * 5000,
+         (ParseError, "integer of 5000 digits at position 8 in word is too long")),
+    ], ids=["power without integer", "plus sign", "power at the end",
+            "minus sign at the end", "spaces in a power", "unicode spaces and digits",
+            "two powers", "split digits", "cancelling run", "too many digits"])
+    def test_letter_factors(self, text, outcome):
+        assert _outcome(parse_word, text) == _outcome(_reference_parse, text) == outcome
+
+    def test_whitespace_and_digits_are_the_scanners(self):
+        # the run's \s and \d are Scanner's str.isspace and str.isdecimal
+        # at every code point
+        everything = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", everything) == [c for c in everything if c.isspace()]
+        assert re.findall(r"\d", everything) == [c for c in everything if c.isdecimal()]
+
+    def test_a_long_run_is_pushed_in_bounded_pieces(self, monkeypatch):
+        pushed = []
+        push = words._push
+
+        def counting(out, syllables):
+            syllables = list(syllables)
+            pushed.append(len(syllables))
+            return push(out, syllables)
+
+        monkeypatch.setattr(words, "_push", counting)
+        word = parse_word("x y^-1 " * 1000)
+        assert word.syllables == (("x", 1), ("y", -1)) * 1000
+        assert pushed == [512, 512, 512, 2000 - 3 * 512]
+
+    def test_the_cap_is_checked_inside_a_run(self):
+        cap = words.MAX_SYLLABLES
+        over = f"word of {cap + 1} syllables is over the cap {cap}"
+        # the group leaves cap - 1 syllables, and the run's first two letters
+        # pass the cap before the rest of the run would cancel them
+        prefix = f"(x y)^{(cap - 2) // 2} x"
+        for text, outcome in [
+            ("x y " * (cap // 2), None),
+            ("x y " * (cap // 2) + "x", (ResourceLimit, over)),
+            (prefix + " y x x^-1 y^-1", (ResourceLimit, over)),
+            (prefix + " y^-1 y", None),
+            (prefix + " y x x^" + "1" * 5000, (ResourceLimit, over)),
+        ]:
+            got = _outcome(parse_word, text)
+            assert got == _outcome(_reference_parse, text)
+            if outcome is None:
+                assert len(got) <= cap
+            else:
+                assert got == outcome
+
+    def test_an_over_cap_run_is_refused_in_bounded_time_and_memory(self):
+        # two million letters are refused at the 100001st syllable, in 0.07 s
+        # and 7 MiB over the interpreter's own, as when every letter was
+        # pushed alone (0.15-0.25 s and 7 MiB; Python 3.11, 2-CPU x86-64)
+        code = (
+            "import resource, time\n"
+            "from dessinkit import words\n"
+            "from dessinkit.errors import ResourceLimit\n"
+            "text = 'x y ' * 10**6\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    words.parse_word(text)\n"
+            "except ResourceLimit as exc:\n"
+            "    print(exc)\n"
+            "print(time.perf_counter() - start)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        paths = [str(Path(words.__file__).resolve().parent.parent),
+                 os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=True, timeout=60)
+        message, seconds, grown_kib = done.stdout.splitlines()
+        assert message == "word of 100001 syllables is over the cap 100000"
+        assert float(seconds) < 1.0
+        assert int(grown_kib) < 12 * 1024
