@@ -17,7 +17,8 @@ provides:
   points 0, 1, m/(m+n) is free,
 * rational roots by p-adic lifting, and Sturm-sequence root counting and
   strict-monotonicity certificates, from one primitive remainder sequence
-  over the integers,
+  over the integers whose degree-one drops each take one pass (the gcd
+  with a monomial c X^m is read off the other side's low zero terms),
 * :func:`belyi_reduce`, which sends a finite set of nonzero rationals to 0 by
   a composition chain whose finite critical values stay inside {0, 1}, with
   an independent postcondition verifier (:func:`verify_reduction`).
@@ -117,7 +118,8 @@ class RatPoly(Vector):
     __slots__ = ()
 
     def __init__(self, coefficients: Iterable = ()):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+                  for c in coefficients]
         den = math.lcm(*(c.denominator for c in coeffs))
         self._num, self._den = lowest([c.numerator * (den // c.denominator)
                                        for c in coeffs], den)
@@ -432,52 +434,83 @@ def _derivative(c: Sequence[int]) -> list:
 
 
 def _prem(a: Sequence[int], b: Sequence[int]) -> list:
-    """A positive multiple of the remainder of a by b (deg a >= deg b).
+    """A positive multiple of -(a rem b) over Q, for deg a >= deg b >= 1:
+    the next term of a remainder sequence before its content is divided out.
 
-    Each step scales by |lc(b)| over its gcd with the top coefficient, as
-    the pseudo-remainder scales by |lc(b)|^(deg a - deg b + 1), so the sign
-    of the remainder over Q is kept.
+    A normal step, deg a = deg b + 1, is one pass: with c = lc(b), the
+    negated pseudo-remainder c^2 a - (q1 X + q0) b, q1 = c a_top and
+    q0 = c a_(top-1) - a_top b_(top-1), its multipliers divided by
+    g = gcd(q0, c).  c^2 / g > 0 keeps the sign, and g keeps them as small
+    as eliminating the two top terms one at a time does, which structured
+    sequences need.  Any other step eliminates one nonzero top coefficient
+    of -a at a time, scaling by |c| over its gcd with it, so sparse inputs
+    pay only for their nonzero terms.
     """
-    r = list(a)
     n, lead = len(b) - 1, b[-1]
-    while len(r) > n:
-        top = r.pop()
-        g = math.gcd(top, lead)
-        scale, t = abs(lead) // g, (top if lead > 0 else -top) // g
-        shift = len(r) - n
-        if scale != 1:
-            r = [scale * v for v in r]
-        for i in range(n):
-            r[shift + i] -= t * b[i]
-        while r and not r[-1]:
-            r.pop()
+    if len(a) == n + 2:
+        top = a[-1]
+        q0 = lead * a[-2] - top * b[-2]
+        g = math.gcd(q0, lead)
+        k = lead // g
+        s, q1, q0 = k * lead, k * top, q0 // g
+        r = [q1 * u + q0 * v - s * w for u, v, w in zip((0, *b), b, a)]
+        r.pop()
+    else:
+        r = [-v for v in a]
+        while len(r) > n:
+            top = r.pop()
+            if not top:
+                continue
+            g = math.gcd(top, lead)
+            scale, t = abs(lead) // g, (top if lead > 0 else -top) // g
+            shift = len(r) - n
+            if scale != 1:
+                r = [scale * v for v in r]
+            for i in range(n):
+                r[shift + i] -= t * b[i]
+    while r and not r[-1]:
+        r.pop()
     return r
 
 
 def _prs(a: Sequence[int], b: Sequence[int]) -> list:
     """Primitive remainder sequence a, b, -rem, ... (deg a >= deg b, b
-    nonzero) down to a constant or to the last nonzero term.
+    nonzero) down to a constant or to the last nonzero term (Collins;
+    Brown, J. ACM 18, 1971).
 
     Every term is a positive multiple of the matching term of the Euclidean
     sequence over Q, so the last term is gcd(a, b), and for b = a' the
     sequence is the Sturm chain of a.
     """
     seq = [a, b]
-    while len(seq[-1]) > 1:
-        r = _prem(seq[-2], seq[-1])
+    while len(b) > 1:
+        r = _prem(a, b)
         if not r:
             break
-        seq.append(_primitive([-v for v in r]))
+        a, b = b, _primitive(r)
+        seq.append(b)
     return seq
 
 
+def _low_zeros(c: Sequence[int]) -> int:
+    """The number of zero coefficients below the lowest nonzero one of a
+    nonzero polynomial: the exponent of X in it."""
+    return next(i for i, v in enumerate(c) if v)
+
+
 def _poly_gcd(a: Sequence[int], b: Sequence[int]) -> list:
-    """Primitive gcd of integer polynomials, a nonzero: the last term of
-    their remainder sequence."""
-    a = _primitive(a)
+    """Primitive gcd of integer polynomials, a nonzero, up to sign.
+
+    When a or b is a monomial c X^m, the gcd is X^min(m, v), v the exponent
+    of X in the other, since X is the only prime factor of c X^m.
+    Otherwise it is the last term of the remainder sequence.
+    """
     if not b:
-        return a
-    b = _primitive(b)
+        return _primitive(a)
+    v, w = _low_zeros(a), _low_zeros(b)
+    if v == len(a) - 1 or w == len(b) - 1:
+        return [0] * min(v, w) + [1]
+    a, b = _primitive(a), _primitive(b)
     return _prs(a, b)[-1] if len(a) >= len(b) else _prs(b, a)[-1]
 
 
@@ -521,8 +554,16 @@ def _sign_at(q: Sequence[int], u: int, v: int) -> int:
 
 
 def _variations(chain: Sequence[Sequence[int]], t: Fraction) -> int:
-    signs = [s for s in (_sign_at(q, t.numerator, t.denominator) for q in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    """Sign changes along the chain at t, zero signs skipped."""
+    u, v = t.numerator, t.denominator
+    count = last = 0
+    for q in chain:
+        s = _sign_at(q, u, v)
+        if s:
+            if s == -last:
+                count += 1
+            last = s
+    return count
 
 
 def _roots_in(f: Sequence[int], lo: Fraction, hi: Fraction) -> int:
@@ -678,7 +719,7 @@ def rational_roots(p: RatPoly) -> Tuple[dict, RatPoly]:
     roots: dict = {}
     work = p.primitive_integer_coeffs()
     # strip the root at 0 first so the trailing coefficient is nonzero
-    k = next(i for i, c in enumerate(work) if c)
+    k = _low_zeros(work)
     if k:
         roots[Fraction(0)] = k
         work = work[k:]

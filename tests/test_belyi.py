@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -370,6 +371,23 @@ class TestIntegerBackedPolynomials:
             for x, y in ((p * q, q * p), ((p + q) - q, p)):
                 assert x == y and hash(x) == hash(y), (x, y)
 
+    def test_constructor_takes_any_rational_and_raises_as_fraction_does(self):
+        # ints and Fractions (bool and subclasses too) are read by their
+        # parts, anything else goes through Fraction(c) and its errors
+        class Half(F):
+            pass
+
+        coeffs = [True, 2, -7, F(3, 4), Half(1, 2), "5/6", 0.5, Decimal("-0.25"), False]
+        p = RatPoly(coeffs)
+        assert p.coefficients == tuple(F(c) for c in coeffs[:-1])
+        assert all(type(c) is F for c in p.coefficients)
+        for bad in ("x", None, float("nan"), float("inf"), 1j):
+            with pytest.raises(Exception) as want:
+                F(bad)
+            with pytest.raises(want.type) as got:
+                RatPoly([1, bad])
+            assert str(got.value) == str(want.value), bad
+
 
 class TestEvalExtended:
     def test_beta1_values(self):
@@ -710,7 +728,188 @@ class TestSturm:
             checked += 1
 
 
+def _reference_prem(a, b):
+    """A positive multiple of a rem b, one top coefficient eliminated at a
+    time with a gcd-scaled multiplier: a test-local oracle for the library's
+    chains, whose normal steps take one pass."""
+    r = list(a)
+    n, lead = len(b) - 1, b[-1]
+    while len(r) > n:
+        top = r.pop()
+        g = math.gcd(top, lead)
+        scale, t = abs(lead) // g, (top if lead > 0 else -top) // g
+        shift = len(r) - n
+        if scale != 1:
+            r = [scale * v for v in r]
+        for i in range(n):
+            r[shift + i] -= t * b[i]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _reference_prs(a, b):
+    seq = [a, b]
+    while len(seq[-1]) > 1:
+        r = _reference_prem(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append(belyi._primitive([-v for v in r]))
+    return seq
+
+
+def _reference_gcd(a, b):
+    """The primitive gcd as the last term of the reference sequence, with no
+    monomial rule."""
+    a = belyi._primitive(a)
+    if not b:
+        return a
+    b = belyi._primitive(b)
+    return _reference_prs(a, b)[-1] if len(a) >= len(b) else _reference_prs(b, a)[-1]
+
+
+def _dense(rng, degree, bits):
+    """Degree+1 random coefficients of at most `bits` bits, the top one
+    nonzero and of either sign."""
+    c = [rng.randint(-2**bits, 2**bits) for _ in range(degree)]
+    return c + [rng.choice((-1, 1)) * rng.randint(1, 2**bits)]
+
+
+def _sparse(rng, degree, bits):
+    c = [0] * degree + [rng.choice((-1, 1)) * rng.randint(1, 2**bits)]
+    for i in rng.sample(range(degree), min(degree, rng.randint(0, 3))):
+        c[i] = rng.randint(-2**bits, 2**bits)
+    return c
+
+
+def _remainder_pairs(rng, count):
+    """(kind, a, b) with deg a >= deg b >= 0: Sturm pairs (f, f'), dense and
+    sparse pairs with any degree drop, non-squarefree f with f', and pairs
+    with a common factor; degrees 1-40, then four pairs at degree 200."""
+    mul = belyi.int_poly_mul
+    kinds = ("sturm", "dense", "sparse", "square", "common")
+    for i in range(count):
+        kind, degree = kinds[i % 5], rng.randint(1, 40)
+        bits = rng.choice((1, 2, 3, 4, 8, 16, 64) if degree <= 20 else (1, 2, 3, 4))
+        if kind == "sturm":
+            a = _dense(rng, degree, bits)
+            yield kind, a, belyi._primitive(belyi._derivative(a))
+        elif kind == "dense":
+            yield kind, _dense(rng, degree, bits), _dense(rng, rng.randint(0, degree), bits)
+        elif kind == "sparse":
+            yield kind, _sparse(rng, degree, bits), _sparse(rng, rng.randint(0, degree), bits)
+        elif kind == "square":
+            p = _dense(rng, rng.randint(1, 6), 3)
+            a = mul(mul(p, p), _dense(rng, rng.randint(0, 8), 3))
+            yield kind, a, belyi._derivative(a)
+        else:
+            g = _dense(rng, rng.randint(1, 5), 3)
+            a, b = mul(g, _dense(rng, rng.randint(0, 12), 4)), mul(g, _dense(rng, rng.randint(0, 12), 4))
+            yield (kind, a, b) if len(a) >= len(b) else (kind, b, a)
+    a = _sparse(rng, 200, 8)
+    yield "sturm", a, belyi._primitive(belyi._derivative(a))
+    yield "dense", _dense(rng, 200, 2), _dense(rng, 6, 8)
+    yield "sparse", _sparse(rng, 200, 16), _sparse(rng, 150, 16)
+    p = _sparse(rng, 50, 2)
+    a = mul(mul(p, p), _sparse(rng, 100, 2))
+    yield "square", a, belyi._derivative(a)
+
+
 class TestIntegerRemainderSequence:
+    def test_chains_match_the_reference_sequence(self):
+        # term for term, on 3004 seeded pairs: one-pass normal steps, the
+        # gcd-scaled loop for longer drops, a zero remainder before a
+        # constant, and negative leading coefficients all occur
+        rng = random.Random(1971)
+        seen = collections.Counter()
+        for kind, a, b in _remainder_pairs(rng, 3000):
+            chain = belyi._prs(a, b)
+            assert [list(t) for t in chain] == [list(t) for t in _reference_prs(a, b)], \
+                (kind, a, b)
+            seen[kind] += 1
+            for x, y in zip(chain, chain[1:]):
+                seen["normal" if len(x) == len(y) + 1 else "longer drop"] += 1
+                seen["negative leading"] += y[-1] < 0
+            seen["gcd of positive degree"] += len(chain[-1]) > 1
+        assert seen["sturm"] == seen["dense"] == seen["sparse"] == 601, seen
+        assert min(seen[k] for k in ("normal", "longer drop", "negative leading",
+                                      "gcd of positive degree")) >= 1000, seen
+
+    def test_normal_steps_as_narrow_as_the_reference(self):
+        # gcd(f', f'') of f = (X^199 + X + 1)^2: one normal step there has a
+        # remainder 3017 bits wider than the reference's unless its
+        # multipliers are divided by gcd(q0, lc b); with it, 23 at most
+        f = parse_poly("(X^199+X+1)^2").primitive_integer_coeffs()
+        d = belyi._derivative(f)
+        chain = _reference_prs(belyi._primitive(d), belyi._primitive(belyi._derivative(d)))
+        widths = [max(abs(v).bit_length() for v in belyi._prem(a, b))
+                  - max(abs(v).bit_length() for v in _reference_prem(a, b))
+                  for a, b in zip(chain, chain[1:]) if len(b) > 1]
+        assert len(widths) == 8 and max(widths) <= 32, widths
+
+    def test_sparse_long_drop_skips_zero_tops(self):
+        # X^40000 + 1 by X^2000 + 1 meets 20 nonzero tops among 38001: about
+        # 40000 coefficient updates with zero tops skipped, 76 million
+        # without (seconds); X^40000 = 1 mod X^2000 + 1, so a rem b = 2
+        a, b = [1] + [0] * 39999 + [1], [1] + [0] * 1999 + [1]
+        start = time.perf_counter()
+        r = belyi._prem(a, b)
+        seconds = time.perf_counter() - start
+        assert r == [-2]
+        assert seconds < 1, seconds
+
+    def test_monomial_gcd_against_the_reference_sequence(self, monkeypatch):
+        # gcd(c X^m, f) = X^min(m, v), v the exponent of X in f: the
+        # reference sequence's last term up to sign, on seeded pairs in both
+        # orders, and maps reduced by either gcd are equal
+        rng = random.Random(2020)
+        pairs = []
+        for _ in range(400):
+            m, v = rng.randint(0, 12), rng.randint(0, 12)
+            monomial = [0] * m + [rng.choice((-1, 1)) * rng.randint(1, 2**rng.randint(1, 40))]
+            other = [0] * v + _dense(rng, rng.randint(0, 15), rng.choice((2, 8, 64)))
+            other[v] = other[v] or 1
+            expected = [0] * min(m, v) + [1]
+            for a, b in ((monomial, other), (other, monomial)):
+                got = belyi._poly_gcd(a, b)
+                reference = list(_reference_gcd(a, b))
+                assert got == expected, (a, b)
+                assert reference in (expected, [-c for c in expected]), (a, b)
+            pairs.append((RatPoly([F(c, rng.randint(1, 5)) for c in other]),
+                          RatPoly([F(c, 3) for c in monomial])))
+        maps = [(RatMap(p, q), RatMap(q, p)) for p, q in pairs]
+        monkeypatch.setattr(belyi, "_poly_gcd", _reference_gcd)
+        for (p, q), (f, g) in zip(pairs, maps):
+            for got, want in ((f, RatMap(p, q)), (g, RatMap(q, p))):
+                assert (got.numerator._num, got.numerator._den, got.denominator._num,
+                        got.denominator._den) == \
+                    (want.numerator._num, want.numerator._den, want.denominator._num,
+                     want.denominator._den), (p, q)
+
+    def test_map_over_a_monomial_reduced_quickly(self):
+        # the map of 8000-bit coefficients over X^20 took 6.5-7.6 s when
+        # gcd(A, X^20) ran the remainder sequence, and takes about 2 ms by
+        # the monomial rule; 1 s leaves room for a slow host and still fails
+        # the former
+        paths = [str(Path(belyi.__file__).resolve().parent.parent),
+                 os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        code = (
+            "import hashlib, time\n"
+            "from dessinkit import parse_map\n"
+            "start = time.perf_counter()\n"
+            "f = parse_map('(X + (7/X + 40 - X)/X * (X + X*(11 + 7^712/X)/X^3 - 31))^4 + 1')\n"
+            "seconds = time.perf_counter() - start\n"
+            "text = repr((f.numerator.coefficients, f.denominator.coefficients))\n"
+            "print(f.numerator.degree, f.denominator.degree, seconds,\n"
+            "      hashlib.sha256(text.encode()).hexdigest()[:16])\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True, timeout=120)
+        num_degree, den_degree, seconds, digest = done.stdout.split()
+        assert (num_degree, den_degree, digest) == ("20", "20", "bb95bdb497bc1192")
+        assert float(seconds) < 1, seconds
+
     def test_gcd_and_squarefree_part_match_euclid(self):
         rng = random.Random(1967)
 

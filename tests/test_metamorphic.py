@@ -19,6 +19,14 @@ Words under evaluation: evaluation is a homomorphism from the free group, so
 eval(u v) = eval(u) eval(v), eval(u^-1) = eval(u)^-1 and eval(u^k) =
 eval(u)^k, the right-hand sides computed by Permutation's own product,
 inverse and power.
+
+Roots under affine changes of variable: for c != 0, g(X) = f(cX + k)
+vanishes at x exactly when f vanishes at cx + k, to the same order, so the
+rational roots of g are (r - k)/c for the roots r of f, with the same
+multiplicities, and g's rootless cofactor is f's composed with cX + k, made
+monic; for c > 0, x -> cx + k maps (lo, hi] onto (c lo + k, c hi + k], so
+the Sturm counts there agree.  At degree 200, past the reach of Descartes
+bisection, the two sides run different remainder sequences.
 """
 
 import collections
@@ -35,6 +43,8 @@ from dessinkit.belyi import (
     RatPoly,
     X,
     finite_critical_values,
+    rational_roots,
+    sturm_count,
 )
 from dessinkit.errors import IrrationalCriticalPoints
 from dessinkit.models import gallery_dessin
@@ -113,6 +123,71 @@ def test_critical_values_under_moebius_maps():
         seen["to infinity"] += INFINITY in moved.values - crit.values
     assert seen["irrational"] >= 50 and seen["rational"] >= 150, seen
     assert seen["moves infinity"] >= 50 and seen["to infinity"] >= 10, seen
+
+
+# -- the root layer under affine changes of variable ---------------------------
+
+AFFINE_DEGREES = [3, 8, 20, 40, 80, 120, 160, 200, 200]
+
+
+def _planted(rng, degree):
+    """About ``degree`` degrees of a c (X^2 - s)^e h prod (X - r)^m, h a
+    random integer polynomial of degree min(degree / 2, 1200 / degree):
+    multiplicities grow with the degree while the squarefree part stays
+    small enough for a remainder sequence in well under a second.  Returns f
+    and the planted roots with their multiplicities."""
+    s = rng.choice((2, 3, 5, 6, 7, F(1, 2), F(5, 3)))
+    h = RatPoly([rng.randint(-9, 9) for _ in range(min(degree // 2, 1200 // degree))] + [1])
+    f = RatPoly((-s, 0, 1)) ** rng.randint(1, max(1, degree // 20)) * h
+    f = f * rng.choice((1, -2, F(3, 5)))
+    planted = collections.Counter()
+    while f.degree < degree or not planted:
+        r, m = F(rng.randint(-30, 30), rng.randint(1, 9)), rng.randint(1, max(1, degree // 8))
+        planted[r] += m
+        f = f * (X - r) ** m
+    return f, planted
+
+
+def _affine(rng, positive):
+    """A seeded cX + k, with c > 0 when ``positive``."""
+    c = F(rng.randint(1, 5), rng.randint(1, 4))
+    if not positive and rng.random() < 0.5:
+        c = -c
+    return c, F(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+@pytest.mark.parametrize("case", range(len(AFFINE_DEGREES)))
+def test_rational_roots_under_affine_maps(case):
+    degree = AFFINE_DEGREES[case]
+    rng = random.Random(f"affine roots {case}")
+    f, planted = _planted(rng, degree)
+    c, k = _affine(rng, positive=False)
+    roots, cofactor = rational_roots(f)
+    moved, moved_cofactor = rational_roots(_at(f, c * X + k))
+    assert moved == {(r - k) / c: m for r, m in roots.items()}, (f, c, k)
+    composed = _at(cofactor, c * X + k)
+    assert moved_cofactor == composed * (1 / composed.leading), (f, c, k)
+    assert all(roots[r] >= m for r, m in planted.items()), (f, planted)
+    assert f.degree >= degree and cofactor.degree >= 2
+
+
+@pytest.mark.parametrize("case", range(len(AFFINE_DEGREES)))
+def test_sturm_counts_under_affine_maps(case):
+    degree = AFFINE_DEGREES[case]
+    rng = random.Random(f"affine sturm {case}")
+    f, planted = _planted(rng, degree)
+    c, k = _affine(rng, positive=True)
+    g = _at(f, c * X + k)
+    # endpoints on the moved planted roots, where the chains' first terms
+    # vanish, and at seeded points; counts at least the planted roots inside
+    ends = sorted({(r - k) / c for r in planted}
+                  | {F(rng.randint(-40, 40), rng.randint(1, 5)) for _ in range(3)})
+    intervals = [(ends[0], ends[-1])]
+    intervals += [sorted(rng.sample(ends, 2)) for _ in range(3 if degree < 100 else 1)]
+    for lo, hi in intervals:
+        count = sturm_count(g, lo, hi)
+        assert count == sturm_count(f, c * lo + k, c * hi + k), (f, c, k, lo, hi)
+        assert count >= sum(1 for r in planted if lo < (r - k) / c <= hi), (f, c, k, lo, hi)
 
 
 # -- group orders under relabelling and direct product --------------------------
