@@ -34,7 +34,7 @@ from .words import FreeWord, evaluate_word, parse_word
 class Dessin:
     """Degree n >= 1 plus the two edge rotations; transitivity is enforced."""
 
-    __slots__ = ("_sigma0", "_sigma1", "_group", "_types", "_lengths")
+    __slots__ = ("_sigma0", "_sigma1", "_group", "_types")
 
     def __init__(self, sigma0: Permutation, sigma1: Permutation):
         group = PermGroup([sigma0, sigma1])
@@ -49,7 +49,6 @@ class Dessin:
         self._sigma1 = sigma1
         self._group = group
         self._types = None  # made by _cycle_types
-        self._lengths = None  # made by _edge_cycle_lengths
 
     @property
     def degree(self) -> int:
@@ -168,7 +167,7 @@ def face_permutation(d: Dessin) -> Permutation:
 
 def _cycle_types(d: Dessin) -> tuple:
     """The cycle types of sigma0, sigma1 and the face permutation, as
-    tuples, taken once per dessin."""
+    tuples, held by the dessin so that the face permutation is composed once."""
     if d._types is None:
         d._types = tuple(
             tuple(p.cycle_type()) for p in (d.sigma0, d.sigma1, face_permutation(d)))
@@ -213,28 +212,6 @@ def regular_descriptor(d: Dessin) -> RegularDescriptor:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_lengths(images: tuple) -> list:
-    """The length of the cycle through each point of 0-based ``images``."""
-    lengths = [0] * len(images)
-    for start, j in enumerate(images):
-        if not lengths[start]:
-            cycle = [start]
-            while j != start:
-                cycle.append(j)
-                j = images[j]
-            for point in cycle:
-                lengths[point] = len(cycle)
-    return lengths
-
-
-def _edge_cycle_lengths(d: Dessin) -> tuple:
-    """The :func:`_cycle_lengths` of sigma0 and of sigma1, taken once per
-    dessin."""
-    if d._lengths is None:
-        d._lengths = (_cycle_lengths(d.sigma0._images), _cycle_lengths(d.sigma1._images))
-    return d._lengths
-
-
 def dessins_isomorphic(d1: Dessin, d2: Dessin) -> Optional[Permutation]:
     """Simultaneous-conjugation witness, or None.
 
@@ -249,17 +226,18 @@ def dessins_isomorphic(d1: Dessin, d2: Dessin) -> Optional[Permutation]:
 
     Only targets on a sigma0-cycle and a sigma1-cycle of the same lengths as
     those through edge 1 are tried: a witness maps each cycle of d1 onto a
-    cycle of d2 of the same length, so every other target fails.  The rest
-    are tried in ascending order, as all targets would be, so the witness
-    returned is the one a search over every target finds first.
+    cycle of d2 of the same length, so every other target fails; the lengths
+    are read off the generators' held walks (:meth:`Permutation._walked`).
+    The rest are tried in ascending order, as all targets would be, so the
+    witness returned is the one a search over every target finds first.
     """
     if d1.degree != d2.degree:
         return None
     n = d1.degree
     a0, a1 = d1.sigma0._images, d1.sigma1._images
     b0, b1 = d2.sigma0._images, d2.sigma1._images
-    k0, k1 = (lengths[0] for lengths in _edge_cycle_lengths(d1))
-    l0, l1 = _edge_cycle_lengths(d2)
+    k0, k1 = d1.sigma0._walked()[1][0], d1.sigma1._walked()[1][0]
+    l0, l1 = d2.sigma0._walked()[1], d2.sigma1._walked()[1]
     for target in range(n):
         if l0[target] != k0 or l1[target] != k1:
             continue

@@ -383,6 +383,37 @@ def two_adic_verify(inst: TwoAdicInstance) -> TwoAdicReport:
     m + n = c b^d/g, so e = g b^(-d) mod 2^alpha solves both congruences.  It
     is the e computed here: m or n is odd, so the congruence solved for e has
     one solution.  The check stays, as part of the verifier.
+
+    And s = 0 (mod 2^(alpha - nu + 1)) always, so ``v2_s_is_exact`` is never
+    true; that branch too stays as the verifier's check.  Let T = m + n,
+    x0 = c0/c, x1 = m/T and u = T (x1 - x0).  The stage B is 1 at its peak
+    x1, so r/(r+s) = B(x0) = (1 - u/m)^m (1 + u/n)^n.  Expanded, the terms of
+    degree 1 in u cancel, so s/(r+s) = 1 - B(x0) is minus the sum of the
+    terms (-1)^i C(m,i) C(n,j) u^k/(m^i n^j) with k = i + j >= 2.  Next,
+    u = (A - c0 b^d)/g, and A - c0 b^d = b^d (poly(point) - c0) is a sum of
+    integer multiples of b^d point^h with h >= 1, so v2(u) >= alpha - v2(g).
+    Write v0 = v2(c0) and v1 = v2(c - c0), both below alpha; then
+    v2(A) = v0 and v2(c b^d - A) = v1, and m = A/g, n = (c b^d - A)/g and
+    T = c b^d/g give three cases:
+
+    * v0 < v1: v2(c) = v0 = v2(g), so m and T are odd, v2(n) = v1 - v0 and
+      v2(u) >= alpha - v0;
+    * v0 > v1: the same with m and n swapped, and v2(u) >= alpha - v1;
+    * v0 = v1 = w: v2(c) > w = v2(g), so m and n are odd and
+      v2(u) >= alpha - w.
+
+    In each, B(x0) = T^T c0^m (c - c0)^n / (m^m n^n c^T) has valuation 0, so
+    r and r + s, being coprime, are odd, and v2(s) = v2(1 - B(x0)), at least
+    the least valuation of a term.  In the first case let L = alpha - v0.
+    As m is odd, v2(C(n,j)) >= v2(n) - v2(j) for j >= 1 (j C(n,j) =
+    n C(n-1,j-1)) and v2(j) <= j - 1, a term has valuation at least k L, less
+    (j - 1)(v1 - v0 + 1) when j >= 1; that is at least k L - (k - 1) L = L,
+    since v1 - v0 + 1 <= v1 + 1 <= L.  And L >= alpha - nu + 1, as v1 >= 1.
+    The second case is the first with the sides swapped.  In the third, m
+    and n are odd, so a term has valuation at least
+    2 (alpha - w) = (alpha - nu + 1) + (alpha - 1), and alpha > nu >= 0.
+    The least margin is 0, for example at poly = 5X + 38, c = 69, p = 3,
+    q = 2, gamma = 1.
     """
     if inst.alpha <= inst.nu:
         raise HypothesisFailed(

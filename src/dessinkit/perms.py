@@ -31,6 +31,9 @@ Conventions
   ``bytes.translate`` and inverse ``bytes.maketrans``, both in C.  Above,
   it is a 0-based tuple composed by ``operator.itemgetter``.  Generators
   are converted on the way in and strong generators on the way out.
+* A permutation's cycles are walked once for their lengths (:func:`_walk`),
+  and the permutation holds the walk: its cycle type, order and parity and
+  the isomorphism filter of :mod:`dessinkit.dessins` read it.
 * A_n and S_n are recognised without a chain, by a Jordan certificate taken
   from a fixed sequence of products of the generators (``PermGroup._giant``),
   a search cut short once a proper block shows that none can appear.
@@ -83,7 +86,6 @@ _JORDAN_TRIES = 64
 _BLOCK_TEST_AFTER = 8
 
 _CYCLE_TOKEN = re.compile(r"\(([^()]*)\)")
-_POINT = re.compile(r"\d+")
 
 
 def _mul(a: tuple, b: tuple) -> tuple:
@@ -137,7 +139,8 @@ def _first_moved(a) -> int:
 
 def _long_cycle(a: tuple) -> int:
     """Length of the cycle of ``a`` longer than half the degree, or 0 when
-    there is none (there cannot be two)."""
+    there is none (there cannot be two); not :func:`_walk`, as it runs on the
+    Jordan search's raw products and stops early."""
     n = len(a)
     seen = bytearray(n)
     unseen = n
@@ -198,34 +201,38 @@ def _proper_block(gens: list, n: int) -> Optional[list]:
     return [p for p in range(n) if find(p) == root]
 
 
-def _cycle_lengths(images: tuple) -> list:
-    """The length of each cycle of 0-based ``images``, fixed points
-    included, in the order of their least points: one walk, which makes no
-    cycle tuples."""
-    seen = [False] * len(images)
+def _walk(images: tuple) -> tuple:
+    """One walk of the cycles of 0-based ``images``: the length of each
+    cycle, fixed points included, in the order of their least points, and
+    the length of the cycle through each point.  It makes no cycle tuples;
+    :meth:`Permutation._walked` holds it."""
+    through = [0] * len(images)
     lengths = []
     for start, j in enumerate(images):
-        if seen[start]:
+        if through[start]:
             continue
-        length = 1
+        cycle = [start]
         while j != start:
-            seen[j] = True
-            length += 1
+            cycle.append(j)
             j = images[j]
+        length = len(cycle)
+        for point in cycle:
+            through[point] = length
         lengths.append(length)
-    return lengths
+    return lengths, through
 
 
 def _is_odd(p: "Permutation") -> bool:
     """A permutation of n points with c cycles, fixed points included, is a
     product of n - c transpositions."""
-    return (len(p._images) - len(_cycle_lengths(p._images))) % 2 == 1
+    return (len(p._images) - len(p._walked()[0])) % 2 == 1
 
 
 class Permutation:
-    """A bijection of {1..n}, immutable and hashable."""
+    """A bijection of {1..n}, immutable and hashable.  ``==``, ``hash``,
+    printing and pickling read its images, never its held walk."""
 
-    __slots__ = ("_images",)
+    __slots__ = ("_images", "_held")
 
     def __init__(self, images: Sequence[int]):
         """Build from 1-based images: ``images[i]`` is the image of point i+1."""
@@ -274,6 +281,9 @@ class Permutation:
     def __hash__(self) -> int:
         return hash(self._images)
 
+    def __getstate__(self):
+        return None, {"_images": self._images}  # the held walk is not pickled
+
     def __mul__(self, other: "Permutation") -> "Permutation":
         if not isinstance(other, Permutation):
             return NotImplemented
@@ -296,8 +306,17 @@ class Permutation:
 
     # -- cycle structure -----------------------------------------------------
 
+    def _walked(self) -> tuple:
+        """The :func:`_walk` of the images, taken once: cycle type, order,
+        parity and the isomorphism filter all read it."""
+        held = getattr(self, "_held", None)
+        if held is None:
+            held = self._held = _walk(self._images)
+        return held
+
     def cycles(self) -> list:
         """Nontrivial cycles, canonical: sorted by least element, least first."""
+        # a walk of its own, since it builds the printed 1-based tuples
         seen = [False] * len(self._images)
         out = []
         for start, img in enumerate(self._images):
@@ -316,10 +335,10 @@ class Permutation:
 
     def cycle_type(self) -> list:
         """Multiset of cycle lengths, fixed points included, sorted descending."""
-        return sorted(_cycle_lengths(self._images), reverse=True)
+        return sorted(self._walked()[0], reverse=True)
 
     def order(self) -> int:
-        return lcm(*_cycle_lengths(self._images))  # lcm() is 1 at degree 0
+        return lcm(*self._walked()[0])  # lcm() is 1 at degree 0
 
     def __str__(self) -> str:
         cycles = self.cycles()
@@ -364,7 +383,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         points = []
         for token in body.split(","):
             token = token.strip()
-            if not _POINT.fullmatch(token):
+            if not token.isdecimal():
                 raise ParseError(f"bad point {token!r} in cycle notation")
             points.append(decimal(token, " in cycle notation"))
         for pt in points:

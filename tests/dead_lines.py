@@ -33,8 +33,8 @@ CHI = ("regular_descriptor's check that chi is an even integer: it holds by "
        "theorem (each cycle order divides |G|, and chi is the Euler "
        "characteristic of the regular dessin), and stays to cross-check "
        "PermGroup.order()")
-V2_S = ("two_adic_verify's exact v2_s branch: no known input has s != 0 mod "
-        "2^(alpha - nu + 1), and no proof that none has is written yet")
+V2_S = ("two_adic_verify's exact v2_s branch: s = 0 mod 2^(alpha - nu + 1) "
+        "holds by theorem (proof in the docstring); stays as the verifier's check")
 
 # (file under src/dessinkit, stripped source text, reason), one entry a line
 UNRUN = [

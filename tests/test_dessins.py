@@ -306,25 +306,50 @@ class TestIsomorphism:
         assert several >= 20
 
     def test_cycle_lengths_are_taken_once_per_dessin(self, monkeypatch):
-        # each dessin keeps the cycle lengths of sigma0 and sigma1, so calls
-        # on every ordered pair, three rounds over, take two per dessin
-        calls = []
-        cycle_lengths = dessins._cycle_lengths
+        # each permutation holds its walk of the cycles, so the descriptor
+        # (cycle types, and the Jordan parity test on a giant) and the
+        # isomorphism filter on every ordered pair, three rounds over, walk
+        # each permutation at most once: sigma0, sigma1 and the face
+        # permutation of each dessin (gallery dessins 1 and 2 have equal
+        # sigma0s, two permutations that each hold a walk)
+        walked = []
+        walk = perms._walk
 
         def counting(images):
-            calls.append(None)
-            return cycle_lengths(images)
+            walked.append(images)  # kept, so that no id is reused
+            return walk(images)
 
-        monkeypatch.setattr(dessins, "_cycle_lengths", counting)
+        monkeypatch.setattr(perms, "_walk", counting)
         rng = random.Random(3508)
         d = random_transitive_dessin(rng, 9)
         family = [d, conjugate_dessin(d, random_perm(rng, 9)), random_transitive_dessin(rng, 9)]
+        family.append(random_transitive_dessin(rng, 20))
         family += [Dessin(g.sigma0, g.sigma1) for g in map(gallery_dessin, (1, 2))]
-        rounds = [[dessins_isomorphic(d1, d2) for d1 in family for d2 in family]
+        rounds = [([regular_descriptor(e) for e in family],
+                   [dessins_isomorphic(d1, d2) for d1 in family for d2 in family])
                   for _ in range(3)]
         assert rounds[0] == rounds[1] == rounds[2]
-        assert rounds[0][1] is not None and rounds[0][2] is None
-        assert len(calls) <= 2 * len(family)
+        assert rounds[0][1][1] is not None and rounds[0][1][2] is None
+        assert family[3].cartographic_group._giant is not None  # parity was read
+        assert len({id(images) for images in walked}) == len(walked) == 3 * len(family)
+
+    @pytest.mark.parametrize("degree", [257, 500, 1000])
+    def test_past_the_byte_table_kernel(self, degree):
+        # a relabelled copy gives a witness, checked by composing; a dessin
+        # whose sigma0 has another cycle type gives None
+        rng = random.Random(f"iso {degree}")
+        d = random_transitive_dessin(rng, degree)
+        copy = conjugate_dessin(d, random_perm(rng, degree))
+        pi = dessins_isomorphic(d, copy)
+        assert pi is not None
+        inv = pi.inverse()
+        assert inv * d.sigma0 * pi == copy.sigma0
+        assert inv * d.sigma1 * pi == copy.sigma1
+        swap = Permutation([2, 1] + list(range(3, degree + 1)))
+        other = Dessin(copy.sigma0 * swap, copy.sigma1)
+        assert other.sigma0.cycle_type() != d.sigma0.cycle_type()
+        assert dessins_isomorphic(d, other) is None
+        assert dessins_isomorphic(other, d) is None
 
 
 class TestRegularClosures:

@@ -1,5 +1,6 @@
 """Gallery data, local action models, word builders, and 2-adic checks."""
 
+import collections
 import random
 from fractions import Fraction as F
 
@@ -424,6 +425,26 @@ class TestTwoAdic:
         assert len(printed) >= 40
         for report in printed:
             assert report.v2_s == min(v2(report.s), report.required + 1)
+
+    def test_s_vanishes_modulo_the_window(self):
+        # the theorem in two_adic_verify's docstring, on s computed exactly
+        # as the denominator minus the numerator of B(c0/c) in lowest terms:
+        # v2(s) >= alpha - nu + 1 in each case of v2(c0) against v2(c - c0)
+        margin0 = TwoAdicInstance(RatPoly((38, 5)), 69, 3, 2, 1)
+        cases = [(margin0, two_adic_verify(margin0))]
+        cases += [(inst, report) for inst, report in _seeded_two_adic_reports(2023, 120)
+                  if report.m + report.n <= 3000]
+        margins = collections.defaultdict(list)
+        for inst, report in cases:
+            m, n, c0, c = report.m, report.n, inst.c0, inst.c
+            total = m + n
+            value = F(total**total * c0**m * (c - c0)**n, m**m * n**n * c**total)
+            s = value.denominator - value.numerator
+            side = (v2(c0) > v2(c - c0)) - (v2(c0) < v2(c - c0))
+            margins[side].append(v2(s) - (inst.alpha - inst.nu + 1))
+            assert not report.v2_s_is_exact and report.ok
+        assert sorted(margins) == [-1, 0, 1] and min(map(min, margins.values())) == 0
+        assert margins[1][0] == 0  # the least margin, at poly = 5X + 38
 
     def test_random_valid_instances_never_contradict(self):
         rng = random.Random(71)

@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import pickle
 import random
+import re
 import sys
 import threading
 import time
@@ -99,6 +101,15 @@ class TestParsing:
         for bad in ("(1,2", "1,2)", "(1 2)", "(a,b)", "(1,,2)"):
             with pytest.raises(ParseError):
                 parse_cycles(bad, 5)
+
+    def test_points_are_runs_of_decimal_digits(self):
+        # a point is str.isdecimal: Arabic-Indic digits are points, a sign
+        # or a superscript digit is not
+        assert parse_cycles("(١,٢)", 2) == parse_cycles("(1,2)", 2)
+        for bad in ("+2", "²"):
+            message = re.escape(f"bad point '{bad}' in cycle notation")
+            with pytest.raises(ParseError, match=f"^{message}$"):
+                parse_cycles(f"(1,{bad})", 2)
 
     def test_degree_cap_checked_before_allocating(self, monkeypatch):
         monkeypatch.setattr(perms, "MAX_DEGREE", 50)
@@ -223,6 +234,21 @@ class TestOrderAndCycleType:
         assert [p.order() for p in perms_[:3]] == [1, 1, 2]
         assert [p.cycle_type() for p in perms_[:3]] == [[], [1], [2]]
         assert sorted({perms._is_odd(p) for p in perms_}) == [False, True]
+
+    def test_held_walk_changes_nothing_visible(self):
+        # the walk a query fills in is held beside the images; equality,
+        # hash, repr, str and pickles agree before and after it is filled
+        rng = random.Random(4141)
+        for n in (0, 1, 36, 300):
+            p = random_perm(rng, n)
+            fresh = Permutation(p.images)
+            seen = (hash(p), repr(p), str(p), pickle.dumps(p))
+            assert p.cycle_type() == fresh.cycle_type()
+            assert (hash(p), repr(p), str(p), pickle.dumps(p)) == seen
+            assert p == fresh and fresh == p and len({p, fresh}) == 1
+            back = pickle.loads(pickle.dumps(p))
+            assert back == p and (hash(back), repr(back), str(back)) == seen[:3]
+            assert (back.cycle_type(), back.order()) == (p.cycle_type(), p.order())
 
     def test_order_is_least_power(self):
         rng = random.Random(17)
