@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from ._exact import Record, decimal
@@ -34,7 +33,7 @@ from .words import FreeWord, evaluate_word, parse_word
 class Dessin:
     """Degree n >= 1 plus the two edge rotations; transitivity is enforced."""
 
-    __slots__ = ("_sigma0", "_sigma1", "_group", "_types")
+    __slots__ = ("_sigma0", "_sigma1", "_group", "_face")
 
     def __init__(self, sigma0: Permutation, sigma1: Permutation):
         group = PermGroup([sigma0, sigma1])
@@ -48,7 +47,7 @@ class Dessin:
         self._sigma0 = sigma0
         self._sigma1 = sigma1
         self._group = group
-        self._types = None  # made by _cycle_types
+        self._face = None  # made by face_permutation
 
     @property
     def degree(self) -> int:
@@ -161,21 +160,19 @@ def dump_dessin(d: Dessin, comment: Optional[str] = None) -> str:
 
 
 def face_permutation(d: Dessin) -> Permutation:
-    """sigma0 * sigma1 under the right action (sigma0 applied first)."""
-    return compose_right(d.sigma0, d.sigma1)
-
-
-def _cycle_types(d: Dessin) -> tuple:
-    """The cycle types of sigma0, sigma1 and the face permutation, as
-    tuples, held by the dessin so that the face permutation is composed once."""
-    if d._types is None:
-        d._types = tuple(
-            tuple(p.cycle_type()) for p in (d.sigma0, d.sigma1, face_permutation(d)))
-    return d._types
+    """sigma0 * sigma1 under the right action (sigma0 applied first),
+    composed once and held by the dessin, so that its walk of the cycles
+    (:meth:`Permutation._walked`) is taken once too."""
+    if d._face is None:
+        d._face = compose_right(d.sigma0, d.sigma1)
+    return d._face
 
 
 def passport_of(d: Dessin) -> Passport:
-    return Passport(*_cycle_types(d))
+    """The cycle types of sigma0, sigma1 and the face permutation, read off
+    their held walks."""
+    return Passport(*(tuple(p.cycle_type())
+                      for p in (d.sigma0, d.sigma1, face_permutation(d))))
 
 
 def genus_of(d: Dessin) -> int:
@@ -186,8 +183,10 @@ def genus_of(d: Dessin) -> int:
     characteristic B + W + F - n is even: sign sigma = (-1)^(n - cycles), and
     sigma0 sigma1 sigma_inf = 1 gives B + W + F = 3n = n mod 2.  The genus
     is at least 0, because a transitive pair gives a connected surface.
+    The cycle counts are read off the three permutations' held walks.
     """
-    return 1 - (sum(map(len, _cycle_types(d))) - d.degree) // 2
+    cycles = sum(len(p._walked()[0]) for p in (d.sigma0, d.sigma1, face_permutation(d)))
+    return 1 - (cycles - d.degree) // 2
 
 
 def regular_descriptor(d: Dessin) -> RegularDescriptor:
@@ -195,9 +194,10 @@ def regular_descriptor(d: Dessin) -> RegularDescriptor:
 
     chi = |G| * (1/ord sigma0 + 1/ord sigma1 + 1/ord sigma0*sigma1 - 1),
     computed in exact rational arithmetic and checked to be an even integer.
+    Each order is :meth:`Permutation.order`, read off the held walk.
     """
     order = d.cartographic_group.order()
-    ox, oy, oxy = (lcm(*lengths) for lengths in _cycle_types(d))
+    ox, oy, oxy = (p.order() for p in (d.sigma0, d.sigma1, face_permutation(d)))
     chi = order * (Fraction(1, ox) + Fraction(1, oy) + Fraction(1, oxy) - 1)
     if chi.denominator != 1 or chi.numerator % 2:
         raise NonIntegralCharacteristic(

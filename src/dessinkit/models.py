@@ -371,9 +371,10 @@ def two_adic_verify(inst: TwoAdicInstance) -> TwoAdicReport:
     taken modulo 2^(alpha - nu + 1) gives s modulo that power of two: its
     valuation when s does not vanish there, and v2(s) > alpha - nu when it
     does.  So the check runs in modular arithmetic no matter how large r and
-    s are.  Its cost is cubic in the size of beta1(gamma^(2p) q^2), which
-    :meth:`~TwoAdicInstance.beta1` caps at ``MAX_TWO_ADIC_BITS``
-    (:class:`SizeGuard`).  A report with every intermediate value is
+    s are; when they print, the pair is made once, exactly, and the check
+    reads it reduced.  Its cost is cubic in the size of
+    beta1(gamma^(2p) q^2), which :meth:`~TwoAdicInstance.beta1` caps at
+    ``MAX_TWO_ADIC_BITS`` (:class:`SizeGuard`).  A report with every intermediate value is
     returned; inconsistent congruences are reported, never asserted away.
 
     The congruences e m = c0 and e n = c - c0 (mod 2^alpha) always hold.
@@ -442,11 +443,13 @@ def two_adic_verify(inst: TwoAdicInstance) -> TwoAdicReport:
     )
 
     # the stage pair (r, r + s) is coprime, so s = den - num, and s modulo
-    # 2^(alpha - nu + 1) decides v2(s) against alpha - nu however large s is
+    # 2^(alpha - nu + 1) decides v2(s) against alpha - nu however large s is;
+    # the pair is made once, exactly when r and s print, else modulo that
     required = inst.alpha - inst.nu
     window = required + 1
     mod = 1 << window
-    num, den = _stage_pair(m, n, inst.c0, inst.c, mod)
+    printable = _stage_bits(m, n, inst.c0, inst.c) <= PRINT_BITS
+    num, den = _stage_pair(m, n, inst.c0, inst.c, None if printable else mod)
     diff = (den - num) % mod
     if diff == 0:
         v2_s = window  # certified lower bound, already > required
@@ -456,9 +459,8 @@ def two_adic_verify(inst: TwoAdicInstance) -> TwoAdicReport:
         exact = True
 
     r_val = s_val = None  # reported as None when they would not print
-    if _stage_bits(m, n, inst.c0, inst.c) <= PRINT_BITS:
-        r_val, den = _stage_pair(m, n, inst.c0, inst.c)
-        s_val = den - r_val
+    if printable:
+        r_val, s_val = num, den - num
 
     return TwoAdicReport(
         alpha=inst.alpha,

@@ -31,9 +31,10 @@ Conventions
   ``bytes.translate`` and inverse ``bytes.maketrans``, both in C.  Above,
   it is a 0-based tuple composed by ``operator.itemgetter``.  Generators
   are converted on the way in and strong generators on the way out.
-* A permutation's cycles are walked once for their lengths (:func:`_walk`),
-  and the permutation holds the walk: its cycle type, order and parity and
-  the isomorphism filter of :mod:`dessinkit.dessins` read it.
+* A permutation's cycles are walked once (:func:`_walk`), and the
+  permutation holds the walk: its printed cycles, cycle type, order and
+  parity, a dessin's passport, genus and descriptor, and the isomorphism
+  filter of :mod:`dessinkit.dessins` read it.
 * A_n and S_n are recognised without a chain, by a Jordan certificate taken
   from a fixed sequence of products of the generators (``PermGroup._giant``),
   a search cut short once a proper block shows that none can appear.
@@ -203,11 +204,14 @@ def _proper_block(gens: list, n: int) -> Optional[list]:
 
 def _walk(images: tuple) -> tuple:
     """One walk of the cycles of 0-based ``images``: the length of each
-    cycle, fixed points included, in the order of their least points, and
-    the length of the cycle through each point.  It makes no cycle tuples;
-    :meth:`Permutation._walked` holds it."""
+    cycle, fixed points included, in the order of their least points, the
+    length of the cycle through each point, and the nontrivial cycles as
+    0-based lists, each from its least point, in that order (the canonical
+    order :meth:`Permutation.cycles` prints).  :meth:`Permutation._walked`
+    holds it."""
     through = [0] * len(images)
     lengths = []
+    cycles = []
     for start, j in enumerate(images):
         if through[start]:
             continue
@@ -219,7 +223,9 @@ def _walk(images: tuple) -> tuple:
         for point in cycle:
             through[point] = length
         lengths.append(length)
-    return lengths, through
+        if length > 1:
+            cycles.append(cycle)
+    return lengths, through, cycles
 
 
 def _is_odd(p: "Permutation") -> bool:
@@ -229,8 +235,9 @@ def _is_odd(p: "Permutation") -> bool:
 
 
 class Permutation:
-    """A bijection of {1..n}, immutable and hashable.  ``==``, ``hash``,
-    printing and pickling read its images, never its held walk."""
+    """A bijection of {1..n}, immutable and hashable.  Printing reads its
+    held walk of the cycles (:meth:`_walked`); ``==``, ``hash`` and
+    pickling read its images, never the walk."""
 
     __slots__ = ("_images", "_held")
 
@@ -307,8 +314,8 @@ class Permutation:
     # -- cycle structure -----------------------------------------------------
 
     def _walked(self) -> tuple:
-        """The :func:`_walk` of the images, taken once: cycle type, order,
-        parity and the isomorphism filter all read it."""
+        """The :func:`_walk` of the images, taken once: the printed cycles,
+        cycle type, order, parity and the isomorphism filter all read it."""
         held = getattr(self, "_held", None)
         if held is None:
             held = self._held = _walk(self._images)
@@ -316,22 +323,7 @@ class Permutation:
 
     def cycles(self) -> list:
         """Nontrivial cycles, canonical: sorted by least element, least first."""
-        # a walk of its own, since it builds the printed 1-based tuples
-        seen = [False] * len(self._images)
-        out = []
-        for start, img in enumerate(self._images):
-            if seen[start] or img == start:
-                seen[start] = True
-                continue
-            cycle = [start + 1]
-            seen[start] = True
-            j = img
-            while j != start:
-                seen[j] = True
-                cycle.append(j + 1)
-                j = self._images[j]
-            out.append(tuple(cycle))
-        return out
+        return [tuple([p + 1 for p in cycle]) for cycle in self._walked()[2]]
 
     def cycle_type(self) -> list:
         """Multiset of cycle lengths, fixed points included, sorted descending."""
@@ -410,11 +402,13 @@ def compose_right(a: Permutation, b: Permutation) -> Permutation:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "orbit", "points", "closed", "pending")
+    __slots__ = ("point", "gens", "held", "orbit", "points", "closed", "pending")
 
     def __init__(self, point: int, identity, gens: Sequence = ()):
         self.point = point
         self.gens = list(gens)
+        # the generators as a set, for the sift-skip test of the level above
+        self.held = set(self.gens)
         # orbit maps point -> (u, u_inv) with base^u == point; an entry, once
         # made, is never replaced
         self.orbit: dict = {point: (identity, identity)}
@@ -622,10 +616,8 @@ class PermGroup:
         (:meth:`_extend_orbit`), and of those a pair is not sifted when its
         Schreier generator is trivial or a strong generator of level i+1:
         level i+1 and every level after it are complete, so it sifts to the
-        identity, and skipping it changes no state.  That test reads a set
-        per level that mirrors its generators; the sets are made from the
-        levels when the loop starts, so a resumed build skips what a fresh
-        one would, and are dropped when it returns.
+        identity, and skipping it changes no state.  That test reads the
+        set of level i+1's generators, which the level holds beside them.
 
         The loop resumes from the group's levels and index and stores them
         back when the chain is complete or, before a level drains its queue,
@@ -645,12 +637,11 @@ class PermGroup:
             levels = [_Level(min(map(_first_moved, gens)), identity, gens)] if gens else []
             i = len(levels) - 1
         inverses: dict = {}
-        held = [set(lvl.gens) for lvl in levels]  # each level's gens, as a set
         stored = sum(len(lvl.orbit) for lvl in levels)
         size = _orbit_product(levels)
         while i >= 0 and (bound is None or size <= bound):
             level = levels[i]
-            below = held[i + 1] if i + 1 < len(levels) else ()
+            below = levels[i + 1].held if i + 1 < len(levels) else ()
             if level.closed < len(level.gens):
                 grown = self._extend_orbit(level, stored, mul, inv, inverses, below)
                 if grown:
@@ -676,11 +667,10 @@ class PermGroup:
                 continue
             if j == len(levels):
                 levels.append(_Level(_first_moved(residue), identity))
-                held.append(set())
                 stored += 1
             for l in range(i + 1, j + 1):
                 levels[l].gens.append(residue)
-                held[l].add(residue)
+                levels[l].held.add(residue)
             i = j
         self._levels, self._level = levels, i
 

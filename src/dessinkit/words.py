@@ -73,10 +73,11 @@ class FreeWord:
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if not isinstance(other, FreeWord):
             return NotImplemented
-        return FreeWord(self._syllables + other._syllables)
+        return FreeWord._reduced(_join(list(self._syllables), list(other._syllables)))
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(tuple((g, -e) for g, e in reversed(self._syllables)))
+        # reversed and negated, a freely reduced word stays freely reduced
+        return FreeWord._reduced([(g, -e) for g, e in reversed(self._syllables)])
 
     def __pow__(self, exponent) -> "FreeWord":
         exponent = exponent_of(exponent)
@@ -134,7 +135,9 @@ def _join(left: list, right: list) -> list:
     longer one, so that only the shorter one is walked: the shorter right
     list is pushed onto the left one, and a shorter left list goes before
     the right one once the syllables that cancel at the junction are gone.
-    Either list may be the result."""
+    Either list may be the result, and the cap is checked on it.  It is the
+    product of two words (:meth:`FreeWord.__mul__`) and the parser's join of
+    a group to the factors before it."""
     if len(left) >= len(right):
         return _push(left, right)
     # left[:n] and right[k:] are what is left of each; k <= len(left) -

@@ -15,6 +15,14 @@ generators side by side has order |G| |H|.  Both hold at any degree, so they
 reach the chain's tuple kernel above 256 points, where no closure is
 affordable.
 
+Closure verdicts at degree 72: closure_difference compares the orders of
+two cartographic groups and of their 72-point diagonal group, so a second
+Schreier-Sims that shares nothing with the library's (plain tuples, its own
+base points, every Schreier generator sifted, no Jordan search) is an
+oracle for the verdict.  A relabelled gallery dessin must give an
+isomorphic closure; a gallery dessin with two points of sigma1 swapped gives
+the verdict the oracle's orders give.
+
 Words under evaluation: evaluation is a homomorphism from the free group, so
 eval(u v) = eval(u) eval(v), eval(u^-1) = eval(u)^-1 and eval(u^k) =
 eval(u)^k, the right-hand sides computed by Permutation's own product,
@@ -46,6 +54,7 @@ from dessinkit.belyi import (
     rational_roots,
     sturm_count,
 )
+from dessinkit.dessins import Dessin, closure_difference
 from dessinkit.errors import IrrationalCriticalPoints
 from dessinkit.models import gallery_dessin
 from dessinkit.perms import Permutation, PermGroup
@@ -266,6 +275,134 @@ def test_order_of_a_direct_product(first, second):
     gens = [g + list(range(n, n + m)) for g in g_gens]
     gens += [list(range(n)) + [v + n for v in h] for h in h_gens]
     assert _order(gens) == _order(g_gens) * _order(h_gens) == g_order * h_order
+
+
+# -- closure verdicts against a textbook Schreier-Sims ---------------------------
+
+
+def _compose(a, b):
+    return tuple(map(b.__getitem__, a))
+
+
+def _inverse(a):
+    out = [0] * len(a)
+    for i, v in enumerate(a):
+        out[v] = i
+    return tuple(out)
+
+
+def _textbook_order(gens):
+    """The order of the group of 0-based image tuples ``gens`` by the
+    deterministic Schreier-Sims algorithm (Seress, *Permutation Group
+    Algorithms*, CUP 2003, sec. 4.2): a level is complete when every one of
+    its Schreier generators sifts to the identity through the levels below;
+    a residue that drops out at level j becomes a strong generator of the
+    levels down to j, whose orbits are extended, and the scan restarts there.
+    A new base point is the largest point the residue moves."""
+    n = len(gens[0])
+    identity = tuple(range(n))
+    levels = []  # (base point, strong generators, {orbit point: (u, u^-1)})
+
+    def add(g, first, last):
+        if last == len(levels):
+            point = max(p for p in range(n) if g[p] != p)
+            levels.append((point, [], {point: (identity, identity)}))
+        for _, strong, table in levels[first:last + 1]:
+            strong.append(g)
+            queue = list(table)
+            for a in queue:
+                for s in strong:
+                    b = s[a]
+                    if b not in table:
+                        u = _compose(table[a][0], s)
+                        table[b] = (u, _inverse(u))
+                        queue.append(b)
+
+    def strip(g, start):
+        for k in range(start, len(levels)):
+            point, _, table = levels[k]
+            entry = table.get(g[point])
+            if entry is None:
+                return g, k
+            g = _compose(g, entry[1])
+        return g, len(levels)
+
+    for g in map(tuple, gens):
+        if g != identity:
+            add(g, 0, 0)
+    i = len(levels) - 1
+    while i >= 0:
+        _, strong, table = levels[i]
+        residue = identity
+        for a, (u, _) in table.items():
+            for s in strong:
+                residue, j = strip(_compose(_compose(u, s), table[s[a]][1]), i + 1)
+                if residue != identity:
+                    break
+            if residue != identity:
+                break
+        if residue == identity:
+            i -= 1
+        else:
+            add(residue, i + 1, j)
+            i = j
+    return math.prod(len(table) for _, _, table in levels)
+
+
+def _pair(d):
+    return [tuple(v - 1 for v in s.images) for s in (d.sigma0, d.sigma1)]
+
+
+def _diagonal(d, e):
+    """sigma0 and sigma1 of d beside those of e, on 72 points."""
+    return [a + tuple(v + len(a) for v in b) for a, b in zip(_pair(d), _pair(e))]
+
+
+def _oracle_verdict(d, e):
+    """closure_difference's verdict from the textbook orders."""
+    order = _textbook_order(_pair(d))
+    if _textbook_order(_pair(e)) != order:
+        return "component orders differ"
+    if _textbook_order(_diagonal(d, e)) > order:
+        return "diagonal order exceeds component order"
+    return None
+
+
+@pytest.mark.parametrize("index", range(1, 7))
+def test_relabelled_gallery_closures_are_isomorphic(index):
+    d = gallery_dessin(index)
+    images = list(range(1, 37))
+    random.Random(f"closure {index}").shuffle(images)
+    pi = Permutation(images)
+    copy = Dessin(pi.inverse() * d.sigma0 * pi, pi.inverse() * d.sigma1 * pi)
+    assert _textbook_order(_diagonal(d, copy)) == _textbook_order(_pair(d)) == 42467328
+    assert closure_difference(d, copy) is None
+
+
+# (gallery dessin, the two points of sigma1 swapped, the oracle's verdict):
+# each verdict, and component orders from 10^7 to 10^32.  Most swaps give a
+# group of order 10^26 or more, whose textbook chain takes up to 1.6 s, so
+# one of those is run
+SWAPS = [
+    (4, (29, 28), None),
+    (1, (2, 8), "diagonal order exceeds component order"),
+    (4, (7, 1), "diagonal order exceeds component order"),
+    (6, (3, 9), "diagonal order exceeds component order"),
+    (2, (25, 13), "component orders differ"),
+    (1, (2, 5), "component orders differ"),
+    (5, (7, 5), "component orders differ"),
+    (1, (11, 17), "component orders differ"),
+]
+
+
+@pytest.mark.parametrize("index, swapped, verdict", SWAPS)
+def test_closure_verdicts_after_a_swap_in_sigma1(index, swapped, verdict):
+    d = gallery_dessin(index)
+    a, b = swapped
+    swap = Permutation([b if p == a else a if p == b else p for p in range(1, 37)])
+    other = Dessin(d.sigma0, swap * d.sigma1 * swap)
+    assert _oracle_verdict(d, other) == verdict
+    assert closure_difference(d, other) == verdict
 
 
 # -- words under evaluation -----------------------------------------------------

@@ -1128,6 +1128,42 @@ class TestIncrementalChain:
             assert group.order() == order and len(calls) == sifts
             assert chain_digest(group) == chain_digest(fresh)
 
+    def test_where_a_bounded_build_stops(self):
+        # each order_exceeds(b) stops the build once the orbit sizes pass b,
+        # right after the orbit extension that passed it and before that
+        # level drains its queue; per bound, the level index and each
+        # level's (base point, orbit size, generators, queued pairs)
+        from dessinkit.models import gallery_dessin
+
+        d = gallery_dessin(1)
+        group = PermGroup([d.sigma0, d.sigma1])
+        pins = {
+            10**3: (3, [(0, 36, 2, 35), (12, 3, 2, 0), (15, 6, 2, 2), (13, 2, 1, 1)]),
+            10**5: (9, [(0, 36, 2, 33), (12, 6, 4, 4), (15, 6, 7, 0), (13, 2, 7, 0),
+                        (21, 2, 6, 0), (17, 2, 5, 0), (20, 2, 4, 0), (16, 2, 3, 0),
+                        (1, 2, 2, 0), (14, 2, 1, 1)]),
+            10**6: (12, [(0, 36, 2, 32), (12, 6, 5, 0), (15, 6, 9, 3), (13, 2, 10, 0),
+                         (21, 2, 9, 0), (17, 2, 8, 0), (20, 2, 7, 0), (16, 2, 6, 0),
+                         (1, 2, 5, 0), (14, 2, 4, 0), (18, 2, 3, 0), (5, 2, 2, 0),
+                         (19, 2, 1, 1)]),
+            5 * 10**6: (14, [(0, 36, 2, 31), (12, 6, 6, 0), (15, 6, 10, 0), (13, 2, 12, 0),
+                             (21, 2, 11, 0), (17, 2, 10, 0), (20, 2, 9, 0), (16, 2, 8, 0),
+                             (1, 2, 7, 0), (14, 2, 6, 0), (18, 2, 5, 0), (5, 2, 4, 0),
+                             (19, 2, 3, 0), (23, 2, 2, 0), (22, 2, 1, 1)]),
+            2 * 10**7: (16, [(0, 36, 2, 23), (12, 6, 8, 0), (15, 6, 12, 0), (13, 2, 14, 0),
+                             (21, 2, 13, 0), (17, 2, 12, 0), (20, 2, 11, 0), (16, 2, 10, 0),
+                             (1, 2, 9, 0), (14, 2, 8, 0), (18, 2, 7, 0), (5, 2, 6, 0),
+                             (19, 2, 5, 0), (23, 2, 4, 0), (22, 2, 3, 0), (4, 2, 2, 0),
+                             (2, 2, 1, 1)]),
+        }
+        for bound, pin in pins.items():
+            assert group.order_exceeds(bound)
+            state = [(lvl.point, len(lvl.orbit), len(lvl.gens), len(lvl.pending))
+                     for lvl in group._levels]
+            assert (group._level, state) == pin, bound
+        assert group.order() == 42467328
+        assert chain_digest(group) == chain_digest(PermGroup([d.sigma0, d.sigma1]))
+
     def test_mixed_concurrent_queries_share_one_chain(self, monkeypatch):
         # a bounded query takes the lock first and stops early; the three
         # order() calls waiting behind it finish the same chain
