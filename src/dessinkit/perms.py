@@ -26,11 +26,16 @@ Conventions
   ``order_exceeds`` stops the loop once the product of the orbit sizes
   passes its bound, and every later query continues the chain from there.
 * The chain stores its elements in one of two kernels, chosen by degree
-  (:func:`_kernel`).  Up to 256 points an element is a 256-byte ``bytes``
-  table, the identity past the degree, so that compose is
-  ``bytes.translate`` and inverse ``bytes.maketrans``, both in C.  Above,
-  it is a 0-based tuple composed by ``operator.itemgetter``.  Generators
-  are converted on the way in and strong generators on the way out.
+  (:func:`_kernel`).  Up to 256 points compose is ``bytes.translate`` and
+  inverse ``bytes.maketrans``, both in C.  Only a right operand, a strong
+  generator or a transversal entry's u^-1, is a 256-byte table, the
+  identity past the degree; every other value, each entry's u, Schreier
+  generator and sift residue, is only ever a left operand and is held as
+  its ``degree`` images, which a table on its right keeps at that length.
+  A residue gets the table's tail once, when it becomes a strong
+  generator.  Above 256 points every element is a 0-based tuple composed
+  by ``operator.itemgetter``.  Generators are converted on the way in and
+  strong generators on the way out.
 * A permutation's cycles are walked once (:func:`_walk`), and the
   permutation holds the walk: its printed cycles, cycle type, order and
   parity, a dessin's passport, genus and descriptor, and the isomorphism
@@ -67,8 +72,8 @@ MAX_DEGREE = 100_000
 
 #: Bound on the memory the stabilizer-chain transversals may occupy,
 #: estimated as two tuples of ``degree`` 8-byte entries per orbit point
-#: whichever kernel stores them; two 256-byte tables take 578 bytes, the
-#: estimate at degree 36.
+#: whichever kernel stores them; at degree 36 an entry of the table kernel,
+#: a 36-byte u beside a 256-byte u^-1, takes 358 bytes, the estimate 576.
 MAX_TRANSVERSAL_BYTES = 1 << 30
 
 #: How many products of the generators the Jordan certificate inspects before
@@ -116,19 +121,25 @@ def _table_inv(a: bytes) -> bytes:
 
 
 def _kernel(degree: int) -> tuple:
-    """The compose, inverse and identity of a chain's elements at ``degree``.
+    """The compose, inverse and identity of a chain's right operands at
+    ``degree``.
 
-    Up to :data:`_TABLE_DEGREE` points an element is a table of 256 images,
-    the identity past ``degree``, and ``a.translate(b)`` applies ``a`` then
-    ``b``; above, it is a 0-based tuple under :func:`_mul`.  Read when a
-    chain is built or sifted through."""
+    Up to :data:`_TABLE_DEGREE` points a right operand is a table of 256
+    images, the identity past ``degree``, and ``a.translate(b)`` applies
+    ``a`` then ``b`` for an ``a`` of any length, so a left operand is held
+    as its ``degree`` images and so is its product.  ``identity[:degree]``
+    is then the left operands' identity, and appending ``identity[degree:]``
+    makes a left operand a right one.  Above, every element is a 0-based
+    tuple under :func:`_mul`, and that tail is empty.  Read when a chain is
+    built or sifted through."""
     if degree <= _TABLE_DEGREE:
         return bytes.translate, _table_inv, _TABLE_IDENTITY
     return _mul, _inv, tuple(range(degree))
 
 
 def _chain_element(images: tuple):
-    """0-based images as an element of the kernel of their degree."""
+    """0-based images as a right operand of the kernel of their degree; its
+    first ``len(images)`` entries are them as a left operand."""
     if len(images) <= _TABLE_DEGREE:
         return bytes(images) + _TABLE_IDENTITY[len(images):]
     return images
@@ -402,16 +413,22 @@ def compose_right(a: Permutation, b: Permutation) -> Permutation:
 
 
 class _Level:
+    """One level of the chain.  Its strong generators and each entry's u^-1
+    are right operands of the kernel (:func:`_kernel`); each entry's u, and
+    ``held``, are left operands, a generator's first ``degree`` images."""
+
     __slots__ = ("point", "gens", "held", "orbit", "points", "closed", "pending")
 
-    def __init__(self, point: int, identity, gens: Sequence = ()):
+    def __init__(self, point: int, root: tuple, gens: Sequence = ()):
         self.point = point
         self.gens = list(gens)
-        # the generators as a set, for the sift-skip test of the level above
-        self.held = set(self.gens)
-        # orbit maps point -> (u, u_inv) with base^u == point; an entry, once
-        # made, is never replaced
-        self.orbit: dict = {point: (identity, identity)}
+        # the generators as left operands, root's u having the degree's
+        # length, for the sift-skip test of the level above
+        degree = len(root[0])
+        self.held = {g[:degree] for g in gens}
+        # orbit maps point -> (u, u_inv) with base^u == point, root being the
+        # base point's identity entry; an entry, once made, is never replaced
+        self.orbit: dict = {point: root}
         # the orbit's points in the order they were reached, a list that an
         # orbit extension walks while it appends
         self.points = [point]
@@ -501,9 +518,10 @@ class PermGroup:
         symmetric = self._giant
         if symmetric is not None:
             return symmetric or not _is_odd(p)
-        mul, _, identity = _kernel(self._degree)
-        residue, _ = self._strip(self._ensure_bsgs(), _chain_element(p._images), 0, mul)
-        return residue == identity
+        n = self._degree
+        mul, _, identity = _kernel(n)
+        residue, _ = self._strip(self._ensure_bsgs(), _chain_element(p._images)[:n], 0, mul)
+        return residue == identity[:n]
 
     def is_transitive(self) -> bool:
         """True iff the orbit of point 1 is the whole domain; a group on the
@@ -617,7 +635,8 @@ class PermGroup:
         Schreier generator is trivial or a strong generator of level i+1:
         level i+1 and every level after it are complete, so it sifts to the
         identity, and skipping it changes no state.  That test reads the
-        set of level i+1's generators, which the level holds beside them.
+        set of level i+1's generators as left operands, which the level holds
+        beside them.
 
         The loop resumes from the group's levels and index and stores them
         back when the chain is complete or, before a level drains its queue,
@@ -625,16 +644,21 @@ class PermGroup:
         and the builds that resume it do the work of one unbounded build, in
         the same order.  An exception leaves no levels, so the next query
         restarts.  It composes in the kernel of the group's degree
-        (:func:`_kernel`) and counts the transversal entries stored as it
-        makes them.
+        (:func:`_kernel`), holding each u, Schreier generator and residue
+        as a left operand, and a residue becomes a right operand when it
+        becomes a strong generator.  It counts the transversal entries
+        stored as it makes them.
         """
-        mul, inv, identity = _kernel(self._degree)
+        n = self._degree
+        mul, inv, table = _kernel(n)
+        identity, tail = table[:n], table[n:]
+        root = (identity, table)
         levels, i = self._levels, self._level
         self._levels = None
         if levels is None:
             unique = dict.fromkeys(_chain_element(g._images) for g in self._gens)
-            gens = [t for t in unique if t != identity]
-            levels = [_Level(min(map(_first_moved, gens)), identity, gens)] if gens else []
+            gens = [t for t in unique if t != table]
+            levels = [_Level(min(map(_first_moved, gens)), root, gens)] if gens else []
             i = len(levels) - 1
         inverses: dict = {}
         stored = sum(len(lvl.orbit) for lvl in levels)
@@ -666,10 +690,11 @@ class PermGroup:
                 i -= 1  # level i is complete
                 continue
             if j == len(levels):
-                levels.append(_Level(_first_moved(residue), identity))
+                levels.append(_Level(_first_moved(residue), root))
                 stored += 1
+            strong = residue + tail
             for l in range(i + 1, j + 1):
-                levels[l].gens.append(residue)
+                levels[l].gens.append(strong)
                 levels[l].held.add(residue)
             i = j
         self._levels, self._level = levels, i
@@ -686,15 +711,16 @@ class PermGroup:
         be trivial or held already.  A pair (a, g) that makes the entry of
         b = a^g gives u_b = u_a g, and entries are never replaced, so it
         would always pop as a tree edge.  A pair (base point, g) with g in
-        ``below``, the generators of the next level, has Schreier generator
-        g, and ``below`` only grows, so it would be skipped when popped.
+        ``below``, the generators of the next level as left operands, has
+        Schreier generator g, and ``below`` only grows, so it would be
+        skipped when popped.
 
         ``stored`` counts the chain's transversal entries; a point that
         would take them past :data:`MAX_TRANSVERSAL_BYTES` raises
         :class:`ResourceLimit` before its entry is made.  The room left
         under that cap is worked out at the first new point, since most
         calls add none.  ``inverses`` caches ``inv`` of the generators."""
-        gens = level.gens
+        gens, n = level.gens, self._degree
         fresh = gens[level.closed:]
         base, orbit, pending, points = level.point, level.orbit, level.pending, level.points
         n_old = len(points)
@@ -703,11 +729,11 @@ class PermGroup:
             for g in fresh if idx < n_old else gens:
                 b = g[a]
                 if b in orbit:
-                    if a != base or g not in below:
+                    if a != base or g[:n] not in below:
                         pending.append((a, g))
                     continue
                 if room is None:
-                    per_point = 2 * self._degree * 8
+                    per_point = 2 * n * 8
                     others = stored - n_old
                     room = MAX_TRANSVERSAL_BYTES // per_point - others
                 if len(points) >= room:
@@ -725,8 +751,9 @@ class PermGroup:
         return len(points) - n_old
 
     def _strip(self, levels: list, g, start: int, mul):
-        """Sift g through levels[start:] under the compose ``mul``; return
-        (residue, drop-out level)."""
+        """Sift g, a left operand, through levels[start:] under the compose
+        ``mul``, each step a product with an entry's u^-1 on the right;
+        return (residue, drop-out level), the residue a left operand."""
         for idx in range(start, len(levels)):
             lvl = levels[idx]
             img = g[lvl.point]

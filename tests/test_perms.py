@@ -797,15 +797,22 @@ def assert_chain_is_complete(group):
     maps the base point to its key, every level's generators fix the earlier
     base points, no Schreier pair is left pending and the orbit is closed
     under every generator, and every
-    Schreier generator sifts to the identity through the deeper levels."""
+    Schreier generator sifts to the identity through the deeper levels.
+    Strong generators and each u^-1 are the kernel's full right operands,
+    the identity past the degree; each u and every product with a right
+    operand on its right are the first ``degree`` images."""
     levels = group._ensure_bsgs()
-    mul, _, ident = perms._kernel(group.degree)  # the group's own elements
+    n = group.degree
+    mul, _, table = perms._kernel(n)  # the group's own elements
+    ident = table[:n]
     for i, level in enumerate(levels):
         for g in level.gens:
-            assert type(g) is type(ident) and len(g) == len(ident)
+            assert type(g) is type(table) and len(g) == len(table) and g[n:] == table[n:]
             assert all(g[above.point] == above.point for above in levels[:i])
         assert not level.pending and level.closed == len(level.gens)
         for pt, (u, u_inv) in level.orbit.items():
+            assert type(u_inv) is type(table) and len(u_inv) == len(table)
+            assert u_inv[n:] == table[n:]
             assert u[level.point] == pt and mul(u, u_inv) == ident
             for g in level.gens:
                 schreier = mul(mul(u, g), level.orbit[g[pt]][1])
@@ -1049,9 +1056,11 @@ class TestIncrementalChain:
                         reached.add(g[a])
                         tree[k].add((a, g))
                         assert mul(level.orbit[a][0], g) == level.orbit[g[a]][0]
-            assert set(below) == (set(seen[k + 1].gens) if k + 1 < len(seen) else set())
+            n = self.degree  # below holds the generators' first n images
+            held = {g[:n] for g in seen[k + 1].gens} if k + 1 < len(seen) else set()
+            assert set(below) == held
             for pt, g in list(level.pending)[before:]:
-                assert pt != level.point or g not in below
+                assert pt != level.point or g[:n] not in below
             for lvl, edges in zip(seen, tree):
                 assert not edges & set(lvl.pending)
             return grown
@@ -1310,6 +1319,55 @@ class TestChainKernel:
             border.update(kernel_free_digest(PermGroup(few_point_gens(rng, n))).encode())
         assert small.hexdigest()[:16] == "58ed7bf1448387fc"
         assert border.hexdigest()[:16] == "cf4686ce4e6a9e0f"
+
+    def test_tables_and_tuples_give_one_chain(self, monkeypatch):
+        # each group built twice: in the kernel of its degree, and with every
+        # degree in the tuple kernel, the one the pinned digests were recorded
+        # on.  The bounded builds resume one another, and membership sifts
+        # products of the generators and permutations mostly outside
+        from dessinkit.models import gallery_dessin
+
+        monkeypatch.setattr(perms, "_JORDAN_TRIES", 0)  # the chain answers
+        rng = random.Random(4343)
+        cases = [[random_perm(rng, n) for _ in range(rng.randint(1, 3))] for n in range(2, 41)]
+        cases += [few_point_gens(rng, n) for n in (255, 256, 257)]
+        cases += [[d.sigma0, d.sigma1] for d in map(gallery_dessin, range(1, 7))]
+        cases += diagonal_gens()
+        bounds = (1, 60, 5000, 10**6, 10**9)
+
+        def answers(gens, probes):
+            group = PermGroup(gens)
+            exceeds = [group.order_exceeds(b) for b in bounds]
+            return (exceeds, kernel_free_digest(group), group.base(), group.order(),
+                    [group.is_member(p) for p in probes])
+
+        verdicts = set()
+        for gens in cases:
+            n = gens[0].degree
+            inside = [math.prod(rng.choices(gens, k=7), start=Permutation.identity(n))
+                      for _ in range(3)]
+            probes = inside + [random_perm(rng, n) for _ in range(3)]
+            tables = answers(gens, probes)
+            with monkeypatch.context() as m:
+                m.setattr(perms, "_TABLE_DEGREE", 0)
+                assert answers(gens, probes) == tables
+            assert tables[4][:3] == [True] * 3
+            verdicts.update(tables[4][3:])
+        assert verdicts == {True, False}
+
+    def test_left_operands_are_held_at_the_degree(self):
+        # after a build on tables each u is the gallery's 36 images, and each
+        # strong generator and u^-1 is a full table
+        from dessinkit.models import gallery_dessin
+
+        d = gallery_dessin(1)
+        group = PermGroup([d.sigma0, d.sigma1])
+        assert group.order() == 42467328
+        for level in group._levels:
+            assert {len(g) for g in level.gens} == {256}
+            assert {len(u) for u, _ in level.orbit.values()} == {36}
+            assert {len(u_inv) for _, u_inv in level.orbit.values()} == {256}
+            assert {len(g) for g in level.held} == {36}
 
 
 class TestErrorMessages:
