@@ -12,11 +12,13 @@ always produces byte-identical output) and purely exact: rationals print as
 num/den, never as floats.
 
 Exit codes: 0 success or boolean true; 1 a boolean query answered false;
-2 input error; 3 resource limit; 141 (128 + SIGPIPE), with nothing on
-stderr, when stdout is closed before the output is written, as when piped
-into ``head``.  Only ``dessin info`` and ``dessin reg-iso`` take
-``--cap-group-order`` (no cap by default), and only ``belyi reduce`` takes
-``--cap-stage-size`` (default ``belyi.DEFAULT_STAGE_CAP``).
+2 input error, a ``DessinkitError`` or ``OSError``; 3 resource limit, a
+``ResourceLimit``; 141 (128 + SIGPIPE), with nothing on stderr, when stdout
+is closed before the output is written, as when piped into ``head``.  Any
+other exception is a bug and propagates with its traceback.  Only
+``dessin info`` and ``dessin reg-iso`` take ``--cap-group-order`` (no cap by
+default), and only ``belyi reduce`` takes ``--cap-stage-size`` (default
+``belyi.DEFAULT_STAGE_CAP``).
 """
 
 from __future__ import annotations
@@ -93,8 +95,11 @@ def _load_source(source: str) -> Dessin:
         if not index.isdecimal():
             raise ParseError(f"bad gallery index in {source!r}")
         return models.gallery_dessin(decimal(index, " in the gallery index"))
-    with open(source, "r", encoding="utf-8") as fh:
-        return load_dessin(fh.read())
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            return load_dessin(fh.read())
+    except UnicodeDecodeError as exc:  # a file that is not UTF-8
+        raise ParseError(str(exc)) from None
 
 
 def _check_cap(flag: str, value) -> None:
@@ -531,12 +536,9 @@ def run_cli(argv) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         code, result = args.func(args)
-    except ResourceLimit as exc:
+    except (DessinkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (DessinkitError, ValueError, OSError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_RESOURCE if isinstance(exc, ResourceLimit) else EXIT_INPUT
     _render(result, args.json)
     return code
 

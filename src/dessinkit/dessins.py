@@ -15,7 +15,6 @@ diagonal-group order criterion without ever constructing the closure).
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from typing import Optional
 
 from ._exact import Record, decimal
@@ -192,18 +191,18 @@ def genus_of(d: Dessin) -> int:
 def regular_descriptor(d: Dessin) -> RegularDescriptor:
     """Order and surface data of the regular closure.
 
-    chi = |G| * (1/ord sigma0 + 1/ord sigma1 + 1/ord sigma0*sigma1 - 1),
-    computed in exact rational arithmetic and checked to be an even integer.
-    Each order is :meth:`Permutation.order`, read off the held walk.
+    chi = |G|/ord sigma0 + |G|/ord sigma1 + |G|/ord sigma0*sigma1 - |G| in
+    integers: by Lagrange each order divides |G|, and chi = 2 - 2g is even;
+    both are checked, to cross-check :meth:`PermGroup.order`.  Each order is
+    :meth:`Permutation.order`, read off the held walk.
     """
     order = d.cartographic_group.order()
     ox, oy, oxy = (p.order() for p in (d.sigma0, d.sigma1, face_permutation(d)))
-    chi = order * (Fraction(1, ox) + Fraction(1, oy) + Fraction(1, oxy) - 1)
-    if chi.denominator != 1 or chi.numerator % 2:
+    chi = order // ox + order // oy + order // oxy - order
+    if order % ox or order % oy or order % oxy or chi % 2:
         raise NonIntegralCharacteristic(
-            f"chi = {chi} is not an even integer; this is a bug"
+            f"|G| = {order} gives no even integer chi; this is a bug"
         )
-    chi = int(chi)
     return RegularDescriptor(order, ox, oy, oxy, chi, 1 - chi // 2)
 
 

@@ -1,9 +1,9 @@
 """Exception hierarchy shared by all dessinkit modules.
 
 Every error raised on purpose derives from :class:`DessinkitError`, so callers
-(and the CLI) can distinguish "bad input" from "resource cap hit" from plain
-bugs.  Parse-type errors also derive from ``ValueError`` for ergonomic
-``except`` clauses.
+can tell bad input (exit 2 in the CLI) from a :class:`ResourceLimit` (exit 3)
+and from bugs, which the CLI lets propagate.  Parse-type errors also derive
+from ``ValueError`` for ergonomic ``except`` clauses.
 """
 
 

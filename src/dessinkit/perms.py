@@ -455,7 +455,9 @@ class PermGroup:
     the orbit's points in the order they were reached, the number of
     generators that orbit is closed under, and a queue of the
     Schreier pairs it has not sifted yet, so that a level that gains a strong
-    generator does only the new work.
+    generator does only the new work.  Transitivity is settled when the
+    group is made, since a dessin checks it and :meth:`_giant` reads it
+    first; the certificate stays lazy, as most groups never need it.
     """
 
     def __init__(self, generators: Iterable[Permutation]):
@@ -469,6 +471,7 @@ class PermGroup:
         check_degree(degree)
         self._degree = degree
         self._gens = tuple(gens)
+        self._transitive = degree > 0 and len(self.orbit(1)) == degree
         self._lock = threading.Lock()
         self._levels: Optional[list] = None  # made by the first chain query
         self._level = 0
@@ -524,15 +527,9 @@ class PermGroup:
         return residue == identity[:n]
 
     def is_transitive(self) -> bool:
-        """True iff the orbit of point 1 is the whole domain; a group on the
-        empty domain has no orbit and is not transitive."""
+        """True iff the orbit of point 1, taken when the group is made, is the
+        whole domain; the empty domain has no orbit and is not transitive."""
         return self._transitive
-
-    @cached_property
-    def _transitive(self) -> bool:
-        """:meth:`is_transitive`, worked out once: the generators never
-        change."""
-        return self._degree > 0 and len(self.orbit(1)) == self._degree
 
     def orbit(self, point: int) -> set:
         """Orbit of a 1-based point under the generators."""
@@ -584,14 +581,15 @@ class PermGroup:
         products of the generators taken in Thue-Morse order (generator
         number popcount(k) mod the number of generators at step k), a fixed
         sequence, so the outcome is reproducible.  Below degree 8 there is
-        no such prime.  By the argument above an imprimitive group has no
+        no such prime, and a group found intransitive when it was made takes
+        no product.  By the argument above an imprimitive group has no
         certificate, so after :data:`_BLOCK_TEST_AFTER` products with none
         the search stops if the least block holding points 1 and 2 is
         proper (:func:`_proper_block`): the remaining products could only
         give None.
         """
         n = self._degree
-        if n < 8 or not self.is_transitive():
+        if n < 8 or not self._transitive:
             return None
         gens = [g._images for g in self._gens]
         x = None

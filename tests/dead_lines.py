@@ -29,10 +29,6 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "dessinkit"
 
 MAIN = "cli.main, the console script's entry point, runs only in child processes"
-CHI = ("regular_descriptor's check that chi is an even integer: it holds by "
-       "theorem (each cycle order divides |G|, and chi is the Euler "
-       "characteristic of the regular dessin), and stays to cross-check "
-       "PermGroup.order()")
 V2_S = ("two_adic_verify's exact v2_s branch: s = 0 mod 2^(alpha - nu + 1) "
         "holds by theorem (proof in the docstring); stays as the verifier's check")
 
@@ -48,8 +44,6 @@ UNRUN = [
     ("cli.py", "code = EXIT_PIPE", MAIN),
     ("cli.py", "sys.exit(code)", MAIN),
     ("cli.py", "main()", MAIN),
-    ("dessins.py", "raise NonIntegralCharacteristic(", CHI),
-    ("dessins.py", 'f"chi = {chi} is not an even integer; this is a bug"', CHI),
     ("models.py", "v2_s = v2(diff)  # exact: any higher valuation would vanish mod 2^window",
      V2_S),
     ("models.py", "exact = True", V2_S),

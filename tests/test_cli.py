@@ -14,7 +14,7 @@ import pytest
 
 from fractions import Fraction
 
-from dessinkit import PermGroup, Permutation, RatPoly, dessins, load_dessin, parse_cycles
+from dessinkit import PermGroup, Permutation, RatPoly, cli, dessins, load_dessin, parse_cycles
 from dessinkit._exact import MAX_NESTING, PRINT_BITS
 from dessinkit.cli import run_cli
 from dessinkit.errors import ParseError
@@ -90,6 +90,26 @@ class TestDessinCommands:
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = invoke(capsys, "dessin", "info", "no-such-file.dessin")
         assert code == 2 and "error:" in err
+
+    def test_non_utf8_file_is_input_error(self, capsys, tmp_path):
+        data = b"degree 1\nsigma0 = ()\nsigma1 = ()\n\xff\n"
+        path = tmp_path / "latin1.dessin"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as decoding:
+            data.decode("utf-8")
+        assert invoke(capsys, "dessin", "info", str(path)) == (
+            2, "", f"error: {decoding.value}\n"
+        )
+
+    def test_untyped_error_propagates(self, monkeypatch):
+        # only typed errors and OSError are exit codes; a bare ValueError is
+        # a bug, and must not read as bad input
+        def broken(d):
+            raise ValueError("not a typed error")
+
+        monkeypatch.setattr(cli, "passport_of", broken)
+        with pytest.raises(ValueError, match="not a typed error"):
+            run_cli(["dessin", "info", "gallery:1"])
 
     def test_group_order_cap(self, capsys):
         code, _, err = invoke(

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,8 +21,8 @@ from dessinkit.dessins import (
     regular_descriptor,
     witness_verdict,
 )
-from dessinkit.errors import NotTransitive, ParseError, ResourceLimit
-from dessinkit.models import gallery_dessin, witness_word
+from dessinkit.errors import NonIntegralCharacteristic, NotTransitive, ParseError, ResourceLimit
+from dessinkit.models import GALLERY_SIZE, gallery_dessin, witness_word
 from dessinkit.perms import Permutation, parse_cycles
 from dessinkit.words import parse_word
 
@@ -203,6 +204,41 @@ class TestRegularDescriptor:
             orders.append(regular_descriptor(Dessin(s0, s1)).group_order)
             assert calls == [1]
         assert orders[0] == 42467328 and orders[1] in (math.factorial(20), math.factorial(20) // 2)
+
+    def test_chi_matches_the_rational_formula(self):
+        # chi = |G| (1/ox + 1/oy + 1/oxy - 1) in Fractions, against the
+        # integer identity, on certified giants and chain-built groups
+        def rational_chi(d):
+            orders = (d.sigma0.order(), d.sigma1.order(), dessins.face_permutation(d).order())
+            return d.cartographic_group.order() * (sum(Fraction(1, o) for o in orders) - 1)
+
+        rng = random.Random(4404)
+        family = [gallery_dessin(k) for k in range(1, GALLERY_SIZE + 1)]
+        for i in range(240):
+            if i % 4:
+                family.append(random_transitive_dessin(rng, rng.randint(1, 30)))
+            else:
+                family.append(cyclic_cover(rng, rng.randint(2, 6), rng.randint(2, 5)))
+        certified = [d.cartographic_group._giant is not None for d in family]
+        assert any(certified) and not all(certified)
+        for d in family:
+            r = regular_descriptor(d)
+            chi = rational_chi(d)
+            assert r.euler_characteristic == chi and r.genus == 1 - chi / 2
+
+    @pytest.mark.parametrize("d, wrong", [
+        (gallery_dessin(1), 42467328 + 1),
+        # orders (6, 12, 12) do not divide it, though chi would be even
+        (gallery_dessin(1), 42467328 + 2),
+        # PSL(2, 7) of order 168 with orders (2, 3, 7): every order divides
+        # 42, but chi = 21 + 14 + 6 - 42 is odd
+        (Dessin(parse_cycles("(1,2)(3,4)", 7), parse_cycles("(1,3,5)(2,6,7)", 7)), 42),
+    ], ids=["order plus one", "order plus two", "odd chi"])
+    def test_inconsistent_order_is_refused(self, monkeypatch, d, wrong):
+        # a wrong chain order breaks Lagrange or the parity of chi
+        monkeypatch.setattr(perms.PermGroup, "order", lambda self: wrong)
+        with pytest.raises(NonIntegralCharacteristic, match=f"= {wrong} "):
+            regular_descriptor(d)
 
     def test_group_order_at_least_degree(self):
         rng = random.Random(29)
