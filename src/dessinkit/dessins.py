@@ -215,49 +215,93 @@ def dessins_isomorphic(d1: Dessin, d2: Dessin) -> Optional[Permutation]:
     """Simultaneous-conjugation witness, or None.
 
     Returns pi with pi^-1 * sigma0(d1) * pi == sigma0(d2) and likewise for
-    sigma1 (right-action products), when one exists.  Edge 1 of d1 is pinned
-    and every candidate image in d2 is tried; the rest of the mapping is
-    forced along the generators by transitivity.  The search checks both
-    generators at every edge it reaches, which is every edge of d1, so a
-    mapping that completes is equivariant.  Its image is then closed under
-    both generators of d2, and d2 is transitive, so it is onto: every
-    completed mapping is a bijection and a witness.
+    sigma1 (right-action products), when one exists; of several witnesses,
+    the one with the least image of edge 1.
 
-    Only targets on a sigma0-cycle and a sigma1-cycle of the same lengths as
-    those through edge 1 are tried: a witness maps each cycle of d1 onto a
-    cycle of d2 of the same length, so every other target fails; the lengths
-    are read off the generators' held walks (:meth:`Permutation._walked`).
-    The rest are tried in ascending order, as all targets would be, so the
-    witness returned is the one a search over every target finds first.
+    One edge of d1, the pivot, is pinned and every candidate image in d2 is
+    tried (:func:`_forced`).  The pivot is the least edge on the sigma0
+    cycle length that the fewest edges share, as a graph isomorphism search
+    individualises a vertex of a smallest cell (McKay and Piperno,
+    *Practical graph isomorphism II*, J. Symbolic Comput. 60, 2014); it is
+    edge 1 whenever edge 1's length ties for the fewest.  A witness maps
+    each cycle of d1 onto a cycle of d2 of the same length, so d2 has as
+    many edges on that length or there is no witness, and only targets on a
+    sigma0-cycle and a sigma1-cycle of the same lengths as those through
+    the pivot are tried.  The edge counts are taken in one pass over the
+    cycle lengths of sigma0's held walk (:meth:`Permutation._walked`), and
+    the lengths through each edge are read off the held walks too.
+
+    A witness is fixed by the image of the pivot, and sends the pivot into
+    its class, so the targets that succeed are exactly the witnesses.  With
+    edge 1 as the pivot they are tried in ascending order and the first
+    success is returned; otherwise every target is tried, and the witness
+    with the least image of edge 1 is returned, the one an ascending search
+    from edge 1 finds first.
     """
     if d1.degree != d2.degree:
         return None
-    n = d1.degree
-    a0, a1 = d1.sigma0._images, d1.sigma1._images
-    b0, b1 = d2.sigma0._images, d2.sigma1._images
-    k0, k1 = d1.sigma0._walked()[1][0], d1.sigma1._walked()[1][0]
-    l0, l1 = d2.sigma0._walked()[1], d2.sigma1._walked()[1]
-    for target in range(n):
-        if l0[target] != k0 or l1[target] != k1:
+    s0, s1, t0, t1 = d1._sigma0, d1._sigma1, d2._sigma0, d2._sigma1
+    lengths, through = s0._walked()[:2]
+    edges: dict = {}
+    for length in lengths:
+        edges[length] = edges.get(length, 0) + length
+    # min() keeps the first of equal counts, and the first length counted
+    # is that of edge 1's cycle, so a tie goes to edge 1
+    k0 = min(edges, key=edges.__getitem__)
+    count = edges[k0]
+    if t0._walked()[0].count(k0) * k0 != count:
+        return None
+    pivot = through.index(k0)
+    k1 = s1._walked()[1][pivot]
+    l0, l1 = t0._walked()[1], t1._walked()[1]
+    a0, a1, b0, b1 = s0._images, s1._images, t0._images, t1._images
+    best = None
+    target = -1
+    for _ in range(count):  # d2's edges on length k0, in ascending order
+        target = l0.index(k0, target + 1)
+        if l1[target] != k1:
             continue
-        mapping = [-1] * n
-        mapping[0] = target
-        stack = [0]
-        ok = True
-        while stack and ok:
-            e = stack.pop()
-            f = mapping[e]
-            for sa, sb in ((a0, b0), (a1, b1)):
-                e2, f2 = sa[e], sb[f]
-                if mapping[e2] < 0:
-                    mapping[e2] = f2
-                    stack.append(e2)
-                elif mapping[e2] != f2:
-                    ok = False
-                    break
-        if ok:
+        mapping = _forced(a0, a1, b0, b1, pivot, target)
+        if mapping is None:
+            continue
+        if pivot == 0:
             return Permutation._from_zero_based(tuple(mapping))
-    return None
+        if best is None or mapping[0] < best[0]:
+            best = mapping
+    return None if best is None else Permutation._from_zero_based(tuple(best))
+
+
+def _forced(a0, a1, b0, b1, pivot: int, target: int) -> Optional[list]:
+    """The mapping that sends ``pivot`` to ``target`` and commutes with the
+    generators, 0-based images a0, a1 of d1 and b0, b1 of d2, or None.
+
+    The rest of the mapping is forced along the generators by transitivity.
+    The search checks both generators at every edge it reaches, which is
+    every edge of d1, so a mapping that completes is equivariant.  Its image
+    is then closed under both generators of d2, and d2 is transitive, so it
+    is onto: every completed mapping is a bijection and a witness.
+    """
+    mapping = [-1] * len(a0)
+    mapping[pivot] = target
+    stack = [pivot]
+    while stack:
+        e = stack.pop()
+        f = mapping[e]
+        e2, f2 = a0[e], b0[f]
+        g = mapping[e2]
+        if g < 0:
+            mapping[e2] = f2
+            stack.append(e2)
+        elif g != f2:
+            return None
+        e2, f2 = a1[e], b1[f]
+        g = mapping[e2]
+        if g < 0:
+            mapping[e2] = f2
+            stack.append(e2)
+        elif g != f2:
+            return None
+    return mapping
 
 
 def _direct_sum(a: Permutation, b: Permutation) -> Permutation:

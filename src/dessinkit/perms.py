@@ -35,11 +35,15 @@ Conventions
   A residue gets the table's tail once, when it becomes a strong
   generator.  Above 256 points every element is a 0-based tuple composed
   by ``operator.itemgetter``.  Generators are converted on the way in and
-  strong generators on the way out.
+  strong generators on the way out.  :func:`dessinkit.words.evaluate_word`
+  composes in the same kernels, converting x and y in and the value out.
 * A permutation's cycles are walked once (:func:`_walk`), and the
   permutation holds the walk: its printed cycles, cycle type, order and
   parity, a dessin's passport, genus and descriptor, and the isomorphism
-  filter of :mod:`dessinkit.dessins` read it.
+  search of :mod:`dessinkit.dessins` read it.  That search counts the
+  edges on each sigma0 cycle length from the cycle lengths, to pin an edge
+  of the rarest length, and filters its targets by the lengths through
+  each edge.
 * A_n and S_n are recognised without a chain, by a Jordan certificate taken
   from a fixed sequence of products of the generators (``PermGroup._giant``),
   a search cut short once a proper block shows that none can appear.
@@ -131,7 +135,7 @@ def _kernel(degree: int) -> tuple:
     is then the left operands' identity, and appending ``identity[degree:]``
     makes a left operand a right one.  Above, every element is a 0-based
     tuple under :func:`_mul`, and that tail is empty.  Read when a chain is
-    built or sifted through."""
+    built or sifted through, and when a word is evaluated."""
     if degree <= _TABLE_DEGREE:
         return bytes.translate, _table_inv, _TABLE_IDENTITY
     return _mul, _inv, tuple(range(degree))
@@ -326,7 +330,7 @@ class Permutation:
 
     def _walked(self) -> tuple:
         """The :func:`_walk` of the images, taken once: the printed cycles,
-        cycle type, order, parity and the isomorphism filter all read it."""
+        cycle type, order, parity and the isomorphism search all read it."""
         held = getattr(self, "_held", None)
         if held is None:
             held = self._held = _walk(self._images)

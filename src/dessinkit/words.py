@@ -28,7 +28,7 @@ from typing import Iterable, Tuple
 
 from ._exact import PRINT_BITS, Scanner, brief, exponent_of, power
 from .errors import DegreeMismatch, ParseError, ResourceLimit
-from .perms import Permutation, _inv, _mul
+from .perms import Permutation, _chain_element, _kernel
 
 Syllable = Tuple[str, int]
 
@@ -276,15 +276,24 @@ def evaluate_word(w: FreeWord, mx: Permutation, my: Permutation) -> Permutation:
 
     Respects the right action: ``evaluate_word(u * v) ==
     compose_right(evaluate_word(u), evaluate_word(v))``.  The syllables are
-    composed as 0-based image tuples, each power by square and multiply,
-    the product starting from the first syllable's image, not the identity,
-    and it becomes one :class:`Permutation` at the end.
+    composed in the kernel of the degree (:func:`perms._kernel`): up to 256
+    points mx and my become 256-byte tables once (:func:`perms._chain_element`),
+    an inverse is ``bytes.maketrans`` and a power or product
+    ``bytes.translate``, all in C; above, they are 0-based image tuples
+    composed by ``operator.itemgetter``.  Each power is taken by square and
+    multiply, the product starts from the first syllable's image, not the
+    identity, and it becomes one :class:`Permutation` at the end.  The empty
+    word is the identity, and converts nothing.
     """
     if mx.degree != my.degree:
         raise DegreeMismatch(
             f"assignment degrees {mx.degree} and {my.degree} differ"
         )
-    images = {"x": mx._images, "y": my._images}
+    n = mx.degree
+    if not w.syllables:
+        return Permutation.identity(n)
+    mul, inv, _ = _kernel(n)
+    images = {"x": _chain_element(mx._images), "y": _chain_element(my._images)}
     inverses: dict = {}
     result = None
     for g, e in w.syllables:
@@ -293,7 +302,7 @@ def evaluate_word(w: FreeWord, mx: Permutation, my: Permutation) -> Permutation:
         else:
             base = inverses.get(g)
             if base is None:
-                base = inverses[g] = _inv(images[g])
-        base = power(base, abs(e), None, _mul)  # e != 0, so no identity is used
-        result = base if result is None else _mul(result, base)
-    return Permutation._from_zero_based(tuple(range(mx.degree)) if result is None else result)
+                base = inverses[g] = inv(images[g])
+        base = power(base, abs(e), None, mul)  # e != 0, so no identity is used
+        result = base if result is None else mul(result, base)
+    return Permutation._from_zero_based(tuple(result[:n]))

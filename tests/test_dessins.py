@@ -1,5 +1,6 @@
 """Dessin invariants, isomorphism decisions, and witness verdicts."""
 
+import collections
 import math
 import random
 from fractions import Fraction
@@ -63,6 +64,57 @@ def cyclic_cover(rng, m, c):
             return Dessin(Permutation(images[0]), Permutation(images[1]))
         except NotTransitive:
             continue
+
+
+def one_fixed_point(rng, n):
+    """A transitive dessin of degree n >= 3 whose sigma0 fixes exactly one
+    edge; a witness fixes the fixed edges, so such a dessin has one."""
+    while True:
+        d = random_transitive_dessin(rng, n)
+        if d.sigma0.cycle_type().count(1) == 1:
+            return d
+
+
+def least_witness(d1, d2):
+    """Brute force: for each image of edge 1 in ascending order, the mapping
+    forced from edge 1 along both generators, kept when it is a bijection
+    that conjugates both generators of d1 onto those of d2, checked by
+    composing; the first one kept has the least image of edge 1."""
+    if d1.degree != d2.degree:
+        return None
+    n = d1.degree
+    gens = [(d1.sigma0.images, d2.sigma0.images), (d1.sigma1.images, d2.sigma1.images)]
+    for target in range(1, n + 1):
+        mapping = {1: target}
+        frontier = [1]
+        while frontier:
+            e = frontier.pop()
+            for a, b in gens:
+                if a[e - 1] not in mapping:
+                    mapping[a[e - 1]] = b[mapping[e] - 1]
+                    frontier.append(a[e - 1])
+        if len(set(mapping.values())) != n:
+            continue
+        pi = Permutation([mapping[e] for e in range(1, n + 1)])
+        inv = pi.inverse()
+        if inv * d1.sigma0 * pi == d2.sigma0 and inv * d1.sigma1 * pi == d2.sigma1:
+            return pi
+    return None
+
+
+def count_targets(monkeypatch):
+    """A list that gains (pivot, target, found) per ``dessins._forced``
+    call, 0-based edges."""
+    tried = []
+    forced = dessins._forced
+
+    def counting(a0, a1, b0, b1, pivot, target):
+        mapping = forced(a0, a1, b0, b1, pivot, target)
+        tried.append((pivot, target, mapping is not None))
+        return mapping
+
+    monkeypatch.setattr(dessins, "_forced", counting)
+    return tried
 
 
 def trace_face_count(d):
@@ -386,6 +438,60 @@ class TestIsomorphism:
         assert other.sigma0.cycle_type() != d.sigma0.cycle_type()
         assert dessins_isomorphic(d, other) is None
         assert dessins_isomorphic(other, d) is None
+
+
+    def test_pivot_on_the_rarest_black_length(self, monkeypatch):
+        # the pivot is an edge on the sigma0 cycle length that the fewest
+        # edges share; where edge 1's length has more, every target is tried
+        # and the witness with the least image of edge 1 is returned, the
+        # brute-force oracle's first.  Cyclic covers have several witnesses,
+        # a dessin whose sigma0 fixes one edge has one
+        tried = count_targets(monkeypatch)
+        rng = random.Random(4501)
+        family = []
+        for _ in range(60):
+            family.append(cyclic_cover(rng, rng.randint(1, 8), rng.randint(2, 5)))
+            family.append(one_fixed_point(rng, rng.randint(3, 40)))
+        family += [cyclic_cover(rng, rng.randint(86, 250), rng.choice((3, 4))) for _ in range(4)]
+        assert {d.degree for d in family} >= {2, 40}
+        assert all(257 <= d.degree <= 1000 for d in family[-4:])
+        pivoted = several = past_tables = 0
+        for d in family:
+            d1, d2 = (conjugate_dessin(d, random_perm(rng, d.degree)) for _ in range(2))
+            del tried[:]
+            pi = dessins_isomorphic(d1, d2)
+            assert pi is not None and pi == least_witness(d1, d2)
+            edges = collections.Counter()
+            for length in d1.sigma0.cycle_type():
+                edges[length] += length
+            pivots = {pivot for pivot, _, _ in tried}
+            assert len(pivots) == 1
+            pivot = pivots.pop()
+            assert edges[d1.sigma0._walked()[1][pivot]] == min(edges.values())
+            if pivot:
+                assert edges[d1.sigma0._walked()[1][0]] > min(edges.values())
+                pivoted += 1
+                several += sum(found for _, _, found in tried) > 1
+                past_tables += d.degree > 256
+        assert pivoted >= 20 and several >= 20 and past_tables >= 2
+
+    def test_targets_tried_on_the_gallery(self, monkeypatch):
+        # the six gallery dessins under one seeded relabelling: each ordered
+        # pair tries at most 4 targets, the edges on a sigma0 6-cycle and a
+        # sigma1 cycle of the pivot's length; pinning edge 1, which lies on
+        # a 3-cycle here, tried up to 20
+        tried = count_targets(monkeypatch)
+        pi = random_perm(random.Random(4502), 36)
+        gallery = [conjugate_dessin(gallery_dessin(k), pi) for k in range(1, 7)]
+        assert gallery[0].sigma0.cycle_type() == [6] + [3] * 10
+        assert gallery[0].sigma0._walked()[1][0] == 3
+        counts = []
+        for d1 in gallery:
+            for d2 in gallery:
+                del tried[:]
+                assert (dessins_isomorphic(d1, d2) is None) == (d1 is not d2)
+                counts.append(len(tried))
+        assert max(counts) <= 4 and sum(counts) > 0
 
 
 class TestRegularClosures:

@@ -318,6 +318,55 @@ class TestEvaluation:
         assert evaluate_word(w, gallery.sigma0, gallery.sigma1) == letter_by_letter(
             w, gallery.sigma0, gallery.sigma1)
 
+    def test_table_kernel_against_tuple_oracle(self, monkeypatch):
+        # up to 256 points a word is composed as 256-byte tables, above as
+        # tuples; the oracle composes 0-based tuples by square and multiply
+        # on its own.  Degrees 0-2 and 255-257 are the kernels' edges,
+        # exponents run past 2^64, and the empty word converts nothing
+        def tuple_eval(w, mx, my):
+            n = mx.degree
+            result = tuple(range(n))
+            for g, e in w.syllables:
+                base = tuple(v - 1 for v in (mx if g == "x" else my).images)
+                if e < 0:
+                    base = tuple(sorted(range(n), key=base.__getitem__))
+                acc, e = tuple(range(n)), abs(e)
+                while e:
+                    if e & 1:
+                        acc = tuple(base[i] for i in acc)
+                    base = tuple(base[i] for i in base)
+                    e >>= 1
+                result = tuple(acc[i] for i in result)
+            return Permutation([v + 1 for v in result])
+
+        kernels = []
+        kernel = words._kernel
+
+        def recording(degree):
+            mul, inv, identity = kernel(degree)
+            kernels.append((degree, type(identity)))
+            return mul, inv, identity
+
+        monkeypatch.setattr(words, "_kernel", recording)
+        rng = random.Random(4503)
+        exponents = [1, -1, 2, -3, 2 ** 64 + 1, -(2 ** 64 + 3), 2 ** 70 - 1]
+        degrees = [0, 1, 2, 36, 255, 256, 257] + [rng.randint(3, 254) for _ in range(13)]
+        for n in degrees:
+            mx, my = random_perm(rng, n), random_perm(rng, n)
+            for length in range(9):
+                w = FreeWord([(rng.choice("xy"), rng.choice(exponents))
+                              for _ in range(length)])
+                del kernels[:]
+                assert evaluate_word(w, mx, my) == tuple_eval(w, mx, my), (n, w)
+                if w.is_empty:
+                    assert kernels == []
+                else:
+                    assert kernels == [(n, bytes if n <= 256 else tuple)]
+        w = parse_word("[x^-1 y^2 x, x y]")
+        for n in (36, 257):
+            mx, my = random_perm(rng, n), random_perm(rng, n)
+            assert evaluate_word(w, mx, my) == tuple_eval(w, mx, my)
+
     def test_kernel_inversion_invariance(self):
         rng = random.Random(13)
         for _ in range(30):
