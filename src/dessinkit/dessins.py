@@ -9,7 +9,10 @@ The module computes passports, genus, the regular-closure descriptor (group
 order, distinguished-generator orders, Euler characteristic, genus), and
 decides isomorphism both of dessins (simultaneous conjugation) and of their
 regular closures (generator-preserving group isomorphism, decided by the
-diagonal-group order criterion without ever constructing the closure).
+diagonal-group order criterion without ever constructing the closure).  Nor
+is the diagonal group's order asked for: |D| exceeds |G1| exactly when some
+nontrivial element of D fixes d1's edges, and D's stabilizer chain stops at
+the first such element it makes.
 """
 
 from __future__ import annotations
@@ -320,14 +323,26 @@ def closure_difference(d1: Dessin, d2: Dessin) -> Optional[str]:
     millions) is never constructed.  The two reasons are the two steps:
     "component orders differ" when |G1| != |G2|, and "diagonal order exceeds
     component order" when |D| > |G1|.
+
+    The first step stops G2's chain once its orbit sizes pass |G1|.  The
+    second computes no order.  Restriction to d1's edges maps D onto G1, and
+    its kernel K is the pointwise stabilizer of those edges in D, so |D| =
+    |G1| |K| and |D| > |G1| iff K != 1.  Each new base point of D's chain is
+    the first point moved by the element that makes its level, so a level on
+    d2's edges is made by an element of K other than the identity, and the
+    build stops there; a complete chain with its base among d1's edges has
+    K = 1 (:meth:`PermGroup._fixer_is_nontrivial`).
     """
     n1 = d1.cartographic_group.order()
-    if n1 != d2.cartographic_group.order():
+    g2 = d2.cartographic_group
+    if g2.order_exceeds(n1) or g2.order() != n1:
         return "component orders differ"
     diag = PermGroup(
         [_direct_sum(d1.sigma0, d2.sigma0), _direct_sum(d1.sigma1, d2.sigma1)]
     )
-    return "diagonal order exceeds component order" if diag.order_exceeds(n1) else None
+    if diag._fixer_is_nontrivial(d1.degree):
+        return "diagonal order exceeds component order"
+    return None
 
 
 def regular_closures_isomorphic(d1: Dessin, d2: Dessin) -> bool:

@@ -22,9 +22,11 @@ Conventions
   new strong generator; each pair is sifted at most once, and not at all
   when its Schreier generator is a strong generator of the next level.
   Group orders and sift results are bit-reproducible across runs.
-* The loop's state, its levels and level index, stays on the group:
-  ``order_exceeds`` stops the loop once the product of the orbit sizes
-  passes its bound, and every later query continues the chain from there.
+* The loop's state, its levels and level index, stays on the group, and a
+  query may stop the loop early: ``order_exceeds`` once the product of the
+  orbit sizes passes its bound, and the test whether some nontrivial element
+  fixes the first m points once a level is made at a point past them.  Every
+  later query continues the chain from there.
 * The chain stores its elements in one of two kernels, chosen by degree
   (:func:`_kernel`).  Up to 256 points compose is ``bytes.translate`` and
   inverse ``bytes.maketrans``, both in C.  Only a right operand, a strong
@@ -453,7 +455,7 @@ class PermGroup:
 
     The stabilizer chain is built lazily, under a lock, by a loop whose
     state (the levels, and the level index, -1 once complete) stays on the
-    group, so a query continues a build that :meth:`order_exceeds` stopped;
+    group, so a query continues a build that an earlier query stopped;
     once it is complete, queries are read-only and safe for concurrent use.
     Each level keeps its orbit with a transversal entry (u, u^-1) per point,
     the orbit's points in the order they were reached, the number of
@@ -512,7 +514,23 @@ class PermGroup:
         """
         if self._giant is not None:
             return self.order() > bound
-        return _orbit_product(self._ensure_bsgs(bound)) > bound
+        levels = self._ensure_bsgs(lambda levels: _orbit_product(levels) > bound)
+        return _orbit_product(levels) > bound
+
+    def _fixer_is_nontrivial(self, m: int) -> bool:
+        """True iff some element other than the identity fixes each of the
+        points 1..m, read off the stabilizer chain.
+
+        Each base point is the first point that the element which made its
+        level moves: the strong generator whose orbit made the first level,
+        or a sift residue.  A level at a point past m is thus made by a
+        nontrivial element fixing 1..m, and the build stops once it has
+        made one and extended its orbit.  A complete chain whose base lies within 1..m has a trivial
+        pointwise stabilizer of its base, so of 1..m.  A stopped build keeps
+        its levels and index, and a later query continues it.
+        """
+        levels = self._ensure_bsgs(lambda levels: levels[-1].point >= m)
+        return any(lvl.point >= m for lvl in levels)
 
     def __contains__(self, p: Permutation) -> bool:
         return self.is_member(p)
@@ -607,16 +625,17 @@ class PermGroup:
                 return any(_is_odd(s) for s in self._gens)
         return None
 
-    def _ensure_bsgs(self, bound=None) -> list:
-        """The chain's levels: complete, or past ``bound`` when one is given."""
+    def _ensure_bsgs(self, stop=None) -> list:
+        """The chain's levels: complete, or as far as :meth:`_build` took
+        them before ``stop`` held, when one is given."""
         if self._level < 0:
             return self._levels
         with self._lock:
             if self._level >= 0:
-                self._build(bound)
+                self._build(stop)
             return self._levels
 
-    def _build(self, bound) -> None:
+    def _build(self, stop) -> None:
         """The deterministic incremental Schreier-Sims algorithm, as one loop
         over a level index i (Holt, Eick and O'Brien, *Handbook of
         Computational Group Theory*, CRC 2005, sec. 4.4.2).
@@ -641,15 +660,18 @@ class PermGroup:
         beside them.
 
         The loop resumes from the group's levels and index and stores them
-        back when the chain is complete or, before a level drains its queue,
-        when the orbit-size product exceeds ``bound``, so a bounded build
-        and the builds that resume it do the work of one unbounded build, in
-        the same order.  An exception leaves no levels, so the next query
-        restarts.  It composes in the kernel of the group's degree
-        (:func:`_kernel`), holding each u, Schreier generator and residue
-        as a left operand, and a residue becomes a right operand when it
-        becomes a strong generator.  It counts the transversal entries
-        stored as it makes them.
+        back when the chain is complete or when ``stop``, a test of the
+        levels, holds.  It is tested when the loop starts or resumes and
+        after each orbit extension that adds points, before that level
+        drains its queue; a new level's first extension always adds points,
+        since its generator moves its base point.  So a stopped build and the
+        builds that resume it do the work of one unstopped build, in the same
+        order.  An exception leaves no levels, so the next query restarts.
+        It composes in the kernel of the group's degree (:func:`_kernel`),
+        holding each u, Schreier generator and residue as a left operand,
+        and a residue becomes a right operand when it becomes a strong
+        generator.  It counts the transversal entries stored as it makes
+        them.
         """
         n = self._degree
         mul, inv, table = _kernel(n)
@@ -664,17 +686,20 @@ class PermGroup:
             i = len(levels) - 1
         inverses: dict = {}
         stored = sum(len(lvl.orbit) for lvl in levels)
-        size = _orbit_product(levels)
-        while i >= 0 and (bound is None or size <= bound):
+        grew = True  # the stop is tested at the start and after an orbit grows
+        while i >= 0:
+            if grew and stop is not None and stop(levels):
+                break
+            grew = False
             level = levels[i]
             below = levels[i + 1].held if i + 1 < len(levels) else ()
             if level.closed < len(level.gens):
                 grown = self._extend_orbit(level, stored, mul, inv, inverses, below)
                 if grown:
                     stored += grown
-                    if bound is not None:
-                        size = _orbit_product(levels)
-                        continue  # test the bound before the queue is drained
+                    if stop is not None:
+                        grew = True
+                        continue  # test the stop before the queue is drained
             orbit, pending = level.orbit, level.pending
             while pending:
                 pt, g = pending.popleft()

@@ -509,6 +509,86 @@ class TestRegularClosures:
                 == "diagonal order exceeds component order")
         assert closure_difference(d, load_dessin(ONE_EDGE)) == "component orders differ"
 
+    def test_component_step_stops_the_larger_chain(self):
+        # |G2| > |G1| is settled once G2's orbit sizes pass |G1|: the chain
+        # of a fresh G2 is left incomplete, and a later order() finishes it;
+        # a smaller G2 is built whole
+        d = gallery_dessin(1)
+        for index, (a, b), order in [(1, (2, 5), 427972821516288), (2, (25, 13), 10616832)]:
+            e = gallery_dessin(index)
+            swap = Permutation([b if p == a else a if p == b else p for p in range(1, 37)])
+            other = Dessin(e.sigma0, swap * e.sigma1 * swap)
+            assert closure_difference(d, other) == "component orders differ"
+            group = other.cartographic_group
+            assert (group._level >= 0) == (order > 42467328)
+            assert group.order() == order
+            assert perms.PermGroup([other.sigma0, other.sigma1]).order() == order
+
+    def test_against_exhaustive_closure(self):
+        # the orders of G1, G2 and the diagonal group D by breadth-first
+        # closure, on seeded dessins of degree at most 9 (random ones up to
+        # degree 7, and cyclic covers, whose groups are small), paired with
+        # relabelled copies, with dessins of their own degree and with any
+        def closure(gens, cap=math.inf):
+            """The elements of the group of 0-based image tuples ``gens``,
+            or more than ``cap`` of them once the closure passes it."""
+            seen = {tuple(range(len(gens[0])))}
+            frontier = list(seen)
+            while frontier and len(seen) <= cap:
+                grown = []
+                for a in frontier:
+                    for g in gens:
+                        b = tuple(map(g.__getitem__, a))
+                        if b not in seen:
+                            seen.add(b)
+                            grown.append(b)
+                frontier = grown
+            return seen
+
+        def images(d):
+            return [tuple(v - 1 for v in s.images) for s in (d.sigma0, d.sigma1)]
+
+        def regular(d):
+            """The regular closure of d as a dessin: its group acting on
+            itself by right multiplication."""
+            elements = sorted(closure(images(d)))
+            index = {x: k for k, x in enumerate(elements)}
+            return Dessin(*(Permutation([index[tuple(map(s.__getitem__, x))] + 1
+                                         for x in elements]) for s in images(d)))
+
+        def oracle(d1, d2):
+            order = len(closure(images(d1)))
+            if len(closure(images(d2))) != order:
+                return "component orders differ"
+            shift = d1.degree
+            diagonal = [a + tuple(v + shift for v in b) for a, b in zip(images(d1), images(d2))]
+            if len(closure(diagonal, order)) > order:
+                return "diagonal order exceeds component order"
+            return None
+
+        rng = random.Random(4601)
+        pool = [random_transitive_dessin(rng, n) for n in range(2, 8) for _ in range(4)]
+        pool += [cyclic_cover(rng, m, c) for m, c in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2),
+                                                     (3, 3), (3, 3), (2, 4)]]
+        pairs = [(d, conjugate_dessin(d, random_perm(rng, d.degree))) for d in pool]
+        for d in pool:
+            pairs.append((d, rng.choice([e for e in pool if e.degree == d.degree and e is not d])))
+            pairs.append((d, rng.choice(pool)))
+        # a dessin beside its own regular closure, of another degree, and
+        # beside the closure of a dessin with a group of the same order
+        orders = {d: len(closure(images(d))) for d in pool}
+        small = [d for d in pool if orders[d] <= 9]
+        for d in small:
+            e = rng.choice([e for e in small if orders[e] == orders[d]])
+            pairs += [(d, regular(d)), (regular(d), d), (d, regular(e)), (regular(e), d)]
+        verdicts = collections.Counter()
+        for d1, d2 in pairs:
+            verdict = oracle(d1, d2)
+            assert closure_difference(d1, d2) == verdict, (d1, d2)
+            verdicts[verdict] += 1
+        assert set(verdicts) == {None, "component orders differ",
+                                 "diagonal order exceeds component order"}
+
     def test_relabelings(self):
         rng = random.Random(47)
         d = random_transitive_dessin(rng, 7)

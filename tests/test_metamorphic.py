@@ -23,6 +23,11 @@ oracle for the verdict.  A relabelled gallery dessin must give an
 isomorphic closure; a gallery dessin with two points of sigma1 swapped gives
 the verdict the oracle's orders give.
 
+Mirror images: complex conjugation maps a dessin to (sigma0^-1, sigma1^-1),
+and the gallery's field of definition has no real embedding, so the mirror
+pairs the six gallery dessins, and their regular closures, with no fixed
+point.
+
 Words under evaluation: evaluation is a homomorphism from the free group, so
 eval(u v) = eval(u) eval(v), eval(u^-1) = eval(u)^-1 and eval(u^k) =
 eval(u)^k, the right-hand sides computed by Permutation's own product,
@@ -54,7 +59,7 @@ from dessinkit.belyi import (
     rational_roots,
     sturm_count,
 )
-from dessinkit.dessins import Dessin, closure_difference
+from dessinkit.dessins import Dessin, closure_difference, dessins_isomorphic
 from dessinkit.errors import IrrationalCriticalPoints
 from dessinkit.models import gallery_dessin
 from dessinkit.perms import Permutation, PermGroup
@@ -403,6 +408,53 @@ def test_closure_verdicts_after_a_swap_in_sigma1(index, swapped, verdict):
     other = Dessin(d.sigma0, swap * d.sigma1 * swap)
     assert _oracle_verdict(d, other) == verdict
     assert closure_difference(d, other) == verdict
+
+
+# the diagonal group of gallery dessins 1 and k stops its build at level 9,
+# made at a point of the second block, once its orbit is first extended;
+# the levels above it, all in the first block, are the same for every k
+DIAGONAL_LEVELS = [(0, 36), (12, 6), (15, 6), (13, 2), (21, 2), (17, 2), (20, 2), (16, 2), (1, 2)]
+# k: (the stopping level's base point, |D| / |G1|)
+DIAGONAL_STOPS = {2: (49, 4096), 3: (51, 4096), 4: (49, 64), 5: (51, 4096), 6: (53, 4096)}
+
+
+@pytest.mark.parametrize("index", sorted(DIAGONAL_STOPS))
+def test_where_the_diagonal_build_stops(index):
+    d, e = gallery_dessin(1), gallery_dessin(index)
+    group = PermGroup([Permutation([v + 1 for v in s]) for s in _diagonal(d, e)])
+    assert group._fixer_is_nontrivial(36)
+    point, kernel = DIAGONAL_STOPS[index]
+    state = [(lvl.point, len(lvl.orbit)) for lvl in group._levels]
+    assert (group._level, state) == (9, DIAGONAL_LEVELS + [(point, 2)])
+    assert group.order() == _textbook_order(_diagonal(d, e)) == kernel * 42467328
+    # on the complete chain too, where the base may end in the first block
+    assert group._fixer_is_nontrivial(36)
+
+
+# -- the mirror image on the gallery ----------------------------------------------
+
+
+def _mirror(d):
+    return Dessin(d.sigma0.inverse(), d.sigma1.inverse())
+
+
+def test_the_mirror_pairs_the_gallery():
+    """Complex conjugation acts on dessins by the mirror image (sigma0^-1,
+    sigma1^-1).  The six gallery dessins are one Galois orbit over Q(zeta3,
+    3^(1/3)), whose Galois group S3 permutes them regularly.  That field has
+    no real embedding, so complex conjugation acts on it as an element of
+    order 2, which fixes no dessin of a regular orbit: the mirror pairs the
+    six.  A dessin's regular closure mirrors with it, and the six closures
+    are pairwise non-isomorphic, so no closure is its own mirror either.
+    The pairing is gallery k with gallery 7 - k."""
+    gallery = [gallery_dessin(k) for k in range(1, 7)]
+    for k, d in enumerate(gallery, 1):
+        mirror = _mirror(d)
+        for j, e in enumerate(gallery, 1):
+            paired = j == 7 - k
+            assert (dessins_isomorphic(mirror, e) is not None) == paired, (k, j)
+            assert closure_difference(mirror, e) == (
+                None if paired else "diagonal order exceeds component order"), (k, j)
 
 
 # -- words under evaluation -----------------------------------------------------

@@ -1173,6 +1173,30 @@ class TestIncrementalChain:
         assert group.order() == 42467328
         assert chain_digest(group) == chain_digest(PermGroup([d.sigma0, d.sigma1]))
 
+    def test_where_a_fixer_query_stops(self):
+        # <(1,2,3), (4,5)>: some nontrivial element fixes 1..m iff m <= 3;
+        # the build stops once a level made at a point past m has its orbit
+        # extended, before it drains its queue (at the start, when the first
+        # level lies past m = 0), and otherwise completes; per m, the
+        # answer, the level index and each level's (base point, orbit size)
+        gens = [parse_cycles("(1,2,3)", 5), parse_cycles("(4,5)", 5)]
+        pins = [
+            (True, 0, [(0, 1)]),
+            (True, 1, [(0, 3), (3, 2)]),
+            (True, 1, [(0, 3), (3, 2)]),
+            (True, 1, [(0, 3), (3, 2)]),
+            (False, -1, [(0, 3), (3, 2)]),
+            (False, -1, [(0, 3), (3, 2)]),
+        ]
+        for m, pin in enumerate(pins):
+            group = PermGroup(gens)
+            answer = group._fixer_is_nontrivial(m)
+            state = [(lvl.point, len(lvl.orbit)) for lvl in group._levels]
+            assert (answer, group._level, state) == pin, m
+            assert group.order() == 6 and group._fixer_is_nontrivial(m) == pin[0]
+        trivial = PermGroup([Permutation.identity(3)])
+        assert not trivial._fixer_is_nontrivial(0) and trivial.order() == 1
+
     def test_mixed_concurrent_queries_share_one_chain(self, monkeypatch):
         # a bounded query takes the lock first and stops early; the three
         # order() calls waiting behind it finish the same chain
