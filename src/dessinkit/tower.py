@@ -105,7 +105,7 @@ class TowerField:
             raise OutOfRange(f"q must be positive, got {q}")
         # q > 0 in lowest terms is a pth power iff numerator and denominator are
         if all(integer_root(v, p) is not None for v in (q.numerator, q.denominator)):
-            raise OutOfRange(f"q = {q} is a {p}th power of a rational")
+            raise OutOfRange(f"q = {q} is a pth power of a rational, p = {p}")
         self.p = p
         self.q = q
         self.dimension = p * (p - 1)

@@ -20,6 +20,8 @@ from dessinkit.cli import run_cli
 from dessinkit.errors import ParseError
 from dessinkit.models import gallery_text, local_model_24
 
+import cli_pins
+
 GOLDEN_TOUR = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "tour.json"
 
 
@@ -757,116 +759,62 @@ class TestGoldenTour:
         )
 
 
-def _as_json(data) -> str:
-    return json.dumps(data, indent=2) + "\n"
-
-
-_SEC32_OMEGA = (
-    "(1,30)(2,29)(3,4)(5,34)(6,33)(7,8)(9,10)(11,12)(13,14)(15,16)(17,18)"
-    "(19,20)(21,22)(23,24)(25,26)(27,28)(31,32)(35,36)(37,38)(39,40)(41,42)"
-    "(43,44)(45,46)(47,48)(49,50)(51,52)(53,54)(55,56)"
-)
-_REDUCE_5_VALUE = (
-    "4722366482869645213696/"
-    "10555134955777783414078330085995832946127396083370199442517"
-)
-
-# Branches the tour does not reach: argv, exit code, text output, JSON output.
-PINNED = [
-    (
-        ["dessin", "iso", "gallery:3", "gallery:3"], 0,
-        "isomorphic via ()\n",
-        {"isomorphic": True, "witness": "()"},
-    ),
-    (
-        ["dessin", "reg-iso", "gallery:5", "gallery:5"], 0,
-        "regular closures isomorphic\n",
-        {"isomorphic_closures": True},
-    ),
-    (
-        ["dessin", "reg-iso", "gallery:1", "one.dessin"], 1,
-        "regular closures not isomorphic: component orders differ\n",
-        {"isomorphic_closures": False, "reason": "component orders differ"},
-    ),
-    (
-        ["dessin", "witness", "gallery:2", "gallery:2", "--word", "[x^-1 y^2 x, x y]"], 1,
-        "no separation\n",
-        {"separation": "none"},
-    ),
-    (
-        ["dessin", "witness", "m1.dessin", "m2.dessin", "--word", "x", "--with", "y^2"], 0,
-        "separates by commutation with y^2\n",
-        {"separation": "commutation", "commutator_with": "y^2"},
-    ),
-    (
-        ["gallery", "export", "--k", "3", "--out", "g3.txt"], 0,
-        "wrote g3.txt\n",
-        {"written": ["g3.txt"]},
-    ),
-    (
-        ["model", "sec32", "--p", "7", "--k", "3", "--trace"], 0,
-        f"points: 56\nomega: {_SEC32_OMEGA}\ncommutes with y^2: false\n"
-        "trace: 1^(omega y^2) = 32\ntrace: 1^(y^2 omega) = 4\n",
-        {
-            "points": 56,
-            "omega": _SEC32_OMEGA,
-            "commutes_with_y2": False,
-            "trace": {"start": 1, "omega_then_y2": 32, "y2_then_omega": 4},
-        },
-    ),
-    (
-        ["belyi", "reduce", "--points", "5"], 0,
-        "stage 1: 1/36*X^2 + 1/18*X + 1/36\nstage 2: B[37,35]\n"
-        f"critical profile: {{0, 1, inf}}\nvalue at 0: {_REDUCE_5_VALUE}\n"
-        "verified: true\n",
-        {
-            "stages": ["1/36*X^2 + 1/18*X + 1/36", "B[37,35]"],
-            "critical_profile": {"finite": ["0", "1"], "includes_infinity": True},
-            "value_at_zero": _REDUCE_5_VALUE,
-            "verified": True,
-        },
-    ),
-    (
-        ["belyi", "crit", "--map", "X^-1"], 0,
-        "finite critical values: {}\n",
-        {"finite_critical_values": [], "includes_infinity": False},
-    ),
-    (
-        ["belyi", "crit", "--map", "(X+1)^-2"], 0,
-        "finite critical values: {0, inf}\n",
-        {"finite_critical_values": ["0"], "includes_infinity": True},
-    ),
-    (
-        ["lemma", "delta-tilde", "--d", "1,1,1", "--c0", "1", "--c", "2",
-         "--alpha-minus-nu", "1"], 1,
-        "partial sums: 1 2 4 5\ntotal: 6\nall nonzero mod 2: false\n",
-        {"partial_sums": [1, 2, 4, 5], "total": 6, "modulus": 2, "ok": False},
-    ),
-]
+def _pinned_cases():
+    with open(cli_pins.TABLE, encoding="utf-8") as fh:
+        return json.load(fh)["cases"]
 
 
 class TestPinnedBranches:
-    """Exact text and JSON output of the branches outside the tour."""
+    """Every pinned CLI output, text and --json: the table ``cli_pins.json``.
+
+    CI replays the same table through the installed console script with
+    ``tests/cli_pins.py``, so a new pin is one more case in the table.
+    """
 
     @pytest.fixture
     def workdir(self, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "one.dessin").write_text("degree 1\nsigma0 = ()\nsigma1 = ()\n")
-        for k in (1, 2):
-            model = local_model_24(k)
-            (tmp_path / f"m{k}.dessin").write_text(
-                f"degree {model.y.degree}\nsigma0 = {model.omega}\nsigma1 = {model.y}\n"
-            )
         return tmp_path
 
     @pytest.mark.parametrize(
-        "argv, code, text, data", PINNED, ids=[" ".join(pin[0]) for pin in PINNED]
+        "case", _pinned_cases(), ids=lambda case: " ".join(case["argv"])
     )
-    def test_text_and_json(self, capsys, workdir, argv, code, text, data):
-        assert invoke(capsys, *argv) == (code, text, "")
-        assert invoke(capsys, *argv, "--json") == (code, _as_json(data), "")
+    def test_text_and_json(self, capsys, workdir, case):
+        cli_pins.load(workdir)
+        assert invoke(capsys, *case["argv"]) == (
+            case["exit"], case["stdout"], case["stderr"]
+        )
 
     def test_export_to_file_writes_exact_bytes(self, capsys, workdir):
         invoke(capsys, "gallery", "export", "--k", "3", "--out", "g3.txt")
         with open(workdir / "g3.txt", encoding="utf-8", newline="") as fh:
             assert fh.read() == gallery_text(3)
+
+    def test_input_files_are_the_dessins_they_stand_for(self, workdir):
+        cli_pins.load(workdir)
+        expected = {}
+        for n in (256, 257):
+            # sigma0 the n-cycle, sigma1 the reflection (i, n+2-i)
+            sigma0 = "(" + ",".join(map(str, range(1, n + 1))) + ")"
+            sigma1 = "".join(
+                f"({i},{n + 2 - i})" for i in range(2, n // 2 + 2) if i < n + 2 - i
+            )
+            expected[f"dihedral{n}.txt"] = f"degree {n}\nsigma0 = {sigma0}\nsigma1 = {sigma1}\n"
+        for k in (1, 2):
+            model = local_model_24(k)
+            expected[f"m{k}.dessin"] = (
+                f"degree {model.y.degree}\nsigma0 = {model.omega}\nsigma1 = {model.y}\n"
+            )
+        for name, text in expected.items():
+            with open(workdir / name, encoding="utf-8", newline="") as fh:
+                assert fh.read() == text, name
+
+    def test_runner_reports_exactly_the_changed_case(self, monkeypatch, workdir):
+        monkeypatch.setenv("PYTHONPATH", str(Path(dessins.__file__).resolve().parent.parent))
+        [case] = [c for c in cli_pins.load(workdir)
+                  if c["argv"] == ["dessin", "iso", "cover1.txt", "cover2.txt"]]
+        changed = dict(case, stdout=case["stdout"].replace("5)", "6)"))
+        failures = cli_pins.replay(
+            [sys.executable, "-m", "dessinkit.cli"], [case, changed], workdir
+        )
+        assert failures == [(changed, {"exit": 0, "stdout": case["stdout"], "stderr": ""})]

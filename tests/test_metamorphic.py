@@ -26,7 +26,14 @@ the verdict the oracle's orders give.
 Mirror images: complex conjugation maps a dessin to (sigma0^-1, sigma1^-1),
 and the gallery's field of definition has no real embedding, so the mirror
 pairs the six gallery dessins, and their regular closures, with no fixed
-point.
+point.  On any dessins the mirror keeps what the library computes: pi^-1 a
+pi = b iff pi^-1 a^-1 pi = b^-1, so two dessins and their mirrors have the
+same isomorphisms, and an inverse has its permutation's cycle lengths, so
+the pivot's class and the witness chosen from it are the same; the
+passport, the genus and the group are the same, so is the regular
+descriptor; and the mirrored generators generate the same groups, the
+diagonal group D among them, so the closure verdict and its reason are the
+same.
 
 Words under evaluation: evaluation is a homomorphism from the free group, so
 eval(u v) = eval(u) eval(v), eval(u^-1) = eval(u)^-1 and eval(u^k) =
@@ -59,8 +66,15 @@ from dessinkit.belyi import (
     rational_roots,
     sturm_count,
 )
-from dessinkit.dessins import Dessin, closure_difference, dessins_isomorphic
-from dessinkit.errors import IrrationalCriticalPoints
+from dessinkit.dessins import (
+    Dessin,
+    closure_difference,
+    dessins_isomorphic,
+    genus_of,
+    passport_of,
+    regular_descriptor,
+)
+from dessinkit.errors import IrrationalCriticalPoints, NotTransitive
 from dessinkit.models import gallery_dessin
 from dessinkit.perms import Permutation, PermGroup
 from dessinkit.words import FreeWord, evaluate_word
@@ -455,6 +469,85 @@ def test_the_mirror_pairs_the_gallery():
             assert (dessins_isomorphic(mirror, e) is not None) == paired, (k, j)
             assert closure_difference(mirror, e) == (
                 None if paired else "diagonal order exceeds component order"), (k, j)
+
+
+
+def _dessin(gens):
+    return Dessin(*(Permutation([v + 1 for v in g]) for g in gens))
+
+
+def _random_dessin(rng, n):
+    while True:
+        try:
+            return Dessin(*_random_pair(rng, n))
+        except NotTransitive:
+            pass
+
+
+def _relabelled(rng, d):
+    images = list(range(1, d.degree + 1))
+    rng.shuffle(images)
+    pi = Permutation(images)
+    return Dessin(pi.inverse() * d.sigma0 * pi, pi.inverse() * d.sigma1 * pi)
+
+
+def _mirrored_witness(d, e):
+    """The witness for d and e, checked to be the mirrors' witness, after
+    checking that the mirror keeps both dessins' invariants."""
+    md, me = _mirror(d), _mirror(e)
+    for a, b in ((d, md), (e, me)):
+        assert passport_of(b) == passport_of(a)
+        assert genus_of(b) == genus_of(a)
+        assert regular_descriptor(b) == regular_descriptor(a)
+    witness = dessins_isomorphic(d, e)
+    assert dessins_isomorphic(md, me) == witness
+    return witness
+
+
+def _mirrored_verdict(d, e):
+    """The closure verdict for d and e, checked to be the mirrors' verdict."""
+    reason = closure_difference(d, e)
+    assert closure_difference(_mirror(d), _mirror(e)) == reason
+    return reason
+
+
+def test_the_mirror_keeps_seeded_dessins():
+    """60 seeded transitive pairs at degrees 2-40, each beside a relabelled
+    copy (None) and beside a second seeded pair, half of those relabelled
+    (each reason)."""
+    rng = random.Random("mirror")
+    reasons = set()
+    for _ in range(60):
+        n = rng.randint(2, 40)
+        d = _random_dessin(rng, n)
+        copy = _relabelled(rng, d)
+        assert _mirrored_witness(d, copy) is not None
+        assert _mirrored_verdict(d, copy) is None
+        other = _random_dessin(rng, n)
+        if rng.random() < 0.5:
+            other = _relabelled(rng, other)
+        _mirrored_witness(d, other)
+        reasons.add(_mirrored_verdict(d, other))
+    assert reasons == {"component orders differ", "diagonal order exceeds component order"}
+
+
+@pytest.mark.parametrize("n", [257, 300, 512, 1000])
+def test_the_mirror_keeps_dihedral_dessins(n):
+    """Past 256 points, where the chain keeps tuples.  A seeded pair there is
+    a giant, whose diagonal chain the suite cannot afford, so its verdict is
+    not checked; the dihedral dessin's verdict is checked beside a
+    relabelled copy (None) and beside the cyclic dessin of degree 2n, whose
+    group has the same order but is abelian (the diagonal order exceeds)."""
+    rng = random.Random(f"mirror {n}")
+    d = _dessin(_dihedral(n))
+    copy = _relabelled(rng, d)
+    assert _mirrored_witness(d, copy) is not None
+    assert _mirrored_verdict(d, copy) is None
+    cyclic = _cycles(2 * n, [2 * n])
+    assert _mirrored_verdict(d, _dessin([cyclic, _compose(cyclic, cyclic)])) == (
+        "diagonal order exceeds component order")
+    r = _random_dessin(rng, n)
+    assert _mirrored_witness(r, _relabelled(rng, r)) is not None
 
 
 # -- words under evaluation -----------------------------------------------------
