@@ -20,8 +20,12 @@ Conventions
   is trivial) and a pair (base point, g) with g a strong generator of the
   next level.  Each visit to a level drains its queue until a pair gives a
   new strong generator; each pair is sifted at most once, and not at all
-  when its Schreier generator is a strong generator of the next level.
-  Group orders and sift results are bit-reproducible across runs.
+  when its Schreier generator is a strong generator of the next level.  A
+  level between the one a new strong generator was found at and the one it
+  drops out at is settled at once, with no visit, when the generator adds
+  no point to its orbit and every pair it would queue would be skipped;
+  the chain is the one those visits would have built.  Group orders and
+  sift results are bit-reproducible across runs.
 * The loop's state, its levels and level index, stays on the group, and a
   query may stop the loop early: ``order_exceeds`` once the product of the
   orbit sizes passes its bound, and the test whether some nontrivial element
@@ -525,9 +529,10 @@ class PermGroup:
         level moves: the strong generator whose orbit made the first level,
         or a sift residue.  A level at a point past m is thus made by a
         nontrivial element fixing 1..m, and the build stops once it has
-        made one and extended its orbit.  A complete chain whose base lies within 1..m has a trivial
-        pointwise stabilizer of its base, so of 1..m.  A stopped build keeps
-        its levels and index, and a later query continues it.
+        made one and extended its orbit.  A complete chain whose base lies
+        within 1..m has a trivial pointwise stabilizer of its base, so of
+        1..m.  A stopped build keeps its levels and index, and a later query
+        continues it.
         """
         levels = self._ensure_bsgs(lambda levels: levels[-1].point >= m)
         return any(lvl.point >= m for lvl in levels)
@@ -595,9 +600,10 @@ class PermGroup:
         system of blocks of size 2 or more, and with at most n/2 < l blocks
         its orbits on them, of length 1 or l, are all fixed points; so the
         support of h, one h-orbit, lies in one block, of size at least
-        l > n/2, which must be the whole set.  By Jordan's theorem a primitive group with a prime cycle of length at
-        most n - 3 contains A_n (Seress, *Permutation Group Algorithms*, CUP
-        2003, ch. 10), and it is S_n iff some generator is odd.
+        l > n/2, which must be the whole set.  By Jordan's theorem a
+        primitive group with a prime cycle of length at most n - 3 contains
+        A_n (Seress, *Permutation Group Algorithms*, CUP 2003, ch. 10), and
+        it is S_n iff some generator is odd.
 
         The elements tried are the first :data:`_JORDAN_TRIES` prefix
         products of the generators taken in Thue-Morse order (generator
@@ -659,6 +665,34 @@ class PermGroup:
         set of level i+1's generators as left operands, which the level holds
         beside them.
 
+        A residue found at level i that drops out at level j is appended to
+        levels i+1..j, and each level l with i < l < j is then offered to
+        :meth:`_settle`, which marks it closed under the new generator g
+        when its visit would find nothing: g adds no point to its orbit,
+        and each pair (a, g), a not its base point, has a trivial Schreier
+        generator or one that level l+1 holds.  That decision, taken now
+        rather than at the visit, is exact:
+
+        * When the residue is found, every level after i is complete, so
+          level l has an empty queue and is closed under every generator
+          but g.
+        * g fixes b_l, since the sift passed level l, so the pair (b_l, g)
+          has Schreier generator g; and g is in level l+1's ``held``, since
+          l+1 <= j.  That pair is never queued.
+        * Before the loop comes back up to level l it visits only levels
+          after l, and a residue found at a level m > l is appended only to
+          levels after m; so neither level l nor level l+1's ``held``
+          changes in between, and the visit would queue exactly these
+          pairs and skip each one.
+        * A settled level adds no point, so the stop test is reached exactly
+          where it would be without the settlement.
+
+        Any other level is left to its visit.  When the loop goes up from a
+        complete level it steps over each level above that is closed under
+        all its generators with an empty queue, as a visit to it would only
+        step up again.  The bases, sifts, strong generators, transversals
+        and stops are those of the build that visits every level.
+
         The loop resumes from the group's levels and index and stores them
         back when the chain is complete or when ``stop``, a test of the
         levels, holds.  It is tested when the loop starts or resumes and
@@ -714,7 +748,9 @@ class PermGroup:
                 if residue != identity:
                     break
             else:
-                i -= 1  # level i is complete
+                i -= 1  # level i is complete, and so may be the levels above
+                while i >= 0 and levels[i].closed == len(levels[i].gens) and not levels[i].pending:
+                    i -= 1
                 continue
             if j == len(levels):
                 levels.append(_Level(_first_moved(residue), root))
@@ -723,6 +759,7 @@ class PermGroup:
             for l in range(i + 1, j + 1):
                 levels[l].gens.append(strong)
                 levels[l].held.add(residue)
+            self._settle(levels, i, j, strong, mul)
             i = j
         self._levels, self._level = levels, i
 
@@ -776,6 +813,27 @@ class PermGroup:
                 points.append(b)
         level.closed = len(gens)
         return len(points) - n_old
+
+    def _settle(self, levels: list, i: int, j: int, g, mul) -> None:
+        """Mark each level l, i < l < j, closed under its new strong
+        generator ``g`` when the visit that would extend its orbit under g
+        adds no point and skips each pair it queues, by the drain's two skip
+        tests (:meth:`_build` gives the proof); leave any other level to
+        that visit.  The base point's pair is left out, as its Schreier
+        generator is g itself, which level l+1 holds."""
+        for l in range(i + 1, j):
+            level = levels[l]
+            orbit, below = level.orbit, levels[l + 1].held
+            for a in level.points[1:]:  # points[0] is the base point
+                b = g[a]
+                if b not in orbit:
+                    break  # the orbit grows
+                ug = mul(orbit[a][0], g)
+                target = orbit[b]
+                if ug != target[0] and mul(ug, target[1]) not in below:
+                    break  # the pair must be sifted
+            else:
+                level.closed = len(level.gens)
 
     def _strip(self, levels: list, g, start: int, mul):
         """Sift g, a left operand, through levels[start:] under the compose

@@ -858,6 +858,50 @@ def count_queued(monkeypatch):
     return queued
 
 
+def decline_every_settlement(monkeypatch):
+    """Build every chain with no level settled early: each level a new
+    strong generator reaches takes its own visit, as before the settlement."""
+    monkeypatch.setattr(PermGroup, "_settle", lambda self, *args: None)
+
+
+def declined_at(level, below, g, mul):
+    """The exit at which a level offered the new strong generator g is
+    declined, walking its orbit points past the base point in order:
+    "grows" at the first that g takes out of the orbit, "sifts" at the first
+    whose Schreier generator is neither trivial nor in ``below``, the next
+    level's generators."""
+    orbit = level.orbit
+    identity = orbit[level.point][0]
+    for a in level.points[1:]:
+        if g[a] not in orbit:
+            return "grows"
+        schreier = mul(mul(orbit[a][0], g), orbit[g[a]][1])
+        if schreier != identity and schreier not in below:
+            return "sifts"
+    raise AssertionError("a level whose visit would find nothing was declined")
+
+
+def count_settlements(monkeypatch):
+    """A list that gains, per level that ``PermGroup._settle`` is offered,
+    "settled", or the exit it declined at (:func:`declined_at`)."""
+    outcomes = []
+    settle = PermGroup._settle
+
+    def counting(self, levels, i, j, g, mul):
+        closed = [levels[l].closed for l in range(i + 1, j)]
+        settle(self, levels, i, j, g, mul)
+        for l, before in zip(range(i + 1, j), closed):
+            level = levels[l]
+            if level.closed != before:
+                assert level.closed == len(level.gens) and not level.pending
+                outcomes.append("settled")
+            else:
+                outcomes.append(declined_at(level, levels[l + 1].held, g, mul))
+
+    monkeypatch.setattr(PermGroup, "_settle", counting)
+    return outcomes
+
+
 def side_by_side(a, b):
     """a on points 1..n and b on points n+1..n+m."""
     return Permutation(a.images + tuple(v + a.degree for v in b.images))
@@ -966,26 +1010,34 @@ class TestIncrementalChain:
         assert group.base() == base
         assert len(calls) == sifts
 
-    @pytest.mark.parametrize("index, queued", [
+    @pytest.mark.parametrize("index, unsettled", [
         (1, 261), (2, 254), (3, 254), (4, 254), (5, 264), (6, 254),
     ])
-    def test_gallery_chain_queues_pinned_pairs(self, monkeypatch, index, queued):
+    def test_gallery_chain_queues_pinned_pairs(self, monkeypatch, index, unsettled):
         # queuing every Schreier pair met took 444/438/438/438/450/438 here;
         # tree edges and base pairs held below are left out, and the chain
-        # and its sifts are those pinned above
+        # and its sifts are those pinned above.  The levels that a new strong
+        # generator leaves with nothing to sift are settled and queue none;
+        # ``unsettled`` is the count when no level is
         from dessinkit.models import gallery_dessin
 
         d = gallery_dessin(index)
         pairs = count_queued(monkeypatch)
         assert PermGroup([d.sigma0, d.sigma1]).order() == 42467328
-        assert sum(pairs) == queued
+        assert sum(pairs) == {1: 96, 2: 94, 3: 99, 4: 109, 5: 99, 6: 94}[index]
+        pairs.clear()
+        decline_every_settlement(monkeypatch)
+        assert PermGroup([d.sigma0, d.sigma1]).order() == 42467328
+        assert sum(pairs) == unsettled
 
     @pytest.mark.parametrize("index, calls, idle", [
         (1, 143, 123), (2, 142, 124), (3, 142, 124), (4, 142, 124), (5, 144, 126), (6, 142, 124),
     ])
     def test_gallery_chain_extensions_that_add_no_point(self, monkeypatch, index, calls, idle):
-        # most orbit extensions only queue the pairs of a new generator;
-        # those add no point, and work out no room under the cap
+        # an orbit extension that adds no point works out no room under the
+        # cap; most such extensions only queued the pairs of a new generator,
+        # and a settled level takes no extension.  (calls, idle) are the
+        # counts when no level is settled
         from dessinkit.models import gallery_dessin
 
         d = gallery_dessin(index)
@@ -998,7 +1050,26 @@ class TestIncrementalChain:
 
         monkeypatch.setattr(PermGroup, "_extend_orbit", counting)
         assert PermGroup([d.sigma0, d.sigma1]).order() == 42467328
+        settled = {1: (26, 6), 2: (26, 8), 3: (27, 9), 4: (29, 11), 5: (27, 9), 6: (26, 8)}
+        assert (len(grown), grown.count(0)) == settled[index]
+        grown.clear()
+        decline_every_settlement(monkeypatch)
+        assert PermGroup([d.sigma0, d.sigma1]).order() == 42467328
         assert (len(grown), grown.count(0)) == (calls, idle)
+
+    @pytest.mark.parametrize("index, settled", [
+        (1, 117), (2, 116), (3, 115), (4, 113), (5, 117), (6, 116),
+    ])
+    def test_gallery_chain_settled_levels(self, monkeypatch, index, settled):
+        # how many (level, new strong generator) visits the settlement takes
+        # off each gallery chain: a count, so a build that settles fewer,
+        # whose chain is the same, fails here
+        from dessinkit.models import gallery_dessin
+
+        d = gallery_dessin(index)
+        outcomes = count_settlements(monkeypatch)
+        assert PermGroup([d.sigma0, d.sigma1]).order() == 42467328
+        assert outcomes.count("settled") == settled
 
     def test_transversal_cap_fires_at_pinned_entries(self, monkeypatch):
         # gallery dessin 1's chain stores 78 transversal entries on 18
@@ -1392,6 +1463,87 @@ class TestChainKernel:
             assert {len(u) for u, _ in level.orbit.values()} == {36}
             assert {len(u_inv) for _, u_inv in level.orbit.values()} == {256}
             assert {len(g) for g in level.held} == {36}
+
+
+def affine_pair(rng, n):
+    """A seeded transitive pair of small order on n points, x -> x + 1 and
+    x -> a x mod n for a random unit a > 1 of Z/n, relabelled by a random
+    permutation: a cheap chain at any degree."""
+    a = rng.choice([a for a in range(2, n) if math.gcd(a, n) == 1])
+    pi = random_perm(rng, n)
+    pair = [Permutation([(x + 1) % n + 1 for x in range(n)]),
+            Permutation([a * x % n + 1 for x in range(n)])]
+    return [pi.inverse() * g * pi for g in pair]
+
+
+class TestSettlement:
+    """Each group built twice, once as shipped and once with every level
+    left to its own visit (:func:`decline_every_settlement`): the chains,
+    their sifts and the builds a query stops must be the same."""
+
+    def answers(self, monkeypatch, gens, queries):
+        """Per query, its answer, the sifts so far, the level index and per
+        level the base point, strong generators, orbit points and pending
+        pairs; then the complete chain's order, sifts, digest and base, and
+        per level its strong generators, orbit points and ``closed``."""
+        sifts = count_sifts(monkeypatch)
+        group = PermGroup(gens)
+        seen = []
+        for query in queries:
+            answer = query(group)
+            seen.append((answer, len(sifts), group._level, [
+                (lvl.point, lvl.gens[:], lvl.points[:], list(lvl.pending))
+                for lvl in group._levels]))
+        seen.append((group.order(), len(sifts), kernel_free_digest(group), group.base(), [
+            (lvl.gens, lvl.points, lvl.closed) for lvl in group._levels]))
+        assert not any(lvl.pending for lvl in group._levels)
+        return seen
+
+    def compare(self, monkeypatch, cases):
+        """The outcomes of the shipped settlements over ``cases``, pairs of
+        generators and queries, after checking each against the build that
+        settles no level."""
+        monkeypatch.setattr(perms, "_JORDAN_TRIES", 0)  # the chain answers
+        outcomes = count_settlements(monkeypatch)
+        for gens, queries in cases:
+            with monkeypatch.context() as m:
+                shipped = self.answers(m, gens, queries)
+            with monkeypatch.context() as m:
+                decline_every_settlement(m)
+                assert self.answers(m, gens, queries) == shipped
+        return outcomes
+
+    def test_settlement_changes_no_chain(self, monkeypatch):
+        from dessinkit.models import gallery_dessin
+
+        rng = random.Random(5050)
+        n = 1000  # the tuple kernel
+        dihedral = [Permutation([(i + 1) % n + 1 for i in range(n)]),
+                    Permutation([(-i) % n + 1 for i in range(n)])]
+        groups = [[d.sigma0, d.sigma1] for d in map(gallery_dessin, range(1, 7))]
+        groups += diagonal_gens()
+        groups += [transitive_pair(rng, n) for n in range(2, 41)]
+        groups += [affine_pair(rng, n) for n in (255, 256, 257)]
+        groups += [wreath_product(2, 15), wreath_product(12, 3), dihedral]
+        outcomes = self.compare(monkeypatch, [(gens, ()) for gens in groups])
+        # the step settles most levels it is offered, and declines at both
+        # of its exits, so the builds compared do differ in their work
+        assert outcomes.count("settled") > 5000
+        assert outcomes.count("grows") >= 1 and outcomes.count("sifts") >= 1
+
+    def test_settlement_changes_no_stopped_build(self, monkeypatch):
+        # the bounds of test_where_a_bounded_build_stops, each on a fresh
+        # group and all in turn on one, and the fixer query that stops each
+        # diagonal chain at its first level on the second dessin's edges
+        from dessinkit.models import gallery_dessin
+
+        d = gallery_dessin(1)
+        bounds = (10**3, 10**5, 10**6, 5 * 10**6, 2 * 10**7)
+        cases = [([d.sigma0, d.sigma1], [lambda g, b=b: g.order_exceeds(b)]) for b in bounds]
+        cases.append(([d.sigma0, d.sigma1], [lambda g, b=b: g.order_exceeds(b) for b in bounds]))
+        cases += [(gens, [lambda g: g._fixer_is_nontrivial(36)]) for gens in diagonal_gens()]
+        outcomes = self.compare(monkeypatch, cases)
+        assert outcomes.count("settled") > 4000
 
 
 class TestErrorMessages:
