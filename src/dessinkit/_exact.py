@@ -86,6 +86,8 @@ def check_odd_prime(p: int) -> None:
     """Refuse p unless it is an odd prime below 2^64.  A larger p is refused
     untested: testing one of thousands of digits takes seconds, and the caps
     on p of the tower and the models lie far below 2^64."""
+    if not isinstance(p, int):
+        raise OutOfRange(f"p must be an odd prime, got {brief(p)!r}")
     if p >= 2**64:
         raise OutOfRange(f"p must be an odd prime below 2^64, got {brief(p)}")
     if p == 2 or not is_prime(p):

@@ -61,6 +61,8 @@ _WITNESS_VALUES = {
 
 
 def _check_gallery_index(k: int):
+    if isinstance(k, bool) or not isinstance(k, int):  # True would name galleryTrue.txt
+        raise OutOfRange(f"gallery index must be an integer, got {brief(k)!r}")
     if not 1 <= k <= GALLERY_SIZE:
         raise OutOfRange(f"gallery index {k} outside 1..{GALLERY_SIZE}")
 
@@ -69,7 +71,7 @@ def gallery_text(k: int) -> str:
     """Exact content of the k-th shipped gallery file."""
     _check_gallery_index(k)
     return (
-        resources.files("dessinkit")
+        resources.files(__package__)
         .joinpath(f"data/gallery{k}.txt")
         .read_text(encoding="utf-8")
     )
@@ -185,7 +187,10 @@ def _check_blocks(d) -> list:
     blocks = list(d)
     if not blocks or len(blocks) % 2 == 0:
         raise BadShape(f"need an odd number of blocks, got {len(blocks)}")
-    if any(int(v) < 1 for v in blocks):
+    for v in blocks:
+        if not isinstance(v, int):
+            raise BadShape(f"block degrees must be integers, got {brief(v)!r}")
+    if any(v < 1 for v in blocks):
         raise BadShape("block degrees must be positive")
     return [int(v) for v in blocks]
 

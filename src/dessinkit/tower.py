@@ -96,7 +96,7 @@ class TowerField:
 
     def __init__(self, p: int, q):
         q = Fraction(q)
-        if p < 2**64:  # a larger p is refused by the cap, untested
+        if not isinstance(p, int) or p < 2**64:  # a larger p is refused by the cap, untested
             check_odd_prime(p)
         if p > MAX_P:
             raise ResourceLimit(

@@ -8,11 +8,8 @@ import itertools
 import json
 import logging
 import math
-import os
 import random
 import re
-import subprocess
-import sys
 import time
 import tracemalloc
 from decimal import Decimal
@@ -63,6 +60,8 @@ from dessinkit.errors import (
     ParseError,
     SizeGuard,
 )
+
+import child
 
 BETA1 = "(X+27)^3 / (243*(X-9)^2)"
 
@@ -433,12 +432,9 @@ class TestCriticalValues:
     def test_infinity_hashes_alike_in_every_process(self):
         # a profile's points iterate in hash order, which fixes the order in
         # which propagate_crit evaluates them, so it must not follow the address
-        paths = [str(Path(belyi.__file__).resolve().parent.parent),
-                 os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         code = "from dessinkit.belyi import INFINITY; print(hash(INFINITY))"
-        hashes = {subprocess.run([sys.executable, "-c", code], capture_output=True,
-                                 text=True, env=env, check=True, timeout=60).stdout
+        hashes = {child.run(["-c", code], capture_output=True,
+                            text=True, check=True, timeout=60).stdout
                   for _ in range(2)}
         assert len(hashes) == 1, hashes
 
@@ -891,9 +887,6 @@ class TestIntegerRemainderSequence:
         # gcd(A, X^20) ran the remainder sequence, and takes about 2 ms by
         # the monomial rule; 1 s leaves room for a slow host and still fails
         # the former
-        paths = [str(Path(belyi.__file__).resolve().parent.parent),
-                 os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         code = (
             "import hashlib, time\n"
             "from dessinkit import parse_map\n"
@@ -904,8 +897,8 @@ class TestIntegerRemainderSequence:
             "print(f.numerator.degree, f.denominator.degree, seconds,\n"
             "      hashlib.sha256(text.encode()).hexdigest()[:16])\n"
         )
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=True, timeout=120)
+        done = child.run(["-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
         num_degree, den_degree, seconds, digest = done.stdout.split()
         assert (num_degree, den_degree, digest) == ("20", "20", "bb95bdb497bc1192")
         assert float(seconds) < 1, seconds
@@ -1737,9 +1730,6 @@ class TestStageCapOrder:
         # the 23 inputs above 10^12 bits^2 took 2.1-4.2 s in all when every
         # stage value was multiplied out, and take about 0.01 s from bit
         # lengths; 1 s leaves room for a slow host and still fails the former
-        paths = [str(Path(belyi.__file__).resolve().parent.parent),
-                 os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         code = (
             "import json, sys, time\n"
             "from fractions import Fraction\n"
@@ -1755,9 +1745,8 @@ class TestStageCapOrder:
             "print(refused, time.perf_counter() - start)\n"
         )
         above = _reduce_pool_strata()["above"]
-        done = subprocess.run([sys.executable, "-c", code], input=json.dumps(above),
-                              capture_output=True, text=True, env=env, check=True,
-                              timeout=120)
+        done = child.run(["-c", code], input=json.dumps(above), capture_output=True,
+                         text=True, check=True, timeout=120)
         refused, seconds = done.stdout.split()
         assert (len(above), int(refused)) == (23, 23)
         assert float(seconds) < 1, seconds

@@ -1,10 +1,12 @@
 """CLI behavior: exit codes, deterministic output, structured mode."""
 
 import hashlib
+import io
 import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -20,9 +22,10 @@ from dessinkit.cli import run_cli
 from dessinkit.errors import ParseError
 from dessinkit.models import gallery_text, local_model_24
 
+import child
 import cli_pins
 
-GOLDEN_TOUR = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "tour.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def invoke(capsys, *argv):
@@ -39,22 +42,6 @@ class TestDessinCommands:
         assert "genus: 1" in out
         assert "group order: 42467328" in out
         assert "genus 14155777" in out
-
-    def test_info_json_stable(self, capsys):
-        code, out1, _ = invoke(capsys, "dessin", "info", "gallery:2", "--json")
-        assert code == 0
-        data = json.loads(out1)
-        assert data["degree"] == 36
-        assert data["group_order"] == 42467328
-        assert list(data) == ["degree", "passport", "genus", "group_order", "regular"]
-        _, out2, _ = invoke(capsys, "dessin", "info", "gallery:2", "--json")
-        assert out1 == out2
-
-    def test_info_from_file(self, capsys, tmp_path):
-        path = tmp_path / "one.dessin"
-        path.write_text("degree 1\nsigma0 = ()\nsigma1 = ()\n")
-        code, out, _ = invoke(capsys, "dessin", "info", str(path))
-        assert code == 0 and "degree: 1" in out
 
     def test_iso_negative(self, capsys):
         code, out, _ = invoke(capsys, "dessin", "iso", "gallery:1", "gallery:2")
@@ -73,14 +60,6 @@ class TestDessinCommands:
         code, out, _ = invoke(capsys, "dessin", "reg-iso", "gallery:5", "gallery:5")
         assert code == 0
 
-    def test_witness(self, capsys):
-        code, out, _ = invoke(
-            capsys,
-            "dessin", "witness", "gallery:1", "gallery:6",
-            "--word", "[x^-1 y^2 x, x y]",
-        )
-        assert code == 0 and "kernel" in out
-
     def test_witness_no_separation(self, capsys):
         code, out, _ = invoke(
             capsys,
@@ -89,9 +68,11 @@ class TestDessinCommands:
         )
         assert code == 1 and "no separation" in out
 
-    def test_missing_file_is_input_error(self, capsys):
-        code, _, err = invoke(capsys, "dessin", "info", "no-such-file.dessin")
-        assert code == 2 and "error:" in err
+    def test_info_from_file(self, capsys, tmp_path):
+        path = tmp_path / "one.dessin"
+        path.write_text("degree 1\nsigma0 = ()\nsigma1 = ()\n")
+        code, out, _ = invoke(capsys, "dessin", "info", str(path))
+        assert code == 0 and "degree: 1" in out
 
     def test_non_utf8_file_is_input_error(self, capsys, tmp_path):
         data = b"degree 1\nsigma0 = ()\nsigma1 = ()\n\xff\n"
@@ -112,12 +93,6 @@ class TestDessinCommands:
         monkeypatch.setattr(cli, "passport_of", broken)
         with pytest.raises(ValueError, match="not a typed error"):
             run_cli(["dessin", "info", "gallery:1"])
-
-    def test_group_order_cap(self, capsys):
-        code, _, err = invoke(
-            capsys, "dessin", "info", "gallery:1", "--cap-group-order", "1000"
-        )
-        assert code == 3 and "error:" in err
 
     @pytest.mark.parametrize("n", [1000, 1500])
     def test_info_on_a_large_giant(self, capsys, tmp_path, n):
@@ -156,27 +131,6 @@ class TestWordCommands:
         )
         assert code == 0 and out.strip() == "(17,29)(21,33)"
 
-    def test_commutes_true(self, capsys):
-        code, out, _ = invoke(
-            capsys, "word", "commutes", "gallery:1", "--word", "[x^-1 y^2 x, x y]"
-        )
-        assert code == 0 and "commutes: true" in out
-
-    def test_commutes_false(self, capsys):
-        code, out, _ = invoke(
-            capsys, "word", "commutes", "gallery:2", "--word", "x"
-        )
-        assert code == 1 and "commutes: false" in out
-
-    def test_bad_word(self, capsys):
-        code, _, err = invoke(capsys, "word", "eval", "gallery:1", "--word", "z")
-        assert code == 2
-
-    def test_split_exponent_rejected(self, capsys):
-        code, out, err = invoke(capsys, "word", "eval", "gallery:1", "--word", "x^1 2")
-        assert code == 2 and out == ""
-        assert err.startswith("error: unexpected '2'")
-
 
 class TestGalleryCommands:
     def test_list(self, capsys):
@@ -184,19 +138,11 @@ class TestGalleryCommands:
         assert code == 0
         assert out.count("gallery:") == 6
 
-    def test_export_single_stdout(self, capsys):
-        code, out, _ = invoke(capsys, "gallery", "export", "--k", "4")
-        assert code == 0 and out == gallery_text(4)
-
     def test_export_all(self, capsys, tmp_path):
         code, out, _ = invoke(capsys, "gallery", "export", "--out", str(tmp_path))
         assert code == 0
         for k in range(1, 7):
             assert (tmp_path / f"gallery{k}.txt").read_text() == gallery_text(k)
-
-    def test_export_without_target(self, capsys):
-        code, _, err = invoke(capsys, "gallery", "export")
-        assert code == 2
 
 
 class TestModelCommands:
@@ -206,24 +152,6 @@ class TestModelCommands:
         assert "4^(omega y^2) = 17" in out
         assert "4^(y^2 omega) = 5" in out
 
-    def test_commutation_flag(self, capsys):
-        _, out1, _ = invoke(capsys, "model", "sec31", "--k", "1")
-        assert "commutes with y^2: true" in out1
-        _, out3, _ = invoke(capsys, "model", "sec31", "--k", "3")
-        assert "commutes with y^2: false" in out3
-
-    def test_8p_variant(self, capsys):
-        _, out, _ = invoke(capsys, "model", "sec32", "--p", "3", "--k", "1")
-        assert "commutes with y^2: true" in out
-        _, out_j, _ = invoke(
-            capsys, "model", "sec32", "--p", "3", "--k", "1", "--variant", "j"
-        )
-        assert "commutes with y^2: false" in out_j
-
-    def test_bad_k(self, capsys):
-        code, _, err = invoke(capsys, "model", "sec31", "--k", "9")
-        assert code == 2
-
     def test_huge_p_is_an_input_error(self, capsys):
         code, _, err = invoke(capsys, "model", "sec32", "--p", str(10**400 + 1), "--k", "1")
         assert code == 2
@@ -232,44 +160,11 @@ class TestModelCommands:
 
 
 class TestBelyiCommands:
-    def test_bmn(self, capsys):
-        code, out, _ = invoke(capsys, "belyi", "bmn", "--m", "1", "--n", "1")
-        assert code == 0 and "-4*X^2 + 4*X" in out
-
-    def test_bmn_not_coprime(self, capsys):
-        code, _, err = invoke(capsys, "belyi", "bmn", "--m", "2", "--n", "4")
-        assert code == 2
-
     def test_crit(self, capsys):
         code, out, _ = invoke(
             capsys, "belyi", "crit", "--map", "(X+27)^3 / (243*(X-9)^2)"
         )
         assert code == 0 and "{0, 1, inf}" in out
-
-    @pytest.mark.parametrize("bits", [8000, 1000000])
-    def test_crit_prints_big_values_briefly(self, capsys, bits):
-        # the one finite critical value is -2^(2 bits - 2)
-        placeholder = f"<rational with {2 * bits - 1}-bit numerator and 1-bit denominator>"
-        expr = f"2^{bits}*X+X^2"
-        code, out, err = invoke(capsys, "belyi", "crit", "--map", expr)
-        assert (code, err) == (0, "")
-        assert out == f"finite critical values: {{{placeholder}, inf}}\n"
-        code, out, err = invoke(capsys, "belyi", "crit", "--map", expr, "--json")
-        assert (code, err) == (0, "")
-        assert json.loads(out) == {"finite_critical_values": [placeholder],
-                                   "includes_infinity": True}
-
-    def test_reduce(self, capsys):
-        code, out, _ = invoke(capsys, "belyi", "reduce", "--points", "1")
-        assert code == 0
-        assert "B[5,3]" in out and "verified: true" in out
-
-    def test_reduce_size_guard(self, capsys):
-        code, _, err = invoke(
-            capsys,
-            "belyi", "reduce", "--points=-27,9", "--cap-stage-size", "100",
-        )
-        assert code == 3 and "error:" in err
 
     def test_sturm(self, capsys):
         code, out, _ = invoke(
@@ -290,12 +185,18 @@ class TestBelyiCommands:
         )
         assert code == 1
 
-    def test_split_integer_rejected(self, capsys):
-        code, out, err = invoke(
-            capsys, "belyi", "sturm", "--poly", "X - 1 2", "--lo", "0", "--hi", "20"
-        )
-        assert code == 2 and out == ""
-        assert err.startswith("error: trailing input")
+    @pytest.mark.parametrize("bits", [8000, 1000000])
+    def test_crit_prints_big_values_briefly(self, capsys, bits):
+        # the one finite critical value is -2^(2 bits - 2)
+        placeholder = f"<rational with {2 * bits - 1}-bit numerator and 1-bit denominator>"
+        expr = f"2^{bits}*X+X^2"
+        code, out, err = invoke(capsys, "belyi", "crit", "--map", expr)
+        assert (code, err) == (0, "")
+        assert out == f"finite critical values: {{{placeholder}, inf}}\n"
+        code, out, err = invoke(capsys, "belyi", "crit", "--map", expr, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"finite_critical_values": [placeholder],
+                                   "includes_infinity": True}
 
     @pytest.mark.parametrize("argv", [
         ("belyi", "sturm", "--poly", "X^2-2", "--lo", "-3/2", "--hi", "2"),
@@ -319,12 +220,6 @@ class TestBelyiCommands:
         )
         assert (code, out) == (2, "") and "expected one argument" in err
 
-    def test_float_rejected(self, capsys):
-        code, _, err = invoke(
-            capsys, "belyi", "sturm", "--poly", "X", "--lo", "0.5", "--hi", "2"
-        )
-        assert code == 2
-
 
 class TestTowerCommands:
     def test_jinv(self, capsys):
@@ -334,12 +229,6 @@ class TestTowerCommands:
     def test_distinct(self, capsys):
         code, out, _ = invoke(capsys, "tower", "distinct", "--p", "3", "--q", "3")
         assert code == 0 and "pairwise distinct: true" in out
-
-    def test_distinct_rational_q(self, capsys):
-        code, out, _ = invoke(
-            capsys, "tower", "distinct", "--p", "3", "--q", "8/9", "--gamma", "2/17"
-        )
-        assert code == 0
 
     def test_pth_power_rejected(self, capsys):
         code, _, err = invoke(capsys, "tower", "distinct", "--p", "3", "--q", "8")
@@ -355,14 +244,6 @@ class TestLemmaCommands:
         )
         assert code == 0
         assert "(m, n): (17, 15)" in out and "certified: true" in out
-
-    def test_two_adic_hypothesis(self, capsys):
-        code, _, err = invoke(
-            capsys,
-            "lemma", "two-adic",
-            "--poly", "X+1", "--c", "32", "--p", "3", "--q", "1", "--gamma", "1",
-        )
-        assert code == 2
 
     def test_delta_tilde(self, capsys):
         code, out, _ = invoke(
@@ -440,16 +321,6 @@ class TestCapsEnv:
         assert (code, out) == (2, "")
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
-    def test_zero_caps_stay_valid(self, capsys):
-        code, _, err = invoke(
-            capsys, "dessin", "info", "gallery:1", "--cap-group-order", "0"
-        )
-        assert (code, err) == (3, "error: cartographic group order exceeds cap 0\n")
-        code, _, err = invoke(
-            capsys, "belyi", "reduce", "--points", "1,2/3", "--cap-stage-size", "0"
-        )
-        assert code == 3 and err.endswith("over the cap 0\n")
-
 
 DELTA_TILDE = ("lemma", "delta-tilde", "--c0", "1", "--c", "4", "--alpha-minus-nu", "4")
 
@@ -488,25 +359,6 @@ class TestOutsideIntegers:
         assert (code, out) == (2, "")
         assert err.endswith(f"error: argument {flag}: invalid int value: '{value}'\n")
 
-    def test_rationals_are_decimal_runs(self, capsys):
-        assert invoke(
-            capsys, "belyi", "sturm", "--poly", "X^2-2", "--lo", "1_0", "--hi", "2_0"
-        ) == (2, "", "error: expected an integer in rational '1_0', got '1_0'\n")
-        assert invoke(capsys, "belyi", "reduce", "--points", "1,1/2_7") == (
-            2, "", "error: expected an integer in rational '1/2_7', got '2_7'\n"
-        )
-        assert invoke(capsys, "tower", "jinv", "--p", "3", "--q", "7_0/3") == (
-            2, "", "error: expected an integer in rational '7_0/3', got '7_0'\n"
-        )
-        # signs, surrounding blanks and refusals are as before
-        code, out, _ = invoke(
-            capsys, "belyi", "sturm", "--poly", "X^2-2", "--lo", " -3/2 ", "--hi", "+2"
-        )
-        assert (code, out) == (0, "roots in (-3/2, 2]: 2\n")
-        assert invoke(capsys, "belyi", "reduce", "--points", "1/-2") == (
-            2, "", "error: bad rational '1/-2': Invalid literal for Fraction: '1/-2'\n"
-        )
-
     @pytest.mark.skipif(
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
         reason="this interpreter converts decimal strings of any length",
@@ -540,18 +392,6 @@ class TestOutsideIntegers:
 
 
 class TestSizeGuards:
-    def test_word_over_the_syllable_cap(self, capsys):
-        code, out, err = invoke(
-            capsys, "word", "eval", "gallery:1", "--word", "(x y)^1000000000"
-        )
-        assert (code, out) == (3, "") and "syllables is over the cap" in err
-
-    def test_map_over_the_degree_cap(self, capsys):
-        assert invoke(capsys, "belyi", "crit", "--map", "(X+1)^2001") == (
-            3, "", "error: map of degree 2001 before position 10 in expression "
-            "is over the degree cap 2000\n"
-        )
-
     @pytest.mark.parametrize("expr, bits, position", [
         ("3^100000000", 200000004, 11),
         ("(X+3^1000)^2000", 6343172004, 15),
@@ -623,13 +463,6 @@ class TestTwoAdicAndDeltaTildeSizes:
         )
         assert time.perf_counter() - start < 1
 
-    def test_two_adic_below_the_cap_answers_as_before(self, capsys):
-        code, out, _ = invoke(capsys, "lemma", "two-adic", "--poly", "X+1", "--c", "32",
-                              "--p", "1009", "--q", "4", "--gamma", "2/3")
-        assert code == 0 and out.endswith("certified: true\n")
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "698cc0dacceea7191ca40a253bdd5b2b0a555a62bea8197d006217aa1c3304cb")
-
     @pytest.mark.parametrize("k", ["100000000", "10000000000", "10" + "0" * 20])
     def test_delta_tilde_huge_window(self, capsys, k):
         start = time.perf_counter()
@@ -659,13 +492,6 @@ class TestTwoAdicAndDeltaTildeSizes:
 
 class TestPlaceholders:
     """Coefficients and exponents over PRINT_BITS bits print as placeholders."""
-
-    def test_bmn_at_the_expansion_cap(self, capsys):
-        coefficient = "<rational with 21932-bit numerator and 21920-bit denominator>"
-        assert invoke(capsys, "belyi", "bmn", "--m", "1999", "--n", "1") == (
-            0, f"-{coefficient}*X^2000 + {coefficient}*X^1999\n"
-            "critical values: {0, 1, inf}\n", ""
-        )
 
     def test_tower_jinv_with_a_long_q(self, capsys):
         code, out, err = invoke(capsys, "tower", "jinv", "--p", "3", "--q", "3" * 2000)
@@ -698,18 +524,39 @@ class TestClosedStdout:
         ],
     )
     def test_exit_141_and_silent_stderr(self, argv):
-        paths = [str(Path(dessins.__file__).resolve().parent.parent),
-                 os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run([sys.executable, "-m", "dessinkit.cli", *argv],
-                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
-                                  timeout=60)
+            proc = child.run(["-m", "dessinkit.cli", *argv], stdout=write_end,
+                             stderr=subprocess.PIPE, timeout=60)
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_main_in_process(self, capsys, monkeypatch, tmp_path, broken):
+        # the console script's entry point, with a stdout whose descriptor is
+        # a file this test opened, so that its dup2 never touches fd 1
+        code, out, _ = invoke(capsys, "gallery", "list")
+
+        class Stdout(io.StringIO):
+            def fileno(self):
+                return fh.fileno()
+
+            def flush(self):
+                if broken:
+                    raise BrokenPipeError
+                super().flush()
+
+        monkeypatch.setattr(sys, "argv", ["dessinkit", "gallery", "list"])
+        with open(tmp_path / "stdout", "w", encoding="utf-8") as fh:
+            monkeypatch.setattr(sys, "stdout", Stdout())
+            with pytest.raises(SystemExit) as done:
+                cli.main()
+            written = sys.stdout.getvalue()
+            on_devnull = os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+        assert (done.value.code, written, on_devnull) == (
+            (141, out, True) if broken else (code, out, False))
 
 
 class TestDeterminism:
@@ -741,49 +588,53 @@ class TestDeterminism:
             assert not re.search(r"\d\.\d", out)
 
 
-def _golden_cases():
-    with open(GOLDEN_TOUR, encoding="utf-8") as fh:
-        return json.load(fh)
+@pytest.fixture
+def workdir(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def replay_pin(capsys, workdir, case):
+    """Run one pinned case in process, beside the table's input files."""
+    cli_pins.load(workdir)
+    assert invoke(capsys, *case["argv"]) == (
+        case["exit"], case["stdout"], case["stderr"]
+    )
+
+
+def argv_id(case):
+    return " ".join(case["argv"])
 
 
 class TestGoldenTour:
-    """The README tour, replayed in process against its recorded output."""
+    """The README tour, ``perfbench/golden/tour.json``, in text and --json."""
 
-    @pytest.mark.parametrize(
-        "case", _golden_cases(), ids=lambda case: " ".join(case["argv"])
-    )
-    def test_replay(self, capsys, monkeypatch, tmp_path, case):
-        monkeypatch.chdir(tmp_path)
-        assert invoke(capsys, *case["argv"]) == (
-            case["exit"], case["stdout"], case["stderr"]
-        )
+    @pytest.mark.parametrize("case", cli_pins.tour_cases(), ids=argv_id)
+    def test_replay(self, capsys, workdir, case):
+        replay_pin(capsys, workdir, case)
 
-
-def _pinned_cases():
-    with open(cli_pins.TABLE, encoding="utf-8") as fh:
-        return json.load(fh)["cases"]
+    def test_readme_tour_is_the_pinned_tour(self):
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## CLI tour\n\n```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+        commands = [argv for argv in commands if argv]
+        assert {argv[0] for argv in commands} == {"dessinkit"}
+        assert [argv[1:] for argv in commands] == [
+            case["argv"] for case in cli_pins.tour_cases() if "--json" not in case["argv"]
+        ]
 
 
 class TestPinnedBranches:
-    """Every pinned CLI output, text and --json: the table ``cli_pins.json``.
+    """Every pinned CLI output of the table ``cli_pins.json``, text and --json.
 
-    CI replays the same table through the installed console script with
-    ``tests/cli_pins.py``, so a new pin is one more case in the table.
+    CI replays the same cases, and the tour's, through the installed console
+    script with ``tests/cli_pins.py``, so a new pin is one more case in the
+    table.
     """
 
-    @pytest.fixture
-    def workdir(self, monkeypatch, tmp_path):
-        monkeypatch.chdir(tmp_path)
-        return tmp_path
-
-    @pytest.mark.parametrize(
-        "case", _pinned_cases(), ids=lambda case: " ".join(case["argv"])
-    )
+    @pytest.mark.parametrize("case", cli_pins.table_cases(), ids=argv_id)
     def test_text_and_json(self, capsys, workdir, case):
-        cli_pins.load(workdir)
-        assert invoke(capsys, *case["argv"]) == (
-            case["exit"], case["stdout"], case["stderr"]
-        )
+        replay_pin(capsys, workdir, case)
 
     def test_export_to_file_writes_exact_bytes(self, capsys, workdir):
         invoke(capsys, "gallery", "export", "--k", "3", "--out", "g3.txt")
@@ -810,7 +661,7 @@ class TestPinnedBranches:
                 assert fh.read() == text, name
 
     def test_runner_reports_exactly_the_changed_case(self, monkeypatch, workdir):
-        monkeypatch.setenv("PYTHONPATH", str(Path(dessins.__file__).resolve().parent.parent))
+        monkeypatch.setenv("PYTHONPATH", child.SRC)
         [case] = [c for c in cli_pins.load(workdir)
                   if c["argv"] == ["dessin", "iso", "cover1.txt", "cover2.txt"]]
         changed = dict(case, stdout=case["stdout"].replace("5)", "6)"))

@@ -11,6 +11,7 @@ import hashlib
 import math
 import operator
 import random
+import re
 import sys
 from fractions import Fraction as F
 
@@ -20,6 +21,7 @@ from dessinkit import _exact
 from dessinkit._exact import (
     Scanner,
     brief,
+    check_odd_prime,
     decimal,
     int_poly_mul,
     integer_root,
@@ -89,6 +91,18 @@ class TestIsPrime:
         assert run_cli(["tower", "distinct", "--p", str(p), "--q", "2"]) == 3
         assert capsys.readouterr().err == (
             "error: p = <3319-bit integer> is above 23, the largest tower prime\n")
+
+    @pytest.mark.parametrize("entry", [
+        check_odd_prime,
+        lambda p: TowerField(p, 2),
+        lambda p: local_model_8p(p, 1),
+        lambda p: TwoAdicInstance(parse_poly("X+1"), 32, p, 4, F(2, 3)),
+    ], ids=["check_odd_prime", "TowerField", "local_model_8p", "TwoAdicInstance"])
+    def test_a_p_that_is_not_an_int_is_refused_before_any_cap(self, entry):
+        # 1e30 is past the cap on p of the tower and the two-adic size cap
+        for p in (3.0, 1e30, F(3), "3"):
+            with pytest.raises(OutOfRange, match=re.escape(f"p must be an odd prime, got {p!r}")):
+                entry(p)
 
 
 class TestIntegerToolkit:

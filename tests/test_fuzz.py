@@ -15,17 +15,16 @@ stabilizer chain (one not certified A_n or S_n) has at most 40 edges.
 """
 
 import json
-import os
 import random
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import dessinkit
 from dessinkit._exact import MAX_NESTING, is_prime
 from dessinkit.perms import MAX_DEGREE
+
+import child
 
 SEED = 20
 
@@ -279,14 +278,10 @@ _COMMANDS = [
 
 
 def _run_batch(argvs, timeout):
-    paths = [str(Path(dessinkit.__file__).resolve().parent.parent),
-             os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     stdin = "".join(json.dumps(argv) + "\n" for argv in argvs)
     try:
-        done = subprocess.run([sys.executable, "-c", _CHILD], input=stdin,
-                              capture_output=True, text=True, env=env,
-                              timeout=timeout)
+        done = child.run(["-c", _CHILD], input=stdin, capture_output=True, text=True,
+                         timeout=timeout)
     except subprocess.TimeoutExpired as exc:
         out = exc.stdout or b""  # bytes, even in text mode
         finished = (out.decode() if isinstance(out, bytes) else out).count("\n")

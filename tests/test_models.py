@@ -2,7 +2,10 @@
 
 import collections
 import random
+import re
+import shutil
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +38,8 @@ from dessinkit.models import (
 from dessinkit.perms import parse_cycles
 from dessinkit.words import FreeWord, parse_word
 
+import child
+
 
 class TestGallery:
     def test_all_transitive_degree_36(self):
@@ -58,6 +63,25 @@ class TestGallery:
         for k in (0, 7, -1):
             with pytest.raises(OutOfRange):
                 gallery_dessin(k)
+
+    @pytest.mark.parametrize("entry", [gallery_text, gallery_dessin, expected_witness_value])
+    def test_index_must_be_an_int(self, entry):
+        for k in (1.0, 2.0, F(1), "1", True):
+            with pytest.raises(OutOfRange, match=re.escape(f"an integer, got {k!r}")):
+                entry(k)
+
+    def test_gallery_text_reads_its_own_package(self, tmp_path):
+        # a copy of the package imported under another name reads its own data
+        copy = tmp_path / "otherkit"
+        shutil.copytree(Path(models.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        edited = gallery_text(1).replace("# gallery dessin 1 of 6", "# an edited copy")
+        assert edited != gallery_text(1)
+        (copy / "data" / "gallery1.txt").write_text(edited, encoding="utf-8")
+        code = "import sys, otherkit.models as m; sys.stdout.write(m.gallery_text(1))"
+        done = child.run(["-c", code], paths=[tmp_path], capture_output=True, text=True,
+                         check=True, timeout=60)
+        assert done.stdout == edited
 
     def test_specific_cycles(self):
         assert "(14,15)(16,17)" in gallery_text(1)
@@ -195,6 +219,17 @@ class TestWordBuilders:
         for bad in ([], [1, 2], [1, 0, 1]):
             with pytest.raises(BadShape):
                 build_mu0(bad)
+
+    @pytest.mark.parametrize("build", [
+        build_mu0,
+        lambda d: build_mu_omega(d, 1, 1, 1, 1),
+        lambda d: delta_tilde_check(d, 1, 4, 4),
+    ], ids=["mu0", "mu_omega", "delta_tilde"])
+    def test_blocks_must_be_ints(self, build):
+        # int() would read each of these as the block 1, 1 or 3
+        for bad in (F(3, 2), 1.9, "3"):
+            with pytest.raises(BadShape, match="block degrees must be integers"):
+                build([bad, 1, 1])
 
     def test_mu_template(self):
         mu, _ = build_mu_omega([1, 1, 1], 1, 1, 1, 1)

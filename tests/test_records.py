@@ -7,15 +7,12 @@ the modules behind ``dataclasses``."""
 
 import linecache
 import logging
-import os
-import subprocess
-import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from dessinkit import belyi, dessins
+from dessinkit import belyi
 from dessinkit.belyi import INFINITY, BmnParams, BmnStage, CritProfile, ReductionReport
 from dessinkit.dessins import Passport, RegularDescriptor, Separation, WitnessVerdict
 from dessinkit.errors import DegenerateTriple, NotCoprime, OutOfRange
@@ -23,6 +20,8 @@ from dessinkit.models import DeltaTildeReport, LocalModel, TwoAdicReport
 from dessinkit.perms import parse_cycles
 from dessinkit.tower import CurveTriple, DistinctnessReport, TowerField
 from dessinkit.words import parse_word
+
+import child
 
 K = TowerField(3, 2)
 Y, T_, OMEGA, S = (parse_cycles(c, 4) for c in ("(1,2,3,4)", "(1,3)", "(2,4)", "(1,2)(3,4)"))
@@ -182,10 +181,6 @@ print(sorted(loaded & {"dataclasses", "inspect", "logging"}),
 
 
 def test_startup_loads_no_dataclasses_inspect_or_logging():
-    paths = [str(Path(dessins.__file__).resolve().parent.parent),
-             os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    proc = subprocess.run([sys.executable, "-c", STARTUP], capture_output=True,
-                          text=True, env=env, timeout=60)
+    proc = child.run(["-c", STARTUP], capture_output=True, text=True, timeout=60)
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == "[] [] 0"

@@ -2,10 +2,7 @@
 
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction as F
 
@@ -33,6 +30,8 @@ from dessinkit.tower import (
     galois_elements,
     j_invariant_of_triple,
 )
+
+import child
 
 
 def random_element(field, rng, height=9):
@@ -640,9 +639,6 @@ class TestPrimeImages:
         # j computed exactly the first took 0.47-0.65 s and the second 11 s;
         # certified by prime images each takes a few ms, and 0.1 s leaves
         # room for a slow host
-        paths = [os.path.dirname(os.path.dirname(tower.__file__)),
-                 os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         code = (
             "import contextlib, io, sys, time\n"
             "from dessinkit.cli import run_cli\n"
@@ -653,8 +649,8 @@ class TestPrimeImages:
             "print(code, time.process_time() - start)\n"
             "print(out.getvalue(), end='')\n"
         )
-        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                              text=True, env=env, check=True, timeout=120)
+        done = child.run(["-c", code, *argv], capture_output=True,
+                         text=True, check=True, timeout=120)
         status, seconds = done.stdout.splitlines()[0].split()
         assert done.stdout.splitlines()[1:] == [f"conjugates: {conjugates}",
                                                 "pairwise distinct: true"]

@@ -1,12 +1,9 @@
 """Free-word parsing, reduction, and homomorphism evaluation tests."""
 
-import os
 import random
 import re
-import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +14,8 @@ from dessinkit._exact import MAX_NESTING, Scanner
 from dessinkit.errors import DegreeMismatch, ParseError, ResourceLimit
 from dessinkit.perms import Permutation, compose_right
 from dessinkit.words import FreeWord, commutator_word, evaluate_word, parse_word
+
+import child
 
 
 def random_perm(rng, n):
@@ -654,11 +653,8 @@ class TestLetterRuns:
             "print(time.perf_counter() - start)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
         )
-        paths = [str(Path(words.__file__).resolve().parent.parent),
-                 os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, check=True, timeout=60)
+        done = child.run(["-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
         message, seconds, grown_kib = done.stdout.splitlines()
         assert message == "word of 100001 syllables is over the cap 100000"
         assert float(seconds) < 1.0
